@@ -87,7 +87,7 @@ DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
         "replicates": 3,
         "metric": "wer",
         "budget": 100_000,
-        "workers": 0,  # 0 = logical CPU count
+        "workers": 0,  # 0 = CPUs this process may run on
     },
     "eval": {"per_threshold": 3000, "train_fraction": 0.75},
 }
@@ -174,9 +174,17 @@ def _split(corpus: Corpus, cfg: dict) -> tuple[Corpus, Corpus]:
     return corpus.split(float(cfg["eval"]["train_fraction"]))
 
 
+def _available_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one (a container or taskset can narrow it), else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _evaluator(corpus: Corpus, cfg: dict, out_dir: Path) -> TrainingEvaluator:
     train_c, test_c = _split(corpus, cfg)
-    workers = int(cfg["search"]["workers"]) or (os.cpu_count() or 1)
+    workers = int(cfg["search"]["workers"]) or _available_cpus()
     return TrainingEvaluator(
         train_corpus=train_c,
         test_corpus=test_c,

@@ -88,10 +88,6 @@ class Corpus:
     def channels(self) -> int:
         return self.sequences[0].signal.channels
 
-    @property
-    def n_frames(self) -> int:
-        return sum(seq.signal.n_samples for seq in self.sequences)
-
     def label_alphabet(self) -> tuple[str, ...]:
         """Stable class-symbol order: silence first, then the config's class
         list when available, else the sorted labels actually present."""

@@ -134,20 +134,6 @@ def category_per(
     return CategoryReport(tuple(rows), tuple(excluded))
 
 
-def merge_confusions(
-    parts: Sequence[tuple[dict[str, int], dict[str, int]]]
-) -> tuple[dict[str, int], dict[str, int]]:
-    """Sum per-symbol (count, error) maps; associative and commutative."""
-    counts: dict[str, int] = {}
-    errors: dict[str, int] = {}
-    for c, e in parts:
-        for sym, n in c.items():
-            counts[sym] = counts.get(sym, 0) + n
-        for sym, n in e.items():
-            errors[sym] = errors.get(sym, 0) + n
-    return counts, errors
-
-
 @dataclass(frozen=True)
 class WorstChannelRow:
     """One output line of the single-channel-ablation summary: the removed

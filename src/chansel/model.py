@@ -162,20 +162,36 @@ def _loss(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray) -> float:
 
 
 def _loss_and_grads(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray):
+    """Mean batch cross-entropy and its gradients. Works in two (n, .)
+    buffers with ``out=`` and in-place ufuncs; every elementwise step applies
+    the same operation to the same operands as the textbook formula (softmax,
+    clipped log-likelihood, backprop through tanh), so the results are equal
+    to the bit. The row max is exact, so taking it column by column cannot
+    change a bit either."""
     n = xw.shape[0]
-    h = np.tanh(xw @ w1.T + b1)
-    p = _softmax(h @ w2.T + b2)
-    p_true = np.clip(p[np.arange(n), y], LOG_CLAMP, None)
-    loss = float(-np.mean(np.log(p_true)))
-    g = p.copy()
-    g[np.arange(n), y] -= 1.0
+    rows = np.arange(n)
+    h = xw @ w1.T
+    h += b1
+    np.tanh(h, out=h)
+    g = h @ w2.T
+    g += b2
+    top = g[:, 0].copy()
+    for j in range(1, g.shape[1]):
+        np.maximum(top, g[:, j], out=top)
+    g -= top[:, None]
+    np.exp(g, out=g)
+    g /= g.sum(axis=1, keepdims=True)
+    loss = float(-np.mean(np.log(np.maximum(g[rows, y], LOG_CLAMP))))
+    g[rows, y] -= 1.0
     g /= n
     gw2 = g.T @ h
     gb2 = g.sum(axis=0)
     dh = g @ w2
-    da = dh * (1.0 - h * h)
-    gw1 = da.T @ xw
-    gb1 = da.sum(axis=0)
+    h *= h
+    np.subtract(1.0, h, out=h)
+    dh *= h
+    gw1 = dh.T @ xw
+    gb1 = dh.sum(axis=0)
     return loss, (gw1, gb1, gw2, gb2)
 
 
@@ -228,47 +244,78 @@ class TrainResult:
     mean_retained_channels: float
 
 
-def _index_labels(seq: LabeledSequence, class_index: Mapping[str, int]) -> np.ndarray:
+def label_indices(sequences: Sequence[LabeledSequence],
+                  class_symbols: Sequence[str]) -> list[np.ndarray]:
+    """Per-utterance frame labels as class indices into ``class_symbols``."""
+    class_index = {sym: i for i, sym in enumerate(class_symbols)}
     try:
-        return np.array([class_index[lab] for lab in seq.labels], dtype=np.int64)
+        return [np.array([class_index[lab] for lab in seq.labels], dtype=np.int64)
+                for seq in sequences]
     except KeyError as exc:
         raise ValueError(f"corpus label {exc.args[0]!r} is not a model class") from None
 
 
+def _check_channels(params: ModelParams, sequences: Sequence[LabeledSequence]) -> None:
+    for seq in sequences:
+        if seq.signal.channels != params.channels:
+            raise ValueError(
+                f"signal has {seq.signal.channels} channels, model expects {params.channels}"
+            )
+
+
 def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: TrainConfig) -> TrainResult:
     """Minimise frame-wise cross-entropy by mini-batch gradient descent.
+
+    Featurizes the corpus and runs ``fit_windows``. ``initial_loss`` and
+    ``final_loss`` each cost one full pass over the corpus; the subset search
+    reads neither and calls ``fit_windows`` directly instead.
+    """
+    sequences = list(data)
+    if not sequences:
+        raise ValueError("training corpus is empty")
+    _check_channels(params, sequences)
+    xw_all = [featurize(seq.signal.samples, params.window) for seq in sequences]
+    y_all = label_indices(sequences, params.class_symbols)
+
+    def clean_loss(p: ModelParams) -> float:
+        return _loss(p.input_weights, p.input_bias, p.head_weights, p.head_bias,
+                     np.vstack(xw_all), np.concatenate(y_all))
+
+    initial_loss = clean_loss(params)
+    trained, epoch_losses, mean_retained = fit_windows(params, xw_all, y_all, cfg)
+    return TrainResult(
+        params=trained,
+        epoch_losses=epoch_losses,
+        initial_loss=initial_loss,
+        final_loss=clean_loss(trained),
+        mean_retained_channels=mean_retained,
+    )
+
+
+def fit_windows(
+    params: ModelParams,
+    xw_all: Sequence[np.ndarray],
+    y_all: Sequence[np.ndarray],
+    cfg: TrainConfig,
+) -> tuple[ModelParams, tuple[float, ...], float]:
+    """The gradient-descent loop on featurized utterances: one (T, C * W)
+    window matrix and one label-index vector per utterance. Returns the
+    trained parameters, the per-epoch mean batch losses and the mean number
+    of channels dropout retained.
 
     Batches are groups of utterances; when cfg.dropout_p > 0 a fresh channel
     mask is drawn for every utterance in every epoch. Identical seeds give
     bit-identical parameter trajectories. Raises TrainingDivergedError on the
     first non-finite batch loss.
     """
-    sequences = list(data)
-    if not sequences:
-        raise ValueError("training corpus is empty")
-    for seq in sequences:
-        if seq.signal.channels != params.channels:
-            raise ValueError(
-                f"corpus has {seq.signal.channels}-channel signals, "
-                f"model expects {params.channels}"
-            )
-    class_index = {sym: i for i, sym in enumerate(params.class_symbols)}
-    xw_all = [featurize(seq.signal.samples, params.window) for seq in sequences]
-    y_all = [_index_labels(seq, class_index) for seq in sequences]
-
     w1 = params.input_weights.copy()
     b1 = params.input_bias.copy()
     w2 = params.head_weights.copy()
     b2 = params.head_bias.copy()
-
-    def clean_loss() -> float:
-        return _loss(w1, b1, w2, b2, np.vstack(xw_all), np.concatenate(y_all))
-
-    initial_loss = clean_loss()
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     p = cfg.dropout_p
-    n = len(sequences)
+    n = len(xw_all)
     retained_sum = 0
     draws = 0
     epoch_losses: list[float] = []
@@ -290,30 +337,22 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
                     xs.append(xw_all[i])
             xw = np.vstack(xs)
             y = np.concatenate([y_all[i] for i in ids])
-            loss, (gw1, gb1, gw2, gb2) = _loss_and_grads(w1, b1, w2, b2, xw, y)
+            loss, grads = _loss_and_grads(w1, b1, w2, b2, xw, y)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, b_idx, loss)
-            w1 -= lr * gw1
-            b1 -= lr * gb1
-            w2 -= lr * gw2
-            b2 -= lr * gb2
+            for weights, grad in zip((w1, b1, w2, b2), grads):
+                grad *= lr
+                weights -= grad
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
 
-    final_loss = clean_loss()
     trained = ModelParams(
         input_weights=w1, input_bias=b1, head_weights=w2, head_bias=b2,
         channels=params.channels, window=params.window, features=params.features,
         class_symbols=params.class_symbols,
     )
     mean_retained = retained_sum / draws if draws else float(params.channels)
-    return TrainResult(
-        params=trained,
-        epoch_losses=tuple(epoch_losses),
-        initial_loss=initial_loss,
-        final_loss=final_loss,
-        mean_retained_channels=mean_retained,
-    )
+    return trained, tuple(epoch_losses), mean_retained
 
 
 def gradient_check(
@@ -330,9 +369,8 @@ def gradient_check(
     implementation then reports an error near 1."""
     if not batch:
         raise ValueError("gradient check needs a non-empty batch")
-    class_index = {sym: i for i, sym in enumerate(params.class_symbols)}
     xw = np.vstack([featurize(seq.signal.samples, params.window) for seq in batch])
-    y = np.concatenate([_index_labels(seq, class_index) for seq in batch])
+    y = np.concatenate(label_indices(batch, params.class_symbols))
 
     arrays = [params.input_weights.copy(), params.input_bias.copy(),
               params.head_weights.copy(), params.head_bias.copy()]
@@ -363,6 +401,13 @@ def gradient_check(
     return worst
 
 
+def subset_columns(subset: ChannelSubset, window: int) -> np.ndarray:
+    """Input-layer columns of a subset's channels: channel c owns columns
+    [c*W, (c+1)*W), so ``featurize(x)[:, cols]`` equals the windows of the
+    subset-restricted signal and ``input_weights[:, cols]`` its weights."""
+    return np.concatenate([np.arange(c * window, (c + 1) * window) for c in subset.indices])
+
+
 def slice_input_channels(params: ModelParams, subset: ChannelSubset) -> ModelParams:
     """Model for a channel subset: keep exactly the input-weight column blocks
     of the surviving channels, copy every other parameter verbatim. The result
@@ -373,10 +418,8 @@ def slice_input_channels(params: ModelParams, subset: ChannelSubset) -> ModelPar
             f"subset {subset.label} references channel {subset.indices[-1]}, "
             f"model has {params.channels} channels"
         )
-    w = params.window
-    cols = np.concatenate([np.arange(c * w, (c + 1) * w) for c in subset.indices])
     return ModelParams(
-        input_weights=params.input_weights[:, cols],
+        input_weights=params.input_weights[:, subset_columns(subset, params.window)],
         input_bias=params.input_bias,
         head_weights=params.head_weights,
         head_bias=params.head_bias,
@@ -458,26 +501,46 @@ def evaluate(
     seed: int = 0,
     config_hash: str = "",
     corpus_hash: str = "",
-    word_map: Mapping[tuple[str, ...], str] | None = None,
 ) -> EvalRecord:
-    """Score a model on a corpus: frame argmax predictions, total and
-    per-category PER, then WER of the collapsed token transcript against each
-    utterance's reference transcript (corpus-level: summed edits over summed
-    reference lengths)."""
+    """Score a model on a corpus: featurize it, then ``score_windows``."""
     sequences = list(data)
     if not sequences:
         raise ValueError("evaluation corpus is empty")
+    _check_channels(params, sequences)
+    xw_all = [featurize(seq.signal.samples, params.window) for seq in sequences]
+    return score_windows(params, xw_all, sequences, table, subset=subset,
+                         threshold=threshold, seed=seed, config_hash=config_hash,
+                         corpus_hash=corpus_hash)
+
+
+def score_windows(
+    params: ModelParams,
+    xw_all: Sequence[np.ndarray],
+    refs: Sequence[LabeledSequence],
+    table: CategoryTable,
+    subset: ChannelSubset | None = None,
+    threshold: int = DEFAULT_CATEGORY_THRESHOLD,
+    seed: int = 0,
+    config_hash: str = "",
+    corpus_hash: str = "",
+) -> EvalRecord:
+    """Score a model on featurized utterances (``xw_all``) against the frame
+    labels and transcripts of ``refs``: frame argmax predictions, total and
+    per-category PER, then WER of the collapsed token transcript against each
+    utterance's reference transcript (corpus-level: summed edits over summed
+    reference lengths)."""
     t0 = time.perf_counter()
     ref_frames: list[str] = []
     hyp_frames: list[str] = []
     edits = 0
     ref_tokens_total = 0
-    for seq in sequences:
-        hyp = predict_labels(params, seq.signal)
+    for xw, seq in zip(xw_all, refs, strict=True):
+        scores = _scores(params.input_weights, params.input_bias,
+                         params.head_weights, params.head_bias, xw)
+        hyp = tuple(params.class_symbols[i] for i in np.argmax(scores, axis=1))
         ref_frames.extend(seq.labels)
         hyp_frames.extend(hyp)
-        hyp_tokens = collapse_frame_labels(hyp, word_map=word_map)
-        edits += edit_distance(seq.transcript, hyp_tokens)
+        edits += edit_distance(seq.transcript, collapse_frame_labels(hyp))
         ref_tokens_total += len(seq.transcript)
     if ref_tokens_total == 0:
         raise ValueError("corpus reference transcripts are empty; WER undefined")

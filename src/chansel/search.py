@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -28,9 +28,12 @@ from .metrics import WorstChannelRow, worst_channel_table
 from .model import (
     EvalRecord,
     TrainConfig,
-    evaluate,
+    featurize,
+    fit_windows,
     init_params,
-    train,
+    label_indices,
+    score_windows,
+    subset_columns,
 )
 from .phonemes import CategoryTable
 from .signals import ChannelSubset, parse_subset
@@ -139,21 +142,62 @@ class Evaluator(Protocol):
     def evaluate(self, subset: ChannelSubset) -> EvalRecord: ...
 
 
+def _evaluate_all(evaluator: Evaluator, subsets: Sequence[ChannelSubset]) -> dict[str, EvalRecord]:
+    """Records keyed by subset label: one ``evaluate_many`` batch when the
+    evaluator has it, else ``evaluate`` per subset with failures tagged by
+    the subset."""
+    evaluate_batch = getattr(evaluator, "evaluate_many", None)
+    if evaluate_batch is not None:
+        return evaluate_batch(subsets)
+    records = {}
+    for s in subsets:
+        try:
+            records[s.label] = evaluator.evaluate(s)
+        except EvaluationError:
+            raise
+        except Exception as exc:
+            raise EvaluationError(s.label, exc) from exc
+    return records
+
+
+@dataclass(frozen=True, eq=False)
+class TaskInputs:
+    """What every subset task reads and no subset changes: the full-channel
+    windows of both splits, the train labels as class indices, and the test
+    split for its reference labels and transcripts. ``featurize`` lays the
+    windows out channel-block-major, so a subset's windows are the column
+    blocks ``subset_columns`` names, equal to the bit to featurizing the
+    subset-restricted split."""
+
+    train_windows: tuple[np.ndarray, ...]
+    train_labels: tuple[np.ndarray, ...]
+    test_windows: tuple[np.ndarray, ...]
+    test: Corpus
+
+    @classmethod
+    def build(cls, train: Corpus, test: Corpus, window: int,
+              alphabet: Sequence[str]) -> "TaskInputs":
+        return cls(
+            train_windows=tuple(featurize(seq.signal.samples, window) for seq in train),
+            train_labels=tuple(label_indices(train.sequences, alphabet)),
+            test_windows=tuple(featurize(seq.signal.samples, window) for seq in test),
+            test=test,
+        )
+
+
 # Worker-process globals, installed once per worker by _init_worker so the
-# corpora are pickled per worker rather than per task.
+# task inputs reach each worker once (inherited by fork) rather than per task.
 _WORKER: dict = {}
 
 
-def _init_worker(train_corpus, test_corpus, table, payload: dict) -> None:
-    _WORKER["train"] = train_corpus
-    _WORKER["test"] = test_corpus
+def _init_worker(inputs: TaskInputs, table, payload: dict) -> None:
+    _WORKER["inputs"] = inputs
     _WORKER["table"] = table
     _WORKER["payload"] = payload
 
 
 def _run_task_impl(
-    train_corpus: Corpus,
-    test_corpus: Corpus,
+    inputs: TaskInputs,
     table: CategoryTable,
     payload: dict,
     indices: tuple[int, ...],
@@ -161,9 +205,8 @@ def _run_task_impl(
 ) -> EvalRecord:
     subset = ChannelSubset(indices)
     init_seed, train_seed = derive_task_seeds(payload["base_seed"], replicate)
-    train_restricted = train_corpus.restrict(subset)
-    test_restricted = test_corpus.restrict(subset)
     t0 = time.perf_counter()
+    cols = subset_columns(subset, payload["window"])
     params = init_params(
         channels=len(subset),
         window=payload["window"],
@@ -178,10 +221,12 @@ def _run_task_impl(
         dropout_p=payload["dropout_p"],
         seed=train_seed,
     )
-    result = train(params, train_restricted, cfg)
-    record = evaluate(
-        result.params,
-        test_restricted,
+    trained, _, _ = fit_windows(
+        params, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels, cfg)
+    record = score_windows(
+        trained,
+        [xw[:, cols] for xw in inputs.test_windows],
+        inputs.test.sequences,
         table,
         subset=subset,
         threshold=payload["threshold"],
@@ -194,8 +239,7 @@ def _run_task_impl(
 
 def _pool_task(indices: tuple[int, ...], replicate: int) -> EvalRecord:
     return _run_task_impl(
-        _WORKER["train"], _WORKER["test"], _WORKER["table"], _WORKER["payload"],
-        indices, replicate,
+        _WORKER["inputs"], _WORKER["table"], _WORKER["payload"], indices, replicate,
     )
 
 
@@ -230,6 +274,15 @@ class TrainingEvaluator:
             len(self.train_corpus),
         )
         self._alphabet = self.train_corpus.label_alphabet()
+        self._inputs: TaskInputs | None = None
+
+    def _task_inputs(self) -> TaskInputs:
+        """Built on the first batch that trains, then shared by every task
+        and pool of this evaluator; a warm replay never builds it."""
+        if self._inputs is None:
+            self._inputs = TaskInputs.build(
+                self.train_corpus, self.test_corpus, self.window, self._alphabet)
+        return self._inputs
 
     def _task_payload(self) -> dict:
         return {
@@ -269,6 +322,41 @@ class TrainingEvaluator:
     def evaluate(self, subset: ChannelSubset) -> EvalRecord:
         return self.evaluate_many([subset])[subset.label]
 
+    def _run_pool(
+        self,
+        pending: Sequence[tuple[ChannelSubset, int]],
+        inputs: TaskInputs,
+        payload: dict,
+        keep: Callable[[ChannelSubset, int, EvalRecord], None],
+    ) -> None:
+        """Run the pending tasks in a process pool, handing each finished
+        record to ``keep``. On the first failure, or an interrupt, cancel the
+        tasks not yet started, wait for the running ones, keep every record
+        that finished, then raise."""
+        with ProcessPoolExecutor(
+            max_workers=self.workers,
+            initializer=_init_worker,
+            initargs=(inputs, self.table, payload),
+        ) as pool:
+            futures = {pool.submit(_pool_task, s.indices, r): (s, r) for s, r in pending}
+            kept = set()
+            try:
+                for fut in as_completed(futures):
+                    s, r = futures[fut]
+                    try:
+                        record = fut.result()
+                    except Exception as exc:
+                        raise EvaluationError(s.label, exc) from exc
+                    keep(s, r, record)
+                    kept.add(fut)
+            except BaseException:
+                pool.shutdown(wait=True, cancel_futures=True)
+                for fut, (s, r) in futures.items():
+                    if (fut not in kept and not fut.cancelled()
+                            and fut.exception() is None):
+                        keep(s, r, fut.result())
+                raise
+
     def evaluate_many(
         self, subsets: Sequence[ChannelSubset], require_cached: bool = False
     ) -> dict[str, EvalRecord]:
@@ -293,37 +381,23 @@ class TrainingEvaluator:
             )
 
         if pending:
+            inputs = self._task_inputs()
             payload = self._task_payload()
+
+            def keep(s: ChannelSubset, r: int, record: EvalRecord) -> None:
+                self.training_runs += 1
+                self.cache.put(record)
+                per_seed[s.label][r] = record
+
             if self.workers > 1:
-                with ProcessPoolExecutor(
-                    max_workers=self.workers,
-                    initializer=_init_worker,
-                    initargs=(self.train_corpus, self.test_corpus, self.table, payload),
-                ) as pool:
-                    futures = {
-                        pool.submit(_pool_task, s.indices, r): (s, r) for s, r in pending
-                    }
-                    for fut in as_completed(futures):
-                        s, r = futures[fut]
-                        try:
-                            record = fut.result()
-                        except Exception as exc:
-                            raise EvaluationError(s.label, exc) from exc
-                        self.training_runs += 1
-                        self.cache.put(record)
-                        per_seed[s.label][r] = record
+                self._run_pool(pending, inputs, payload, keep)
             else:
                 for s, r in pending:
                     try:
-                        record = _run_task_impl(
-                            self.train_corpus, self.test_corpus, self.table, payload,
-                            s.indices, r,
-                        )
+                        record = _run_task_impl(inputs, self.table, payload, s.indices, r)
                     except Exception as exc:
                         raise EvaluationError(s.label, exc) from exc
-                    self.training_runs += 1
-                    self.cache.put(record)
-                    per_seed[s.label][r] = record
+                    keep(s, r, record)
 
         return {
             label: self._aggregate(by_label[label], records)  # type: ignore[arg-type]
@@ -394,20 +468,9 @@ def backward_elimination(
                          f"channels={channels}")
     current = ChannelSubset.full(channels)
     steps: list[EliminationStep] = []
-    evaluate_batch = getattr(evaluator, "evaluate_many", None)
     while len(current) > stop_size:
         candidates = [(ch, current.drop(ch)) for ch in current]
-        if evaluate_batch is not None:
-            records = evaluate_batch([s for _, s in candidates])
-        else:
-            records = {}
-            for _, s in candidates:
-                try:
-                    records[s.label] = evaluator.evaluate(s)
-                except EvaluationError:
-                    raise
-                except Exception as exc:
-                    raise EvaluationError(s.label, exc) from exc
+        records = _evaluate_all(evaluator, [s for _, s in candidates])
         scored = [(ch, s, records[s.label].metric(metric)) for ch, s in candidates]
         best_metric = min(m for _, _, m in scored)
         tied_channels = [ch for ch, _, m in scored if m == best_metric]
@@ -463,18 +526,7 @@ def exhaustive_sweep(
     if required > budget:
         raise SweepBudgetError(required, budget)
     subsets = [ChannelSubset(combo) for combo in itertools.combinations(range(channels), k)]
-    evaluate_batch = getattr(evaluator, "evaluate_many", None)
-    if evaluate_batch is not None:
-        records = evaluate_batch(subsets)
-    else:
-        records = {}
-        for s in subsets:
-            try:
-                records[s.label] = evaluator.evaluate(s)
-            except EvaluationError:
-                raise
-            except Exception as exc:
-                raise EvaluationError(s.label, exc) from exc
+    records = _evaluate_all(evaluator, subsets)
     ordered = sorted(records.values(), key=lambda r: (r.metric(metric), r.subset_label))
     return SweepResult(channels=channels, k=k, metric_name=metric, records=tuple(ordered))
 
@@ -545,18 +597,7 @@ def seven_channel_ablation(
         raise ValueError(f"ablation needs at least 2 channels, got {channels}")
     full = ChannelSubset.full(channels)
     subsets = {ch: full.drop(ch) for ch in range(channels)}
-    evaluate_batch = getattr(evaluator, "evaluate_many", None)
-    if evaluate_batch is not None:
-        scored = evaluate_batch(list(subsets.values()))
-    else:
-        scored = {}
-        for ch, s in subsets.items():
-            try:
-                scored[s.label] = evaluator.evaluate(s)
-            except EvaluationError:
-                raise
-            except Exception as exc:
-                raise EvaluationError(s.label, exc) from exc
+    scored = _evaluate_all(evaluator, list(subsets.values()))
     records = {ch + 1: scored[subsets[ch].label] for ch in range(channels)}
     reports = {ch: rec.per_category for ch, rec in records.items()}
     rows = worst_channel_table(reports, baseline.per_category)

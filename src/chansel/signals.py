@@ -113,9 +113,6 @@ class ChannelSubset:
             return "".join(str(i) for i in one_based)
         return ",".join(str(i) for i in one_based)
 
-    def bitmask(self) -> int:
-        return sum(1 << i for i in self.indices)
-
     def drop(self, channel: int) -> "ChannelSubset":
         """Subset without ``channel`` (which must be a member)."""
         if channel not in self.indices:

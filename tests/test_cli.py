@@ -1,9 +1,12 @@
+import copy
 import json
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from chansel import cli
 from chansel.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from chansel.corpus import load_corpus
 from chansel.model import load_model
@@ -290,3 +293,17 @@ class TestExitCodes:
                          "--epochs", "6"])
         assert code == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
+
+
+class TestPoolSize:
+    def test_workers_zero_follows_affinity_then_cpu_count(self, tiny_corpus, tmp_path,
+                                                          monkeypatch):
+        cfg = copy.deepcopy(cli.DEFAULT_CONFIG)
+        cfg["search"]["workers"] = 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3}, raising=False)
+        assert cli._evaluator(tiny_corpus, cfg, tmp_path).workers == 2
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli._evaluator(tiny_corpus, cfg, tmp_path).workers == 8
+        cfg["search"]["workers"] = 3
+        assert cli._evaluator(tiny_corpus, cfg, tmp_path).workers == 3

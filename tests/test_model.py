@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from chansel import model
 from chansel.corpus import Corpus, LabeledSequence
 from chansel.model import (
     DROPOUT_PRESETS,
@@ -18,6 +21,7 @@ from chansel.model import (
     predict_labels,
     save_model,
     slice_input_channels,
+    subset_columns,
     train,
     _loss_and_grads,
     featurize,
@@ -117,6 +121,20 @@ class TestFeaturize:
         assert np.array_equal(xw[0], [0.0, 1.0, 2.0])  # left edge zero-padded
         assert np.array_equal(xw[2], [2.0, 3.0, 4.0])
         assert np.array_equal(xw[3], [3.0, 4.0, 0.0])
+
+
+    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 8))
+    @settings(max_examples=60)
+    def test_subset_columns_equal_restricted_windows(self, seed, channels, window):
+        # odd and even windows pad asymmetrically; the column blocks must
+        # still be exactly the subset-restricted signal's windows
+        rng = np.random.default_rng(seed)
+        x = MultichannelSignal(rng.normal(size=(channels, int(rng.integers(1, 12)))))
+        size = int(rng.integers(1, channels + 1))
+        subset = ChannelSubset.of(rng.choice(channels, size=size, replace=False))
+        sliced = featurize(x.samples, window)[:, subset_columns(subset, window)]
+        restricted = featurize(restrict_to_subset(x, subset).samples, window)
+        assert np.array_equal(sliced, restricted)
 
 
 class TestSlice:
@@ -242,6 +260,61 @@ class TestTrain:
                     dict(dropout_p=1.5)):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+
+
+def _reference_loss_and_grads(w1, b1, w2, b2, xw, y):
+    """The allocating textbook formula the in-place step must match bit for bit."""
+    n = xw.shape[0]
+    h = np.tanh(xw @ w1.T + b1)
+    scores = h @ w2.T + b2
+    z = scores - scores.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    p_true = np.clip(p[np.arange(n), y], model.LOG_CLAMP, None)
+    loss = float(-np.mean(np.log(p_true)))
+    g = p.copy()
+    g[np.arange(n), y] -= 1.0
+    g /= n
+    gw2 = g.T @ h
+    gb2 = g.sum(axis=0)
+    dh = g @ w2
+    da = dh * (1.0 - h * h)
+    gw1 = da.T @ xw
+    gb1 = da.sum(axis=0)
+    return loss, (gw1, gb1, gw2, gb2)
+
+
+class TestInPlaceStep:
+    # (rows, channels * window, features, classes): the benchmark's batch of
+    # two utterances on a 4-of-8 subset, and the default config's batch of
+    # 16 utterances on a 4-channel subset
+    SHAPES = [(176, 4 * 5, 32, 7), (2900, 4 * 9, 32, 13)]
+
+    @pytest.mark.parametrize("rows,cols,features,classes", SHAPES)
+    def test_equal_to_reference_to_the_bit(self, rows, cols, features, classes):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            params = init_params(cols, 1, features, [str(i) for i in range(classes)], seed)
+            arrays = [params.input_weights, params.input_bias,
+                      params.head_weights, params.head_bias]
+            xw = rng.normal(size=(rows, cols))
+            y = rng.integers(0, classes, size=rows)
+            loss, grads = _loss_and_grads(*arrays, xw, y)
+            ref_loss, ref_grads = _reference_loss_and_grads(*arrays, xw, y)
+            assert loss == ref_loss
+            for g, ref in zip(grads, ref_grads):
+                assert g.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
+    def test_whole_training_run_equals_reference(self, monkeypatch, tiny_corpus, dropout_p):
+        params = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=2)
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4,
+                          dropout_p=dropout_p, seed=3)
+        fast = train(params, tiny_corpus, cfg)
+        monkeypatch.setattr(model, "_loss_and_grads", _reference_loss_and_grads)
+        ref = train(params, tiny_corpus, cfg)
+        assert model_hash(fast.params) == model_hash(ref.params)
+        assert fast.epoch_losses == ref.epoch_losses
 
 
 class TestGradientCheck:

@@ -1,6 +1,11 @@
+import itertools
+import time
+from dataclasses import replace
+
 import pytest
 
-from chansel.model import EvalRecord, TrainConfig
+from chansel import search
+from chansel.model import EvalRecord, TrainConfig, evaluate, init_params, train
 from chansel.phonemes import default_table
 from chansel.search import (
     EvaluationError,
@@ -231,7 +236,7 @@ def _search_corpus(channels=3, utterances=12, seed=0):
     return generate(GeneratorConfig(
         channels=channels,
         classes=("B", "IY", "T"),
-        weights=tuple([1.0, 0.6, 0.2][:channels]),
+        weights=tuple([1.0, 0.6, 0.2, 0.0][:channels]),
         noise_sigma=0.5,
         frames_per_segment=4,
         segments_per_utterance=3,
@@ -319,6 +324,58 @@ class TestTrainingEvaluator:
         ev = _evaluator(corpus, tmp_path)
         with pytest.raises(ValueError, match="missing"):
             ev.evaluate_many([ChannelSubset.of([0])], require_cached=True)
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
+    def test_task_equals_train_and_evaluate_on_restricted_splits(self, dropout_p):
+        # the task slices column blocks of windows built once and skips the
+        # loss passes; its record must equal the restrict/featurize/train/
+        # evaluate route field for field
+        corpus = _search_corpus(channels=4)
+        ev = _evaluator(corpus, replicates=2)
+        ev = replace(ev, train_cfg=replace(ev.train_cfg, dropout_p=dropout_p))
+        payload = ev._task_payload()
+        for indices in itertools.combinations(range(4), 2):
+            subset = ChannelSubset(indices)
+            for replicate in range(2):
+                init_seed, train_seed = derive_task_seeds(ev.train_cfg.seed, replicate)
+                params = init_params(2, ev.window, ev.features,
+                                     ev.train_corpus.label_alphabet(), init_seed)
+                trained = train(params, ev.train_corpus.restrict(subset),
+                                replace(ev.train_cfg, seed=train_seed)).params
+                expected = evaluate(trained, ev.test_corpus.restrict(subset), ev.table,
+                                    subset=subset, threshold=ev.threshold, seed=replicate,
+                                    config_hash=ev.config_hash,
+                                    corpus_hash=ev.corpus_hash)
+                got = search._run_task_impl(ev._task_inputs(), ev.table, payload,
+                                            indices, replicate)
+                assert replace(got, wall_time=0.0) == replace(expected, wall_time=0.0)
+
+    def test_pool_failure_cancels_queued_tasks_and_keeps_finished(self, tmp_path,
+                                                                  monkeypatch):
+        # forked workers inherit the patched task: the first task fails at
+        # once, every other one takes a while, so a prompt stop leaves most
+        # of the queue unstarted
+        corpus = _search_corpus()
+        ev = _evaluator(corpus, tmp_path, replicates=4, workers=2)
+        started = tmp_path / "started.txt"
+        real_task = search._run_task_impl
+
+        def flaky_task(*args):
+            indices, replicate = args[-2:]
+            with open(started, "a", encoding="utf-8") as fh:
+                fh.write(f"{indices}/{replicate}\n")
+            if (indices, replicate) == ((0,), 0):
+                raise RuntimeError("injected failure")
+            time.sleep(0.5)
+            return real_task(*args)
+
+        monkeypatch.setattr(search, "_run_task_impl", flaky_task)
+        with pytest.raises(EvaluationError, match="subset 1 failed: injected failure"):
+            ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
+        n_started = len(started.read_text(encoding="utf-8").splitlines())
+        assert n_started < 12
+        kept = ResultsCache(tmp_path / "cache.jsonl")
+        assert len(kept) == ev.training_runs == n_started - 1
 
     def test_process_pool_matches_serial(self, tmp_path):
         corpus = _search_corpus()
