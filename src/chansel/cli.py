@@ -15,12 +15,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import itertools
 import json
-import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Any, Mapping
 
 from . import __version__
@@ -51,7 +51,6 @@ from .search import (
     EvaluationError,
     ResultsCache,
     SweepBudgetError,
-    SweepResult,
     TrainingEvaluator,
     backward_elimination,
     channel_average_metric,
@@ -122,31 +121,39 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+# Flags that override one config value: flag name -> (section, key, type).
+# A subcommand names the flags it accepts; each is spelled --name-with-dashes.
+FLAGS: dict[str, tuple[str, str, type]] = {
+    "seed": ("train", "seed", int),
+    "epochs": ("train", "epochs", int),
+    "learning_rate": ("train", "learning_rate", float),
+    "batch_size": ("train", "batch_size", int),
+    "dropout_p": ("train", "dropout_p", float),
+    "window": ("model", "window", int),
+    "features": ("model", "features", int),
+    "k": ("search", "k", int),
+    "k_top": ("search", "k_top", int),
+    "stop_size": ("search", "stop_size", int),
+    "replicates": ("search", "replicates", int),
+    "metric": ("search", "metric", str),
+    "budget": ("search", "budget", int),
+    "workers": ("search", "workers", int),
+    "per_threshold": ("eval", "per_threshold", int),
+    "train_fraction": ("eval", "train_fraction", float),
+    "gen_seed": ("generator", "seed", int),
+    "channels": ("generator", "channels", int),
+    "utterances": ("generator", "utterances", int),
+    "noise_sigma": ("generator", "noise_sigma", float),
+}
+
+TRAINING_FLAGS = ("seed", "epochs", "learning_rate", "batch_size")
+SEARCH_FLAGS = (*TRAINING_FLAGS, "window", "features", "replicates", "workers", "metric",
+                "train_fraction", "per_threshold")
+
+
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
-    """Flags beat file values. Mapping: flag name -> config path."""
-    paths = {
-        "seed": ("train", "seed"),
-        "epochs": ("train", "epochs"),
-        "learning_rate": ("train", "learning_rate"),
-        "batch_size": ("train", "batch_size"),
-        "dropout_p": ("train", "dropout_p"),
-        "window": ("model", "window"),
-        "features": ("model", "features"),
-        "k": ("search", "k"),
-        "k_top": ("search", "k_top"),
-        "stop_size": ("search", "stop_size"),
-        "replicates": ("search", "replicates"),
-        "metric": ("search", "metric"),
-        "budget": ("search", "budget"),
-        "workers": ("search", "workers"),
-        "per_threshold": ("eval", "per_threshold"),
-        "train_fraction": ("eval", "train_fraction"),
-        "gen_seed": ("generator", "seed"),
-        "channels": ("generator", "channels"),
-        "utterances": ("generator", "utterances"),
-        "noise_sigma": ("generator", "noise_sigma"),
-    }
-    for flag, (section, key) in paths.items():
+    """Flags beat file values."""
+    for flag, (section, key, _) in FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
             cfg[section][key] = value
@@ -323,18 +330,29 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_backward_elim(args: argparse.Namespace) -> int:
+def _search_setup(args: argparse.Namespace):
+    """Config, corpus, output directory, evaluator and provenance shared by
+    the search subcommands; reports cache lines that could not be read."""
     cfg = _apply_overrides(load_config(args.config), args)
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)
+    cache = evaluator.cache
+    if cache.skipped_lines:
+        print(f"warning: skipped {cache.skipped_lines} unreadable cache lines in {cache.path}",
+              file=sys.stderr)
+    prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
+    return cfg, corpus, out_dir, evaluator, prov
+
+
+def cmd_backward_elim(args: argparse.Namespace) -> int:
+    cfg, corpus, out_dir, evaluator, prov = _search_setup(args)
     trace = backward_elimination(
         evaluator,
         channels=corpus.channels,
         stop_size=int(cfg["search"]["stop_size"]),
         metric=cfg["search"]["metric"],
     )
-    prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
     write_text(out_dir / "elimination.json", elimination_json(trace, prov))
     write_text(out_dir / "elimination_curve.csv", elimination_plot_csv(trace, prov))
     order = ", ".join(str(ch + 1) for ch in trace.removal_order)
@@ -342,25 +360,13 @@ def cmd_backward_elim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _emit_sweep_reports(sweep, k_top: int, out_dir: Path, prov: Provenance) -> None:
-    counts = top_k_frequency(sweep, min(k_top, len(sweep.records)))
-    averages = channel_average_metric(sweep)
-    write_text(out_dir / "sweep.csv", sweep_csv(sweep, prov))
-    write_text(
-        out_dir / "top_subsets.csv",
-        top_subsets_csv(sweep, min(k_top, len(sweep.records)), counts, prov),
-    )
-    write_text(
-        out_dir / "channel_average.csv",
-        channel_average_csv(averages, sweep.metric_name, prov),
-    )
-
-
-def cmd_exhaustive(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    corpus = load_corpus(Path(args.corpus))
-    out_dir = Path(args.out)
-    evaluator = _evaluator(corpus, cfg, out_dir)
+def _sweep_reports(args: argparse.Namespace, cached_only: bool):
+    """Run (or, cached_only, replay from the cache) the exhaustive sweep and
+    write its three reports; returns the sweep and the output directory."""
+    cfg, corpus, out_dir, evaluator, prov = _search_setup(args)
+    if cached_only:
+        evaluator = SimpleNamespace(
+            evaluate_many=partial(evaluator.evaluate_many, require_cached=True))
     sweep = exhaustive_sweep(
         evaluator,
         channels=corpus.channels,
@@ -368,8 +374,18 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
         metric=cfg["search"]["metric"],
         budget=int(cfg["search"]["budget"]),
     )
-    prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
-    _emit_sweep_reports(sweep, int(cfg["search"]["k_top"]), out_dir, prov)
+    k_top = min(int(cfg["search"]["k_top"]), len(sweep.records))
+    counts = top_k_frequency(sweep, k_top)
+    averages = channel_average_metric(sweep)
+    write_text(out_dir / "sweep.csv", sweep_csv(sweep, prov))
+    write_text(out_dir / "top_subsets.csv", top_subsets_csv(sweep, k_top, counts, prov))
+    write_text(out_dir / "channel_average.csv",
+               channel_average_csv(averages, sweep.metric_name, prov))
+    return sweep, out_dir
+
+
+def cmd_exhaustive(args: argparse.Namespace) -> int:
+    sweep, _ = _sweep_reports(args, cached_only=False)
     best = sweep.records[0]
     print(
         f"swept {len(sweep.records)} subsets; best {best.subset_label} "
@@ -379,13 +395,9 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate7(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    corpus = load_corpus(Path(args.corpus))
-    out_dir = Path(args.out)
-    evaluator = _evaluator(corpus, cfg, out_dir)
+    _, corpus, out_dir, evaluator, prov = _search_setup(args)
     baseline = evaluator.evaluate(ChannelSubset.full(corpus.channels))
     result = seven_channel_ablation(evaluator, corpus.channels, baseline, default_table())
-    prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
     write_text(out_dir / "worst_channel.csv", worst_channel_csv(result.rows, prov))
     records_doc = {
         "baseline": json.loads(_record_json(result.baseline)),
@@ -402,27 +414,7 @@ def cmd_ablate7(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
-    corpus = load_corpus(Path(args.corpus))
-    out_dir = Path(args.out)
-    evaluator = _evaluator(corpus, cfg, out_dir)
-    k = int(cfg["search"]["k"])
-    required = math.comb(corpus.channels, k)
-    if required > int(cfg["search"]["budget"]):
-        raise SweepBudgetError(required, int(cfg["search"]["budget"]))
-    subsets = [
-        ChannelSubset(combo) for combo in itertools.combinations(range(corpus.channels), k)
-    ]
-    records = evaluator.evaluate_many(subsets, require_cached=True)
-    ordered = sorted(
-        records.values(), key=lambda r: (r.metric(cfg["search"]["metric"]), r.subset_label)
-    )
-    sweep = SweepResult(
-        channels=corpus.channels, k=k, metric_name=cfg["search"]["metric"],
-        records=tuple(ordered),
-    )
-    prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
-    _emit_sweep_reports(sweep, int(cfg["search"]["k_top"]), out_dir, prov)
+    sweep, out_dir = _sweep_reports(args, cached_only=True)
     print(f"rebuilt reports for {len(sweep.records)} cached subsets in {out_dir}")
     return EXIT_OK
 
@@ -437,6 +429,11 @@ def _add_common(sub: argparse.ArgumentParser, corpus: bool = True) -> None:
         sub.add_argument("--corpus", required=True, help="corpus directory")
 
 
+def _add_flags(sub: argparse.ArgumentParser, names) -> None:
+    for name in names:
+        sub.add_argument("--" + name.replace("_", "-"), type=FLAGS[name][2])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="chansel", description=__doc__)
     parser.add_argument("--version", action="version", version=f"chansel {__version__}")
@@ -445,20 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("gen-data", help="generate a synthetic corpus")
     _add_common(p, corpus=False)
     p.add_argument("--force", action="store_true", help="overwrite an existing corpus")
-    p.add_argument("--gen-seed", type=int, dest="gen_seed")
-    p.add_argument("--channels", type=int)
-    p.add_argument("--utterances", type=int)
-    p.add_argument("--noise-sigma", type=float, dest="noise_sigma")
+    _add_flags(p, ("gen_seed", "channels", "utterances", "noise_sigma"))
     p.set_defaults(func=cmd_gen_data)
 
     p = commands.add_parser("pretrain", help="train the full-channel model")
     _add_common(p)
-    for flag, typ in (
-        ("--seed", int), ("--epochs", int), ("--learning-rate", float),
-        ("--batch-size", int), ("--dropout-p", float), ("--window", int),
-        ("--features", int), ("--train-fraction", float),
-    ):
-        p.add_argument(flag, type=typ)
+    _add_flags(p, (*TRAINING_FLAGS, "dropout_p", "window", "features", "train_fraction"))
     p.set_defaults(func=cmd_pretrain)
 
     p = commands.add_parser("finetune", help="slice a pretrained model to a subset and adapt it")
@@ -468,31 +457,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", help="pretrained model JSON header to slice")
     p.add_argument("--from-scratch", action="store_true",
                    help="also (or only) train a scratch baseline on the subset")
-    for flag, typ in (
-        ("--seed", int), ("--epochs", int), ("--learning-rate", float),
-        ("--batch-size", int), ("--window", int), ("--features", int),
-        ("--train-fraction", float), ("--per-threshold", int),
-    ):
-        p.add_argument(flag, type=typ)
+    _add_flags(p, (*TRAINING_FLAGS, "window", "features", "train_fraction", "per_threshold"))
     p.set_defaults(func=cmd_finetune)
 
     for name, handler, extras in (
-        ("backward-elim", cmd_backward_elim, (("--stop-size", int),)),
-        ("exhaustive", cmd_exhaustive, (("--k", int), ("--k-top", int), ("--budget", int))),
+        ("backward-elim", cmd_backward_elim, ("stop_size",)),
+        ("exhaustive", cmd_exhaustive, ("k", "k_top", "budget")),
         ("ablate7", cmd_ablate7, ()),
-        ("report", cmd_report, (("--k", int), ("--k-top", int))),
+        ("report", cmd_report, ("k", "k_top")),
     ):
         p = commands.add_parser(name, help=f"{name} workflow")
         _add_common(p)
-        for flag, typ in (
-            ("--seed", int), ("--epochs", int), ("--learning-rate", float),
-            ("--batch-size", int), ("--window", int), ("--features", int),
-            ("--replicates", int), ("--workers", int), ("--metric", str),
-            ("--train-fraction", float), ("--per-threshold", int),
-        ):
-            p.add_argument(flag, type=typ)
-        for flag, typ in extras:
-            p.add_argument(flag, type=typ)
+        _add_flags(p, (*SEARCH_FLAGS, *extras))
         p.set_defaults(func=handler)
 
     return parser

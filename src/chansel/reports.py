@@ -16,7 +16,8 @@ from pathlib import Path
 from typing import Sequence
 
 from .metrics import WorstChannelRow
-from .search import EliminationTrace, SweepResult, subset_indices
+from .search import EliminationTrace, SweepResult
+from .signals import parse_subset
 
 
 @dataclass(frozen=True)
@@ -60,7 +61,7 @@ def top_subsets_csv(
     channel_cols = ",".join(str(c + 1) for c in range(sweep.channels))
     lines = [f"subset,{channel_cols},{sweep.metric_name}"]
     for r in sweep.records[:k_top]:
-        members = set(subset_indices(r.subset_label, sweep.channels))
+        members = set(parse_subset(r.subset_label, sweep.channels).indices)
         indicators = ",".join("1" if c in members else "0" for c in range(sweep.channels))
         lines.append(f"{r.subset_label},{indicators},{pct(r.metric(sweep.metric_name))}")
     lines.append("count," + ",".join(str(n) for n in counts) + ",")

@@ -65,13 +65,15 @@ class ResultsCache:
     """Append-only JSON-lines store of per-seed EvalRecords.
 
     A record's identity is (subset label, corpus hash, config hash, seed).
-    Loading tolerates a truncated final line so a sweep killed mid-write
-    resumes cleanly.
+    Loading skips unreadable lines, such as the torn final line of a sweep
+    killed mid-write, so that sweep resumes cleanly; ``skipped_lines`` counts
+    them.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: dict[tuple[str, str, str, int], EvalRecord] = {}
+        self.skipped_lines = 0
         if self.path is not None and self.path.exists():
             for line in self.path.read_text(encoding="utf-8").splitlines():
                 if not line.strip():
@@ -79,7 +81,8 @@ class ResultsCache:
                 try:
                     record = EvalRecord.from_dict(json.loads(line))
                 except (json.JSONDecodeError, KeyError, ValueError):
-                    continue  # torn tail line from an interrupted run
+                    self.skipped_lines += 1
+                    continue
                 self._records[self._key(record)] = record
 
     @staticmethod
@@ -162,85 +165,57 @@ def _evaluate_all(evaluator: Evaluator, subsets: Sequence[ChannelSubset]) -> dic
 
 @dataclass(frozen=True, eq=False)
 class TaskInputs:
-    """What every subset task reads and no subset changes: the full-channel
-    windows of both splits, the train labels as class indices, and the test
-    split for its reference labels and transcripts. ``featurize`` lays the
-    windows out channel-block-major, so a subset's windows are the column
-    blocks ``subset_columns`` names, equal to the bit to featurizing the
-    subset-restricted split."""
+    """Everything a subset task reads and no subset changes: the full-channel
+    windows of both splits, the train labels as class indices, the test split
+    for its reference labels and transcripts, and the evaluator's settings.
+    ``featurize`` lays the windows out channel-block-major, so a subset's
+    windows are the column blocks ``subset_columns`` names, equal to the bit
+    to featurizing the subset-restricted split."""
 
     train_windows: tuple[np.ndarray, ...]
     train_labels: tuple[np.ndarray, ...]
     test_windows: tuple[np.ndarray, ...]
     test: Corpus
-
-    @classmethod
-    def build(cls, train: Corpus, test: Corpus, window: int,
-              alphabet: Sequence[str]) -> "TaskInputs":
-        return cls(
-            train_windows=tuple(featurize(seq.signal.samples, window) for seq in train),
-            train_labels=tuple(label_indices(train.sequences, alphabet)),
-            test_windows=tuple(featurize(seq.signal.samples, window) for seq in test),
-            test=test,
-        )
+    table: CategoryTable
+    train_cfg: TrainConfig
+    window: int
+    features: int
+    threshold: int
+    alphabet: tuple[str, ...]
+    config_hash: str
+    corpus_hash: str
 
 
-# Worker-process globals, installed once per worker by _init_worker so the
-# task inputs reach each worker once (inherited by fork) rather than per task.
-_WORKER: dict = {}
+# Installed once per worker by _init_worker, so the task inputs reach each
+# worker once (inherited by fork) rather than per task.
+_WORKER_INPUTS: TaskInputs | None = None
 
 
-def _init_worker(inputs: TaskInputs, table, payload: dict) -> None:
-    _WORKER["inputs"] = inputs
-    _WORKER["table"] = table
-    _WORKER["payload"] = payload
+def _init_worker(inputs: TaskInputs) -> None:
+    global _WORKER_INPUTS
+    _WORKER_INPUTS = inputs
 
 
-def _run_task_impl(
-    inputs: TaskInputs,
-    table: CategoryTable,
-    payload: dict,
-    indices: tuple[int, ...],
-    replicate: int,
-) -> EvalRecord:
+def _run_task_impl(inputs: TaskInputs, indices: tuple[int, ...], replicate: int) -> EvalRecord:
     subset = ChannelSubset(indices)
-    init_seed, train_seed = derive_task_seeds(payload["base_seed"], replicate)
+    init_seed, train_seed = derive_task_seeds(inputs.train_cfg.seed, replicate)
     t0 = time.perf_counter()
-    cols = subset_columns(subset, payload["window"])
-    params = init_params(
-        channels=len(subset),
-        window=payload["window"],
-        features=payload["features"],
-        class_symbols=payload["alphabet"],
-        seed=init_seed,
-    )
-    cfg = TrainConfig(
-        learning_rate=payload["learning_rate"],
-        epochs=payload["epochs"],
-        batch_size=payload["batch_size"],
-        dropout_p=payload["dropout_p"],
-        seed=train_seed,
-    )
+    cols = subset_columns(subset, inputs.window)
+    params = init_params(channels=len(subset), window=inputs.window, features=inputs.features,
+                         class_symbols=inputs.alphabet, seed=init_seed)
     trained, _, _ = fit_windows(
-        params, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels, cfg)
+        params, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels,
+        replace(inputs.train_cfg, seed=train_seed))
     record = score_windows(
-        trained,
-        [xw[:, cols] for xw in inputs.test_windows],
-        inputs.test.sequences,
-        table,
-        subset=subset,
-        threshold=payload["threshold"],
-        seed=replicate,
-        config_hash=payload["config_hash"],
-        corpus_hash=payload["corpus_hash"],
+        trained, [xw[:, cols] for xw in inputs.test_windows], inputs.test.sequences,
+        inputs.table, subset=subset, threshold=inputs.threshold, seed=replicate,
+        config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash,
     )
     return replace(record, wall_time=time.perf_counter() - t0)
 
 
 def _pool_task(indices: tuple[int, ...], replicate: int) -> EvalRecord:
-    return _run_task_impl(
-        _WORKER["inputs"], _WORKER["table"], _WORKER["payload"], indices, replicate,
-    )
+    return _run_task_impl(_WORKER_INPUTS, indices, replicate)
 
 
 @dataclass
@@ -273,31 +248,25 @@ class TrainingEvaluator:
             self.train_cfg, self.window, self.features, self.threshold,
             len(self.train_corpus),
         )
-        self._alphabet = self.train_corpus.label_alphabet()
         self._inputs: TaskInputs | None = None
 
     def _task_inputs(self) -> TaskInputs:
         """Built on the first batch that trains, then shared by every task
         and pool of this evaluator; a warm replay never builds it."""
         if self._inputs is None:
-            self._inputs = TaskInputs.build(
-                self.train_corpus, self.test_corpus, self.window, self._alphabet)
-        return self._inputs
+            def windows(split: Corpus) -> tuple[np.ndarray, ...]:
+                return tuple(featurize(seq.signal.samples, self.window) for seq in split)
 
-    def _task_payload(self) -> dict:
-        return {
-            "base_seed": self.train_cfg.seed,
-            "learning_rate": self.train_cfg.learning_rate,
-            "epochs": self.train_cfg.epochs,
-            "batch_size": self.train_cfg.batch_size,
-            "dropout_p": self.train_cfg.dropout_p,
-            "window": self.window,
-            "features": self.features,
-            "threshold": self.threshold,
-            "config_hash": self.config_hash,
-            "corpus_hash": self.corpus_hash,
-            "alphabet": self._alphabet,
-        }
+            alphabet = self.train_corpus.label_alphabet()
+            self._inputs = TaskInputs(
+                train_windows=windows(self.train_corpus),
+                train_labels=tuple(label_indices(self.train_corpus.sequences, alphabet)),
+                test_windows=windows(self.test_corpus), test=self.test_corpus,
+                table=self.table, train_cfg=self.train_cfg, window=self.window,
+                features=self.features, threshold=self.threshold, alphabet=alphabet,
+                config_hash=self.config_hash, corpus_hash=self.corpus_hash,
+            )
+        return self._inputs
 
     def _aggregate(self, subset: ChannelSubset, per_seed: Sequence[EvalRecord]) -> EvalRecord:
         if len(per_seed) == 1:
@@ -325,8 +294,6 @@ class TrainingEvaluator:
     def _run_pool(
         self,
         pending: Sequence[tuple[ChannelSubset, int]],
-        inputs: TaskInputs,
-        payload: dict,
         keep: Callable[[ChannelSubset, int, EvalRecord], None],
     ) -> None:
         """Run the pending tasks in a process pool, handing each finished
@@ -336,7 +303,7 @@ class TrainingEvaluator:
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(inputs, self.table, payload),
+            initargs=(self._task_inputs(),),
         ) as pool:
             futures = {pool.submit(_pool_task, s.indices, r): (s, r) for s, r in pending}
             kept = set()
@@ -381,20 +348,17 @@ class TrainingEvaluator:
             )
 
         if pending:
-            inputs = self._task_inputs()
-            payload = self._task_payload()
-
             def keep(s: ChannelSubset, r: int, record: EvalRecord) -> None:
                 self.training_runs += 1
                 self.cache.put(record)
                 per_seed[s.label][r] = record
 
             if self.workers > 1:
-                self._run_pool(pending, inputs, payload, keep)
+                self._run_pool(pending, keep)
             else:
                 for s, r in pending:
                     try:
-                        record = _run_task_impl(inputs, self.table, payload, s.indices, r)
+                        record = _run_task_impl(self._task_inputs(), s.indices, r)
                     except Exception as exc:
                         raise EvaluationError(s.label, exc) from exc
                     keep(s, r, record)
@@ -545,17 +509,12 @@ def channel_average_metric(sweep: SweepResult) -> tuple[tuple[int, float], ...]:
     counts = np.zeros(sweep.channels, dtype=int)
     for record in sweep.records:
         m = record.metric(sweep.metric_name)
-        for ch in subset_indices(record.subset_label, sweep.channels):
+        for ch in parse_subset(record.subset_label, sweep.channels).indices:
             sums[ch] += m
             counts[ch] += 1
     means = sums / counts
     order = sorted(range(sweep.channels), key=lambda c: (means[c], c))
     return tuple((c, float(means[c])) for c in order)
-
-
-def subset_indices(label: str, channels: int) -> tuple[int, ...]:
-    """0-based indices named by a canonical subset label."""
-    return parse_subset(label, channels).indices
 
 
 def top_k_frequency(sweep: SweepResult, k_top: int) -> tuple[int, ...]:
@@ -566,7 +525,7 @@ def top_k_frequency(sweep: SweepResult, k_top: int) -> tuple[int, ...]:
         raise ValueError(f"k_top={k_top} exceeds the {len(sweep.records)} available records")
     counts = [0] * sweep.channels
     for record in sweep.records[:k_top]:
-        for ch in subset_indices(record.subset_label, sweep.channels):
+        for ch in parse_subset(record.subset_label, sweep.channels).indices:
             counts[ch] += 1
     return tuple(counts)
 

@@ -1,3 +1,4 @@
+import argparse
 import copy
 import json
 import os
@@ -224,6 +225,41 @@ class TestSearchCommands:
         assert (out / "cache.jsonl").read_bytes() == cache_before  # nothing recomputed
         assert (out / "sweep.csv").read_bytes() == sweep_before
 
+    def test_report_rejects_k_above_channel_count(self, workdir, corpus_dir, capsys):
+        sweep = workdir / "sweep"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(sweep)])
+        out = workdir / "k5"
+        out.mkdir()
+        (out / "cache.jsonl").write_bytes((sweep / "cache.jsonl").read_bytes())
+        capsys.readouterr()
+        code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--k", "5"])
+        assert code == EXIT_DATA
+        assert "need 1 <= k <= channels" in capsys.readouterr().err
+        assert set(_read_all(out)) == {"cache.jsonl"}  # no report written
+
+    def test_damaged_cache_lines_are_counted_and_reported(self, workdir, corpus_dir, capsys):
+        clean = workdir / "clean"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(clean)])
+        assert "warning" not in capsys.readouterr().err
+        reference = _read_all(clean)
+        damaged = workdir / "damaged"
+        damaged.mkdir()
+        lines = (clean / "cache.jsonl").read_text().splitlines()
+        # a corrupt middle line, and the last record torn mid-write
+        (damaged / "cache.jsonl").write_text(
+            "\n".join([*lines[:2], "{not json", *lines[2:-1], lines[-1][:40]]))
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(damaged)]) == EXIT_OK
+        captured = capsys.readouterr()
+        assert (f"warning: skipped 2 unreadable cache lines in {damaged / 'cache.jsonl'}"
+                in captured.err)
+        assert "warning" not in captured.out
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (damaged / name).read_bytes() == reference[name], name
+
     def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
         code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "empty")])
@@ -254,6 +290,31 @@ class TestSearchCommands:
                      "--out", str(workdir / "x"), "--budget", "2"])
         assert code == EXIT_DATA
         assert "budget" in capsys.readouterr().err
+
+
+class TestFlagTable:
+    OWN = {"help", "config", "out", "corpus", "subset", "init", "from_scratch", "force"}
+
+    def test_every_option_is_a_table_flag_that_lands_in_config(self):
+        # a flag the parser accepts but the overrides ignore would be silently dropped
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions
+                        if isinstance(a, argparse._SubParsersAction))
+        for name, sub in commands.choices.items():
+            required = [arg for a in sub._actions if a.required
+                        for arg in (a.option_strings[0], "x")]
+            for action in sub._actions:
+                if action.dest in self.OWN:
+                    continue
+                assert action.dest in cli.FLAGS, (name, action.dest)
+                section, key, typ = cli.FLAGS[action.dest]
+                value = "per_total" if typ is str else "7"
+                args = parser.parse_args([name, *required, action.option_strings[0], value])
+                cfg = cli._apply_overrides(copy.deepcopy(cli.DEFAULT_CONFIG), args)
+                expected = copy.deepcopy(cli.DEFAULT_CONFIG)
+                expected[section][key] = typ(value)
+                assert cfg == expected, (name, action.dest)
+                assert type(cfg[section][key]) is typ, (name, action.dest)
 
 
 class TestExitCodes:

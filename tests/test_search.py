@@ -226,6 +226,20 @@ class TestResultsCache:
         assert len(reloaded) == 1
         assert reloaded.get("12", "corpus", "cfg", 0) is not None
 
+    def test_counts_unreadable_lines(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultsCache(path)
+        cache.put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write("{not json\n")  # damaged middle line
+        cache.put(make_record("13", wer=0.4))
+        with open(path, "a") as fh:
+            fh.write('{"subset": "34", "wer": 0.2')  # torn tail
+        reloaded = ResultsCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.skipped_lines == 2
+        assert cache.skipped_lines == 0
+
     def test_memory_only_mode(self):
         cache = ResultsCache(None)
         cache.put(make_record("12"))
@@ -333,7 +347,6 @@ class TestTrainingEvaluator:
         corpus = _search_corpus(channels=4)
         ev = _evaluator(corpus, replicates=2)
         ev = replace(ev, train_cfg=replace(ev.train_cfg, dropout_p=dropout_p))
-        payload = ev._task_payload()
         for indices in itertools.combinations(range(4), 2):
             subset = ChannelSubset(indices)
             for replicate in range(2):
@@ -346,8 +359,7 @@ class TestTrainingEvaluator:
                                     subset=subset, threshold=ev.threshold, seed=replicate,
                                     config_hash=ev.config_hash,
                                     corpus_hash=ev.corpus_hash)
-                got = search._run_task_impl(ev._task_inputs(), ev.table, payload,
-                                            indices, replicate)
+                got = search._run_task_impl(ev._task_inputs(), indices, replicate)
                 assert replace(got, wall_time=0.0) == replace(expected, wall_time=0.0)
 
     def test_pool_failure_cancels_queued_tasks_and_keeps_finished(self, tmp_path,
@@ -376,6 +388,38 @@ class TestTrainingEvaluator:
         assert n_started < 12
         kept = ResultsCache(tmp_path / "cache.jsonl")
         assert len(kept) == ev.training_runs == n_started - 1
+
+    def test_pool_interrupt_cancels_queued_tasks_and_keeps_started(self, tmp_path,
+                                                                   monkeypatch):
+        # Ctrl-C in the parent after the first finished task: the queue
+        # must not drain, and every task that did start must be cached
+        corpus = _search_corpus()
+        ev = _evaluator(corpus, tmp_path, replicates=4, workers=2)
+        started = tmp_path / "started.txt"
+        real_task = search._run_task_impl
+        real_as_completed = search.as_completed
+
+        def slow_task(*args):
+            indices, replicate = args[-2:]
+            with open(started, "a", encoding="utf-8") as fh:
+                fh.write(f"{ChannelSubset(indices).label} {replicate}\n")
+            time.sleep(0.5)
+            return real_task(*args)
+
+        def interrupted(futures):
+            yield next(real_as_completed(futures))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(search, "_run_task_impl", slow_task)
+        monkeypatch.setattr(search, "as_completed", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
+        tasks = [line.split() for line in started.read_text(encoding="utf-8").splitlines()]
+        assert len(tasks) < 12
+        kept = ResultsCache(tmp_path / "cache.jsonl")
+        assert len(kept) == ev.training_runs == len(tasks)
+        for label, replicate in tasks:
+            assert kept.get(label, ev.corpus_hash, ev.config_hash, int(replicate)) is not None
 
     def test_process_pool_matches_serial(self, tmp_path):
         corpus = _search_corpus()
