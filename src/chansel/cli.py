@@ -59,7 +59,7 @@ from .search import (
     seven_channel_ablation,
     top_k_frequency,
 )
-from .signals import ChannelSubset, parse_subset
+from .signals import parse_subset
 from .synth import GeneratorConfig, generate
 
 EXIT_OK = 0
@@ -396,8 +396,7 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
 def cmd_ablate7(args: argparse.Namespace) -> int:
     _, corpus, out_dir, evaluator, prov = _search_setup(args)
-    baseline = evaluator.evaluate(ChannelSubset.full(corpus.channels))
-    result = seven_channel_ablation(evaluator, corpus.channels, baseline, default_table())
+    result = seven_channel_ablation(evaluator, corpus.channels)
     write_text(out_dir / "worst_channel.csv", worst_channel_csv(result.rows, prov))
     records_doc = {
         "baseline": json.loads(_record_json(result.baseline)),

@@ -144,21 +144,9 @@ def featurize(samples: np.ndarray, window: int) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(1, 0, 2).reshape(t, c * window))
 
 
-def _softmax(scores: np.ndarray) -> np.ndarray:
-    z = scores - scores.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
 def _scores(w1, b1, w2, b2, xw: np.ndarray) -> np.ndarray:
     h = np.tanh(xw @ w1.T + b1)
     return h @ w2.T + b2
-
-
-def _loss(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray) -> float:
-    p = _softmax(_scores(w1, b1, w2, b2, xw))
-    p_true = np.clip(p[np.arange(len(y)), y], LOG_CLAMP, None)
-    return float(-np.mean(np.log(p_true)))
 
 
 def _loss_and_grads(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray):
@@ -278,8 +266,8 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
     y_all = label_indices(sequences, params.class_symbols)
 
     def clean_loss(p: ModelParams) -> float:
-        return _loss(p.input_weights, p.input_bias, p.head_weights, p.head_bias,
-                     np.vstack(xw_all), np.concatenate(y_all))
+        return _loss_and_grads(p.input_weights, p.input_bias, p.head_weights, p.head_bias,
+                               np.vstack(xw_all), np.concatenate(y_all))[0]
 
     initial_loss = clean_loss(params)
     trained, epoch_losses, mean_retained = fit_windows(params, xw_all, y_all, cfg)
@@ -392,9 +380,9 @@ def gradient_check(
             analytic = -analytic
         perturbed = [a.copy() for a in arrays]
         perturbed[a_idx].ravel()[offset] += step
-        loss_plus = _loss(*perturbed, xw, y)
+        loss_plus = _loss_and_grads(*perturbed, xw, y)[0]
         perturbed[a_idx].ravel()[offset] -= 2 * step
-        loss_minus = _loss(*perturbed, xw, y)
+        loss_minus = _loss_and_grads(*perturbed, xw, y)[0]
         numeric = (loss_plus - loss_minus) / (2 * step)
         rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-8)
         worst = max(worst, rel)

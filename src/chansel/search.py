@@ -67,20 +67,24 @@ class ResultsCache:
     A record's identity is (subset label, corpus hash, config hash, seed).
     Loading skips unreadable lines, such as the torn final line of a sweep
     killed mid-write, so that sweep resumes cleanly; ``skipped_lines`` counts
-    them.
+    them. A torn final line is ended before the first append, so the next
+    record starts a line of its own.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
         self._records: dict[tuple[str, str, str, int], EvalRecord] = {}
         self.skipped_lines = 0
+        self._torn_tail = False
         if self.path is not None and self.path.exists():
-            for line in self.path.read_text(encoding="utf-8").splitlines():
+            lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
+            self._torn_tail = bool(lines) and not lines[-1].endswith("\n")
+            for line in lines:
                 if not line.strip():
                     continue
                 try:
                     record = EvalRecord.from_dict(json.loads(line))
-                except (json.JSONDecodeError, KeyError, ValueError):
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     self.skipped_lines += 1
                     continue
                 self._records[self._key(record)] = record
@@ -97,6 +101,9 @@ class ResultsCache:
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
+                if self._torn_tail:
+                    fh.write("\n")
+                    self._torn_tail = False
                 fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
                 fh.flush()
 
@@ -140,27 +147,11 @@ def config_fingerprint(
 
 
 class Evaluator(Protocol):
-    """What the search procedures need: score one subset, or a batch."""
+    """What the search procedures need: score a batch of subsets, returning
+    one record per subset keyed by its label. A failure raises
+    ``EvaluationError`` naming the subset that was being scored."""
 
-    def evaluate(self, subset: ChannelSubset) -> EvalRecord: ...
-
-
-def _evaluate_all(evaluator: Evaluator, subsets: Sequence[ChannelSubset]) -> dict[str, EvalRecord]:
-    """Records keyed by subset label: one ``evaluate_many`` batch when the
-    evaluator has it, else ``evaluate`` per subset with failures tagged by
-    the subset."""
-    evaluate_batch = getattr(evaluator, "evaluate_many", None)
-    if evaluate_batch is not None:
-        return evaluate_batch(subsets)
-    records = {}
-    for s in subsets:
-        try:
-            records[s.label] = evaluator.evaluate(s)
-        except EvaluationError:
-            raise
-        except Exception as exc:
-            raise EvaluationError(s.label, exc) from exc
-    return records
+    def evaluate_many(self, subsets: Sequence[ChannelSubset]) -> dict[str, EvalRecord]: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,9 +278,6 @@ class TrainingEvaluator:
             wall_time=float(np.sum([r.wall_time for r in per_seed])),
             n_seeds=len(per_seed),
         )
-
-    def evaluate(self, subset: ChannelSubset) -> EvalRecord:
-        return self.evaluate_many([subset])[subset.label]
 
     def _run_pool(
         self,
@@ -434,7 +422,7 @@ def backward_elimination(
     steps: list[EliminationStep] = []
     while len(current) > stop_size:
         candidates = [(ch, current.drop(ch)) for ch in current]
-        records = _evaluate_all(evaluator, [s for _, s in candidates])
+        records = evaluator.evaluate_many([s for _, s in candidates])
         scored = [(ch, s, records[s.label].metric(metric)) for ch, s in candidates]
         best_metric = min(m for _, _, m in scored)
         tied_channels = [ch for ch, _, m in scored if m == best_metric]
@@ -490,7 +478,7 @@ def exhaustive_sweep(
     if required > budget:
         raise SweepBudgetError(required, budget)
     subsets = [ChannelSubset(combo) for combo in itertools.combinations(range(channels), k)]
-    records = _evaluate_all(evaluator, subsets)
+    records = evaluator.evaluate_many(subsets)
     ordered = sorted(records.values(), key=lambda r: (r.metric(metric), r.subset_label))
     return SweepResult(channels=channels, k=k, metric_name=metric, records=tuple(ordered))
 
@@ -535,28 +523,24 @@ def top_k_frequency(sweep: SweepResult, k_top: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class AblationResult:
-    """All (C-1)-subset evaluations keyed by the removed 1-based channel,
-    plus the per-category worst-channel summary rows."""
+    """The full set's record, all (C-1)-subset evaluations keyed by the
+    removed 1-based channel, and the per-category worst-channel summary rows."""
 
     baseline: EvalRecord
     records: Mapping[int, EvalRecord]
     rows: tuple[WorstChannelRow, ...]
 
 
-def seven_channel_ablation(
-    evaluator: Evaluator,
-    channels: int,
-    baseline: EvalRecord,
-    table: CategoryTable,
-) -> AblationResult:
-    """Remove each channel individually, collect category PER reports keyed
-    by the removed channel, and summarise which removal hurts each category
-    most."""
+def seven_channel_ablation(evaluator: Evaluator, channels: int) -> AblationResult:
+    """Score the full set and every drop-one subset in one batch, collect
+    category PER reports keyed by the removed channel, and summarise which
+    removal hurts each category most relative to the full set."""
     if channels < 2:
         raise ValueError(f"ablation needs at least 2 channels, got {channels}")
     full = ChannelSubset.full(channels)
     subsets = {ch: full.drop(ch) for ch in range(channels)}
-    scored = _evaluate_all(evaluator, list(subsets.values()))
+    scored = evaluator.evaluate_many([full, *subsets.values()])
+    baseline = scored[full.label]
     records = {ch + 1: scored[subsets[ch].label] for ch in range(channels)}
     reports = {ch: rec.per_category for ch, rec in records.items()}
     rows = worst_channel_table(reports, baseline.per_category)

@@ -260,6 +260,36 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (damaged / name).read_bytes() == reference[name], name
 
+    def test_cache_line_that_is_not_a_record_is_counted(self, workdir, corpus_dir, capsys):
+        clean = workdir / "clean"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(clean)])
+        reference = _read_all(clean)
+        odd = workdir / "odd"
+        odd.mkdir()
+        lines = (clean / "cache.jsonl").read_text().splitlines()
+        # valid JSON, but not an object
+        (odd / "cache.jsonl").write_text("\n".join([*lines[:2], "42", *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(odd)]) == EXIT_OK
+        assert (f"warning: skipped 1 unreadable cache lines in {odd / 'cache.jsonl'}"
+                in capsys.readouterr().err)
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (odd / name).read_bytes() == reference[name], name
+
+    @pytest.mark.parametrize("command", ["backward-elim", "exhaustive", "ablate7"])
+    def test_worker_count_changes_no_output_byte(self, workdir, corpus_dir, command):
+        outputs = []
+        for workers in ("1", "2"):
+            out = workdir / f"{command}_w{workers}"
+            assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                         "--out", str(out), "--workers", workers]) == EXIT_OK
+            outputs.append({name: data for name, data in _read_all(out).items()
+                            if name != "cache.jsonl"})  # cache rows carry wall times
+        serial, pooled = outputs
+        assert serial and serial == pooled
+
     def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
         code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "empty")])

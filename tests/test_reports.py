@@ -111,8 +111,8 @@ def test_elimination_plot_csv_has_best_and_median():
     metrics = {"1": 0.4, "2": 0.1, "12": 0.0, "13": 0.3, "23": 0.2}
 
     class Ev:
-        def evaluate(self, subset):
-            return make_record(subset.label, wer=metrics[subset.label])
+        def evaluate_many(self, subsets):
+            return {s.label: make_record(s.label, wer=metrics[s.label]) for s in subsets}
 
     trace = backward_elimination(Ev(), 3, 1)
     text = elimination_plot_csv(trace)

@@ -26,16 +26,19 @@ from util import binomial_by_factorials, make_record, report_from_rates
 
 
 class FakeEvaluator:
-    """Metric comes from a function of the subset; counts every call."""
+    """Metric comes from a function of the subset; counts every subset scored."""
 
     def __init__(self, metric_fn):
         self.metric_fn = metric_fn
         self.calls = 0
 
-    def evaluate(self, subset: ChannelSubset) -> EvalRecord:
-        self.calls += 1
-        m = self.metric_fn(subset)
-        return make_record(subset.label, wer=m, per_total=m)
+    def evaluate_many(self, subsets) -> dict[str, EvalRecord]:
+        records = {}
+        for subset in subsets:
+            self.calls += 1
+            m = self.metric_fn(subset)
+            records[subset.label] = make_record(subset.label, wer=m, per_total=m)
+        return records
 
 
 # published top-10 4-channel subsets and their WERs (%)
@@ -89,12 +92,14 @@ class TestExhaustiveSweep:
         with pytest.raises(ValueError):
             exhaustive_sweep(ev, 4, 5)
 
-    def test_evaluator_failure_names_subset(self):
-        def boom(subset):
+    def test_evaluator_failure_names_subset(self, monkeypatch):
+        def boom(*args):
             raise RuntimeError("training fell over")
 
-        with pytest.raises(EvaluationError, match="subset 1"):
-            exhaustive_sweep(FakeEvaluator(boom), 3, 1)
+        monkeypatch.setattr(search, "_run_task_impl", boom)
+        ev = _evaluator(_search_corpus(), workers=1)
+        with pytest.raises(EvaluationError, match="subset 1 failed: training fell over"):
+            exhaustive_sweep(ev, 3, 1)
 
 
 class TestTopKFrequency:
@@ -240,6 +245,28 @@ class TestResultsCache:
         assert reloaded.skipped_lines == 2
         assert cache.skipped_lines == 0
 
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write('{"subset": "34", "wer"')  # interrupted mid-record
+        resumed = ResultsCache(path)
+        resumed.put(make_record("34", wer=0.2))
+        reloaded = ResultsCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.get("34", "corpus", "cfg", 0) == make_record("34", wer=0.2)
+        assert reloaded.skipped_lines == 1
+
+    @pytest.mark.parametrize("line", ["42", "null", "[1, 2]", '"text"'])
+    def test_counts_json_that_is_not_a_record(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write(line + "\n")
+        reloaded = ResultsCache(path)
+        assert len(reloaded) == 1
+        assert reloaded.skipped_lines == 1
+
     def test_memory_only_mode(self):
         cache = ResultsCache(None)
         cache.put(make_record("12"))
@@ -281,9 +308,9 @@ class TestTrainingEvaluator:
         corpus = _search_corpus()
         ev = _evaluator(corpus, tmp_path)
         subset = ChannelSubset.of([0, 1])
-        first = ev.evaluate(subset)
+        first = ev.evaluate_many([subset])[subset.label]
         assert ev.training_runs == 1
-        again = ev.evaluate(subset)
+        again = ev.evaluate_many([subset])[subset.label]
         assert ev.training_runs == 1  # cache hit
         assert again == first
 
@@ -302,11 +329,11 @@ class TestTrainingEvaluator:
         corpus = _search_corpus()
         subset = ChannelSubset.of([0, 2])
         ev1 = _evaluator(corpus, tmp_path, replicates=1)
-        single = ev1.evaluate(subset)
+        single = ev1.evaluate_many([subset])[subset.label]
         assert single.n_seeds == 1
 
         ev3 = _evaluator(corpus, tmp_path, replicates=3)
-        agg = ev3.evaluate(subset)
+        agg = ev3.evaluate_many([subset])[subset.label]
         assert ev3.training_runs == 2  # replicate 0 reused from cache
         assert agg.n_seeds == 3
         per_seed = [
@@ -329,8 +356,8 @@ class TestTrainingEvaluator:
         ev_b = _evaluator(corpus, tmp_path, epochs=3)
         assert ev_a.config_hash != ev_b.config_hash
         subset = ChannelSubset.of([0])
-        ev_a.evaluate(subset)
-        ev_b.evaluate(subset)
+        ev_a.evaluate_many([subset])[subset.label]
+        ev_b.evaluate_many([subset])[subset.label]
         assert ev_a.training_runs == ev_b.training_runs == 1
 
     def test_require_cached_raises_on_miss(self, tmp_path):
@@ -441,14 +468,13 @@ class TestSevenChannelAblation:
         class Ev:
             calls = 0
 
-            def evaluate(self, subset):
-                Ev.calls += 1
-                return make_record(subset.label, wer=metrics[subset.label],
-                                   per_category=report)
+            def evaluate_many(self, subsets):
+                Ev.calls += len(subsets)
+                return {s.label: make_record(s.label, wer=metrics[s.label], per_category=report)
+                        for s in subsets}
 
-        baseline = make_record("12", wer=0.2, per_category=report)
-        result = seven_channel_ablation(Ev(), 2, baseline, default_table())
-        assert Ev.calls == 2
+        result = seven_channel_ablation(Ev(), 2)
+        assert Ev.calls == 3  # the full set and the two drop-one subsets
         assert set(result.records) == {1, 2}
 
     def test_worst_channel_rows_from_hand_reports(self):
@@ -456,23 +482,37 @@ class TestSevenChannelAblation:
             "23": report_from_rates({"vowel": 0.30, "consonant": 0.15}),  # removed 1
             "13": report_from_rates({"vowel": 0.20, "consonant": 0.35}),  # removed 2
             "12": report_from_rates({"vowel": 0.25, "consonant": 0.10}),  # removed 3
+            "123": report_from_rates({"vowel": 0.18, "consonant": 0.12}),  # baseline
         }
 
         class Ev:
-            def evaluate(self, subset):
-                return make_record(subset.label, per_category=reports[subset.label])
+            def evaluate_many(self, subsets):
+                return {s.label: make_record(s.label, per_category=reports[s.label])
+                        for s in subsets}
 
-        baseline = make_record("123", per_category=report_from_rates(
-            {"vowel": 0.18, "consonant": 0.12}))
-        result = seven_channel_ablation(Ev(), 3, baseline, default_table())
+        result = seven_channel_ablation(Ev(), 3)
         by_name = {row.category: row for row in result.rows}
         assert by_name["vowel"].channel == 1 and by_name["vowel"].worst_rate == 0.30
         assert by_name["consonant"].channel == 2 and by_name["consonant"].worst_rate == 0.35
 
     def test_single_channel_rejected(self):
         with pytest.raises(ValueError, match="at least 2"):
-            seven_channel_ablation(FakeEvaluator(lambda s: 0.1), 1,
-                                   make_record("1"), default_table())
+            seven_channel_ablation(FakeEvaluator(lambda s: 0.1), 1)
+
+    def test_full_set_and_drop_one_subsets_are_one_batch(self):
+        batches, returned = [], []
+
+        class Ev(FakeEvaluator):
+            def evaluate_many(self, subsets):
+                batches.append([s.label for s in subsets])
+                returned.append(super().evaluate_many(subsets))
+                return returned[-1]
+
+        result = seven_channel_ablation(Ev(lambda s: 0.1 * len(s)), 4)
+        assert batches == [["1234", "234", "134", "124", "123"]]
+        assert result.baseline is returned[0]["1234"]
+        assert {ch: rec.subset_label for ch, rec in result.records.items()} == {
+            1: "234", 2: "134", 3: "124", 4: "123"}
 
     def test_planted_exclusive_channel_is_most_critical(self, tmp_path):
         # channel 0 is the only carrier of class B; removing it must maximise
@@ -497,8 +537,7 @@ class TestSevenChannelAblation:
             replicates=2, threshold=1, workers=1,
             cache=ResultsCache(tmp_path / "cache.jsonl"),
         )
-        baseline = ev.evaluate(ChannelSubset.full(3))
-        result = seven_channel_ablation(ev, 3, baseline, default_table())
+        result = seven_channel_ablation(ev, 3)
         by_name = {row.category: row for row in result.rows}
         for name in ("place_bilabial", "manner_plosive"):  # B is their only member here
             assert by_name[name].channel == 1, by_name[name]
