@@ -282,15 +282,16 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
     seed = int(cfg["train"]["seed"])
     epochs = int(cfg["train"]["epochs"])
+    window, features = int(cfg["model"]["window"]), int(cfg["model"]["features"])
     # fine-tuning never masks channels; dropout belongs to pretraining.
-    # epochs == 0 means evaluate the initialisation as-is (no TrainConfig built).
+    # epochs == 0 evaluates the initialisation as-is and reads no training
+    # utterance, so it hashes n_train=0 to stay apart from --epochs 1.
     ft_cfg = TrainConfig(
         learning_rate=float(cfg["train"]["learning_rate"]), epochs=max(epochs, 1),
         batch_size=int(cfg["train"]["batch_size"]), dropout_p=0.0, seed=seed,
     )
     config_hash = config_fingerprint(
-        ft_cfg, int(cfg["model"]["window"]), int(cfg["model"]["features"]),
-        threshold, len(train_r),
+        ft_cfg, window, features, threshold, len(train_r) if epochs else 0,
     )
     prov = _provenance(config_hash, corpus.content_hash, seed)
     rows = ["mode,subset,wer,per_total"]
@@ -312,14 +313,16 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
     if args.init:
         full_params, manifest = load_model(Path(args.init))
+        if (full_params.window, full_params.features) != (window, features):
+            raise ValueError(
+                f"--init model has window {full_params.window} and features "
+                f"{full_params.features}, the config has window {window} and features {features}"
+            )
         run_side("ft", slice_input_channels(full_params, subset), manifest["payload_sha256"])
     if args.from_scratch:
         scratch = init_params(
-            channels=len(subset),
-            window=int(cfg["model"]["window"]),
-            features=int(cfg["model"]["features"]),
-            class_symbols=corpus.label_alphabet(),
-            seed=seed,
+            channels=len(subset), window=window, features=features,
+            class_symbols=corpus.label_alphabet(), seed=seed,
         )
         run_side("scratch", scratch, None)
 

@@ -2,8 +2,8 @@
 
 A corpus directory holds a ``manifest.json`` (generator config + content
 hash), one signal header/payload pair per utterance, and a ``labels.csv``
-with one row per frame. Transcripts are never stored: they are by invariant
-the collapse of the frame labels, so loading recomputes them.
+with one row per frame. Transcripts are never stored: a sequence derives
+its transcript from the frame labels when it is first read.
 """
 
 from __future__ import annotations
@@ -31,32 +31,26 @@ CORPUS_FORMAT_VERSION = 1
 
 @dataclass(frozen=True, eq=False)
 class LabeledSequence:
-    """A signal with one phoneme label per frame and the word transcript.
-
-    The transcript must equal the collapse of the frame labels (silence
-    delimits words, repeated labels merge); the constructor enforces it.
-    """
+    """A signal with one phoneme label per frame."""
 
     signal: MultichannelSignal
     labels: tuple[str, ...]
-    transcript: tuple[str, ...]
 
     def __post_init__(self) -> None:
         if len(self.labels) != self.signal.n_samples:
             raise ValueError(
                 f"{len(self.labels)} frame labels for a {self.signal.n_samples}-frame signal"
             )
-        expected = collapse_frame_labels(self.labels)
-        if self.transcript != expected:
-            raise ValueError(
-                f"transcript {self.transcript} does not collapse from the frame labels "
-                f"(expected {expected})"
-            )
 
     @classmethod
     def from_labels(cls, signal: MultichannelSignal, labels: Sequence[str]) -> "LabeledSequence":
-        labels = tuple(labels)
-        return cls(signal=signal, labels=labels, transcript=collapse_frame_labels(labels))
+        return cls(signal=signal, labels=tuple(labels))
+
+    @cached_property
+    def transcript(self) -> tuple[str, ...]:
+        """Word tokens: the collapse of the frame labels (silence delimits
+        words, repeated labels merge)."""
+        return collapse_frame_labels(self.labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,17 +94,11 @@ class Corpus:
         return tuple(seen)
 
     def restrict(self, subset: ChannelSubset) -> "Corpus":
-        """Channel-restricted copy; labels and transcripts are untouched."""
-        return Corpus(
-            tuple(
-                LabeledSequence(
-                    signal=restrict_to_subset(seq.signal, subset),
-                    labels=seq.labels,
-                    transcript=seq.transcript,
-                )
-                for seq in self.sequences
-            )
-        )
+        """Channel-restricted copy; labels are untouched."""
+        return Corpus(tuple(
+            LabeledSequence(restrict_to_subset(seq.signal, subset), seq.labels)
+            for seq in self.sequences
+        ))
 
     def split(self, train_fraction: float) -> tuple["Corpus", "Corpus"]:
         """Deterministic head/tail split into (train, test)."""

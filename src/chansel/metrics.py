@@ -12,7 +12,10 @@ percentages is the report writers' business.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
+from operator import ne
 from typing import Mapping, Sequence
 
 from .phonemes import CategoryTable, SILENCE_SYMBOL
@@ -50,8 +53,7 @@ def phoneme_error_rate(ref: Sequence[str], hyp: Sequence[str]) -> float:
         raise ValueError(f"frame label length mismatch: ref {len(ref)} vs hyp {len(hyp)}")
     if len(ref) == 0:
         return 0.0
-    wrong = sum(1 for r, h in zip(ref, hyp) if r != h)
-    return wrong / len(ref)
+    return sum(map(ne, ref, hyp)) / len(ref)
 
 
 @dataclass(frozen=True)
@@ -87,20 +89,6 @@ class CategoryReport:
         return tuple(row.name for row in self.rows)
 
 
-def _symbol_confusion(
-    ref: Sequence[str], hyp: Sequence[str], table: CategoryTable
-) -> tuple[dict[str, int], dict[str, int]]:
-    counts: dict[str, int] = {}
-    errors: dict[str, int] = {}
-    for r, h in zip(ref, hyp):
-        if r not in table:
-            raise KeyError(f"reference label {r!r} not in the phoneme inventory")
-        counts[r] = counts.get(r, 0) + 1
-        if r != h:
-            errors[r] = errors.get(r, 0) + 1
-    return counts, errors
-
-
 def category_per(
     ref: Sequence[str],
     hyp: Sequence[str],
@@ -112,12 +100,16 @@ def category_per(
     qualifying frames land in ``excluded`` instead of the rows."""
     if len(ref) != len(hyp):
         raise ValueError(f"frame label length mismatch: ref {len(ref)} vs hyp {len(hyp)}")
-    counts, errors = _symbol_confusion(ref, hyp, table)
+    counts = Counter(ref)  # keys in first-seen frame order
+    for sym in counts:
+        if sym not in table:
+            raise KeyError(f"reference label {sym!r} not in the phoneme inventory")
+    errors = Counter(compress(ref, map(ne, ref, hyp)))
     rows: list[CategoryRow] = []
     excluded: list[str] = []
 
     total_count = len(ref)
-    total_errors = sum(errors.values())
+    total_errors = errors.total()
     if total_count >= threshold:
         rows.append(CategoryRow(TOTAL_ROW, total_count, total_errors / max(total_count, 1)))
     else:
@@ -125,11 +117,11 @@ def category_per(
 
     for name in table.names:
         members = table.category_members(name)
-        n = sum(counts.get(sym, 0) for sym in members)
+        n = sum(counts[sym] for sym in members)
         if n < threshold:
             excluded.append(name)
             continue
-        e = sum(errors.get(sym, 0) for sym in members)
+        e = sum(errors[sym] for sym in members)
         rows.append(CategoryRow(name, n, e / n))
     return CategoryReport(tuple(rows), tuple(excluded))
 
@@ -179,16 +171,11 @@ def worst_channel_table(
     return out
 
 
-def collapse_frame_labels(
-    labels: Sequence[str],
-    silence_symbol: str = SILENCE_SYMBOL,
-    word_map: Mapping[tuple[str, ...], str] | None = None,
-) -> tuple[str, ...]:
+def collapse_frame_labels(labels: Sequence[str]) -> tuple[str, ...]:
     """Turn frame labels into word tokens.
 
     Consecutive identical labels collapse into one phoneme, silence delimits
-    words, and each silence-free run of phonemes becomes a single token. The
-    token comes from ``word_map`` when the run is listed there, otherwise the
+    words, and each silence-free run of phonemes becomes one token, the
     phonemes joined with a middle dot: (B, B, IY, IY, SIL) -> ("B·IY",).
     """
     runs: list[str] = []
@@ -197,11 +184,10 @@ def collapse_frame_labels(
             runs.append(lab)
     tokens: list[str] = []
     word: list[str] = []
-    for lab in runs + [silence_symbol]:
-        if lab == silence_symbol:
+    for lab in runs + [SILENCE_SYMBOL]:
+        if lab == SILENCE_SYMBOL:
             if word:
-                key = tuple(word)
-                tokens.append(word_map[key] if word_map and key in word_map else "·".join(word))
+                tokens.append("·".join(word))
                 word = []
         else:
             word.append(lab)

@@ -235,6 +235,8 @@ class TrainingEvaluator:
     def __post_init__(self) -> None:
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         self.config_hash = config_fingerprint(
             self.train_cfg, self.window, self.features, self.threshold,
             len(self.train_corpus),
@@ -509,6 +511,8 @@ def top_k_frequency(sweep: SweepResult, k_top: int) -> tuple[int, ...]:
     """How many of the k_top best subsets contain each channel. Records are
     already sorted by (metric, canonical label), which is also the documented
     tie-break at the cutoff."""
+    if k_top < 1:
+        raise ValueError(f"k_top must be >= 1, got {k_top}")
     if k_top > len(sweep.records):
         raise ValueError(f"k_top={k_top} exceeds the {len(sweep.records)} available records")
     counts = [0] * sweep.channels

@@ -149,6 +149,37 @@ class TestFinetune:
         assert lines[3].startswith("scratch,13,")
         assert (out / "model_scratch_13.json").exists()
 
+    @pytest.mark.parametrize("flag, value, shape", [
+        ("--window", "5", "window 3 and features 6, the config has window 5 and features 6"),
+        ("--features", "4", "window 3 and features 6, the config has window 3 and features 4"),
+    ], ids=["window", "features"])
+    def test_init_model_must_match_config_shape(self, workdir, corpus_dir, capsys,
+                                                flag, value, shape):
+        pre = workdir / "pretrain"
+        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(pre)])
+        out = workdir / "ft"
+        capsys.readouterr()
+        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--subset", "13", flag, value,
+                     "--init", str(pre / "model_p0.json"), "--from-scratch"])
+        assert code == EXIT_DATA
+        assert shape in capsys.readouterr().err
+        assert _read_all(out) == {}  # neither side ran
+
+    def test_zero_and_one_epochs_hash_apart(self, workdir, corpus_dir):
+        pre = workdir / "pretrain"
+        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(pre)])
+        hashes = []
+        for epochs in ("0", "1"):
+            out = workdir / f"ft{epochs}"
+            assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                         "--out", str(out), "--subset", "13", "--epochs", epochs,
+                         "--init", str(pre / "model_p0.json")]) == EXIT_OK
+            hashes.append(json.loads((out / "eval_ft_13.json").read_text())["config_hash"])
+        assert hashes[0] != hashes[1]  # their records differ, so must their hashes
+
     def test_requires_init_or_scratch(self, workdir, corpus_dir, capsys):
         code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "x"), "--subset", "13"])
@@ -289,6 +320,29 @@ class TestSearchCommands:
                             if name != "cache.jsonl"})  # cache rows carry wall times
         serial, pooled = outputs
         assert serial and serial == pooled
+
+    @pytest.mark.parametrize("k_top", ["-1", "0"])
+    def test_report_rejects_k_top_below_one(self, workdir, corpus_dir, capsys, k_top):
+        sweep = workdir / "sweep"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(sweep)])
+        out = workdir / "ktop"
+        out.mkdir()
+        (out / "cache.jsonl").write_bytes((sweep / "cache.jsonl").read_bytes())
+        capsys.readouterr()
+        code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--k-top", k_top])
+        assert code == EXIT_DATA
+        assert f"k_top must be >= 1, got {k_top}" in capsys.readouterr().err
+        assert set(_read_all(out)) == {"cache.jsonl"}  # no report written
+
+    def test_negative_workers_is_data_error(self, workdir, corpus_dir, capsys):
+        out = workdir / "x"
+        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--workers", "-1"])
+        assert code == EXIT_DATA
+        assert "workers must be >= 1, got -1" in capsys.readouterr().err
+        assert not out.exists() or _read_all(out) == {}
 
     def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
         code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),

@@ -16,6 +16,38 @@ from chansel.metrics import (
 )
 from util import exhaustive_edit_distance, report_from_rates
 
+
+def _symbol_confusion(ref, hyp, table):
+    """Per-symbol reference frame and error counts, one frame at a time."""
+    counts: dict[str, int] = {}
+    errors: dict[str, int] = {}
+    for r, h in zip(ref, hyp):
+        if r not in table:
+            raise KeyError(f"reference label {r!r} not in the phoneme inventory")
+        counts[r] = counts.get(r, 0) + 1
+        if r != h:
+            errors[r] = errors.get(r, 0) + 1
+    return counts, errors
+
+
+def _reference_category_per(ref, hyp, table, threshold):
+    """The category report assembled from the per-frame counting loop."""
+    counts, errors = _symbol_confusion(ref, hyp, table)
+    rows, excluded = [], []
+    if len(ref) >= threshold:
+        rows.append(CategoryRow(TOTAL_ROW, len(ref), sum(errors.values()) / max(len(ref), 1)))
+    else:
+        excluded.append(TOTAL_ROW)
+    for name in table.names:
+        members = table.category_members(name)
+        n = sum(counts.get(sym, 0) for sym in members)
+        if n < threshold:
+            excluded.append(name)
+            continue
+        rows.append(CategoryRow(name, n, sum(errors.get(sym, 0) for sym in members) / n))
+    return CategoryReport(tuple(rows), tuple(excluded))
+
+
 tokens = st.lists(st.sampled_from(["the", "cat", "sat", "on", "a", "mat", "bat", "down"]),
                   max_size=6)
 
@@ -133,6 +165,26 @@ class TestCategoryPer:
         with pytest.raises(KeyError, match="QQ"):
             category_per(["QQ"], ["QQ"], table, threshold=1)
 
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_frame_reference(self, table, data):
+        symbols = st.sampled_from(table.symbols)
+        ref = data.draw(st.lists(symbols, max_size=60))
+        hyp = data.draw(st.lists(symbols, min_size=len(ref), max_size=len(ref)))
+        threshold = data.draw(st.integers(0, len(ref)))
+        if ref and data.draw(st.booleans()):
+            # unknown labels: the first one in frame order names the error
+            for at in data.draw(st.sets(st.integers(0, len(ref) - 1), min_size=1)):
+                ref[at] = f"QQ{at}"
+        try:
+            expected = _reference_category_per(ref, hyp, table, threshold)
+        except (KeyError, ZeroDivisionError) as exc:  # threshold 0 admits empty categories
+            with pytest.raises(type(exc)) as caught:
+                category_per(ref, hyp, table, threshold=threshold)
+            assert str(caught.value) == str(exc)
+        else:
+            assert category_per(ref, hyp, table, threshold=threshold) == expected
+
 
 class TestWorstChannelTable:
     def test_published_style_row(self):
@@ -191,11 +243,6 @@ class TestCollapse:
 
     def test_all_silence_is_empty(self):
         assert collapse_frame_labels(["SIL", "SIL"]) == ()
-
-    def test_word_map_overrides_spelling(self):
-        labels = ["B", "B", "IY", "SIL", "T", "T"]
-        mapping = {("B", "IY"): "bee"}
-        assert collapse_frame_labels(labels, word_map=mapping) == ("bee", "T")
 
 
 class TestReportType:
