@@ -18,6 +18,7 @@ import copy
 import json
 import os
 import sys
+from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -181,6 +182,15 @@ def _split(corpus: Corpus, cfg: dict) -> tuple[Corpus, Corpus]:
     return corpus.split(float(cfg["eval"]["train_fraction"]))
 
 
+def _per_threshold(cfg: dict) -> int:
+    """The category PER frame threshold; a category with no reference
+    frames would divide by zero, so it must be at least 1."""
+    threshold = int(cfg["eval"]["per_threshold"])
+    if threshold < 1:
+        raise ValueError(f"per_threshold must be >= 1, got {threshold}")
+    return threshold
+
+
 def _available_cpus() -> int:
     """CPUs this process may run on: its affinity mask where the platform
     has one (a container or taskset can narrow it), else the CPU count."""
@@ -201,7 +211,7 @@ def _evaluator(corpus: Corpus, cfg: dict, out_dir: Path) -> TrainingEvaluator:
         window=int(cfg["model"]["window"]),
         features=int(cfg["model"]["features"]),
         replicates=int(cfg["search"]["replicates"]),
-        threshold=int(cfg["eval"]["per_threshold"]),
+        threshold=_per_threshold(cfg),
         workers=workers,
         cache=ResultsCache(_cache_path(out_dir)),
     )
@@ -271,12 +281,12 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     if not args.init and not args.from_scratch:
         raise ValueError("finetune needs --init MODEL and/or --from-scratch")
     corpus = load_corpus(Path(args.corpus))
+    threshold = _per_threshold(cfg)
     label = SUBSET_PRESETS.get(args.subset, args.subset)
     subset = parse_subset(label, corpus.channels)
     train_c, test_c = _split(corpus, cfg)
     train_r = train_c.restrict(subset)
     test_r = test_c.restrict(subset)
-    threshold = int(cfg["eval"]["per_threshold"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -333,29 +343,35 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+@contextmanager
 def _search_setup(args: argparse.Namespace):
     """Config, corpus, output directory, evaluator and provenance shared by
-    the search subcommands; reports cache lines that could not be read."""
+    the search subcommands. On exit, whether the search finished or raised,
+    warns about the cache lines that could not be read. A record's body is
+    decoded when the search first reads it, so that count covers every
+    damaged line of this config but no body of another config's line."""
     cfg = _apply_overrides(load_config(args.config), args)
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)
-    cache = evaluator.cache
-    if cache.skipped_lines:
-        print(f"warning: skipped {cache.skipped_lines} unreadable cache lines in {cache.path}",
-              file=sys.stderr)
     prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
-    return cfg, corpus, out_dir, evaluator, prov
+    try:
+        yield cfg, corpus, out_dir, evaluator, prov
+    finally:
+        cache = evaluator.cache
+        if cache.skipped_lines:
+            print(f"warning: skipped {cache.skipped_lines} unreadable cache lines in "
+                  f"{cache.path}", file=sys.stderr)
 
 
 def cmd_backward_elim(args: argparse.Namespace) -> int:
-    cfg, corpus, out_dir, evaluator, prov = _search_setup(args)
-    trace = backward_elimination(
-        evaluator,
-        channels=corpus.channels,
-        stop_size=int(cfg["search"]["stop_size"]),
-        metric=cfg["search"]["metric"],
-    )
+    with _search_setup(args) as (cfg, corpus, out_dir, evaluator, prov):
+        trace = backward_elimination(
+            evaluator,
+            channels=corpus.channels,
+            stop_size=int(cfg["search"]["stop_size"]),
+            metric=cfg["search"]["metric"],
+        )
     write_text(out_dir / "elimination.json", elimination_json(trace, prov))
     write_text(out_dir / "elimination_curve.csv", elimination_plot_csv(trace, prov))
     order = ", ".join(str(ch + 1) for ch in trace.removal_order)
@@ -366,18 +382,21 @@ def cmd_backward_elim(args: argparse.Namespace) -> int:
 def _sweep_reports(args: argparse.Namespace, cached_only: bool):
     """Run (or, cached_only, replay from the cache) the exhaustive sweep and
     write its three reports; returns the sweep and the output directory."""
-    cfg, corpus, out_dir, evaluator, prov = _search_setup(args)
-    if cached_only:
-        evaluator = SimpleNamespace(
-            evaluate_many=partial(evaluator.evaluate_many, require_cached=True))
-    sweep = exhaustive_sweep(
-        evaluator,
-        channels=corpus.channels,
-        k=int(cfg["search"]["k"]),
-        metric=cfg["search"]["metric"],
-        budget=int(cfg["search"]["budget"]),
-    )
-    k_top = min(int(cfg["search"]["k_top"]), len(sweep.records))
+    with _search_setup(args) as (cfg, corpus, out_dir, evaluator, prov):
+        k_top = int(cfg["search"]["k_top"])
+        if k_top < 1:
+            raise ValueError(f"k_top must be >= 1, got {k_top}")
+        if cached_only:
+            evaluator = SimpleNamespace(
+                evaluate_many=partial(evaluator.evaluate_many, require_cached=True))
+        sweep = exhaustive_sweep(
+            evaluator,
+            channels=corpus.channels,
+            k=int(cfg["search"]["k"]),
+            metric=cfg["search"]["metric"],
+            budget=int(cfg["search"]["budget"]),
+        )
+    k_top = min(k_top, len(sweep.records))
     counts = top_k_frequency(sweep, k_top)
     averages = channel_average_metric(sweep)
     write_text(out_dir / "sweep.csv", sweep_csv(sweep, prov))
@@ -398,8 +417,8 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
 
 
 def cmd_ablate7(args: argparse.Namespace) -> int:
-    _, corpus, out_dir, evaluator, prov = _search_setup(args)
-    result = seven_channel_ablation(evaluator, corpus.channels)
+    with _search_setup(args) as (_, corpus, out_dir, evaluator, prov):
+        result = seven_channel_ablation(evaluator, corpus.channels)
     write_text(out_dir / "worst_channel.csv", worst_channel_csv(result.rows, prov))
     records_doc = {
         "baseline": json.loads(_record_json(result.baseline)),

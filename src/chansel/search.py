@@ -65,15 +65,21 @@ class ResultsCache:
     """Append-only JSON-lines store of per-seed EvalRecords.
 
     A record's identity is (subset label, corpus hash, config hash, seed).
-    Loading skips unreadable lines, such as the torn final line of a sweep
-    killed mid-write, so that sweep resumes cleanly; ``skipped_lines`` counts
-    them. A torn final line is ended before the first append, so the next
-    record starts a line of its own.
+    Loading reads only each line's key and keeps the line's text; the first
+    ``get`` of a key decodes its record, so a cache shared by many configs
+    pays only for the records a run reads. ``skipped_lines`` counts the
+    unreadable lines: at load, those that are not JSON or carry no key, such
+    as the torn final line of a sweep killed mid-write (so that sweep resumes
+    cleanly); at first ``get``, a keyed line whose body does not decode,
+    which then reads as a miss. Bodies no ``get`` reads are never checked.
+    A torn final line is ended before the first append, so the next record
+    starts a line of its own.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        self._records: dict[tuple[str, str, str, int], EvalRecord] = {}
+        # a value is the line's text until its first get decodes it
+        self._records: dict[tuple[str, str, str, int], EvalRecord | str] = {}
         self.skipped_lines = 0
         self._torn_tail = False
         if self.path is not None and self.path.exists():
@@ -83,18 +89,28 @@ class ResultsCache:
                 if not line.strip():
                     continue
                 try:
-                    record = EvalRecord.from_dict(json.loads(line))
+                    d = json.loads(line)
+                    key = (d["subset"], d["corpus_hash"], d["config_hash"], int(d["seed"]))
+                    self._records[key] = line
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     self.skipped_lines += 1
-                    continue
-                self._records[self._key(record)] = record
 
     @staticmethod
     def _key(record: EvalRecord) -> tuple[str, str, str, int]:
         return (record.subset_label, record.corpus_hash, record.config_hash, record.seed)
 
     def get(self, subset_label: str, corpus_hash: str, config_hash: str, seed: int) -> EvalRecord | None:
-        return self._records.get((subset_label, corpus_hash, config_hash, seed))
+        key = (subset_label, corpus_hash, config_hash, seed)
+        record = self._records.get(key)
+        if isinstance(record, str):
+            try:
+                record = EvalRecord.from_dict(json.loads(record))
+            except (KeyError, TypeError, ValueError):
+                self.skipped_lines += 1
+                del self._records[key]
+                return None
+            self._records[key] = record
+        return record
 
     def put(self, record: EvalRecord) -> None:
         self._records[self._key(record)] = record

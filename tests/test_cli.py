@@ -309,6 +309,63 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (odd / name).read_bytes() == reference[name], name
 
+    def test_broken_record_body_is_counted_only_for_the_running_config(
+            self, workdir, corpus_dir, capsys):
+        clean = workdir / "clean"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(clean)])
+        reference = _read_all(clean)
+        lines = (clean / "cache.jsonl").read_text().splitlines()
+        ours = {**json.loads(lines[0]), "wer": "x"}  # keyed, but its body does not decode
+        theirs = {**json.loads(lines[1]), "config_hash": "another config", "wer": "x"}
+        damaged = workdir / "damaged"
+        damaged.mkdir()
+        cache = damaged / "cache.jsonl"
+        cache.write_text("\n".join([json.dumps(ours), json.dumps(theirs), *lines[1:]]) + "\n")
+        warning = f"warning: skipped 1 unreadable cache lines in {cache}"
+        capsys.readouterr()
+
+        before = cache.read_bytes()
+        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(damaged)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"cache is missing records for subsets ['{ours['subset']}']" in err
+        assert warning in err
+        assert cache.read_bytes() == before
+
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(damaged)]) == EXIT_OK
+        assert warning in capsys.readouterr().err
+        retrained = cache.read_text().splitlines()[len(lines) + 1:]
+        assert [(d["subset"], d["seed"]) for d in map(json.loads, retrained)] == [
+            (ours["subset"], ours["seed"])]
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (damaged / name).read_bytes() == reference[name], name
+
+    @pytest.mark.parametrize("command, extra", [
+        ("exhaustive", []), ("backward-elim", []), ("ablate7", []), ("report", []),
+        ("finetune", ["--subset", "13", "--from-scratch"]),
+    ])
+    @pytest.mark.parametrize("threshold", ["-1", "0"])
+    def test_per_threshold_below_one_is_rejected_before_training(
+            self, workdir, corpus_dir, capsys, command, extra, threshold):
+        out = workdir / "x"
+        code = main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--per-threshold", threshold, *extra])
+        assert code == EXIT_DATA
+        assert f"per_threshold must be >= 1, got {threshold}" in capsys.readouterr().err
+        assert not out.exists() or _read_all(out) == {}
+
+    @pytest.mark.parametrize("k_top", ["-1", "0"])
+    def test_exhaustive_rejects_k_top_below_one_before_training(
+            self, workdir, corpus_dir, capsys, k_top):
+        out = workdir / "x"
+        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--k-top", k_top])
+        assert code == EXIT_DATA
+        assert f"k_top must be >= 1, got {k_top}" in capsys.readouterr().err
+        assert not out.exists() or _read_all(out) == {}
+
     @pytest.mark.parametrize("command", ["backward-elim", "exhaustive", "ablate7"])
     def test_worker_count_changes_no_output_byte(self, workdir, corpus_dir, command):
         outputs = []

@@ -1,4 +1,5 @@
 import itertools
+import json
 import time
 from dataclasses import replace
 
@@ -271,6 +272,68 @@ class TestResultsCache:
         cache = ResultsCache(None)
         cache.put(make_record("12"))
         assert cache.get("12", "corpus", "cfg", 0) is not None
+
+
+def _mixed_cache(path):
+    """A cache shared by three configs and two corpora; returns its lines."""
+    cache = ResultsCache(path)
+    for i, (label, config, corpus) in enumerate(itertools.product(
+            ("12", "13", "234"), ("cfg", "other", "third"), ("corpus", "elsewhere"))):
+        for seed in (0, 1):
+            record = make_record(label, wer=0.1 * i + seed, per_total=0.01 * i, seed=seed,
+                                 per_category=report_from_rates({"vowels": 0.2, "stops": i}))
+            cache.put(replace(record, config_hash=config, corpus_hash=corpus,
+                              wall_time=0.5 + i))
+    return path.read_text().splitlines()
+
+
+class TestLazyResultsCache:
+    def test_decodes_only_the_records_get_reads_and_each_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        _mixed_cache(path)
+        decoded = []
+        real_from_dict = EvalRecord.from_dict
+
+        def counting_from_dict(d):
+            decoded.append((d["subset"], d["corpus_hash"], d["config_hash"], d["seed"]))
+            return real_from_dict(d)
+
+        monkeypatch.setattr(EvalRecord, "from_dict", staticmethod(counting_from_dict))
+        cache = ResultsCache(path)
+        assert decoded == []
+        for _ in range(3):
+            assert cache.get("12", "corpus", "cfg", 0) is not None
+            assert cache.get("234", "corpus", "cfg", 1) is not None
+            assert cache.get("34", "corpus", "cfg", 0) is None
+        assert decoded == [("12", "corpus", "cfg", 0), ("234", "corpus", "cfg", 1)]
+
+    def test_get_equals_an_eager_decode_of_every_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        lines = _mixed_cache(path)
+        cache = ResultsCache(path)
+        assert len(cache) == len(lines) == 36
+        for line in lines:
+            eager = EvalRecord.from_dict(json.loads(line))
+            assert cache.get(eager.subset_label, eager.corpus_hash, eager.config_hash,
+                             eager.seed) == eager
+        assert cache.skipped_lines == 0
+
+    @pytest.mark.parametrize("field, value", [("wer", "x"), ("per_category", 5)])
+    def test_keyed_line_with_broken_body_is_a_counted_miss(self, tmp_path, field, value):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        broken = {**make_record("13").to_dict(), field: value}
+        with open(path, "a") as fh:
+            fh.write(json.dumps(broken) + "\n")
+        cache = ResultsCache(path)
+        assert cache.skipped_lines == 0
+        assert cache.get("13", "corpus", "cfg", 0) is None
+        assert cache.skipped_lines == 1
+        assert cache.get("13", "corpus", "cfg", 0) is None
+        assert cache.skipped_lines == 1  # counted once, then gone
+        assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.5)
+        cache.put(make_record("13", wer=0.25))
+        assert cache.get("13", "corpus", "cfg", 0) == make_record("13", wer=0.25)
 
 
 def _search_corpus(channels=3, utterances=12, seed=0):
