@@ -18,10 +18,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -58,6 +59,23 @@ class TrainingDivergedError(RuntimeError):
         return (TrainingDivergedError, (self.epoch, self.batch, self.loss))
 
 
+# The parameter arrays in the order every caller reads them: the model file
+# payload, the gradient step's arguments and its gradients.
+_ARRAYS = ("input_weights", "input_bias", "head_weights", "head_bias")
+
+
+def _layer_shapes(channels: int, window: int, features: int,
+                  classes: int) -> tuple[tuple[int, ...], ...]:
+    """Shapes of the parameter arrays, in ``_ARRAYS`` order; the only place
+    that says which layer sizes are valid."""
+    if channels < 1 or window < 1 or features < 1 or classes < 2:
+        raise ValueError(
+            f"bad layer sizes: channels={channels} window={window} "
+            f"features={features} classes={classes}"
+        )
+    return (features, channels * window), (features,), (classes, features), (classes,)
+
+
 @dataclass(frozen=True, eq=False)
 class ModelParams:
     """Flat parameter set; all arrays are copied in and locked read-only."""
@@ -72,39 +90,23 @@ class ModelParams:
     class_symbols: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        w1 = np.array(self.input_weights, dtype=np.float64, copy=True)
-        b1 = np.array(self.input_bias, dtype=np.float64, copy=True)
-        w2 = np.array(self.head_weights, dtype=np.float64, copy=True)
-        b2 = np.array(self.head_bias, dtype=np.float64, copy=True)
-        k = len(self.class_symbols)
-        if self.channels < 1 or self.window < 1 or self.features < 1 or k < 2:
-            raise ValueError(
-                f"bad layer sizes: channels={self.channels} window={self.window} "
-                f"features={self.features} classes={k}"
-            )
-        if w1.shape != (self.features, self.channels * self.window):
-            raise ValueError(f"input_weights shape {w1.shape}, expected "
-                             f"{(self.features, self.channels * self.window)}")
-        if b1.shape != (self.features,):
-            raise ValueError(f"input_bias shape {b1.shape}, expected {(self.features,)}")
-        if w2.shape != (k, self.features):
-            raise ValueError(f"head_weights shape {w2.shape}, expected {(k, self.features)}")
-        if b2.shape != (k,):
-            raise ValueError(f"head_bias shape {b2.shape}, expected {(k,)}")
-        for name, arr in (("input_weights", w1), ("input_bias", b1),
-                          ("head_weights", w2), ("head_bias", b2)):
+        shapes = _layer_shapes(self.channels, self.window, self.features, self.classes)
+        for name, shape in zip(_ARRAYS, shapes):
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            if arr.shape != shape:
+                raise ValueError(f"{name} shape {arr.shape}, expected {shape}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} contains NaN or Inf")
-        for arr in (w1, b1, w2, b2):
             arr.flags.writeable = False
-        object.__setattr__(self, "input_weights", w1)
-        object.__setattr__(self, "input_bias", b1)
-        object.__setattr__(self, "head_weights", w2)
-        object.__setattr__(self, "head_bias", b2)
+            object.__setattr__(self, name, arr)
 
     @property
     def classes(self) -> int:
         return len(self.class_symbols)
+
+
+def _arrays(params: ModelParams) -> tuple[np.ndarray, ...]:
+    return tuple(getattr(params, name) for name in _ARRAYS)
 
 
 def init_params(
@@ -114,22 +116,16 @@ def init_params(
     class_symbols: Sequence[str],
     seed: int,
 ) -> ModelParams:
-    """Seeded uniform init in [-a, a] with a = sqrt(1 / fan_in) per layer."""
-    rng = np.random.default_rng(seed)
+    """Seeded uniform init in [-a, a] with a = sqrt(1 / fan_in) per layer,
+    drawn array by array in ``_ARRAYS`` order."""
     symbols = tuple(class_symbols)
-    d = channels * window
-    a1 = np.sqrt(1.0 / d)
+    shapes = _layer_shapes(channels, window, features, len(symbols))
+    rng = np.random.default_rng(seed)
+    a1 = np.sqrt(1.0 / (channels * window))
     a2 = np.sqrt(1.0 / features)
-    return ModelParams(
-        input_weights=rng.uniform(-a1, a1, size=(features, d)),
-        input_bias=rng.uniform(-a1, a1, size=features),
-        head_weights=rng.uniform(-a2, a2, size=(len(symbols), features)),
-        head_bias=rng.uniform(-a2, a2, size=len(symbols)),
-        channels=channels,
-        window=window,
-        features=features,
-        class_symbols=symbols,
-    )
+    drawn = [rng.uniform(-a, a, size=shape) for a, shape in zip((a1, a1, a2, a2), shapes)]
+    return ModelParams(**dict(zip(_ARRAYS, drawn)), channels=channels, window=window,
+                       features=features, class_symbols=symbols)
 
 
 def featurize(samples: np.ndarray, window: int) -> np.ndarray:
@@ -142,6 +138,18 @@ def featurize(samples: np.ndarray, window: int) -> np.ndarray:
     padded = np.pad(samples, ((0, 0), (left, right)))
     win = np.lib.stride_tricks.sliding_window_view(padded, window, axis=1)  # (C, T, W)
     return np.ascontiguousarray(win.transpose(1, 0, 2).reshape(t, c * window))
+
+
+def _windows(params: ModelParams, signals: Iterable[np.ndarray]) -> list[np.ndarray]:
+    """``featurize`` each (C, T) signal after checking it has the model's C."""
+    out = []
+    for samples in signals:
+        if samples.shape[0] != params.channels:
+            raise ValueError(
+                f"signal has {samples.shape[0]} channels, model expects {params.channels}"
+            )
+        out.append(featurize(samples, params.window))
+    return out
 
 
 def _scores(w1, b1, w2, b2, xw: np.ndarray) -> np.ndarray:
@@ -187,13 +195,7 @@ def forward(params: ModelParams, x) -> np.ndarray:
     """Per-frame class scores, shape (T, classes). Deterministic; dropout is
     a training-only concern and never applied here."""
     samples = x.samples if hasattr(x, "samples") else np.asarray(x, dtype=np.float64)
-    if samples.shape[0] != params.channels:
-        raise ValueError(
-            f"signal has {samples.shape[0]} channels, model expects {params.channels}"
-        )
-    xw = featurize(samples, params.window)
-    return _scores(params.input_weights, params.input_bias,
-                   params.head_weights, params.head_bias, xw)
+    return _scores(*_arrays(params), *_windows(params, [samples]))
 
 
 def predict_labels(params: ModelParams, x) -> tuple[str, ...]:
@@ -243,14 +245,6 @@ def label_indices(sequences: Sequence[LabeledSequence],
         raise ValueError(f"corpus label {exc.args[0]!r} is not a model class") from None
 
 
-def _check_channels(params: ModelParams, sequences: Sequence[LabeledSequence]) -> None:
-    for seq in sequences:
-        if seq.signal.channels != params.channels:
-            raise ValueError(
-                f"signal has {seq.signal.channels} channels, model expects {params.channels}"
-            )
-
-
 def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: TrainConfig) -> TrainResult:
     """Minimise frame-wise cross-entropy by mini-batch gradient descent.
 
@@ -261,13 +255,11 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
     sequences = list(data)
     if not sequences:
         raise ValueError("training corpus is empty")
-    _check_channels(params, sequences)
-    xw_all = [featurize(seq.signal.samples, params.window) for seq in sequences]
+    xw_all = _windows(params, [seq.signal.samples for seq in sequences])
     y_all = label_indices(sequences, params.class_symbols)
 
     def clean_loss(p: ModelParams) -> float:
-        return _loss_and_grads(p.input_weights, p.input_bias, p.head_weights, p.head_bias,
-                               np.vstack(xw_all), np.concatenate(y_all))[0]
+        return _loss_and_grads(*_arrays(p), np.vstack(xw_all), np.concatenate(y_all))[0]
 
     initial_loss = clean_loss(params)
     trained, epoch_losses, mean_retained = fit_windows(params, xw_all, y_all, cfg)
@@ -296,10 +288,7 @@ def fit_windows(
     bit-identical parameter trajectories. Raises TrainingDivergedError on the
     first non-finite batch loss.
     """
-    w1 = params.input_weights.copy()
-    b1 = params.input_bias.copy()
-    w2 = params.head_weights.copy()
-    b2 = params.head_bias.copy()
+    arrays = [a.copy() for a in _arrays(params)]
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     p = cfg.dropout_p
@@ -325,20 +314,16 @@ def fit_windows(
                     xs.append(xw_all[i])
             xw = np.vstack(xs)
             y = np.concatenate([y_all[i] for i in ids])
-            loss, grads = _loss_and_grads(w1, b1, w2, b2, xw, y)
+            loss, grads = _loss_and_grads(*arrays, xw, y)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, b_idx, loss)
-            for weights, grad in zip((w1, b1, w2, b2), grads):
+            for weights, grad in zip(arrays, grads):
                 grad *= lr
                 weights -= grad
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
 
-    trained = ModelParams(
-        input_weights=w1, input_bias=b1, head_weights=w2, head_bias=b2,
-        channels=params.channels, window=params.window, features=params.features,
-        class_symbols=params.class_symbols,
-    )
+    trained = replace(params, **dict(zip(_ARRAYS, arrays)))
     mean_retained = retained_sum / draws if draws else float(params.channels)
     return trained, tuple(epoch_losses), mean_retained
 
@@ -357,11 +342,10 @@ def gradient_check(
     implementation then reports an error near 1."""
     if not batch:
         raise ValueError("gradient check needs a non-empty batch")
-    xw = np.vstack([featurize(seq.signal.samples, params.window) for seq in batch])
+    xw = np.vstack(_windows(params, [seq.signal.samples for seq in batch]))
     y = np.concatenate(label_indices(batch, params.class_symbols))
 
-    arrays = [params.input_weights.copy(), params.input_bias.copy(),
-              params.head_weights.copy(), params.head_bias.copy()]
+    arrays = [a.copy() for a in _arrays(params)]
     _, grads = _loss_and_grads(*arrays, xw, y)
     sizes = [a.size for a in arrays]
     total = sum(sizes)
@@ -406,16 +390,8 @@ def slice_input_channels(params: ModelParams, subset: ChannelSubset) -> ModelPar
             f"subset {subset.label} references channel {subset.indices[-1]}, "
             f"model has {params.channels} channels"
         )
-    return ModelParams(
-        input_weights=params.input_weights[:, subset_columns(subset, params.window)],
-        input_bias=params.input_bias,
-        head_weights=params.head_weights,
-        head_bias=params.head_bias,
-        channels=len(subset),
-        window=params.window,
-        features=params.features,
-        class_symbols=params.class_symbols,
-    )
+    return replace(params, channels=len(subset),
+                   input_weights=params.input_weights[:, subset_columns(subset, params.window)])
 
 
 @dataclass(frozen=True)
@@ -472,12 +448,14 @@ class EvalRecord:
             n_seeds=int(d.get("n_seeds", 1)),
         )
 
+    # the fields a ranking may sort by
+    METRICS: ClassVar[tuple[str, ...]] = ("wer", "per_total")
+
     def metric(self, name: str) -> float:
-        if name == "wer":
-            return self.wer
-        if name == "per_total":
-            return self.per_total
-        raise KeyError(f"unknown metric {name!r} (expected 'wer' or 'per_total')")
+        if name not in self.METRICS:
+            raise KeyError(f"unknown metric {name!r} "
+                           f"(expected {' or '.join(map(repr, self.METRICS))})")
+        return getattr(self, name)
 
 
 def evaluate(
@@ -494,8 +472,7 @@ def evaluate(
     sequences = list(data)
     if not sequences:
         raise ValueError("evaluation corpus is empty")
-    _check_channels(params, sequences)
-    xw_all = [featurize(seq.signal.samples, params.window) for seq in sequences]
+    xw_all = _windows(params, [seq.signal.samples for seq in sequences])
     return score_windows(params, xw_all, sequences, table, subset=subset,
                          threshold=threshold, seed=seed, config_hash=config_hash,
                          corpus_hash=corpus_hash)
@@ -522,9 +499,9 @@ def score_windows(
     hyp_frames: list[str] = []
     edits = 0
     ref_tokens_total = 0
+    arrays = _arrays(params)
     for xw, seq in zip(xw_all, refs, strict=True):
-        scores = _scores(params.input_weights, params.input_bias,
-                         params.head_weights, params.head_bias, xw)
+        scores = _scores(*arrays, xw)
         hyp = tuple(params.class_symbols[i] for i in np.argmax(scores, axis=1))
         ref_frames.extend(seq.labels)
         hyp_frames.extend(hyp)
@@ -551,18 +528,13 @@ def score_windows(
 
 # --- model files -------------------------------------------------------------
 #
-# JSON manifest next to a .bin payload of all parameters concatenated in
-# (input_weights, input_bias, head_weights, head_bias) order, little-endian
-# float64. Sliced models record their parent's payload hash and the subset.
+# JSON manifest next to a .bin payload of all parameters, each array
+# row-major, concatenated in ``_ARRAYS`` order, little-endian float64.
+# Sliced models record their parent's payload hash and the subset.
 
 
 def _payload(params: ModelParams) -> bytes:
-    flat = np.concatenate([
-        params.input_weights.ravel(),
-        params.input_bias,
-        params.head_weights.ravel(),
-        params.head_bias,
-    ])
+    flat = np.concatenate([a.ravel() for a in _arrays(params)])
     return flat.astype("<f8").tobytes(order="C")
 
 
@@ -607,30 +579,16 @@ def load_model(header_path: Path) -> tuple[ModelParams, dict]:
     layers = manifest["layers"]
     c, w, f = int(layers["channels"]), int(layers["window"]), int(layers["features"])
     symbols = tuple(manifest["class_symbols"])
-    k = len(symbols)
     raw = header_path.with_suffix(".bin").read_bytes()
     if hashlib.sha256(raw).hexdigest() != manifest["payload_sha256"]:
         raise ValueError(f"model payload at {header_path} fails its integrity check")
+    shapes = _layer_shapes(c, w, f, len(symbols))
+    sizes = [math.prod(shape) for shape in shapes]
     flat = np.frombuffer(raw, dtype="<f8")
-    expected = f * c * w + f + k * f + k
-    if flat.size != expected:
-        raise ValueError(f"model payload holds {flat.size} values, expected {expected}")
-    pos = 0
-
-    def take(count: int) -> np.ndarray:
-        nonlocal pos
-        out = flat[pos:pos + count]
-        pos += count
-        return out
-
-    params = ModelParams(
-        input_weights=take(f * c * w).reshape(f, c * w),
-        input_bias=take(f),
-        head_weights=take(k * f).reshape(k, f),
-        head_bias=take(k),
-        channels=c,
-        window=w,
-        features=f,
-        class_symbols=symbols,
-    )
+    if flat.size != sum(sizes):
+        raise ValueError(f"model payload holds {flat.size} values, expected {sum(sizes)}")
+    parts = np.split(flat, np.cumsum(sizes)[:-1])
+    arrays = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    params = ModelParams(**dict(zip(_ARRAYS, arrays)), channels=c, window=w, features=f,
+                         class_symbols=symbols)
     return params, manifest

@@ -28,6 +28,7 @@ from .metrics import WorstChannelRow, worst_channel_table
 from .model import (
     EvalRecord,
     TrainConfig,
+    _layer_shapes,
     featurize,
     fit_windows,
     init_params,
@@ -253,6 +254,11 @@ class TrainingEvaluator:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if self.threshold < 1:
+            raise ValueError(f"threshold must be >= 1, got {self.threshold}")
+        self._alphabet = self.train_corpus.label_alphabet()
+        _layer_shapes(self.train_corpus.channels, self.window, self.features,
+                      len(self._alphabet))
         self.config_hash = config_fingerprint(
             self.train_cfg, self.window, self.features, self.threshold,
             len(self.train_corpus),
@@ -266,13 +272,12 @@ class TrainingEvaluator:
             def windows(split: Corpus) -> tuple[np.ndarray, ...]:
                 return tuple(featurize(seq.signal.samples, self.window) for seq in split)
 
-            alphabet = self.train_corpus.label_alphabet()
             self._inputs = TaskInputs(
                 train_windows=windows(self.train_corpus),
-                train_labels=tuple(label_indices(self.train_corpus.sequences, alphabet)),
+                train_labels=tuple(label_indices(self.train_corpus.sequences, self._alphabet)),
                 test_windows=windows(self.test_corpus), test=self.test_corpus,
                 table=self.table, train_cfg=self.train_cfg, window=self.window,
-                features=self.features, threshold=self.threshold, alphabet=alphabet,
+                features=self.features, threshold=self.threshold, alphabet=self._alphabet,
                 config_hash=self.config_hash, corpus_hash=self.corpus_hash,
             )
         return self._inputs
@@ -375,6 +380,13 @@ class TrainingEvaluator:
         }
 
 
+def _check_metric(metric: str) -> None:
+    """Reject an unknown metric name before anything is evaluated."""
+    if metric not in EvalRecord.METRICS:
+        raise ValueError(f"unknown metric {metric!r} "
+                         f"(expected {' or '.join(map(repr, EvalRecord.METRICS))})")
+
+
 # --- backward elimination -----------------------------------------------------
 
 
@@ -436,6 +448,7 @@ def backward_elimination(
     if not (1 <= stop_size < channels):
         raise ValueError(f"need 1 <= stop_size < channels, got stop_size={stop_size}, "
                          f"channels={channels}")
+    _check_metric(metric)
     current = ChannelSubset.full(channels)
     steps: list[EliminationStep] = []
     while len(current) > stop_size:
@@ -495,6 +508,7 @@ def exhaustive_sweep(
     required = math.comb(channels, k)
     if required > budget:
         raise SweepBudgetError(required, budget)
+    _check_metric(metric)
     subsets = [ChannelSubset(combo) for combo in itertools.combinations(range(channels), k)]
     records = evaluator.evaluate_many(subsets)
     ordered = sorted(records.values(), key=lambda r: (r.metric(metric), r.subset_label))

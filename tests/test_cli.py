@@ -107,6 +107,15 @@ class TestPretrain:
         b = json.loads((out_b / "model_p0.25.json").read_text())["payload_sha256"]
         assert a != b
 
+    @pytest.mark.parametrize("flag", ["--window", "--features"])
+    def test_zero_layer_size_is_data_error(self, workdir, corpus_dir, capsys, flag):
+        out = workdir / "pretrain"
+        code = main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), flag, "0"])
+        assert code == EXIT_DATA
+        assert "bad layer sizes" in capsys.readouterr().err
+        assert not out.exists() or _read_all(out) == {}
+
     def test_rerun_is_byte_identical(self, workdir, corpus_dir):
         out = workdir / "pretrain"
         main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
@@ -179,6 +188,15 @@ class TestFinetune:
                          "--init", str(pre / "model_p0.json")]) == EXIT_OK
             hashes.append(json.loads((out / "eval_ft_13.json").read_text())["config_hash"])
         assert hashes[0] != hashes[1]  # their records differ, so must their hashes
+
+    def test_zero_features_is_data_error(self, workdir, corpus_dir, capsys):
+        out = workdir / "ft"
+        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--subset", "13", "--from-scratch",
+                     "--features", "0"])
+        assert code == EXIT_DATA
+        assert "bad layer sizes" in capsys.readouterr().err
+        assert _read_all(out) == {}
 
     def test_requires_init_or_scratch(self, workdir, corpus_dir, capsys):
         code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
@@ -354,6 +372,16 @@ class TestSearchCommands:
                      "--out", str(out), "--per-threshold", threshold, *extra])
         assert code == EXIT_DATA
         assert f"per_threshold must be >= 1, got {threshold}" in capsys.readouterr().err
+        assert not out.exists() or _read_all(out) == {}
+
+    @pytest.mark.parametrize("command", ["exhaustive", "backward-elim"])
+    def test_unknown_metric_is_rejected_before_training(
+            self, workdir, corpus_dir, capsys, command):
+        out = workdir / "x"
+        code = main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--metric", "foo"])
+        assert code == EXIT_DATA
+        assert "error: unknown metric 'foo'" in capsys.readouterr().err
         assert not out.exists() or _read_all(out) == {}
 
     @pytest.mark.parametrize("k_top", ["-1", "0"])

@@ -352,6 +352,17 @@ class TestGradientCheck:
         with pytest.raises(ValueError, match="non-empty"):
             gradient_check(params, [])
 
+    def test_channel_mismatch_rejected(self):
+        batch = [make_sequence(["B", "IY", "B", "T"], channels=2, seed=0)]
+        params = init_params(3, 3, 6, ("B", "IY", "T"), seed=0)
+        with pytest.raises(ValueError, match="signal has 2 channels, model expects 3"):
+            gradient_check(params, batch)
+
+    def test_returns_a_python_float(self):
+        batch = [make_sequence(["B", "IY", "B", "T"], channels=2, seed=1)]
+        params = init_params(2, 3, 6, ("B", "IY", "T"), seed=1)
+        assert type(gradient_check(params, batch, n_coords=10)) is float
+
 
 class TestEvaluate:
     def _perfect_params(self) -> ModelParams:
@@ -421,6 +432,27 @@ class TestModelFiles:
         assert manifest["config_hash"] == "abc"
         assert manifest["layers"] == {"channels": 4, "window": 5, "features": 8, "classes": 3}
 
+    def test_payload_is_the_init_draws_in_fixed_order(self, tmp_path):
+        # reference: the init draws written out by hand, then the payload
+        # layout (input_weights, input_bias, head_weights, head_bias), each
+        # row-major little-endian float64; a reordered save and load would
+        # still round-trip, but not match these bytes
+        rng = np.random.default_rng(13)
+        a1, a2 = np.sqrt(1.0 / (4 * 5)), np.sqrt(1.0 / 8)
+        w1 = rng.uniform(-a1, a1, size=(8, 4 * 5))
+        b1 = rng.uniform(-a1, a1, size=8)
+        w2 = rng.uniform(-a2, a2, size=(3, 8))
+        b2 = rng.uniform(-a2, a2, size=3)
+        expected = b"".join(a.astype("<f8").tobytes(order="C") for a in (w1, b1, w2, b2))
+
+        path = tmp_path / "model.json"
+        save_model(init_params(4, 5, 8, ("A", "B", "C"), seed=13), path)
+        assert (tmp_path / "model.bin").read_bytes() == expected
+        back, _ = load_model(path)
+        for got, want in ((back.input_weights, w1), (back.input_bias, b1),
+                          (back.head_weights, w2), (back.head_bias, b2)):
+            assert got.tobytes() == want.tobytes()
+
     def test_slice_provenance_recorded(self, tmp_path):
         params = init_params(4, 3, 6, ("A", "B"), seed=1)
         parent = save_model(params, tmp_path / "full.json")
@@ -461,6 +493,11 @@ class TestParamsValidation:
                 head_bias=np.zeros(2),
                 channels=2, window=1, features=1, class_symbols=("A", "B"),
             )
+
+    @pytest.mark.parametrize("sizes", [(0, 3, 4), (2, 0, 4), (2, 3, 0)])
+    def test_init_rejects_zero_layer_sizes(self, sizes):
+        with pytest.raises(ValueError, match="bad layer sizes"):
+            init_params(*sizes, ("A", "B"), seed=0)
 
     def test_arrays_are_frozen(self):
         params = init_params(2, 2, 3, ("A", "B"), seed=0)

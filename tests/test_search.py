@@ -93,6 +93,12 @@ class TestExhaustiveSweep:
         with pytest.raises(ValueError):
             exhaustive_sweep(ev, 4, 5)
 
+    def test_unknown_metric_rejected_before_evaluating(self):
+        ev = FakeEvaluator(lambda s: 0.5)
+        with pytest.raises(ValueError, match="unknown metric 'foo'"):
+            exhaustive_sweep(ev, 4, 2, metric="foo")
+        assert ev.calls == 0
+
     def test_evaluator_failure_names_subset(self, monkeypatch):
         def boom(*args):
             raise RuntimeError("training fell over")
@@ -197,6 +203,12 @@ class TestBackwardElimination:
         assert sizes == [5, 4, 3, 2]
         for earlier, later in zip(trace.steps, trace.steps[1:]):
             assert set(later.surviving.indices) < set(earlier.surviving.indices)
+
+    def test_unknown_metric_rejected_before_evaluating(self):
+        ev = FakeEvaluator(lambda s: 0.5)
+        with pytest.raises(ValueError, match="unknown metric 'foo'"):
+            backward_elimination(ev, 4, 2, metric="foo")
+        assert ev.calls == 0
 
     def test_stop_size_validation(self):
         ev = FakeEvaluator(lambda s: 0.5)
@@ -422,6 +434,16 @@ class TestTrainingEvaluator:
         ev_a.evaluate_many([subset])[subset.label]
         ev_b.evaluate_many([subset])[subset.label]
         assert ev_a.training_runs == ev_b.training_runs == 1
+
+    @pytest.mark.parametrize("setting, message", [
+        (dict(threshold=0), "threshold must be >= 1, got 0"),
+        (dict(threshold=-1), "threshold must be >= 1, got -1"),
+        (dict(window=0), "bad layer sizes: channels=3 window=0"),
+        (dict(features=0), "bad layer sizes: channels=3 window=3 features=0"),
+    ])
+    def test_bad_settings_rejected_at_construction(self, setting, message):
+        with pytest.raises(ValueError, match=message):
+            replace(_evaluator(_search_corpus()), **setting)
 
     def test_require_cached_raises_on_miss(self, tmp_path):
         corpus = _search_corpus()
