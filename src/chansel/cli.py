@@ -256,7 +256,6 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     )
     result = train(params, train_c, train_cfg)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     config_hash = config_fingerprint(
         train_cfg, int(cfg["model"]["window"]), int(cfg["model"]["features"]),
         int(cfg["eval"]["per_threshold"]), len(train_c),
@@ -288,7 +287,6 @@ def cmd_finetune(args: argparse.Namespace) -> int:
     train_r = train_c.restrict(subset)
     test_r = test_c.restrict(subset)
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     seed = int(cfg["train"]["seed"])
     epochs = int(cfg["train"]["epochs"])
@@ -323,6 +321,9 @@ def cmd_finetune(args: argparse.Namespace) -> int:
 
     if args.init:
         full_params, manifest = load_model(Path(args.init))
+        if full_params.channels != corpus.channels:
+            raise ValueError(f"--init model has {full_params.channels} channels, "
+                             f"the corpus has {corpus.channels}")
         if (full_params.window, full_params.features) != (window, features):
             raise ValueError(
                 f"--init model has window {full_params.window} and features "

@@ -568,6 +568,7 @@ def save_model(
         "payload_sha256": digest,
         "provenance": dict(provenance) if provenance else None,
     }
+    header_path.parent.mkdir(parents=True, exist_ok=True)
     header_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     header_path.with_suffix(".bin").write_bytes(payload)
     return digest

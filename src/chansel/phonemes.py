@@ -7,9 +7,9 @@ fricatives (TH, DH) are filed under the alveolar place since the taxonomy
 has no separate dental class. Everything is loaded from a CSV so the table
 can be swapped for a different inventory without touching code.
 
-Category names are flat strings: "vowel", "consonant", "silence", "voiced",
-"voiceless", plus "manner_<x>", "place_<x>", "vowel_<x>" for the feature
-classes. Rare classes (affricates, glides, postalveolars, glottals,
+Category names are flat strings: the kinds, then every feature value under
+its field's prefix in ``_FIELDS`` (e.g. "voiced", "manner_nasal",
+"vowel_high"). Rare classes (affricates, glides, postalveolars, glottals,
 labiovelars, palatals) are full members of the taxonomy; dropping them from
 reports is the metrics layer's job, not a gap here.
 """
@@ -25,7 +25,6 @@ from typing import Iterable
 
 SILENCE_SYMBOL = "SIL"
 
-KINDS = ("vowel", "consonant", "silence")
 VOICINGS = ("voiced", "voiceless")
 MANNERS = ("liquid", "fricative", "nasal", "plosive", "affricate", "glide")
 PLACES = (
@@ -42,6 +41,24 @@ HEIGHTS = ("high", "mid", "low")
 BACKNESSES = ("front", "central", "back")
 ROUNDINGS = ("rounded", "unrounded")
 
+# The taxonomy, stated once. Each feature field maps to its allowed values
+# and the prefix of its category names, in report order; each kind maps to
+# the fields it carries, and every other field of that kind stays empty.
+_FIELDS = {
+    "voicing": (VOICINGS, ""),
+    "manner": (MANNERS, "manner_"),
+    "place": (PLACES, "place_"),
+    "height": (HEIGHTS, "vowel_"),
+    "backness": (BACKNESSES, "vowel_"),
+    "rounding": (ROUNDINGS, "vowel_"),
+}
+_KIND_FIELDS = {
+    "vowel": ("voicing", "height", "backness", "rounding"),
+    "consonant": ("voicing", "manner", "place"),
+    "silence": (),
+}
+KINDS = tuple(_KIND_FIELDS)
+
 
 @dataclass(frozen=True)
 class Phoneme:
@@ -57,60 +74,27 @@ class Phoneme:
     rounding: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in KINDS:
+        if self.kind not in _KIND_FIELDS:
             raise ValueError(f"{self.symbol}: unknown kind {self.kind!r}")
-        if self.kind == "consonant":
-            if self.voicing not in VOICINGS:
-                raise ValueError(f"{self.symbol}: consonant needs a voicing, got {self.voicing!r}")
-            if self.manner not in MANNERS:
-                raise ValueError(f"{self.symbol}: consonant needs one manner, got {self.manner!r}")
-            if self.place not in PLACES:
-                raise ValueError(f"{self.symbol}: consonant needs one place, got {self.place!r}")
-            if self.height or self.backness or self.rounding:
-                raise ValueError(f"{self.symbol}: consonant carries vowel features")
-        elif self.kind == "vowel":
-            if self.voicing not in VOICINGS:
-                raise ValueError(f"{self.symbol}: vowel needs a voicing, got {self.voicing!r}")
-            if self.height not in HEIGHTS:
-                raise ValueError(f"{self.symbol}: vowel needs one height, got {self.height!r}")
-            if self.backness not in BACKNESSES:
-                raise ValueError(f"{self.symbol}: vowel needs one backness, got {self.backness!r}")
-            if self.rounding not in ROUNDINGS:
-                raise ValueError(f"{self.symbol}: vowel needs one rounding, got {self.rounding!r}")
-            if self.manner or self.place:
-                raise ValueError(f"{self.symbol}: vowel carries consonant features")
-        else:  # silence
-            if any((self.voicing, self.manner, self.place, self.height, self.backness, self.rounding)):
-                raise ValueError(f"{self.symbol}: silence carries no features")
+        own = _KIND_FIELDS[self.kind]
+        for name, (values, _) in _FIELDS.items():
+            value = getattr(self, name)
+            if name in own and value not in values:
+                raise ValueError(f"{self.symbol}: {self.kind} needs one {name}, got {value!r}")
+            if name not in own and value:
+                raise ValueError(
+                    f"{self.symbol}: {self.kind} has no features of {name}, got {value!r}")
 
     def categories(self) -> frozenset[str]:
         """All category names whose predicate holds for this phoneme."""
-        if self.kind == "silence":
-            return frozenset({"silence"})
-        if self.kind == "consonant":
-            return frozenset(
-                {"consonant", self.voicing, f"manner_{self.manner}", f"place_{self.place}"}
-            )
-        return frozenset(
-            {
-                "vowel",
-                self.voicing,
-                f"vowel_{self.height}",
-                f"vowel_{self.backness}",
-                f"vowel_{self.rounding}",
-            }
-        )
+        own = _KIND_FIELDS[self.kind]
+        return frozenset({self.kind, *(_FIELDS[name][1] + getattr(self, name) for name in own)})
 
 
 def category_names() -> tuple[str, ...]:
-    """Canonical report order for every category the taxonomy defines."""
-    names = ["vowel", "consonant", "silence", "voiced", "voiceless"]
-    names += [f"manner_{m}" for m in MANNERS]
-    names += [f"place_{p}" for p in PLACES]
-    names += [f"vowel_{h}" for h in HEIGHTS]
-    names += [f"vowel_{b}" for b in BACKNESSES]
-    names += [f"vowel_{r}" for r in ROUNDINGS]
-    return tuple(names)
+    """Canonical report order for every category the taxonomy defines: the
+    kinds, then each field's prefixed values in table order."""
+    return KINDS + tuple(prefix + value for values, prefix in _FIELDS.values() for value in values)
 
 
 class CategoryTable:
@@ -165,21 +149,11 @@ class CategoryTable:
 
     @classmethod
     def _parse(cls, reader: csv.DictReader) -> "CategoryTable":
-        phonemes = []
-        for row in reader:
-            phonemes.append(
-                Phoneme(
-                    symbol=row["symbol"].strip(),
-                    kind=row["kind"].strip(),
-                    voicing=row["voicing"].strip() or None,
-                    manner=row["manner"].strip() or None,
-                    place=row["place"].strip() or None,
-                    height=row["height"].strip() or None,
-                    backness=row["backness"].strip() or None,
-                    rounding=row["rounding"].strip() or None,
-                )
-            )
-        return cls(phonemes)
+        return cls(
+            Phoneme(symbol=row["symbol"].strip(), kind=row["kind"].strip(),
+                    **{name: row[name].strip() or None for name in _FIELDS})
+            for row in reader
+        )
 
 
 @lru_cache(maxsize=1)

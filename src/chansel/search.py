@@ -19,7 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
@@ -302,81 +302,66 @@ class TrainingEvaluator:
             n_seeds=len(per_seed),
         )
 
-    def _run_pool(
-        self,
-        pending: Sequence[tuple[ChannelSubset, int]],
-        keep: Callable[[ChannelSubset, int, EvalRecord], None],
-    ) -> None:
-        """Run the pending tasks in a process pool, handing each finished
-        record to ``keep``. On the first failure, or an interrupt, cancel the
-        tasks not yet started, wait for the running ones, keep every record
-        that finished, then raise."""
+    def _keep(self, record: EvalRecord) -> None:
+        """Count one finished training task and store its record."""
+        self.training_runs += 1
+        self.cache.put(record)
+
+    def _run_pool(self, pending: Sequence[tuple[ChannelSubset, int]]) -> None:
+        """Run the pending tasks in a process pool, keeping each finished
+        record. On the first failure, or an interrupt, cancel the tasks not
+        yet started, wait for the running ones, keep every record that
+        finished, then raise."""
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
             initargs=(self._task_inputs(),),
         ) as pool:
-            futures = {pool.submit(_pool_task, s.indices, r): (s, r) for s, r in pending}
+            futures = {pool.submit(_pool_task, s.indices, r): s for s, r in pending}
             kept = set()
             try:
                 for fut in as_completed(futures):
-                    s, r = futures[fut]
                     try:
                         record = fut.result()
                     except Exception as exc:
-                        raise EvaluationError(s.label, exc) from exc
-                    keep(s, r, record)
+                        raise EvaluationError(futures[fut].label, exc) from exc
+                    self._keep(record)
                     kept.add(fut)
             except BaseException:
                 pool.shutdown(wait=True, cancel_futures=True)
-                for fut, (s, r) in futures.items():
+                for fut in futures:
                     if (fut not in kept and not fut.cancelled()
                             and fut.exception() is None):
-                        keep(s, r, fut.result())
+                        self._keep(fut.result())
                 raise
 
     def evaluate_many(
         self, subsets: Sequence[ChannelSubset], require_cached: bool = False
     ) -> dict[str, EvalRecord]:
         """Score several subsets, reusing cached per-seed records and running
-        the rest (in a process pool when workers > 1)."""
-        per_seed: dict[str, list[EvalRecord | None]] = {
-            s.label: [None] * self.replicates for s in subsets
-        }
-        by_label = {s.label: s for s in subsets}
-        pending: list[tuple[ChannelSubset, int]] = []
-        for s in subsets:
-            for r in range(self.replicates):
-                hit = self.cache.get(s.label, self.corpus_hash, self.config_hash, r)
-                if hit is not None:
-                    per_seed[s.label][r] = hit
-                else:
-                    pending.append((s, r))
+        the rest (in a process pool when workers > 1). Every record, cached or
+        new, is read back from the cache."""
+        def cached(s: ChannelSubset, r: int) -> EvalRecord | None:
+            return self.cache.get(s.label, self.corpus_hash, self.config_hash, r)
+
+        pending = [(s, r) for s in subsets for r in range(self.replicates) if cached(s, r) is None]
         if pending and require_cached:
             missing = sorted({s.label for s, _ in pending})
             raise ValueError(
                 f"cache is missing records for subsets {missing}; run the sweep first"
             )
-
-        if pending:
-            def keep(s: ChannelSubset, r: int, record: EvalRecord) -> None:
-                self.training_runs += 1
-                self.cache.put(record)
-                per_seed[s.label][r] = record
-
-            if self.workers > 1:
-                self._run_pool(pending, keep)
-            else:
-                for s, r in pending:
-                    try:
-                        record = _run_task_impl(self._task_inputs(), s.indices, r)
-                    except Exception as exc:
-                        raise EvaluationError(s.label, exc) from exc
-                    keep(s, r, record)
-
+        if self.workers > 1 and pending:
+            self._run_pool(pending)
+        else:
+            for s, r in pending:
+                try:
+                    record = _run_task_impl(self._task_inputs(), s.indices, r)
+                except Exception as exc:
+                    raise EvaluationError(s.label, exc) from exc
+                self._keep(record)
         return {
-            label: self._aggregate(by_label[label], records)  # type: ignore[arg-type]
-            for label, records in per_seed.items()
+            s.label: self._aggregate(s, [cached(s, r) for r in range(self.replicates)])
+            for s in subsets
         }
 
 

@@ -114,7 +114,7 @@ class TestPretrain:
                      "--out", str(out), flag, "0"])
         assert code == EXIT_DATA
         assert "bad layer sizes" in capsys.readouterr().err
-        assert not out.exists() or _read_all(out) == {}
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir, corpus_dir):
         out = workdir / "pretrain"
@@ -196,7 +196,26 @@ class TestFinetune:
                      "--features", "0"])
         assert code == EXIT_DATA
         assert "bad layer sizes" in capsys.readouterr().err
-        assert _read_all(out) == {}
+        assert not out.exists()
+
+    def test_init_model_must_match_corpus_channels(self, workdir, corpus_dir, tmp_path,
+                                                   capsys):
+        cfg = json.loads((workdir / "config.json").read_text())
+        cfg["generator"].update({"channels": 6, "weights": [0.8] * 6})
+        cfg_path = tmp_path / "cfg6.json"
+        cfg_path.write_text(json.dumps(cfg))
+        corpus6, pre = tmp_path / "corpus6", tmp_path / "pretrain6"
+        main(["gen-data", "--config", str(cfg_path), "--out", str(corpus6)])
+        main(["pretrain", "--config", str(cfg_path), "--corpus", str(corpus6),
+              "--out", str(pre)])
+        out = workdir / "ft"
+        capsys.readouterr()
+        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--subset", "13",
+                     "--init", str(pre / "model_p0.json"), "--from-scratch"])
+        assert code == EXIT_DATA
+        assert "--init model has 6 channels, the corpus has 4" in capsys.readouterr().err
+        assert not out.exists()  # neither side ran
 
     def test_requires_init_or_scratch(self, workdir, corpus_dir, capsys):
         code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),

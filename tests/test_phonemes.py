@@ -5,9 +5,12 @@ from chansel.phonemes import (
     CategoryTable,
     HEIGHTS,
     MANNERS,
+    PLACES,
     Phoneme,
     ROUNDINGS,
     SILENCE_SYMBOL,
+    VOICINGS,
+    category_names,
 )
 
 # the 21 category rows of the grouped error-analysis report
@@ -93,6 +96,21 @@ def test_all_report_categories_exist(table):
     assert set(REPORT_CATEGORIES) <= set(table.names)
 
 
+def test_category_names_in_report_order(table):
+    # this order is the row order of per_category and worst_channel.csv
+    assert category_names() == table.names == (
+        "vowel", "consonant", "silence",
+        "voiced", "voiceless",
+        "manner_liquid", "manner_fricative", "manner_nasal", "manner_plosive",
+        "manner_affricate", "manner_glide",
+        "place_bilabial", "place_alveolar", "place_labiodental", "place_velar",
+        "place_postalveolar", "place_glottal", "place_labiovelar", "place_palatal",
+        "vowel_high", "vowel_mid", "vowel_low",
+        "vowel_front", "vowel_central", "vowel_back",
+        "vowel_rounded", "vowel_unrounded",
+    )
+
+
 def test_voicing_covers_vowels_and_consonants(table):
     voiced = table.category_members("voiced")
     voiceless = table.category_members("voiceless")
@@ -142,6 +160,35 @@ def test_phoneme_validation():
         Phoneme("X", "silence", voicing="voiced")
     with pytest.raises(ValueError, match="kind"):
         Phoneme("X", "tone")
+
+
+VALID_FEATURES = {
+    "consonant": {"voicing": "voiced", "manner": "plosive", "place": "bilabial"},
+    "vowel": {"voicing": "voiced", "height": "mid", "backness": "central",
+              "rounding": "unrounded"},
+    "silence": {},
+}
+FIELD_VALUES = {"voicing": VOICINGS, "manner": MANNERS, "place": PLACES,
+                "height": HEIGHTS, "backness": BACKNESSES, "rounding": ROUNDINGS}
+SINGLE_FAULTS = [
+    (kind, field, "missing" if field in own else "foreign")
+    for kind, own in VALID_FEATURES.items() for field in FIELD_VALUES
+]
+
+
+@pytest.mark.parametrize("kind, field, fault", SINGLE_FAULTS)
+def test_single_fault_names_its_field(kind, field, fault):
+    Phoneme("X", kind, **VALID_FEATURES[kind])  # the base entry is valid
+    features = dict(VALID_FEATURES[kind])
+    if fault == "missing":
+        features[field] = None
+        expected = f"X: {kind} needs one {field}, got None"
+    else:
+        features[field] = FIELD_VALUES[field][0]
+        expected = f"X: {kind} has no features of {field}, got {FIELD_VALUES[field][0]!r}"
+    with pytest.raises(ValueError) as err:
+        Phoneme("X", kind, **features)
+    assert str(err.value) == expected
 
 
 def test_duplicate_symbols_rejected():
