@@ -1,9 +1,10 @@
 """Command-line entry point and experiment orchestration.
 
 Subcommands: gen-data, pretrain, finetune, backward-elim, exhaustive,
-ablate7, report. Settings come from a JSON config file (see DEFAULT_CONFIG
-for the schema); every flag overrides its file value. Exit codes: 0 success,
-1 usage error, 2 data/config error, 3 evaluator divergence.
+ablate7, report. Settings come from a JSON config file; DEFAULT_CONFIG is
+its schema, and a key it lacks or a value of another type is a config error.
+Every flag overrides its file value. Exit codes: 0 success, 1 usage error,
+2 data/config error, 3 evaluator divergence.
 
 The results cache lives in <output-dir>/cache.jsonl unless CHANSEL_CACHE_DIR
 points somewhere else. Outputs embed (version, config hash, corpus hash,
@@ -22,7 +23,7 @@ from contextlib import contextmanager
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
-from typing import Any, Mapping
+from typing import Any
 
 from . import __version__
 from .corpus import Corpus, load_corpus, save_corpus
@@ -40,6 +41,7 @@ from .phonemes import default_table
 from .reports import (
     Provenance,
     channel_average_csv,
+    comparison_csv,
     elimination_json,
     elimination_plot_csv,
     sweep_csv,
@@ -99,52 +101,55 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _merge(base: dict, extra: Mapping) -> dict:
-    out = copy.deepcopy(base)
-    for key, value in extra.items():
-        if isinstance(value, Mapping) and isinstance(out.get(key), dict):
-            out[key] = _merge(out[key], value)
-        else:
-            out[key] = value
-    return out
+def _typed(name: str, value: Any, default: Any) -> Any:
+    """``value`` as the type of its default; a number converts to the other
+    number type only when no value is lost (2 -> 2.0, 2.0 -> 2, not 2.5).
+    A null default takes any value: GeneratorConfig checks those keys."""
+    kind = type(default)
+    if default is None or type(value) is kind:
+        return value
+    if kind in (int, float) and type(value) in (int, float):
+        try:
+            typed = kind(value)
+        except (ValueError, OverflowError):  # nan, infinity or beyond float range
+            typed = None
+        if typed == value:
+            return typed
+    raise ValueError(f"config {name} must be {kind.__name__}, got {value!r}")
 
 
 def load_config(path: str | None) -> dict:
+    """DEFAULT_CONFIG overlaid with the file's values. Only its sections and
+    keys are allowed, and each value takes the type of its default."""
     cfg = copy.deepcopy(DEFAULT_CONFIG)
-    if path:
-        file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
-        if not isinstance(file_cfg, dict):
-            raise ValueError(f"config file {path} must hold a JSON object")
-        unknown = set(file_cfg) - set(cfg)
-        if unknown:
-            raise ValueError(f"unknown config sections {sorted(unknown)} in {path}")
-        cfg = _merge(cfg, file_cfg)
+    if not path:
+        return cfg
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(doc, dict):
+        raise ValueError(f"config file {path} must hold a JSON object")
+    for section, values in doc.items():
+        if section not in cfg:
+            raise ValueError(f"unknown config section {section!r} in {path}")
+        if not isinstance(values, dict):
+            raise ValueError(f"config section {section} in {path} must be a JSON object, "
+                             f"got {values!r}")
+        for key, value in values.items():
+            if key not in cfg[section]:
+                raise ValueError(f"unknown config key {section}.{key} in {path}")
+            cfg[section][key] = _typed(f"{section}.{key}", value, cfg[section][key])
     return cfg
 
 
-# Flags that override one config value: flag name -> (section, key, type).
-# A subcommand names the flags it accepts; each is spelled --name-with-dashes.
-FLAGS: dict[str, tuple[str, str, type]] = {
-    "seed": ("train", "seed", int),
-    "epochs": ("train", "epochs", int),
-    "learning_rate": ("train", "learning_rate", float),
-    "batch_size": ("train", "batch_size", int),
-    "dropout_p": ("train", "dropout_p", float),
-    "window": ("model", "window", int),
-    "features": ("model", "features", int),
-    "k": ("search", "k", int),
-    "k_top": ("search", "k_top", int),
-    "stop_size": ("search", "stop_size", int),
-    "replicates": ("search", "replicates", int),
-    "metric": ("search", "metric", str),
-    "budget": ("search", "budget", int),
-    "workers": ("search", "workers", int),
-    "per_threshold": ("eval", "per_threshold", int),
-    "train_fraction": ("eval", "train_fraction", float),
-    "gen_seed": ("generator", "seed", int),
-    "channels": ("generator", "channels", int),
-    "utterances": ("generator", "utterances", int),
-    "noise_sigma": ("generator", "noise_sigma", float),
+# Flags that override one config value: flag name -> (section, key). Every
+# key outside `generator` is the flag of its own name. A subcommand names the
+# flags it accepts, each spelled --name-with-dashes and typed as its default.
+FLAGS: dict[str, tuple[str, str]] = {
+    **{key: (section, key) for section in ("train", "model", "search", "eval")
+       for key in DEFAULT_CONFIG[section]},
+    "gen_seed": ("generator", "seed"),
+    "channels": ("generator", "channels"),
+    "utterances": ("generator", "utterances"),
+    "noise_sigma": ("generator", "noise_sigma"),
 }
 
 TRAINING_FLAGS = ("seed", "epochs", "learning_rate", "batch_size")
@@ -154,22 +159,11 @@ SEARCH_FLAGS = (*TRAINING_FLAGS, "window", "features", "replicates", "workers", 
 
 def _apply_overrides(cfg: dict, args: argparse.Namespace) -> dict:
     """Flags beat file values."""
-    for flag, (section, key, _) in FLAGS.items():
+    for flag, (section, key) in FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
             cfg[section][key] = value
     return cfg
-
-
-def _train_config(cfg: dict) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        learning_rate=float(t["learning_rate"]),
-        epochs=int(t["epochs"]),
-        batch_size=int(t["batch_size"]),
-        dropout_p=float(t["dropout_p"]),
-        seed=int(t["seed"]),
-    )
 
 
 def _cache_path(out_dir: Path) -> Path:
@@ -178,14 +172,10 @@ def _cache_path(out_dir: Path) -> Path:
     return base / "cache.jsonl"
 
 
-def _split(corpus: Corpus, cfg: dict) -> tuple[Corpus, Corpus]:
-    return corpus.split(float(cfg["eval"]["train_fraction"]))
-
-
 def _per_threshold(cfg: dict) -> int:
     """The category PER frame threshold; a category with no reference
     frames would divide by zero, so it must be at least 1."""
-    threshold = int(cfg["eval"]["per_threshold"])
+    threshold = cfg["eval"]["per_threshold"]
     if threshold < 1:
         raise ValueError(f"per_threshold must be >= 1, got {threshold}")
     return threshold
@@ -200,19 +190,18 @@ def _available_cpus() -> int:
 
 
 def _evaluator(corpus: Corpus, cfg: dict, out_dir: Path) -> TrainingEvaluator:
-    train_c, test_c = _split(corpus, cfg)
-    workers = int(cfg["search"]["workers"]) or _available_cpus()
+    train_c, test_c = corpus.split(cfg["eval"]["train_fraction"])
     return TrainingEvaluator(
         train_corpus=train_c,
         test_corpus=test_c,
         table=default_table(),
-        train_cfg=_train_config(cfg),
+        train_cfg=TrainConfig(**cfg["train"]),
         corpus_hash=corpus.content_hash,
-        window=int(cfg["model"]["window"]),
-        features=int(cfg["model"]["features"]),
-        replicates=int(cfg["search"]["replicates"]),
+        window=cfg["model"]["window"],
+        features=cfg["model"]["features"],
+        replicates=cfg["search"]["replicates"],
         threshold=_per_threshold(cfg),
-        workers=workers,
+        workers=cfg["search"]["workers"] or _available_cpus(),
         cache=ResultsCache(_cache_path(out_dir)),
     )
 
@@ -233,8 +222,7 @@ def _record_json(record) -> str:
 # --- subcommands ---------------------------------------------------------------
 
 
-def cmd_gen_data(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_gen_data(args: argparse.Namespace, cfg: dict) -> int:
     gen = GeneratorConfig.from_dict(cfg["generator"])
     corpus = generate(gen)
     digest = save_corpus(corpus, Path(args.out), force=args.force)
@@ -242,23 +230,22 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_pretrain(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_pretrain(args: argparse.Namespace, cfg: dict) -> int:
     corpus = load_corpus(Path(args.corpus))
-    train_c, _ = _split(corpus, cfg)
-    train_cfg = _train_config(cfg)
+    train_c, _ = corpus.split(cfg["eval"]["train_fraction"])
+    train_cfg = TrainConfig(**cfg["train"])
     params = init_params(
         channels=corpus.channels,
-        window=int(cfg["model"]["window"]),
-        features=int(cfg["model"]["features"]),
+        window=cfg["model"]["window"],
+        features=cfg["model"]["features"],
         class_symbols=corpus.label_alphabet(),
         seed=train_cfg.seed,
     )
     result = train(params, train_c, train_cfg)
     out_dir = Path(args.out)
     config_hash = config_fingerprint(
-        train_cfg, int(cfg["model"]["window"]), int(cfg["model"]["features"]),
-        int(cfg["eval"]["per_threshold"]), len(train_c),
+        train_cfg, cfg["model"]["window"], cfg["model"]["features"],
+        cfg["eval"]["per_threshold"], len(train_c),
     )
     model_path = out_dir / f"model_p{train_cfg.dropout_p:g}.json"
     save_model(result.params, model_path, seed=train_cfg.seed, config_hash=config_hash)
@@ -275,34 +262,29 @@ def cmd_pretrain(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_finetune(args: argparse.Namespace) -> int:
-    cfg = _apply_overrides(load_config(args.config), args)
+def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     if not args.init and not args.from_scratch:
         raise ValueError("finetune needs --init MODEL and/or --from-scratch")
     corpus = load_corpus(Path(args.corpus))
     threshold = _per_threshold(cfg)
     label = SUBSET_PRESETS.get(args.subset, args.subset)
     subset = parse_subset(label, corpus.channels)
-    train_c, test_c = _split(corpus, cfg)
+    train_c, test_c = corpus.split(cfg["eval"]["train_fraction"])
     train_r = train_c.restrict(subset)
     test_r = test_c.restrict(subset)
     out_dir = Path(args.out)
 
-    seed = int(cfg["train"]["seed"])
-    epochs = int(cfg["train"]["epochs"])
-    window, features = int(cfg["model"]["window"]), int(cfg["model"]["features"])
+    seed, epochs = cfg["train"]["seed"], cfg["train"]["epochs"]
+    window, features = cfg["model"]["window"], cfg["model"]["features"]
     # fine-tuning never masks channels; dropout belongs to pretraining.
     # epochs == 0 evaluates the initialisation as-is and reads no training
     # utterance, so it hashes n_train=0 to stay apart from --epochs 1.
-    ft_cfg = TrainConfig(
-        learning_rate=float(cfg["train"]["learning_rate"]), epochs=max(epochs, 1),
-        batch_size=int(cfg["train"]["batch_size"]), dropout_p=0.0, seed=seed,
-    )
+    ft_cfg = TrainConfig(**{**cfg["train"], "epochs": max(epochs, 1), "dropout_p": 0.0})
     config_hash = config_fingerprint(
         ft_cfg, window, features, threshold, len(train_r) if epochs else 0,
     )
     prov = _provenance(config_hash, corpus.content_hash, seed)
-    rows = ["mode,subset,wer,per_total"]
+    records = []
 
     def run_side(mode: str, start, parent_hash) -> None:
         tuned = start if epochs == 0 else train(start, train_r, ft_cfg).params
@@ -316,7 +298,7 @@ def cmd_finetune(args: argparse.Namespace) -> int:
             provenance={"parent": parent_hash, "subset": subset.label},
         )
         write_text(out_dir / f"eval_{mode}_{subset.label}.json", _record_json(record))
-        rows.append(f"{mode},{subset.label},{record.wer!r},{record.per_total!r}")
+        records.append((mode, record))
         print(f"{mode} {subset.label}: wer {record.wer:.4f}, per {record.per_total:.4f}")
 
     if args.init:
@@ -337,27 +319,23 @@ def cmd_finetune(args: argparse.Namespace) -> int:
         )
         run_side("scratch", scratch, None)
 
-    write_text(
-        out_dir / f"comparison_{subset.label}.csv",
-        "\n".join([prov.line(), *rows]) + "\n",
-    )
+    write_text(out_dir / f"comparison_{subset.label}.csv", comparison_csv(records, prov))
     return EXIT_OK
 
 
 @contextmanager
-def _search_setup(args: argparse.Namespace):
-    """Config, corpus, output directory, evaluator and provenance shared by
+def _search_setup(args: argparse.Namespace, cfg: dict):
+    """Corpus, output directory, evaluator and provenance shared by
     the search subcommands. On exit, whether the search finished or raised,
     warns about the cache lines that could not be read. A record's body is
     decoded when the search first reads it, so that count covers every
     damaged line of this config but no body of another config's line."""
-    cfg = _apply_overrides(load_config(args.config), args)
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)
     prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
     try:
-        yield cfg, corpus, out_dir, evaluator, prov
+        yield corpus, out_dir, evaluator, prov
     finally:
         cache = evaluator.cache
         if cache.skipped_lines:
@@ -365,12 +343,12 @@ def _search_setup(args: argparse.Namespace):
                   f"{cache.path}", file=sys.stderr)
 
 
-def cmd_backward_elim(args: argparse.Namespace) -> int:
-    with _search_setup(args) as (cfg, corpus, out_dir, evaluator, prov):
+def cmd_backward_elim(args: argparse.Namespace, cfg: dict) -> int:
+    with _search_setup(args, cfg) as (corpus, out_dir, evaluator, prov):
         trace = backward_elimination(
             evaluator,
             channels=corpus.channels,
-            stop_size=int(cfg["search"]["stop_size"]),
+            stop_size=cfg["search"]["stop_size"],
             metric=cfg["search"]["metric"],
         )
     write_text(out_dir / "elimination.json", elimination_json(trace, prov))
@@ -380,11 +358,11 @@ def cmd_backward_elim(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_reports(args: argparse.Namespace, cached_only: bool):
+def _sweep_reports(args: argparse.Namespace, cfg: dict, cached_only: bool):
     """Run (or, cached_only, replay from the cache) the exhaustive sweep and
     write its three reports; returns the sweep and the output directory."""
-    with _search_setup(args) as (cfg, corpus, out_dir, evaluator, prov):
-        k_top = int(cfg["search"]["k_top"])
+    with _search_setup(args, cfg) as (corpus, out_dir, evaluator, prov):
+        k_top = cfg["search"]["k_top"]
         if k_top < 1:
             raise ValueError(f"k_top must be >= 1, got {k_top}")
         if cached_only:
@@ -393,9 +371,9 @@ def _sweep_reports(args: argparse.Namespace, cached_only: bool):
         sweep = exhaustive_sweep(
             evaluator,
             channels=corpus.channels,
-            k=int(cfg["search"]["k"]),
+            k=cfg["search"]["k"],
             metric=cfg["search"]["metric"],
-            budget=int(cfg["search"]["budget"]),
+            budget=cfg["search"]["budget"],
         )
     k_top = min(k_top, len(sweep.records))
     counts = top_k_frequency(sweep, k_top)
@@ -407,8 +385,8 @@ def _sweep_reports(args: argparse.Namespace, cached_only: bool):
     return sweep, out_dir
 
 
-def cmd_exhaustive(args: argparse.Namespace) -> int:
-    sweep, _ = _sweep_reports(args, cached_only=False)
+def cmd_exhaustive(args: argparse.Namespace, cfg: dict) -> int:
+    sweep, _ = _sweep_reports(args, cfg, cached_only=False)
     best = sweep.records[0]
     print(
         f"swept {len(sweep.records)} subsets; best {best.subset_label} "
@@ -417,8 +395,8 @@ def cmd_exhaustive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_ablate7(args: argparse.Namespace) -> int:
-    with _search_setup(args) as (_, corpus, out_dir, evaluator, prov):
+def cmd_ablate7(args: argparse.Namespace, cfg: dict) -> int:
+    with _search_setup(args, cfg) as (corpus, out_dir, evaluator, prov):
         result = seven_channel_ablation(evaluator, corpus.channels)
     write_text(out_dir / "worst_channel.csv", worst_channel_csv(result.rows, prov))
     records_doc = {
@@ -435,8 +413,8 @@ def cmd_ablate7(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    sweep, out_dir = _sweep_reports(args, cached_only=True)
+def cmd_report(args: argparse.Namespace, cfg: dict) -> int:
+    sweep, out_dir = _sweep_reports(args, cfg, cached_only=True)
     print(f"rebuilt reports for {len(sweep.records)} cached subsets in {out_dir}")
     return EXIT_OK
 
@@ -453,7 +431,8 @@ def _add_common(sub: argparse.ArgumentParser, corpus: bool = True) -> None:
 
 def _add_flags(sub: argparse.ArgumentParser, names) -> None:
     for name in names:
-        sub.add_argument("--" + name.replace("_", "-"), type=FLAGS[name][2])
+        section, key = FLAGS[name]
+        sub.add_argument("--" + name.replace("_", "-"), type=type(DEFAULT_CONFIG[section][key]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -503,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, _apply_overrides(load_config(args.config), args))
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

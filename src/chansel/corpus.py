@@ -158,13 +158,19 @@ def load_corpus(directory: Path) -> Corpus:
     n = int(manifest["utterances"])
 
     labels_by_utt: dict[int, list[tuple[int, str]]] = {i: [] for i in range(n)}
-    text = (directory / "labels.csv").read_text(encoding="utf-8")
-    rows = text.strip().splitlines()
+    labels_path = directory / "labels.csv"
+    rows = labels_path.read_text(encoding="utf-8").strip().splitlines()
     if rows[0] != "utterance,frame,label":
         raise ValueError(f"unexpected labels.csv header: {rows[0]!r}")
-    for row in rows[1:]:
-        utt, frame, lab = row.split(",")
-        labels_by_utt[int(utt)].append((int(frame), lab))
+    for line, row in enumerate(rows[1:], start=2):
+        try:
+            utt, frame, lab = row.split(",")
+            labels_by_utt[int(utt)].append((int(frame), lab))
+        except (ValueError, KeyError):
+            raise ValueError(
+                f"{labels_path} line {line}: expected utterance,frame,label with an "
+                f"utterance index below {n} and an integer frame, got {row!r}"
+            ) from None
 
     sequences = []
     for i in range(n):

@@ -97,7 +97,11 @@ def category_per(
 ) -> CategoryReport:
     """Error rate per category, counting a frame toward every category its
     reference label belongs to. Categories with fewer than ``threshold``
-    qualifying frames land in ``excluded`` instead of the rows."""
+    qualifying frames land in ``excluded`` instead of the rows. A threshold
+    below 1 would let a category with no frames divide by zero, so it is
+    refused."""
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
     if len(ref) != len(hyp):
         raise ValueError(f"frame label length mismatch: ref {len(ref)} vs hyp {len(hyp)}")
     counts = Counter(ref)  # keys in first-seen frame order

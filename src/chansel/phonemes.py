@@ -145,7 +145,12 @@ class CategoryTable:
     @classmethod
     def from_csv(cls, path: Path) -> "CategoryTable":
         with open(path, newline="", encoding="utf-8") as fh:
-            return cls._parse(csv.DictReader(fh))
+            reader = csv.DictReader(fh)
+            header = reader.fieldnames or ()
+            missing = [c for c in ("symbol", "kind", *_FIELDS) if c not in header]
+            if missing:
+                raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
+            return cls._parse(reader)
 
     @classmethod
     def _parse(cls, reader: csv.DictReader) -> "CategoryTable":

@@ -1,21 +1,27 @@
 """CSV/JSON report emission.
 
-All CSVs are UTF-8, comma-delimited, one header row. When provenance is
-given it is embedded as a single leading '#' comment line carrying the tool
-version and the config/corpus/seed fingerprints; the writers are otherwise
-pure functions of their inputs, so identical runs produce identical bytes.
+All CSVs are UTF-8, comma-delimited, one header row, quoted as
+``csv.writer`` quotes by default: only a field holding a comma, quote or line
+break, such as the subset label ``1,2,10`` of a corpus of ten or more
+channels, is quoted. When provenance is given it is embedded as a single
+leading '#' comment line carrying the tool version and the config/corpus/seed
+fingerprints; the writers are otherwise pure functions of their inputs, so
+identical runs produce identical bytes.
 Rates are fractions in memory and percentages (one decimal) in the table
 reports.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .metrics import WorstChannelRow
+from .model import EvalRecord
 from .search import EliminationTrace, SweepResult
 from .signals import parse_subset
 
@@ -34,9 +40,12 @@ class Provenance:
         )
 
 
-def _render(lines: Sequence[str], provenance: Provenance | None) -> str:
-    head = [provenance.line()] if provenance else []
-    return "\n".join([*head, *lines]) + "\n"
+def _render(rows: Sequence[Sequence[object]], provenance: Provenance | None) -> str:
+    out = io.StringIO()
+    if provenance:
+        out.write(provenance.line() + "\n")
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def pct(rate: float) -> str:
@@ -44,10 +53,9 @@ def pct(rate: float) -> str:
 
 
 def sweep_csv(sweep: SweepResult, provenance: Provenance | None = None) -> str:
-    lines = ["subset_label,wer,per_total,seed_count"]
-    for r in sweep.records:
-        lines.append(f"{r.subset_label},{r.wer!r},{r.per_total!r},{r.n_seeds}")
-    return _render(lines, provenance)
+    rows = [("subset_label", "wer", "per_total", "seed_count")]
+    rows += [(r.subset_label, repr(r.wer), repr(r.per_total), r.n_seeds) for r in sweep.records]
+    return _render(rows, provenance)
 
 
 def top_subsets_csv(
@@ -58,14 +66,13 @@ def top_subsets_csv(
 ) -> str:
     """Top-k subsets with per-channel membership indicators and a trailing
     count row; metric shown as a percentage."""
-    channel_cols = ",".join(str(c + 1) for c in range(sweep.channels))
-    lines = [f"subset,{channel_cols},{sweep.metric_name}"]
+    rows = [("subset", *range(1, sweep.channels + 1), sweep.metric_name)]
     for r in sweep.records[:k_top]:
         members = set(parse_subset(r.subset_label, sweep.channels).indices)
-        indicators = ",".join("1" if c in members else "0" for c in range(sweep.channels))
-        lines.append(f"{r.subset_label},{indicators},{pct(r.metric(sweep.metric_name))}")
-    lines.append("count," + ",".join(str(n) for n in counts) + ",")
-    return _render(lines, provenance)
+        indicators = (1 if c in members else 0 for c in range(sweep.channels))
+        rows.append((r.subset_label, *indicators, pct(r.metric(sweep.metric_name))))
+    rows.append(("count", *counts, ""))
+    return _render(rows, provenance)
 
 
 def channel_average_csv(
@@ -74,21 +81,18 @@ def channel_average_csv(
     provenance: Provenance | None = None,
 ) -> str:
     """Per-channel mean metric, best channel first; channels are 1-based."""
-    lines = [f"channel,avg_{metric_name}"]
-    for ch, mean in averages:
-        lines.append(f"{ch + 1},{pct(mean)}")
-    return _render(lines, provenance)
+    rows = [("channel", f"avg_{metric_name}")]
+    rows += [(ch + 1, pct(mean)) for ch, mean in averages]
+    return _render(rows, provenance)
 
 
 def worst_channel_csv(
     rows: Sequence[WorstChannelRow], provenance: Provenance | None = None
 ) -> str:
-    lines = ["category,baseline_per,worst_per,critical_channel"]
-    for row in rows:
-        lines.append(
-            f"{row.category},{pct(row.baseline_rate)},{pct(row.worst_rate)},{row.channel}"
-        )
-    return _render(lines, provenance)
+    table = [("category", "baseline_per", "worst_per", "critical_channel")]
+    table += [(row.category, pct(row.baseline_rate), pct(row.worst_rate), row.channel)
+              for row in rows]
+    return _render(table, provenance)
 
 
 def elimination_json(trace: EliminationTrace, provenance: Provenance | None = None) -> str:
@@ -106,13 +110,13 @@ def elimination_json(trace: EliminationTrace, provenance: Provenance | None = No
 def elimination_plot_csv(trace: EliminationTrace, provenance: Provenance | None = None) -> str:
     """Plot-ready channel-count curve: best and median candidate metric at
     each surviving subset size."""
-    lines = [f"channel_count,best_{trace.metric_name},median_{trace.metric_name}"]
+    rows = [("channel_count", f"best_{trace.metric_name}", f"median_{trace.metric_name}")]
     for step in trace.steps:
         metrics = sorted(m for _, m in step.candidates)
         n = len(metrics)
         median = metrics[n // 2] if n % 2 else (metrics[n // 2 - 1] + metrics[n // 2]) / 2
-        lines.append(f"{len(step.surviving)},{step.metric!r},{median!r}")
-    return _render(lines, provenance)
+        rows.append((len(step.surviving), repr(step.metric), repr(median)))
+    return _render(rows, provenance)
 
 
 def training_log_csv(
@@ -120,10 +124,19 @@ def training_log_csv(
     mean_retained: float,
     provenance: Provenance | None = None,
 ) -> str:
-    lines = ["epoch,loss,mean_retained_channels"]
-    for i, loss in enumerate(epoch_losses):
-        lines.append(f"{i},{loss!r},{mean_retained!r}")
-    return _render(lines, provenance)
+    rows = [("epoch", "loss", "mean_retained_channels")]
+    rows += [(i, repr(loss), repr(mean_retained)) for i, loss in enumerate(epoch_losses)]
+    return _render(rows, provenance)
+
+
+def comparison_csv(
+    records: Sequence[tuple[str, EvalRecord]], provenance: Provenance | None = None
+) -> str:
+    """Fine-tuned and scratch-trained scores side by side: one (mode,
+    record) pair per row."""
+    rows = [("mode", "subset", "wer", "per_total")]
+    rows += [(mode, r.subset_label, repr(r.wer), repr(r.per_total)) for mode, r in records]
+    return _render(rows, provenance)
 
 
 def write_text(path: Path, text: str) -> None:

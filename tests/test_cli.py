@@ -495,7 +495,8 @@ class TestFlagTable:
                 if action.dest in self.OWN:
                     continue
                 assert action.dest in cli.FLAGS, (name, action.dest)
-                section, key, typ = cli.FLAGS[action.dest]
+                section, key = cli.FLAGS[action.dest]
+                typ = type(cli.DEFAULT_CONFIG[section][key])
                 value = "per_total" if typ is str else "7"
                 args = parser.parse_args([name, *required, action.option_strings[0], value])
                 cfg = cli._apply_overrides(copy.deepcopy(cli.DEFAULT_CONFIG), args)
@@ -503,6 +504,57 @@ class TestFlagTable:
                 expected[section][key] = typ(value)
                 assert cfg == expected, (name, action.dest)
                 assert type(cfg[section][key]) is typ, (name, action.dest)
+
+
+class TestConfigSchema:
+    def _run(self, tmp_path, capsys, doc, command="gen-data", extra=()):
+        """Exit code and stderr of a run on a config holding ``doc``; the
+        output directory must not appear."""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        code = main([command, "--config", str(path), "--out", str(out), *extra])
+        assert not out.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("section", sorted(cli.DEFAULT_CONFIG))
+    def test_unknown_key_is_data_error(self, tmp_path, capsys, section):
+        code, err = self._run(tmp_path, capsys, {section: {"nosuch": 1}})
+        assert code == EXIT_DATA
+        assert f"unknown config key {section}.nosuch" in err
+
+    def test_section_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, {"train": [1, 2]})
+        assert code == EXIT_DATA
+        assert "config section train" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("train", "epochs", None), ("train", "epochs", [3]), ("train", "epochs", 2.5),
+        ("train", "epochs", True), ("train", "epochs", "3"), ("model", "window", {}),
+        ("train", "learning_rate", "0.5"), ("search", "metric", 5),
+        ("generator", "weights", 0.5),
+    ])
+    def test_value_of_another_type_is_data_error(self, tmp_path, capsys, section, key, value):
+        code, err = self._run(tmp_path, capsys, {section: {key: value}})
+        assert code == EXIT_DATA
+        assert f"config {section}.{key} must be " in err
+
+    def test_misspelt_dropout_key_does_not_pretrain(self, workdir, corpus_dir, capsys):
+        capsys.readouterr()
+        code, err = self._run(workdir, capsys, {"train": {"dropout": 0.125}}, "pretrain",
+                              ("--corpus", str(corpus_dir)))
+        assert code == EXIT_DATA
+        assert "unknown config key train.dropout" in err
+
+    def test_numbers_convert_to_the_default_type_without_loss(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"train": {"learning_rate": 1, "epochs": 2.0},
+                                    "generator": {"silence_frames": 4}}))
+        cfg = cli.load_config(str(path))
+        assert (cfg["train"]["learning_rate"], cfg["train"]["epochs"]) == (1.0, 2)
+        assert type(cfg["train"]["learning_rate"]) is float
+        assert type(cfg["train"]["epochs"]) is int
+        assert cfg["generator"]["silence_frames"] == 4  # a null default takes any value
 
 
 class TestExitCodes:

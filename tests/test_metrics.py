@@ -14,6 +14,7 @@ from chansel.metrics import (
     word_error_rate,
     worst_channel_table,
 )
+from chansel.model import evaluate, init_params
 from util import exhaustive_edit_distance, report_from_rates
 
 
@@ -165,6 +166,15 @@ class TestCategoryPer:
         with pytest.raises(KeyError, match="QQ"):
             category_per(["QQ"], ["QQ"], table, threshold=1)
 
+    @pytest.mark.parametrize("threshold", [0, -1])
+    def test_threshold_below_one_rejected(self, table, tiny_corpus, threshold):
+        message = f"threshold must be >= 1, got {threshold}"
+        with pytest.raises(ValueError, match=message):
+            category_per(["B", "SIL"], ["B", "SIL"], table, threshold=threshold)
+        params = init_params(tiny_corpus.channels, 3, 4, tiny_corpus.label_alphabet(), seed=0)
+        with pytest.raises(ValueError, match=message):
+            evaluate(params, tiny_corpus, table, threshold=threshold)
+
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
     def test_matches_per_frame_reference(self, table, data):
@@ -176,9 +186,13 @@ class TestCategoryPer:
             # unknown labels: the first one in frame order names the error
             for at in data.draw(st.sets(st.integers(0, len(ref) - 1), min_size=1)):
                 ref[at] = f"QQ{at}"
+        if threshold < 1:  # the reference would divide an empty category by zero
+            with pytest.raises(ValueError, match="threshold must be >= 1, got 0"):
+                category_per(ref, hyp, table, threshold=threshold)
+            return
         try:
             expected = _reference_category_per(ref, hyp, table, threshold)
-        except (KeyError, ZeroDivisionError) as exc:  # threshold 0 admits empty categories
+        except KeyError as exc:
             with pytest.raises(type(exc)) as caught:
                 category_per(ref, hyp, table, threshold=threshold)
             assert str(caught.value) == str(exc)

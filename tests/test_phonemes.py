@@ -151,6 +151,16 @@ def test_custom_inventory_substitution(tmp_path):
     assert mini.category_members("manner_nasal") == set()
 
 
+def test_missing_csv_column_is_named(tmp_path):
+    path = tmp_path / "short.csv"
+    path.write_text(
+        "symbol,kind,voicing,manner,place,height,backness\n"
+        "PA,consonant,voiceless,plosive,bilabial,,\n"
+    )
+    with pytest.raises(ValueError, match=f"{path} lacks the column\\(s\\) rounding"):
+        CategoryTable.from_csv(path)
+
+
 def test_phoneme_validation():
     with pytest.raises(ValueError, match="manner"):
         Phoneme("X", "consonant", voicing="voiced", place="velar")

@@ -1,7 +1,12 @@
+import csv
+
+import pytest
+
 from chansel.metrics import TOTAL_ROW, WorstChannelRow
 from chansel.reports import (
     Provenance,
     channel_average_csv,
+    comparison_csv,
     elimination_plot_csv,
     sweep_csv,
     top_subsets_csv,
@@ -128,3 +133,17 @@ def test_training_log_rows_match_epochs():
     assert lines[0] == "epoch,loss,mean_retained_channels"
     assert len(lines) == 4
     assert lines[1].startswith("0,1.5,")
+
+
+@pytest.mark.parametrize("render", [
+    lambda sweep: sweep_csv(sweep),
+    lambda sweep: top_subsets_csv(sweep, 2, counts=(2,) * 10),
+    lambda sweep: comparison_csv([("ft", r) for r in sweep.records]),
+], ids=["sweep", "top_subsets", "comparison"])
+def test_labels_with_commas_are_quoted(render):
+    # from ten channels on, a subset label is comma-separated
+    records = (make_record("1,2,10", wer=0.25), make_record("3,4,5", wer=0.5))
+    sweep = SweepResult(channels=10, k=3, metric_name="wer", records=records)
+    rows = list(csv.reader(render(sweep).splitlines()))
+    assert {len(row) for row in rows} == {len(rows[0])}
+    assert "1,2,10" in rows[1] and "3,4,5" in rows[2]  # each label reads back as one field

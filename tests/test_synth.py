@@ -179,6 +179,21 @@ class TestCorpusIO:
             load_corpus(tmp_path / "corpus")
 
 
+    @pytest.mark.parametrize("row", ["0,1", "0,x,SIL", "99,0,SIL", "-1,0,SIL"],
+                             ids=["field-count", "non-integer", "index-too-high", "negative"])
+    def test_malformed_label_row_names_file_and_line(self, tmp_path, row):
+        corpus = generate(_small_cfg())
+        save_corpus(corpus, tmp_path / "corpus")
+        labels = tmp_path / "corpus" / "labels.csv"
+        lines = labels.read_text().splitlines()
+        lines[3] = row
+        labels.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as caught:
+            load_corpus(tmp_path / "corpus")
+        assert str(caught.value).startswith(f"{labels} line 4: ")
+        assert repr(row) in str(caught.value)
+
+
 class TestCorpusOps:
     def test_restrict_drops_rows_only(self):
         corpus = generate(_small_cfg())
