@@ -124,7 +124,10 @@ def load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if not path:
         return cfg
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
     for section, values in doc.items():
@@ -327,9 +330,10 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
 def _search_setup(args: argparse.Namespace, cfg: dict):
     """Corpus, output directory, evaluator and provenance shared by
     the search subcommands. On exit, whether the search finished or raised,
-    warns about the cache lines that could not be read. A record's body is
-    decoded when the search first reads it, so that count covers every
-    damaged line of this config but no body of another config's line."""
+    warns about the cache lines that could not be read. A line is parsed
+    when the search first reads its config's records, so that count covers
+    every damaged line of this config, and of another config's lines only
+    those that lack the canonical head and are not JSON or carry no key."""
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)
@@ -493,7 +497,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_DIVERGED
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ValueError, KeyError, OSError, SweepBudgetError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, SweepBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 SILENCE_SYMBOL = "SIL"
 
@@ -146,18 +146,28 @@ class CategoryTable:
     def from_csv(cls, path: Path) -> "CategoryTable":
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
+            columns = ("symbol", "kind", *_FIELDS)
             header = reader.fieldnames or ()
-            missing = [c for c in ("symbol", "kind", *_FIELDS) if c not in header]
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
-            return cls._parse(reader)
+
+            def rows() -> Iterator[dict]:
+                for row in reader:
+                    short = [c for c in columns if row[c] is None]
+                    if short:
+                        raise ValueError(f"{path} line {reader.line_num}: the row stops "
+                                         f"before the column(s) {', '.join(short)}")
+                    yield row
+
+            return cls._parse(rows())
 
     @classmethod
-    def _parse(cls, reader: csv.DictReader) -> "CategoryTable":
+    def _parse(cls, rows: Iterable[dict]) -> "CategoryTable":
         return cls(
             Phoneme(symbol=row["symbol"].strip(), kind=row["kind"].strip(),
                     **{name: row[name].strip() or None for name in _FIELDS})
-            for row in reader
+            for row in rows
         )
 
 

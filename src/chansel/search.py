@@ -11,13 +11,17 @@ never changes a byte of what lands on disk.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import itertools
 import json
 import math
+import re
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -62,50 +66,73 @@ class EvaluationError(RuntimeError):
 # --- results cache -----------------------------------------------------------
 
 
+# The head that ``json.dumps(record.to_dict(), sort_keys=True)`` writes. A
+# hash holding no quote, backslash or control character is written as is,
+# so the two groups equal the decoded JSON strings.
+_HEAD = re.compile(r'\{"config_hash": "([^"\\\x00-\x1f]*)", "corpus_hash": "([^"\\\x00-\x1f]*)", ')
+
+
+def _record_key(d: Mapping) -> tuple[str, str, str, int]:
+    return (d["subset"], d["corpus_hash"], d["config_hash"], int(d["seed"]))
+
+
 class ResultsCache:
     """Append-only JSON-lines store of per-seed EvalRecords.
 
     A record's identity is (subset label, corpus hash, config hash, seed).
-    Loading reads only each line's key and keeps the line's text; the first
-    ``get`` of a key decodes its record, so a cache shared by many configs
-    pays only for the records a run reads. ``skipped_lines`` counts the
-    unreadable lines: at load, those that are not JSON or carry no key, such
-    as the torn final line of a sweep killed mid-write (so that sweep resumes
-    cleanly); at first ``get``, a keyed line whose body does not decode,
-    which then reads as a miss. Bodies no ``get`` reads are never checked.
-    A torn final line is ended before the first append, so the next record
-    starts a line of its own.
+    Loading groups the lines by scope, (corpus hash, config hash), read from
+    the canonical head ``put`` writes, without parsing them. Any other line
+    is parsed at load: one without a key is counted in ``skipped_lines``
+    (not JSON, or the torn final line of a sweep killed mid-write, so that
+    sweep resumes cleanly), one with a key joins its scope. The first
+    ``get`` or ``put`` of a scope keys its lines, counting those that do not
+    parse or carry no key; the first ``get`` of a key decodes its record,
+    counting a body that does not decode, which then reads as a miss. So a
+    cache shared by many configs costs a run little more than its own
+    scope, and damage behind another scope's head is never counted. A torn
+    final line is ended before the first append, so the next record starts
+    a line of its own.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        # a value is the line's text until its first get decodes it
-        self._records: dict[tuple[str, str, str, int], EvalRecord | str] = {}
+        # a value is the line's parsed JSON until its first get decodes it
+        self._records: dict[tuple[str, str, str, int], EvalRecord | dict] = {}
+        # per scope not yet keyed, its lines in file order (text, or parsed JSON)
+        self._unkeyed: dict[tuple[str, str], list[str | dict]] = {}
         self.skipped_lines = 0
         self._torn_tail = False
         if self.path is not None and self.path.exists():
             lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
             self._torn_tail = bool(lines) and not lines[-1].endswith("\n")
+            head = _HEAD.match
             for line in lines:
-                if not line.strip():
-                    continue
-                try:
-                    d = json.loads(line)
-                    key = (d["subset"], d["corpus_hash"], d["config_hash"], int(d["seed"]))
-                    self._records[key] = line
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                    self.skipped_lines += 1
+                m = head(line)
+                if m is not None:
+                    self._unkeyed.setdefault(m.group(2, 1), []).append(line)
+                elif line.strip():
+                    try:
+                        d = json.loads(line)
+                        self._unkeyed.setdefault(_record_key(d)[1:3], []).append(d)
+                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                        self.skipped_lines += 1
 
-    @staticmethod
-    def _key(record: EvalRecord) -> tuple[str, str, str, int]:
-        return (record.subset_label, record.corpus_hash, record.config_hash, record.seed)
+    def _key_scope(self, scope: tuple[str, str]) -> None:
+        """Key the lines of one scope, on its first get or put."""
+        for line in self._unkeyed.pop(scope, ()):
+            try:
+                d = json.loads(line) if isinstance(line, str) else line
+                self._records[_record_key(d)] = d
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                self.skipped_lines += 1
 
     def get(self, subset_label: str, corpus_hash: str, config_hash: str, seed: int) -> EvalRecord | None:
+        self._key_scope((corpus_hash, config_hash))
         key = (subset_label, corpus_hash, config_hash, seed)
         record = self._records.get(key)
-        if isinstance(record, str):
+        if isinstance(record, dict):
             try:
-                record = EvalRecord.from_dict(json.loads(record))
+                record = EvalRecord.from_dict(record)
             except (KeyError, TypeError, ValueError):
                 self.skipped_lines += 1
                 del self._records[key]
@@ -114,7 +141,9 @@ class ResultsCache:
         return record
 
     def put(self, record: EvalRecord) -> None:
-        self._records[self._key(record)] = record
+        self._key_scope((record.corpus_hash, record.config_hash))
+        self._records[(record.subset_label, record.corpus_hash, record.config_hash,
+                       record.seed)] = record
         if self.path is not None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as fh:
@@ -125,6 +154,9 @@ class ResultsCache:
                 fh.flush()
 
     def __len__(self) -> int:
+        """The number of distinct keys; keys every scope not yet keyed."""
+        for scope in list(self._unkeyed):
+            self._key_scope(scope)
         return len(self._records)
 
 
@@ -199,9 +231,33 @@ class TaskInputs:
 _WORKER_INPUTS: TaskInputs | None = None
 
 
-def _init_worker(inputs: TaskInputs) -> None:
+@lru_cache(maxsize=1)
+def _openblas_library() -> str | None:
+    """Path of numpy's bundled OpenBLAS if it exports the thread setter.
+    Looked up once; when there is none, says so once on stderr."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            ctypes.CDLL(str(path)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        return str(path)
+    print(f"warning: no scipy-openblas library with a thread setter in {libs}; pool "
+          "workers keep the BLAS default thread count (set OPENBLAS_NUM_THREADS=1 "
+          "to pin it)", file=sys.stderr)
+    return None
+
+
+def _init_worker(inputs: TaskInputs, openblas: str | None) -> None:
+    """Install the task inputs, and pin BLAS to one thread: the pool runs
+    ``workers`` processes side by side, and BLAS threads on top of them
+    oversubscribe the cores without making a task faster."""
     global _WORKER_INPUTS
     _WORKER_INPUTS = inputs
+    if openblas is not None:
+        set_threads = ctypes.CDLL(openblas).scipy_openblas_set_num_threads64_
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
 
 
 def _run_task_impl(inputs: TaskInputs, indices: tuple[int, ...], replicate: int) -> EvalRecord:
@@ -315,7 +371,7 @@ class TrainingEvaluator:
         with ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
-            initargs=(self._task_inputs(),),
+            initargs=(self._task_inputs(), _openblas_library()),
         ) as pool:
             futures = {pool.submit(_pool_task, s.indices, r): s for s, r in pending}
             kept = set()

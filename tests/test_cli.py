@@ -576,6 +576,16 @@ class TestExitCodes:
         assert code == EXIT_DATA
         capsys.readouterr()
 
+    def test_torn_config_json_names_the_file(self, tmp_path, capsys):
+        torn = tmp_path / "torn.json"
+        torn.write_text('{"train": {"epochs": 2}\n')
+        out = tmp_path / "c"
+        code = main(["gen-data", "--config", str(torn), "--out", str(out)])
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"error: config file {torn} is not JSON: Expecting ',' delimiter" in err
+        assert not out.exists()
+
     def test_unknown_config_section_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"generatr": {}}))

@@ -161,6 +161,19 @@ def test_missing_csv_column_is_named(tmp_path):
         CategoryTable.from_csv(path)
 
 
+def test_short_csv_row_names_the_file_and_line(tmp_path):
+    path = tmp_path / "short_row.csv"
+    path.write_text(
+        "symbol,kind,voicing,manner,place,height,backness,rounding\n"
+        "AH,vowel,voiced,,,mid,central,unrounded\n"
+        "PA,consonant,voiceless\n"
+    )
+    with pytest.raises(ValueError, match=f"{path} line 3: the row stops before the "
+                                         "column\\(s\\) manner, place, height, backness, "
+                                         "rounding"):
+        CategoryTable.from_csv(path)
+
+
 def test_phoneme_validation():
     with pytest.raises(ValueError, match="manner"):
         Phoneme("X", "consonant", voicing="voiced", place="velar")

@@ -1,6 +1,8 @@
+import ctypes
 import itertools
 import json
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
@@ -346,6 +348,135 @@ class TestLazyResultsCache:
         assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.5)
         cache.put(make_record("13", wer=0.25))
         assert cache.get("13", "corpus", "cfg", 0) == make_record("13", wer=0.25)
+
+
+class TestScopedResultsCache:
+    def test_parses_only_the_read_scope_and_the_noncanonical_lines(self, tmp_path,
+                                                                   monkeypatch):
+        path = tmp_path / "cache.jsonl"
+        scope = [line for line in _mixed_cache(path)
+                 if '"config_hash": "other", "corpus_hash": "elsewhere"' in line]
+        assert len(scope) == 6
+        reordered = json.dumps(make_record("9", seed=3).to_dict())  # keys unsorted
+        with open(path, "a") as fh:
+            fh.write(f"{reordered}\n{{not json\n42\n")
+        parsed = []
+        real_loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return real_loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        cache = ResultsCache(path)
+        assert [text.strip() for text in parsed] == [reordered, "{not json", "42"]
+        assert cache.skipped_lines == 2
+        parsed.clear()
+        for label, seed in (("13", 1), ("234", 0), ("12", 1)):
+            assert cache.get(label, "elsewhere", "other", seed) is not None
+        assert [text.strip() for text in parsed] == scope
+        parsed.clear()
+        assert cache.get("9", "corpus", "cfg", 3) == make_record("9", seed=3)
+        assert len(parsed) == 6  # its canonical lines; the reordered one was parsed at load
+        assert cache.skipped_lines == 2
+
+    def test_unsorted_line_of_the_running_config_is_served(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write(json.dumps(make_record("13", wer=0.25).to_dict()) + "\n")
+            fh.write(json.dumps(make_record("12", wer=0.75).to_dict(), indent=1)
+                     .replace("\n", "") + "\n")  # a later copy of "12"
+        cache = ResultsCache(path)
+        assert cache.get("13", "corpus", "cfg", 0) == make_record("13", wer=0.25)
+        assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.75)
+        assert cache.skipped_lines == 0
+        assert len(cache) == 2
+
+    @pytest.mark.parametrize("tail", [True, False])
+    def test_running_config_line_torn_after_its_head_is_counted_once(self, tmp_path, tail):
+        path = tmp_path / "cache.jsonl"
+        first = ResultsCache(path)
+        first.put(make_record("12", wer=0.5))
+        line = json.dumps(make_record("13").to_dict(), sort_keys=True)
+        torn = line[:line.index('"wall_time"')]
+        with open(path, "a") as fh:
+            fh.write(torn if tail else torn + "\n")
+        if not tail:
+            first.put(make_record("14", wer=0.25))
+        cache = ResultsCache(path)
+        assert cache.skipped_lines == 0  # a canonical head is not parsed at load
+        assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.5)
+        assert cache.skipped_lines == 1
+        assert cache.get("13", "corpus", "cfg", 0) is None
+        assert cache.skipped_lines == 1
+        cache.put(make_record("13", wer=0.125))
+        reloaded = ResultsCache(path)
+        assert reloaded.get("13", "corpus", "cfg", 0) == make_record("13", wer=0.125)
+        assert reloaded.skipped_lines == 1
+        assert len(reloaded) == (2 if tail else 3)
+
+    def test_other_config_line_torn_after_its_head_is_not_counted(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        other = replace(make_record("13"), config_hash="other")
+        line = json.dumps(other.to_dict(), sort_keys=True)
+        with open(path, "a") as fh:
+            fh.write(line[:line.index('"wall_time"')] + "\n")
+        ResultsCache(path).put(make_record("14", wer=0.25))
+        cache = ResultsCache(path)
+        assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.5)
+        assert cache.get("14", "corpus", "cfg", 0) == make_record("14", wer=0.25)
+        cache.put(make_record("15"))
+        assert cache.skipped_lines == 0
+        assert cache.get("13", "corpus", "other", 0) is None
+        assert cache.skipped_lines == 1  # counted once its own config reads it
+
+    def test_hash_with_an_escaped_quote_round_trips(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        odd = replace(make_record("12", wer=0.5), config_hash='a", "corpus_hash": "b',
+                      corpus_hash="c\\d")
+        plain = make_record("12", wer=0.25)
+        cache = ResultsCache(path)
+        cache.put(odd)
+        cache.put(plain)
+        assert '"config_hash": "a\\", \\"corpus_hash\\": \\"b"' in path.read_text()
+        reloaded = ResultsCache(path)
+        assert reloaded.get("12", 'c\\d', 'a", "corpus_hash": "b', 0) == odd
+        assert reloaded.get("12", "corpus", "cfg", 0) == plain
+        assert reloaded.get("12", "b", 'a\\', 0) is None
+        assert reloaded.skipped_lines == 0
+        assert len(reloaded) == 2
+
+
+def _blas(library: str) -> tuple:
+    """numpy's bundled OpenBLAS thread getter and setter."""
+    blas = ctypes.CDLL(library)
+    get, set_ = blas.scipy_openblas_get_num_threads64_, blas.scipy_openblas_set_num_threads64_
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+def _worker_blas_threads() -> int:
+    return _blas(search._openblas_library())[0]()
+
+
+class TestPoolWorkerThreads:
+    def test_pool_worker_runs_one_blas_thread(self):
+        library = search._openblas_library()
+        if library is None:
+            pytest.skip("numpy has no bundled scipy-openblas library")
+        get_threads, set_threads = _blas(library)
+        before = get_threads()
+        set_threads(2)
+        try:
+            assert get_threads() == 2
+            with ProcessPoolExecutor(max_workers=1, initializer=search._init_worker,
+                                     initargs=(None, library)) as pool:
+                assert pool.submit(_worker_blas_threads).result(timeout=60) == 1
+        finally:
+            set_threads(before)
 
 
 def _search_corpus(channels=3, utterances=12, seed=0):
