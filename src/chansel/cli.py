@@ -62,7 +62,7 @@ from .search import (
     seven_channel_ablation,
     top_k_frequency,
 )
-from .signals import parse_subset
+from .signals import parse_subset, read_json
 from .synth import GeneratorConfig, generate
 
 EXIT_OK = 0
@@ -124,12 +124,7 @@ def load_config(path: str | None) -> dict:
     cfg = copy.deepcopy(DEFAULT_CONFIG)
     if not path:
         return cfg
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file {path} is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"config file {path} must hold a JSON object")
+    doc = read_json(Path(path), "config file")
     for section, values in doc.items():
         if section not in cfg:
             raise ValueError(f"unknown config section {section!r} in {path}")
@@ -371,7 +366,8 @@ def _sweep_reports(args: argparse.Namespace, cfg: dict, cached_only: bool):
             raise ValueError(f"k_top must be >= 1, got {k_top}")
         if cached_only:
             evaluator = SimpleNamespace(
-                evaluate_many=partial(evaluator.evaluate_many, require_cached=True))
+                evaluate_many=partial(evaluator.evaluate_many, require_cached=True),
+                close=evaluator.close)
         sweep = exhaustive_sweep(
             evaluator,
             channels=corpus.channels,

@@ -22,6 +22,7 @@ from .signals import (
     ChannelSubset,
     MultichannelSignal,
     load_signal,
+    read_json,
     restrict_to_subset,
     save_signal,
 )
@@ -154,7 +155,7 @@ def save_corpus(corpus: Corpus, directory: Path, force: bool = False) -> str:
 def load_corpus(directory: Path) -> Corpus:
     """Read a corpus directory back; verifies the manifest hash."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text(encoding="utf-8"))
+    manifest = read_json(directory / "manifest.json", "corpus manifest", ("utterances", "hash"))
     n = int(manifest["utterances"])
 
     labels_by_utt: dict[int, list[tuple[int, str]]] = {i: [] for i in range(n)}

@@ -38,7 +38,7 @@ from .metrics import (
     phoneme_error_rate,
 )
 from .phonemes import CategoryTable
-from .signals import ChannelSubset, draw_channel_mask
+from .signals import ChannelSubset, draw_channel_mask, read_json
 
 MODEL_FORMAT_VERSION = 1
 LOG_CLAMP = 1e-12
@@ -576,7 +576,8 @@ def save_model(
 
 def load_model(header_path: Path) -> tuple[ModelParams, dict]:
     header_path = Path(header_path)
-    manifest = json.loads(header_path.read_text(encoding="utf-8"))
+    manifest = read_json(header_path, "model manifest",
+                         ("layers", "class_symbols", "payload_sha256"))
     layers = manifest["layers"]
     c, w, f = int(layers["channels"]), int(layers["window"]), int(layers["features"])
     symbols = tuple(manifest["class_symbols"])

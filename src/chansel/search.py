@@ -6,7 +6,10 @@ train-config hash, seed) and stored as one JSON line in an append-only cache,
 so interrupted sweeps resume without recomputation and a warm replay performs
 zero trainings. Evaluations are independent tasks; with workers > 1 they run
 in a process pool, and all outputs are sorted canonically so the worker count
-never changes a byte of what lands on disk.
+never changes a byte of what lands on disk. An evaluator starts its pool on
+the first batch that trains and keeps it for every later batch; each search
+procedure closes the evaluator when it ends, and a library caller of
+``evaluate_many`` calls ``close`` itself.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -197,10 +201,14 @@ def config_fingerprint(
 
 class Evaluator(Protocol):
     """What the search procedures need: score a batch of subsets, returning
-    one record per subset keyed by its label. A failure raises
-    ``EvaluationError`` naming the subset that was being scored."""
+    one record per subset keyed by its label, and release what the batches
+    held (a process pool) on ``close``, which a search calls when it ends.
+    A failure raises ``EvaluationError`` naming the subset that was being
+    scored."""
 
     def evaluate_many(self, subsets: Sequence[ChannelSubset]) -> dict[str, EvalRecord]: ...
+
+    def close(self) -> None: ...
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,6 +328,7 @@ class TrainingEvaluator:
             len(self.train_corpus),
         )
         self._inputs: TaskInputs | None = None
+        self._pool: ProcessPoolExecutor | None = None
 
     def _task_inputs(self) -> TaskInputs:
         """Built on the first batch that trains, then shared by every task
@@ -364,32 +373,43 @@ class TrainingEvaluator:
         self.cache.put(record)
 
     def _run_pool(self, pending: Sequence[tuple[ChannelSubset, int]]) -> None:
-        """Run the pending tasks in a process pool, keeping each finished
-        record. On the first failure, or an interrupt, cancel the tasks not
-        yet started, wait for the running ones, keep every record that
-        finished, then raise."""
-        with ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker,
-            initargs=(self._task_inputs(), _openblas_library()),
-        ) as pool:
-            futures = {pool.submit(_pool_task, s.indices, r): s for s, r in pending}
-            kept = set()
-            try:
-                for fut in as_completed(futures):
-                    try:
-                        record = fut.result()
-                    except Exception as exc:
-                        raise EvaluationError(futures[fut].label, exc) from exc
-                    self._keep(record)
-                    kept.add(fut)
-            except BaseException:
-                pool.shutdown(wait=True, cancel_futures=True)
-                for fut in futures:
-                    if (fut not in kept and not fut.cancelled()
-                            and fut.exception() is None):
-                        self._keep(fut.result())
-                raise
+        """Run the pending tasks in the evaluator's process pool, started on
+        the first batch that trains and kept for the later ones, keeping
+        each finished record. On the first failure, or an interrupt, close
+        the pool: that cancels the tasks not yet started (this batch's are
+        the only ones outstanding) and waits for the running ones. Then keep
+        every record that finished, and raise."""
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers,
+                initializer=_init_worker,
+                initargs=(self._task_inputs(), _openblas_library()),
+            )
+        futures = {self._pool.submit(_pool_task, s.indices, r): s for s, r in pending}
+        kept = set()
+        try:
+            for fut in as_completed(futures):
+                try:
+                    record = fut.result()
+                except Exception as exc:
+                    raise EvaluationError(futures[fut].label, exc) from exc
+                self._keep(record)
+                kept.add(fut)
+        except BaseException:
+            self.close()
+            for fut in futures:
+                if (fut not in kept and not fut.cancelled()
+                        and fut.exception() is None):
+                    self._keep(fut.result())
+            raise
+
+    def close(self) -> None:
+        """Shut down the process pool, if one is running, and wait for its
+        workers to exit. Idempotent; a later batch that trains starts a new
+        pool."""
+        pool, self._pool = self._pool, None
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def evaluate_many(
         self, subsets: Sequence[ChannelSubset], require_cached: bool = False
@@ -485,31 +505,33 @@ def backward_elimination(
 ) -> EliminationTrace:
     """Greedy channel removal: from the full set, drop whichever channel's
     removal leaves the lowest-metric subset; repeat down to ``stop_size``
-    channels. Ties remove the higher-indexed channel and are flagged."""
+    channels. Ties remove the higher-indexed channel and are flagged. The
+    evaluator is closed when the search ends, so one pool serves every step."""
     if not (1 <= stop_size < channels):
         raise ValueError(f"need 1 <= stop_size < channels, got stop_size={stop_size}, "
                          f"channels={channels}")
     _check_metric(metric)
     current = ChannelSubset.full(channels)
     steps: list[EliminationStep] = []
-    while len(current) > stop_size:
-        candidates = [(ch, current.drop(ch)) for ch in current]
-        records = evaluator.evaluate_many([s for _, s in candidates])
-        scored = [(ch, s, records[s.label].metric(metric)) for ch, s in candidates]
-        best_metric = min(m for _, _, m in scored)
-        tied_channels = [ch for ch, _, m in scored if m == best_metric]
-        removed = max(tied_channels)
-        surviving = current.drop(removed)
-        steps.append(
-            EliminationStep(
-                removed_channel=removed,
-                surviving=surviving,
-                metric=best_metric,
-                candidates=tuple((ch, m) for ch, _, m in scored),
-                tied=len(tied_channels) > 1,
+    with closing(evaluator):
+        while len(current) > stop_size:
+            candidates = [(ch, current.drop(ch)) for ch in current]
+            records = evaluator.evaluate_many([s for _, s in candidates])
+            scored = [(ch, s, records[s.label].metric(metric)) for ch, s in candidates]
+            best_metric = min(m for _, _, m in scored)
+            tied_channels = [ch for ch, _, m in scored if m == best_metric]
+            removed = max(tied_channels)
+            surviving = current.drop(removed)
+            steps.append(
+                EliminationStep(
+                    removed_channel=removed,
+                    surviving=surviving,
+                    metric=best_metric,
+                    candidates=tuple((ch, m) for ch, _, m in scored),
+                    tied=len(tied_channels) > 1,
+                )
             )
-        )
-        current = surviving
+            current = surviving
     return EliminationTrace(
         channels=channels, stop_size=stop_size, metric_name=metric, steps=tuple(steps)
     )
@@ -551,7 +573,8 @@ def exhaustive_sweep(
         raise SweepBudgetError(required, budget)
     _check_metric(metric)
     subsets = [ChannelSubset(combo) for combo in itertools.combinations(range(channels), k)]
-    records = evaluator.evaluate_many(subsets)
+    with closing(evaluator):
+        records = evaluator.evaluate_many(subsets)
     ordered = sorted(records.values(), key=lambda r: (r.metric(metric), r.subset_label))
     return SweepResult(channels=channels, k=k, metric_name=metric, records=tuple(ordered))
 
@@ -614,7 +637,8 @@ def seven_channel_ablation(evaluator: Evaluator, channels: int) -> AblationResul
         raise ValueError(f"ablation needs at least 2 channels, got {channels}")
     full = ChannelSubset.full(channels)
     subsets = {ch: full.drop(ch) for ch in range(channels)}
-    scored = evaluator.evaluate_many([full, *subsets.values()])
+    with closing(evaluator):
+        scored = evaluator.evaluate_many([full, *subsets.values()])
     baseline = scored[full.label]
     records = {ch + 1: scored[subsets[ch].label] for ch in range(channels)}
     reports = {ch: rec.per_category for ch, rec in records.items()}

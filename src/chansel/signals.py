@@ -197,6 +197,21 @@ def restrict_to_subset(x: MultichannelSignal, s: ChannelSubset) -> MultichannelS
 # plus a sibling .bin file holding the row-major little-endian float64 payload.
 
 
+def read_json(path: Path, what: str, keys: Iterable[str] = ()) -> dict:
+    """The JSON object in ``path``. A file that is not JSON, not an object,
+    or lacks one of ``keys`` is a ValueError naming ``what`` and the path."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} {path} is not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} {path} must hold a JSON object")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise ValueError(f"{what} {path} has no {', '.join(map(repr, missing))} key")
+    return doc
+
+
 def payload_path(header_path: Path) -> Path:
     return Path(header_path).with_suffix(".bin")
 
@@ -214,7 +229,8 @@ def save_signal(x: MultichannelSignal, header_path: Path) -> None:
 
 def load_signal(header_path: Path) -> MultichannelSignal:
     header_path = Path(header_path)
-    header = json.loads(header_path.read_text(encoding="utf-8"))
+    header = read_json(header_path, "signal header",
+                       ("channels", "samples_per_channel", "sample_rate"))
     c = int(header["channels"])
     t = int(header["samples_per_channel"])
     raw = payload_path(header_path).read_bytes()

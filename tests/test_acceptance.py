@@ -68,6 +68,9 @@ class CountingEvaluator:
         self.calls += len(subsets)
         return {s.label: make_record(s.label, wer=0.5) for s in subsets}
 
+    def close(self):
+        pass
+
 
 def test_criterion_01_combinatorics():
     with criterion(1, "combinatorics"):

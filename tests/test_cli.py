@@ -586,6 +586,32 @@ class TestExitCodes:
         assert f"error: config file {torn} is not JSON: Expecting ',' delimiter" in err
         assert not out.exists()
 
+    def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, capsys):
+        header = corpus_dir / "utt_00003.json"
+        header.write_text(header.read_text()[:20])
+        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "sweep")])
+        assert code == EXIT_DATA
+        assert f"error: signal header {header} is not JSON: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda text: text[:30], "is not JSON: "),
+        (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "layers"}),
+         "has no 'layers' key"),
+    ], ids=["torn", "no-layers"])
+    def test_damaged_model_manifest_names_the_file(self, workdir, corpus_dir, capsys,
+                                                   damage, message):
+        pre = workdir / "pretrain"
+        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(pre)])
+        manifest = pre / "model_p0.json"
+        manifest.write_text(damage(manifest.read_text()))
+        capsys.readouterr()
+        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "ft"), "--subset", "13", "--init", str(manifest)])
+        assert code == EXIT_DATA
+        assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
+
     def test_unknown_config_section_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"generatr": {}}))

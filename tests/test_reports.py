@@ -119,6 +119,9 @@ def test_elimination_plot_csv_has_best_and_median():
         def evaluate_many(self, subsets):
             return {s.label: make_record(s.label, wer=metrics[s.label]) for s in subsets}
 
+        def close(self):
+            pass
+
     trace = backward_elimination(Ev(), 3, 1)
     text = elimination_plot_csv(trace)
     lines = text.splitlines()

@@ -1,6 +1,7 @@
 import ctypes
 import itertools
 import json
+import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -42,6 +43,9 @@ class FakeEvaluator:
             m = self.metric_fn(subset)
             records[subset.label] = make_record(subset.label, wer=m, per_total=m)
         return records
+
+    def close(self) -> None:
+        pass
 
 
 # published top-10 4-channel subsets and their WERs (%)
@@ -676,6 +680,78 @@ class TestTrainingEvaluator:
             assert a.per_total == b.per_total
 
 
+def _count_pool_starts(monkeypatch) -> list:
+    """Replace the evaluator's pool class with one that logs each start."""
+    starts = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
+class TestPoolLifetime:
+    def test_backward_elimination_starts_one_pool_and_closes_it(self, tmp_path,
+                                                                monkeypatch):
+        corpus = _search_corpus(channels=4)
+        serial = backward_elimination(_evaluator(corpus, tmp_path / "serial"), 4, 1,
+                                      metric="per_total")
+        starts = _count_pool_starts(monkeypatch)
+        ev = _evaluator(corpus, tmp_path / "pool", workers=2)
+        assert backward_elimination(ev, 4, 1, metric="per_total") == serial
+        assert ev.training_runs == 4 + 3 + 2
+        assert starts == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_failed_step_closes_the_one_pool(self, tmp_path, monkeypatch):
+        # forked workers inherit the patched task: the first step trains,
+        # every task of the second step fails
+        real_task = search._run_task_impl
+
+        def fails_on_one_channel(*args):
+            if len(args[-2]) == 1:
+                raise RuntimeError("injected failure")
+            return real_task(*args)
+
+        monkeypatch.setattr(search, "_run_task_impl", fails_on_one_channel)
+        starts = _count_pool_starts(monkeypatch)
+        ev = _evaluator(_search_corpus(), tmp_path, workers=2)
+        with pytest.raises(EvaluationError, match="injected failure"):
+            backward_elimination(ev, 3, 1, metric="per_total")
+        assert ev.training_runs == 3
+        assert starts == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_cached_batch_starts_no_pool(self, tmp_path, monkeypatch):
+        corpus = _search_corpus()
+        subsets = [ChannelSubset.of([c]) for c in range(3)]
+        _evaluator(corpus, tmp_path).evaluate_many(subsets)
+        starts = _count_pool_starts(monkeypatch)
+        ev = _evaluator(corpus, tmp_path, workers=2)
+        ev.evaluate_many(subsets)
+        assert ev.training_runs == 0
+        assert starts == []
+
+    def test_close_is_idempotent_and_a_later_batch_starts_a_new_pool(self, tmp_path,
+                                                                     monkeypatch):
+        starts = _count_pool_starts(monkeypatch)
+        ev = _evaluator(_search_corpus(), tmp_path, workers=2)
+        ev.evaluate_many([ChannelSubset.of([0])])
+        ev.evaluate_many([ChannelSubset.of([1])])
+        assert starts == [2]
+        ev.close()
+        ev.close()
+        assert multiprocessing.active_children() == []
+        ev.evaluate_many([ChannelSubset.of([2])])
+        assert starts == [2, 2]
+        ev.close()
+        assert ev.training_runs == 3
+        assert multiprocessing.active_children() == []
+
+
 class TestSevenChannelAblation:
     def test_two_channels_two_evaluations(self):
         metrics = {"1": 0.4, "2": 0.6, "12": 0.2}
@@ -688,6 +764,9 @@ class TestSevenChannelAblation:
                 Ev.calls += len(subsets)
                 return {s.label: make_record(s.label, wer=metrics[s.label], per_category=report)
                         for s in subsets}
+
+            def close(self):
+                pass
 
         result = seven_channel_ablation(Ev(), 2)
         assert Ev.calls == 3  # the full set and the two drop-one subsets
@@ -705,6 +784,9 @@ class TestSevenChannelAblation:
             def evaluate_many(self, subsets):
                 return {s.label: make_record(s.label, per_category=reports[s.label])
                         for s in subsets}
+
+            def close(self):
+                pass
 
         result = seven_channel_ablation(Ev(), 3)
         by_name = {row.category: row for row in result.rows}
