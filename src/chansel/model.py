@@ -28,16 +28,8 @@ import numpy as np
 
 from ._version import __version__
 from .corpus import Corpus, LabeledSequence
-from .metrics import (
-    CategoryReport,
-    CategoryRow,
-    DEFAULT_CATEGORY_THRESHOLD,
-    category_per,
-    collapse_frame_labels,
-    edit_distance,
-    phoneme_error_rate,
-)
-from .phonemes import CategoryTable
+from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, TOTAL_ROW
+from .phonemes import SILENCE_SYMBOL, CategoryTable
 from .signals import ChannelSubset, draw_channel_mask, read_json
 
 MODEL_FORMAT_VERSION = 1
@@ -157,15 +149,17 @@ def _scores(w1, b1, w2, b2, xw: np.ndarray) -> np.ndarray:
     return h @ w2.T + b2
 
 
-def _loss_and_grads(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray):
-    """Mean batch cross-entropy and its gradients. Works in two (n, .)
-    buffers with ``out=`` and in-place ufuncs; every elementwise step applies
-    the same operation to the same operands as the textbook formula (softmax,
-    clipped log-likelihood, backprop through tanh), so the results are equal
-    to the bit. The row max is exact, so taking it column by column cannot
-    change a bit either."""
+def _loss_and_grads(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray, grads) -> float:
+    """Mean batch cross-entropy; writes its gradients into ``grads``, four
+    arrays in ``_ARRAYS`` order. Works in two (n, .) buffers with ``out=``
+    and in-place ufuncs; every elementwise step applies the same operation
+    to the same operands as the textbook formula (softmax, clipped
+    log-likelihood, backprop through tanh), so the results are equal to the
+    bit. The row max is exact, so taking it column by column cannot change a
+    bit either, and the loss is ``np.mean``'s arithmetic: a pairwise sum
+    divided by n."""
+    gw1, gb1, gw2, gb2 = grads
     n = xw.shape[0]
-    rows = np.arange(n)
     h = xw @ w1.T
     h += b1
     np.tanh(h, out=h)
@@ -177,18 +171,41 @@ def _loss_and_grads(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray):
     g -= top[:, None]
     np.exp(g, out=g)
     g /= g.sum(axis=1, keepdims=True)
-    loss = float(-np.mean(np.log(np.maximum(g[rows, y], LOG_CLAMP))))
-    g[rows, y] -= 1.0
+    # each row's true class as a position in the flat buffer: cheaper to
+    # index than (row, column) pairs
+    flat = g.reshape(-1)
+    true = np.arange(0, flat.size, g.shape[1]) + y
+    likelihood = flat[true]
+    np.maximum(likelihood, LOG_CLAMP, out=likelihood)
+    np.log(likelihood, out=likelihood)
+    loss = -(float(np.add.reduce(likelihood)) / n)
+    flat[true] -= 1.0
     g /= n
-    gw2 = g.T @ h
-    gb2 = g.sum(axis=0)
+    np.matmul(g.T, h, out=gw2)
+    np.add.reduce(g, axis=0, out=gb2)
     dh = g @ w2
     h *= h
     np.subtract(1.0, h, out=h)
     dh *= h
-    gw1 = dh.T @ xw
-    gb1 = dh.sum(axis=0)
-    return loss, (gw1, gb1, gw2, gb2)
+    np.matmul(dh.T, xw, out=gw1)
+    np.add.reduce(dh, axis=0, out=gb1)
+    return loss
+
+
+def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
+    """A view of ``flat`` shaped as each of ``shapes``, laid end to end."""
+    sizes = [math.prod(shape) for shape in shapes]
+    return [part.reshape(shape)
+            for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+
+
+def _buffers(params: ModelParams) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[np.ndarray]]:
+    """A flat copy of the parameters in ``_ARRAYS`` (payload) order and a
+    flat gradient buffer of the same layout, each with a view per array."""
+    shapes = [a.shape for a in _arrays(params)]
+    flat = np.concatenate([a.ravel() for a in _arrays(params)])
+    grad = np.empty_like(flat)
+    return flat, _views(flat, shapes), grad, _views(grad, shapes)
 
 
 def forward(params: ModelParams, x) -> np.ndarray:
@@ -259,7 +276,8 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
     y_all = label_indices(sequences, params.class_symbols)
 
     def clean_loss(p: ModelParams) -> float:
-        return _loss_and_grads(*_arrays(p), np.vstack(xw_all), np.concatenate(y_all))[0]
+        _, arrays, _, grads = _buffers(p)
+        return _loss_and_grads(*arrays, np.vstack(xw_all), np.concatenate(y_all), grads)
 
     initial_loss = clean_loss(params)
     trained, epoch_losses, mean_retained = fit_windows(params, xw_all, y_all, cfg)
@@ -284,11 +302,14 @@ def fit_windows(
     of channels dropout retained.
 
     Batches are groups of utterances; when cfg.dropout_p > 0 a fresh channel
-    mask is drawn for every utterance in every epoch. Identical seeds give
+    mask is drawn for every utterance in every epoch. The parameters and
+    their gradients each live in one flat buffer, so a step is
+    ``grad *= lr; weights -= grad`` on the whole buffer: the same elementwise
+    operations as updating array by array. Identical seeds give
     bit-identical parameter trajectories. Raises TrainingDivergedError on the
     first non-finite batch loss.
     """
-    arrays = [a.copy() for a in _arrays(params)]
+    weights, arrays, grad, grads = _buffers(params)
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     p = cfg.dropout_p
@@ -312,14 +333,13 @@ def fit_windows(
                     xs.append(xw_all[i] * col)
                 else:
                     xs.append(xw_all[i])
-            xw = np.vstack(xs)
+            xw = np.concatenate(xs)
             y = np.concatenate([y_all[i] for i in ids])
-            loss, grads = _loss_and_grads(*arrays, xw, y)
-            if not np.isfinite(loss):
+            loss = _loss_and_grads(*arrays, xw, y, grads)
+            if not math.isfinite(loss):
                 raise TrainingDivergedError(epoch, b_idx, loss)
-            for weights, grad in zip(arrays, grads):
-                grad *= lr
-                weights -= grad
+            grad *= lr
+            weights -= grad
             batch_losses.append(loss)
         epoch_losses.append(float(np.mean(batch_losses)))
 
@@ -337,38 +357,30 @@ def gradient_check(
     negate_analytic: bool = False,
 ) -> float:
     """Max relative error between analytic and central finite-difference
-    gradients on randomly chosen coordinates. ``negate_analytic`` flips the
-    analytic gradient's sign and exists as the negative control: a correct
-    implementation then reports an error near 1."""
+    gradients on randomly chosen coordinates of the flat parameter buffer.
+    ``negate_analytic`` flips the analytic gradient's sign and exists as the
+    negative control: a correct implementation then reports an error near 1."""
     if not batch:
         raise ValueError("gradient check needs a non-empty batch")
     xw = np.vstack(_windows(params, [seq.signal.samples for seq in batch]))
     y = np.concatenate(label_indices(batch, params.class_symbols))
 
-    arrays = [a.copy() for a in _arrays(params)]
-    _, grads = _loss_and_grads(*arrays, xw, y)
-    sizes = [a.size for a in arrays]
-    total = sum(sizes)
+    weights, arrays, grad, grads = _buffers(params)
+    _loss_and_grads(*arrays, xw, y, grads)
     rng = np.random.default_rng(seed)
-    coords = rng.choice(total, size=min(n_coords, total), replace=False)
+    coords = rng.choice(weights.size, size=min(n_coords, weights.size), replace=False)
+    analytic = -grad[coords] if negate_analytic else grad[coords]
 
     worst = 0.0
-    for flat in coords:
-        a_idx = 0
-        offset = int(flat)
-        while offset >= sizes[a_idx]:
-            offset -= sizes[a_idx]
-            a_idx += 1
-        analytic = float(grads[a_idx].ravel()[offset])
-        if negate_analytic:
-            analytic = -analytic
-        perturbed = [a.copy() for a in arrays]
-        perturbed[a_idx].ravel()[offset] += step
-        loss_plus = _loss_and_grads(*perturbed, xw, y)[0]
-        perturbed[a_idx].ravel()[offset] -= 2 * step
-        loss_minus = _loss_and_grads(*perturbed, xw, y)[0]
+    for i, a in zip(coords, analytic.tolist()):
+        saved = weights[i]
+        weights[i] += step
+        loss_plus = _loss_and_grads(*arrays, xw, y, grads)
+        weights[i] -= 2 * step
+        loss_minus = _loss_and_grads(*arrays, xw, y, grads)
+        weights[i] = saved
         numeric = (loss_plus - loss_minus) / (2 * step)
-        rel = abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-8)
+        rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
 
@@ -458,6 +470,116 @@ class EvalRecord:
         return getattr(self, name)
 
 
+class ScoringReference:
+    """Every fact about a test split that no model changes, in the integer
+    index space scoring works in: the model's class symbols, then each label
+    only the reference has (a frame with such a label is always an error).
+
+    Holds the reference frame labels as ids, every utterance's transcript as
+    token ids, the symbol x category membership matrix, the per-category
+    reference frame counts and the frame and token totals. Building it
+    raises nothing; ``score_windows`` raises what the split cannot be scored
+    for, so a search names the subset it was scoring.
+    """
+
+    def __init__(self, refs: Sequence[LabeledSequence], class_symbols: Sequence[str],
+                 table: CategoryTable):
+        self.class_symbols = tuple(class_symbols)
+        index = {}
+        for sym in self.class_symbols:
+            index.setdefault(sym, len(index))
+        # hypothesis class index -> symbol id (a repeated class symbol is one id)
+        self.class_ids = np.array([index[sym] for sym in self.class_symbols], dtype=np.int64)
+        labels = [lab for seq in refs for lab in seq.labels]
+        for lab in labels:
+            index.setdefault(lab, len(index))
+        self.symbols = tuple(index)
+        self.frames = np.array([index[lab] for lab in labels], dtype=np.int64)
+        self.lengths = [len(seq.labels) for seq in refs]
+        self.starts = np.cumsum([0, *self.lengths[:-1]])
+        self.frame_utterance = np.repeat(np.arange(len(refs)), self.lengths)
+        self.silence = index.get(SILENCE_SYMBOL, -1)
+        # the first label in frame order that the taxonomy lacks
+        self.unknown = next((lab for lab in dict.fromkeys(labels) if lab not in table), None)
+        self.category_names = table.names
+        self.membership = np.array(
+            [[sym in table.category_members(name) for sym in self.symbols]
+             for name in table.names], dtype=np.int64)
+        self.category_counts = (self.membership @ np.bincount(
+            self.frames, minlength=len(index))).tolist()
+        self.joiner_in_symbols = any("·" in sym for sym in self.symbols)
+        self.token_ids: dict[tuple[int, ...] | str, int] = {}
+        words, utterance = self._words(self.frames)
+        ids = [self.token_ids.setdefault(key, len(self.token_ids)) for key in self._keys(words)]
+        self.tokens, self.token_counts = self._pad(ids, utterance, fill=-2)
+        self.total_tokens = len(ids)
+
+    def _words(self, ids: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
+        """The word tokens of concatenated frame ids, as tuples of symbol
+        ids, and the utterance of each: repeated labels collapse into one
+        phoneme, and silence or an utterance boundary ends a word."""
+        size = ids.size
+        speech = ids != self.silence
+        run = np.empty(size, dtype=bool)  # a phoneme run starts here
+        run[0] = True
+        np.not_equal(ids[1:], ids[:-1], out=run[1:])
+        run[self.starts] = True
+        run &= speech
+        word = np.empty(size, dtype=bool)  # a word starts here
+        word[0] = True
+        np.logical_not(speech[:-1], out=word[1:])
+        word[self.starts] = True
+        at = np.flatnonzero(run)
+        cuts = np.flatnonzero(word[at])
+        phonemes = ids[at].tolist()
+        bounds = [*cuts.tolist(), len(phonemes)]
+        words = [tuple(phonemes[a:b]) for a, b in zip(bounds, bounds[1:])]
+        return words, self.frame_utterance[at[cuts]]
+
+    def _keys(self, words: list[tuple[int, ...]]) -> list[tuple[int, ...]] | list[str]:
+        """What identifies a word token: its phoneme ids, or its text (the
+        phonemes joined with a middle dot, as ``collapse_frame_labels``
+        spells it) when a symbol holds the dot, so that two splits of a word
+        can spell one token."""
+        if self.joiner_in_symbols:
+            return ["·".join(self.symbols[i] for i in word) for word in words]
+        return words
+
+    def _pad(self, ids: list[int], utterance: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
+        """Token ids laid out one utterance per row, padded with ``fill``,
+        and the token count of each row."""
+        counts = np.bincount(utterance, minlength=len(self.lengths))
+        out = np.full((len(self.lengths), counts.max()), fill, dtype=np.int64)
+        out[utterance, np.arange(len(ids)) - (np.cumsum(counts) - counts)[utterance]] = ids
+        return out, counts
+
+    def edits(self, hyp: np.ndarray) -> int:
+        """Summed edit distance between each utterance's transcript and the
+        collapse of its hypothesis frames (concatenated symbol ids), whose
+        words become reference token ids, -1 for a word no transcript has.
+        Every utterance at once, one reference token per row of the distance
+        table: with ``tmp`` the row before insertions,
+        ``np.minimum.accumulate(tmp - j) + j`` adds the best chain of
+        insertions to every column."""
+        words, utterance = self._words(hyp)
+        ids = [self.token_ids.get(key, -1) for key in self._keys(words)]
+        hyp_tokens, hyp_counts = self._pad(ids, utterance, fill=-1)
+        utterances, width = hyp_tokens.shape
+        j = np.arange(width + 1)
+        cost = self.tokens[:, :, None] != hyp_tokens[:, None, :]
+        dist = np.empty((self.tokens.shape[1] + 1, utterances, width + 1), dtype=np.int64)
+        dist[0] = j
+        tmp = np.empty((utterances, width + 1), dtype=np.int64)
+        for i in range(self.tokens.shape[1]):
+            prev = dist[i]
+            tmp[:, 0] = i + 1
+            np.minimum(prev[:, 1:] + 1, prev[:, :-1] + cost[:, i], out=tmp[:, 1:])
+            tmp -= j
+            np.minimum.accumulate(tmp, axis=1, out=dist[i + 1])
+            dist[i + 1] += j
+        return int(dist[self.token_counts, np.arange(utterances), hyp_counts].sum())
+
+
 def evaluate(
     params: ModelParams,
     data: Corpus | Sequence[LabeledSequence],
@@ -468,49 +590,67 @@ def evaluate(
     config_hash: str = "",
     corpus_hash: str = "",
 ) -> EvalRecord:
-    """Score a model on a corpus: featurize it, then ``score_windows``."""
+    """Score a model on a corpus: featurize it, build its scoring
+    reference, then ``score_windows``."""
     sequences = list(data)
     if not sequences:
         raise ValueError("evaluation corpus is empty")
     xw_all = _windows(params, [seq.signal.samples for seq in sequences])
-    return score_windows(params, xw_all, sequences, table, subset=subset,
-                         threshold=threshold, seed=seed, config_hash=config_hash,
-                         corpus_hash=corpus_hash)
+    reference = ScoringReference(sequences, params.class_symbols, table)
+    return score_windows(params, xw_all, reference, subset=subset, threshold=threshold,
+                         seed=seed, config_hash=config_hash, corpus_hash=corpus_hash)
 
 
 def score_windows(
     params: ModelParams,
     xw_all: Sequence[np.ndarray],
-    refs: Sequence[LabeledSequence],
-    table: CategoryTable,
+    reference: ScoringReference,
     subset: ChannelSubset | None = None,
     threshold: int = DEFAULT_CATEGORY_THRESHOLD,
     seed: int = 0,
     config_hash: str = "",
     corpus_hash: str = "",
 ) -> EvalRecord:
-    """Score a model on featurized utterances (``xw_all``) against the frame
-    labels and transcripts of ``refs``: frame argmax predictions, total and
-    per-category PER, then WER of the collapsed token transcript against each
+    """Score a model on featurized utterances (``xw_all``) against a test
+    split's ``reference``: frame argmax predictions, total and per-category
+    PER, then WER of the collapsed token transcript against each
     utterance's reference transcript (corpus-level: summed edits over summed
-    reference lengths)."""
+    reference lengths). Counts are integers over label ids and each rate is
+    the same int / int division as the string functions in ``metrics``, so
+    the record equals theirs to the bit."""
     t0 = time.perf_counter()
-    ref_frames: list[str] = []
-    hyp_frames: list[str] = []
-    edits = 0
-    ref_tokens_total = 0
+    if params.class_symbols != reference.class_symbols:
+        raise ValueError(f"model classes {params.class_symbols} differ from the "
+                         f"reference's {reference.class_symbols}")
+    if [len(xw) for xw in xw_all] != reference.lengths:
+        raise ValueError(f"windows of {[len(xw) for xw in xw_all]} frames, the reference "
+                         f"has {reference.lengths}")
     arrays = _arrays(params)
-    for xw, seq in zip(xw_all, refs, strict=True):
-        scores = _scores(*arrays, xw)
-        hyp = tuple(params.class_symbols[i] for i in np.argmax(scores, axis=1))
-        ref_frames.extend(seq.labels)
-        hyp_frames.extend(hyp)
-        edits += edit_distance(seq.transcript, collapse_frame_labels(hyp))
-        ref_tokens_total += len(seq.transcript)
-    if ref_tokens_total == 0:
+    hyp = reference.class_ids[np.concatenate(
+        [np.argmax(_scores(*arrays, xw), axis=1) for xw in xw_all])]
+    if reference.total_tokens == 0:
         raise ValueError("corpus reference transcripts are empty; WER undefined")
-    per_total = phoneme_error_rate(ref_frames, hyp_frames)
-    report = category_per(ref_frames, hyp_frames, table, threshold=threshold)
+    edits = reference.edits(hyp)
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    if reference.unknown is not None:
+        raise KeyError(f"reference label {reference.unknown!r} not in the phoneme inventory")
+    wrong = hyp != reference.frames
+    total_frames = hyp.size
+    total_errors = int(np.count_nonzero(wrong))
+    errors = (reference.membership @ np.bincount(
+        reference.frames[wrong], minlength=len(reference.symbols))).tolist()
+    rows: list[CategoryRow] = []
+    excluded: list[str] = []
+    if total_frames >= threshold:
+        rows.append(CategoryRow(TOTAL_ROW, total_frames, total_errors / total_frames))
+    else:
+        excluded.append(TOTAL_ROW)
+    for name, n, e in zip(reference.category_names, reference.category_counts, errors):
+        if n < threshold:
+            excluded.append(name)
+        else:
+            rows.append(CategoryRow(name, n, e / n))
     if subset is None:
         subset = ChannelSubset.full(params.channels)
     return EvalRecord(
@@ -518,9 +658,9 @@ def score_windows(
         seed=seed,
         config_hash=config_hash,
         corpus_hash=corpus_hash,
-        wer=edits / ref_tokens_total,
-        per_total=per_total,
-        per_category=report,
+        wer=edits / reference.total_tokens,
+        per_total=total_errors / total_frames,
+        per_category=CategoryReport(tuple(rows), tuple(excluded)),
         wall_time=time.perf_counter() - t0,
         n_seeds=1,
     )
@@ -579,18 +719,25 @@ def load_model(header_path: Path) -> tuple[ModelParams, dict]:
     manifest = read_json(header_path, "model manifest",
                          ("layers", "class_symbols", "payload_sha256"))
     layers = manifest["layers"]
-    c, w, f = int(layers["channels"]), int(layers["window"]), int(layers["features"])
+    if not isinstance(layers, dict):
+        raise ValueError(f"model manifest {header_path} key 'layers' must hold a JSON object")
+    for key in ("channels", "window", "features"):
+        if key not in layers:
+            raise ValueError(f"model manifest {header_path} has no 'layers.{key}' key")
+        if type(layers[key]) is not int:
+            raise ValueError(f"model manifest {header_path} key 'layers.{key}' must be an "
+                             f"integer, got {layers[key]!r}")
+    c, w, f = layers["channels"], layers["window"], layers["features"]
     symbols = tuple(manifest["class_symbols"])
     raw = header_path.with_suffix(".bin").read_bytes()
     if hashlib.sha256(raw).hexdigest() != manifest["payload_sha256"]:
         raise ValueError(f"model payload at {header_path} fails its integrity check")
     shapes = _layer_shapes(c, w, f, len(symbols))
-    sizes = [math.prod(shape) for shape in shapes]
+    size = sum(math.prod(shape) for shape in shapes)
     flat = np.frombuffer(raw, dtype="<f8")
-    if flat.size != sum(sizes):
-        raise ValueError(f"model payload holds {flat.size} values, expected {sum(sizes)}")
-    parts = np.split(flat, np.cumsum(sizes)[:-1])
-    arrays = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    if flat.size != size:
+        raise ValueError(f"model payload holds {flat.size} values, expected {size}")
+    arrays = _views(flat, shapes)
     params = ModelParams(**dict(zip(_ARRAYS, arrays)), channels=c, window=w, features=f,
                          class_symbols=symbols)
     return params, manifest

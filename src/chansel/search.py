@@ -35,6 +35,7 @@ from .corpus import Corpus
 from .metrics import WorstChannelRow, worst_channel_table
 from .model import (
     EvalRecord,
+    ScoringReference,
     TrainConfig,
     _layer_shapes,
     featurize,
@@ -214,8 +215,8 @@ class Evaluator(Protocol):
 @dataclass(frozen=True, eq=False)
 class TaskInputs:
     """Everything a subset task reads and no subset changes: the full-channel
-    windows of both splits, the train labels as class indices, the test split
-    for its reference labels and transcripts, and the evaluator's settings.
+    windows of both splits, the train labels as class indices, the test
+    split's scoring reference, and the evaluator's settings.
     ``featurize`` lays the windows out channel-block-major, so a subset's
     windows are the column blocks ``subset_columns`` names, equal to the bit
     to featurizing the subset-restricted split."""
@@ -223,8 +224,7 @@ class TaskInputs:
     train_windows: tuple[np.ndarray, ...]
     train_labels: tuple[np.ndarray, ...]
     test_windows: tuple[np.ndarray, ...]
-    test: Corpus
-    table: CategoryTable
+    reference: ScoringReference
     train_cfg: TrainConfig
     window: int
     features: int
@@ -279,8 +279,8 @@ def _run_task_impl(inputs: TaskInputs, indices: tuple[int, ...], replicate: int)
         params, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels,
         replace(inputs.train_cfg, seed=train_seed))
     record = score_windows(
-        trained, [xw[:, cols] for xw in inputs.test_windows], inputs.test.sequences,
-        inputs.table, subset=subset, threshold=inputs.threshold, seed=replicate,
+        trained, [xw[:, cols] for xw in inputs.test_windows], inputs.reference,
+        subset=subset, threshold=inputs.threshold, seed=replicate,
         config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash,
     )
     return replace(record, wall_time=time.perf_counter() - t0)
@@ -340,8 +340,10 @@ class TrainingEvaluator:
             self._inputs = TaskInputs(
                 train_windows=windows(self.train_corpus),
                 train_labels=tuple(label_indices(self.train_corpus.sequences, self._alphabet)),
-                test_windows=windows(self.test_corpus), test=self.test_corpus,
-                table=self.table, train_cfg=self.train_cfg, window=self.window,
+                test_windows=windows(self.test_corpus),
+                reference=ScoringReference(self.test_corpus.sequences, self._alphabet,
+                                           self.table),
+                train_cfg=self.train_cfg, window=self.window,
                 features=self.features, threshold=self.threshold, alphabet=self._alphabet,
                 config_hash=self.config_hash, corpus_hash=self.corpus_hash,
             )

@@ -557,6 +557,15 @@ class TestConfigSchema:
         assert cfg["generator"]["silence_frames"] == 4  # a null default takes any value
 
 
+def _with_layers(edit):
+    """A manifest damage that replaces its ``layers`` value with ``edit(layers)``."""
+    def damage(text: str) -> str:
+        manifest = json.loads(text)
+        manifest["layers"] = edit(manifest["layers"])
+        return json.dumps(manifest)
+    return damage
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
@@ -598,7 +607,13 @@ class TestExitCodes:
         (lambda text: text[:30], "is not JSON: "),
         (lambda text: json.dumps({k: v for k, v in json.loads(text).items() if k != "layers"}),
          "has no 'layers' key"),
-    ], ids=["torn", "no-layers"])
+        (_with_layers(lambda layers: {k: v for k, v in layers.items() if k != "window"}),
+         "has no 'layers.window' key"),
+        (_with_layers(lambda layers: list(layers.values())),
+         "key 'layers' must hold a JSON object"),
+        (_with_layers(lambda layers: {**layers, "features": 2.5}),
+         "key 'layers.features' must be an integer, got 2.5"),
+    ], ids=["torn", "no-layers", "no-layers-window", "layers-not-object", "fractional-size"])
     def test_damaged_model_manifest_names_the_file(self, workdir, corpus_dir, capsys,
                                                    damage, message):
         pre = workdir / "pretrain"

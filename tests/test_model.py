@@ -7,6 +7,12 @@ from hypothesis import strategies as st
 
 from chansel import model
 from chansel.corpus import Corpus, LabeledSequence
+from chansel.metrics import (
+    category_per,
+    collapse_frame_labels,
+    edit_distance,
+    phoneme_error_rate,
+)
 from chansel.model import (
     DROPOUT_PRESETS,
     ModelParams,
@@ -284,6 +290,40 @@ def _reference_loss_and_grads(w1, b1, w2, b2, xw, y):
     return loss, (gw1, gb1, gw2, gb2)
 
 
+def _reference_fit(params, xw_all, y_all, cfg):
+    """The textbook training loop the flat-buffer step must match bit for
+    bit: the allocating formula above, then an update array by array."""
+    arrays = [params.input_weights.copy(), params.input_bias.copy(),
+              params.head_weights.copy(), params.head_bias.copy()]
+    rng = np.random.default_rng(cfg.seed)
+    n = len(xw_all)
+    epoch_losses = []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        batch_losses = []
+        for start in range(0, n, cfg.batch_size):
+            ids = order[start:start + cfg.batch_size]
+            xs = []
+            for i in ids:
+                if cfg.dropout_p > 0.0:
+                    mask = model.draw_channel_mask(params.channels, cfg.dropout_p, rng)
+                    col = np.repeat(np.asarray(mask.bits, dtype=np.float64), params.window)
+                    xs.append(xw_all[i] * col)
+                else:
+                    xs.append(xw_all[i])
+            loss, grads = _reference_loss_and_grads(
+                *arrays, np.vstack(xs), np.concatenate([y_all[i] for i in ids]))
+            for weights, grad in zip(arrays, grads):
+                weights -= cfg.learning_rate * grad
+            batch_losses.append(loss)
+        epoch_losses.append(float(np.mean(batch_losses)))
+    return arrays, tuple(epoch_losses)
+
+
+def _grad_buffers(arrays):
+    return [np.empty_like(a) for a in arrays]
+
+
 class TestInPlaceStep:
     # (rows, channels * window, features, classes): the benchmark's batch of
     # two utterances on a 4-of-8 subset, and the default config's batch of
@@ -299,22 +339,26 @@ class TestInPlaceStep:
                       params.head_weights, params.head_bias]
             xw = rng.normal(size=(rows, cols))
             y = rng.integers(0, classes, size=rows)
-            loss, grads = _loss_and_grads(*arrays, xw, y)
+            grads = _grad_buffers(arrays)
+            loss = _loss_and_grads(*arrays, xw, y, grads)
             ref_loss, ref_grads = _reference_loss_and_grads(*arrays, xw, y)
             assert loss == ref_loss
             for g, ref in zip(grads, ref_grads):
                 assert g.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
-    def test_whole_training_run_equals_reference(self, monkeypatch, tiny_corpus, dropout_p):
-        params = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=2)
-        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4,
-                          dropout_p=dropout_p, seed=3)
-        fast = train(params, tiny_corpus, cfg)
-        monkeypatch.setattr(model, "_loss_and_grads", _reference_loss_and_grads)
-        ref = train(params, tiny_corpus, cfg)
-        assert model_hash(fast.params) == model_hash(ref.params)
-        assert fast.epoch_losses == ref.epoch_losses
+    def test_whole_training_run_equals_reference(self, tiny_corpus, dropout_p):
+        xw_all = [featurize(seq.signal.samples, 5) for seq in tiny_corpus]
+        y_all = model.label_indices(tiny_corpus.sequences, tiny_corpus.label_alphabet())
+        for seed in range(3):
+            params = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=seed)
+            cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4,
+                              dropout_p=dropout_p, seed=seed + 10)
+            trained, losses, _ = model.fit_windows(params, xw_all, y_all, cfg)
+            ref_arrays, ref_losses = _reference_fit(params, xw_all, y_all, cfg)
+            assert losses == ref_losses
+            for name, ref in zip(model._ARRAYS, ref_arrays):
+                assert getattr(trained, name).tobytes() == ref.tobytes()
 
 
 class TestGradientCheck:
@@ -342,8 +386,10 @@ class TestGradientCheck:
         )
         xw = featurize(seq.signal.samples, 1)
         y = np.zeros(4, dtype=np.int64)
-        loss, grads = _loss_and_grads(params.input_weights, params.input_bias,
-                                      params.head_weights, params.head_bias, xw, y)
+        arrays = [params.input_weights, params.input_bias,
+                  params.head_weights, params.head_bias]
+        grads = _grad_buffers(arrays)
+        loss = _loss_and_grads(*arrays, xw, y, grads)
         assert loss < 1e-6
         assert all(np.max(np.abs(g)) < 1e-6 for g in grads)
 
@@ -362,6 +408,111 @@ class TestGradientCheck:
         batch = [make_sequence(["B", "IY", "B", "T"], channels=2, seed=1)]
         params = init_params(2, 3, 6, ("B", "IY", "T"), seed=1)
         assert type(gradient_check(params, batch, n_coords=10)) is float
+
+
+def _one_hot_params(class_symbols) -> ModelParams:
+    # channel k carries class k: an utterance whose frame t is 1 on channel
+    # k and 0 elsewhere is predicted as class k at frame t
+    k = len(class_symbols)
+    return ModelParams(input_weights=np.eye(k), input_bias=np.zeros(k),
+                       head_weights=10.0 * np.eye(k), head_bias=np.zeros(k),
+                       channels=k, window=1, features=k, class_symbols=tuple(class_symbols))
+
+
+def _utterance(labels, hyp, classes: int) -> LabeledSequence:
+    samples = np.zeros((classes, len(labels)))
+    samples[hyp, np.arange(len(labels))] = 1.0
+    return LabeledSequence.from_labels(MultichannelSignal(samples), labels)
+
+
+def _string_score(params, sequences, table, threshold):
+    """The string scorer: per-frame symbol tuples through the ``metrics``
+    functions, raising what the split cannot be scored for in the order the
+    integer scorer must keep."""
+    ref_frames, hyp_frames = [], []
+    edits = tokens = 0
+    for seq in sequences:
+        hyp = predict_labels(params, seq.signal)
+        ref_frames.extend(seq.labels)
+        hyp_frames.extend(hyp)
+        edits += edit_distance(seq.transcript, collapse_frame_labels(hyp))
+        tokens += len(seq.transcript)
+    if tokens == 0:
+        raise ValueError("corpus reference transcripts are empty; WER undefined")
+    per_total = phoneme_error_rate(ref_frames, hyp_frames)
+    return edits / tokens, per_total, category_per(ref_frames, hyp_frames, table, threshold)
+
+
+class TestScoringMatchesMetrics:
+    # model classes may repeat a symbol, or spell a two-phoneme word ("B·IY");
+    # reference labels may be outside the model classes (always an error) or
+    # outside the taxonomy (QQ, a KeyError)
+    CLASSES = ("SIL", "B", "IY", "T", "AE", "B·IY", "B")
+    LABELS = ("SIL", "B", "IY", "T", "AE", "M")
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_record_equals_string_reference(self, table, data):
+        classes = data.draw(st.lists(st.sampled_from(self.CLASSES), min_size=2, max_size=6))
+        labels = st.sampled_from(self.LABELS + (("QQ",) if data.draw(st.booleans()) else ()))
+        utterances = []
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):  # all silence: an empty transcript
+                ref = ["SIL"] * data.draw(st.integers(1, 8))
+            else:
+                ref = data.draw(st.lists(labels, min_size=1, max_size=30))
+            # per frame: the right class when the model has it, or any class,
+            # so hypotheses both match and flicker
+            hyp = [classes.index(lab) if lab in classes and keep else other
+                   for lab, keep, other in zip(ref, data.draw(st.lists(
+                       st.booleans(), min_size=len(ref), max_size=len(ref))), data.draw(
+                       st.lists(st.integers(0, len(classes) - 1), min_size=len(ref),
+                                max_size=len(ref))))]
+            utterances.append(_utterance(ref, hyp, len(classes)))
+        frames = [lab for seq in utterances for lab in seq.labels]
+        counts = {len(frames)} | {sum(lab in table.category_members(name) for lab in frames
+                                      if lab in table) for name in table.names}
+        threshold = data.draw(st.one_of(
+            st.sampled_from(sorted(c + d for c in counts for d in (-1, 0, 1))),
+            st.integers(-1, len(frames) + 1)))
+        params = _one_hot_params(classes)
+        try:
+            wer, per_total, report = _string_score(params, utterances, table, threshold)
+        except (ValueError, KeyError) as exc:
+            with pytest.raises(type(exc)) as caught:
+                evaluate(params, utterances, table, threshold=threshold)
+            assert str(caught.value) == str(exc)
+            return
+        record = evaluate(params, utterances, table, threshold=threshold, seed=3,
+                          config_hash="c", corpus_hash="d")
+        assert (record.wer, record.per_total, record.per_category) == (wer, per_total, report)
+        assert (record.subset_label, record.seed, record.config_hash, record.corpus_hash,
+                record.n_seeds) == (ChannelSubset.full(len(classes)).label, 3, "c", "d", 1)
+
+    @pytest.mark.parametrize("classes,hyp,wer", [
+        (("SIL", "B", "IY", "B·IY"), [0, 3, 3, 0, 1, 1, 0], 0.0),  # one word spelled two ways
+        (("SIL", "B", "IY", "B"), [0, 1, 2, 0, 3, 1, 0], 0.0),  # one symbol, two classes
+    ])
+    def test_tokens_compare_by_text(self, table, classes, hyp, wer):
+        labels = ["SIL", "B", "IY", "SIL", "B", "B", "SIL"]
+        utterance = _utterance(labels, hyp, len(classes))
+        params = _one_hot_params(classes)
+        assert _string_score(params, [utterance], table, 1)[0] == wer
+        assert evaluate(params, [utterance], table, threshold=1).wer == wer
+
+    @pytest.mark.parametrize("labels,threshold,error,message", [
+        (["SIL", "SIL"], 1, ValueError, "corpus reference transcripts are empty; WER undefined"),
+        (["SIL", "SIL"], 0, ValueError, "corpus reference transcripts are empty; WER undefined"),
+        (["B", "QQ", "SIL"], 0, ValueError, "threshold must be >= 1, got 0"),
+        (["B", "QQ", "T", "QZ"], 1, KeyError,
+         "\"reference label 'QQ' not in the phoneme inventory\""),
+    ])
+    def test_errors_keep_type_text_and_order(self, table, labels, threshold, error, message):
+        params = _one_hot_params(("SIL", "B", "T"))
+        utterance = _utterance(labels, [0] * len(labels), 3)
+        with pytest.raises(error) as caught:
+            evaluate(params, [utterance], table, threshold=threshold)
+        assert str(caught.value) == message
 
 
 class TestEvaluate:

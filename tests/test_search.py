@@ -4,11 +4,13 @@ import json
 import multiprocessing
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import replace
 
 import pytest
 
 from chansel import search
+from chansel.corpus import Corpus, LabeledSequence
 from chansel.model import EvalRecord, TrainConfig, evaluate, init_params, train
 from chansel.phonemes import default_table
 from chansel.search import (
@@ -585,6 +587,30 @@ class TestTrainingEvaluator:
         ev = _evaluator(corpus, tmp_path)
         with pytest.raises(ValueError, match="missing"):
             ev.evaluate_many([ChannelSubset.of([0])], require_cached=True)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("case,error,message", [
+        ("silent", ValueError, "corpus reference transcripts are empty; WER undefined"),
+        ("unknown", KeyError, "\"reference label 'QQ' not in the phoneme inventory\""),
+        ("threshold", ValueError, "threshold must be >= 1, got 0"),
+    ])
+    def test_scoring_errors_name_the_subset(self, case, error, message, workers):
+        # the scoring reference is built once per evaluator, but what the
+        # test split cannot be scored for is still raised by the task
+        ev = _evaluator(_search_corpus(), workers=workers)
+        test = []
+        for seq in ev.test_corpus:
+            labels = {"silent": ("SIL",) * len(seq.labels),
+                      "unknown": ("QQ",) + seq.labels[1:]}.get(case, seq.labels)
+            test.append(LabeledSequence(seq.signal, labels))
+        ev = replace(ev, test_corpus=Corpus(tuple(test)))
+        if case == "threshold":
+            ev.threshold = 0  # the constructor refuses it; the task refuses it too
+        subset = ChannelSubset.of([0, 1])
+        with closing(ev), pytest.raises(EvaluationError) as caught:
+            ev.evaluate_many([subset])
+        assert str(caught.value) == f"evaluation of subset {subset.label} failed: {message}"
+        assert type(caught.value.__cause__) is error
 
     @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
     def test_task_equals_train_and_evaluate_on_restricted_splits(self, dropout_p):
