@@ -507,17 +507,17 @@ class ScoringReference:
              for name in table.names], dtype=np.int64)
         self.category_counts = (self.membership @ np.bincount(
             self.frames, minlength=len(index))).tolist()
-        self.joiner_in_symbols = any("·" in sym for sym in self.symbols)
-        self.token_ids: dict[tuple[int, ...] | str, int] = {}
+        self.token_ids: dict[str, int] = {}
         words, utterance = self._words(self.frames)
-        ids = [self.token_ids.setdefault(key, len(self.token_ids)) for key in self._keys(words)]
+        ids = [self.token_ids.setdefault(word, len(self.token_ids)) for word in words]
         self.tokens, self.token_counts = self._pad(ids, utterance, fill=-2)
         self.total_tokens = len(ids)
 
-    def _words(self, ids: np.ndarray) -> tuple[list[tuple[int, ...]], np.ndarray]:
-        """The word tokens of concatenated frame ids, as tuples of symbol
-        ids, and the utterance of each: repeated labels collapse into one
-        phoneme, and silence or an utterance boundary ends a word."""
+    def _words(self, ids: np.ndarray) -> tuple[list[str], np.ndarray]:
+        """The word tokens of concatenated frame ids, spelled as
+        ``collapse_frame_labels`` spells them (the phonemes joined with a
+        middle dot), and the utterance of each: repeated labels collapse
+        into one phoneme, and silence or an utterance boundary ends a word."""
         size = ids.size
         speech = ids != self.silence
         run = np.empty(size, dtype=bool)  # a phoneme run starts here
@@ -531,19 +531,10 @@ class ScoringReference:
         word[self.starts] = True
         at = np.flatnonzero(run)
         cuts = np.flatnonzero(word[at])
-        phonemes = ids[at].tolist()
+        phonemes = [self.symbols[i] for i in ids[at].tolist()]
         bounds = [*cuts.tolist(), len(phonemes)]
-        words = [tuple(phonemes[a:b]) for a, b in zip(bounds, bounds[1:])]
+        words = ["·".join(phonemes[a:b]) for a, b in zip(bounds, bounds[1:])]
         return words, self.frame_utterance[at[cuts]]
-
-    def _keys(self, words: list[tuple[int, ...]]) -> list[tuple[int, ...]] | list[str]:
-        """What identifies a word token: its phoneme ids, or its text (the
-        phonemes joined with a middle dot, as ``collapse_frame_labels``
-        spells it) when a symbol holds the dot, so that two splits of a word
-        can spell one token."""
-        if self.joiner_in_symbols:
-            return ["·".join(self.symbols[i] for i in word) for word in words]
-        return words
 
     def _pad(self, ids: list[int], utterance: np.ndarray, fill: int) -> tuple[np.ndarray, np.ndarray]:
         """Token ids laid out one utterance per row, padded with ``fill``,
@@ -558,26 +549,33 @@ class ScoringReference:
         collapse of its hypothesis frames (concatenated symbol ids), whose
         words become reference token ids, -1 for a word no transcript has.
         Every utterance at once, one reference token per row of the distance
-        table: with ``tmp`` the row before insertions,
+        table, two rows kept: with ``tmp`` the row before insertions,
         ``np.minimum.accumulate(tmp - j) + j`` adds the best chain of
-        insertions to every column."""
+        insertions to every column. ``ends`` keeps each row's cell at the
+        utterance's hypothesis length; an utterance's distance is the one in
+        the row of its reference length."""
         words, utterance = self._words(hyp)
-        ids = [self.token_ids.get(key, -1) for key in self._keys(words)]
+        ids = [self.token_ids.get(word, -1) for word in words]
         hyp_tokens, hyp_counts = self._pad(ids, utterance, fill=-1)
         utterances, width = hyp_tokens.shape
+        rows = np.arange(utterances)
         j = np.arange(width + 1)
-        cost = self.tokens[:, :, None] != hyp_tokens[:, None, :]
-        dist = np.empty((self.tokens.shape[1] + 1, utterances, width + 1), dtype=np.int64)
-        dist[0] = j
-        tmp = np.empty((utterances, width + 1), dtype=np.int64)
+        ends = np.empty((self.tokens.shape[1] + 1, utterances), dtype=np.int64)
+        ends[0] = hyp_counts
+        prev = np.tile(j, (utterances, 1))
+        cur = np.empty_like(prev)
+        tmp = np.empty_like(prev)
+        cost = np.empty((utterances, width), dtype=bool)
         for i in range(self.tokens.shape[1]):
-            prev = dist[i]
+            np.not_equal(self.tokens[:, i, None], hyp_tokens, out=cost)
             tmp[:, 0] = i + 1
-            np.minimum(prev[:, 1:] + 1, prev[:, :-1] + cost[:, i], out=tmp[:, 1:])
+            np.minimum(prev[:, 1:] + 1, prev[:, :-1] + cost, out=tmp[:, 1:])
             tmp -= j
-            np.minimum.accumulate(tmp, axis=1, out=dist[i + 1])
-            dist[i + 1] += j
-        return int(dist[self.token_counts, np.arange(utterances), hyp_counts].sum())
+            np.minimum.accumulate(tmp, axis=1, out=cur)
+            cur += j
+            ends[i + 1] = cur[rows, hyp_counts]
+            prev, cur = cur, prev
+        return int(ends[self.token_counts, rows].sum())
 
 
 def evaluate(
