@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import json
 import os
 import sys
 from contextlib import contextmanager
@@ -25,7 +24,8 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Any
 
-from . import __version__
+from . import __version__, reports
+from .artefacts import json_text, naming, read_json, write_text
 from .corpus import Corpus, load_corpus, save_corpus
 from .model import (
     TrainConfig,
@@ -38,18 +38,6 @@ from .model import (
     train,
 )
 from .phonemes import default_table
-from .reports import (
-    Provenance,
-    channel_average_csv,
-    comparison_csv,
-    elimination_json,
-    elimination_plot_csv,
-    sweep_csv,
-    top_subsets_csv,
-    training_log_csv,
-    worst_channel_csv,
-    write_text,
-)
 from .search import (
     EvaluationError,
     ResultsCache,
@@ -62,7 +50,7 @@ from .search import (
     seven_channel_ablation,
     top_k_frequency,
 )
-from .signals import parse_subset, read_json
+from .signals import parse_subset
 from .synth import GeneratorConfig, generate
 
 EXIT_OK = 0
@@ -125,16 +113,16 @@ def load_config(path: str | None) -> dict:
     if not path:
         return cfg
     doc = read_json(Path(path), "config file")
-    for section, values in doc.items():
-        if section not in cfg:
-            raise ValueError(f"unknown config section {section!r} in {path}")
-        if not isinstance(values, dict):
-            raise ValueError(f"config section {section} in {path} must be a JSON object, "
-                             f"got {values!r}")
-        for key, value in values.items():
-            if key not in cfg[section]:
-                raise ValueError(f"unknown config key {section}.{key} in {path}")
-            cfg[section][key] = _typed(f"{section}.{key}", value, cfg[section][key])
+    with naming("config file", path):
+        for section, values in doc.items():
+            if section not in cfg:
+                raise ValueError(f"has the unknown config section {section!r}")
+            if not isinstance(values, dict):
+                raise ValueError(f"config section {section} must be a JSON object, got {values!r}")
+            for key, value in values.items():
+                if key not in cfg[section]:
+                    raise ValueError(f"has the unknown config key {section}.{key}")
+                cfg[section][key] = _typed(f"{section}.{key}", value, cfg[section][key])
     return cfg
 
 
@@ -204,17 +192,11 @@ def _evaluator(corpus: Corpus, cfg: dict, out_dir: Path) -> TrainingEvaluator:
     )
 
 
-def _provenance(config_hash: str, corpus_hash: str, seed: int) -> Provenance:
-    return Provenance(
-        version=__version__, config_hash=config_hash, corpus_hash=corpus_hash, seed=seed
-    )
-
-
-def _record_json(record) -> str:
+def _record_doc(record) -> dict:
     doc = record.to_dict()
     doc.pop("wall_time")  # timings would break byte-identical reruns
     doc["tool_version"] = __version__
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return doc
 
 
 # --- subcommands ---------------------------------------------------------------
@@ -247,10 +229,10 @@ def cmd_pretrain(args: argparse.Namespace, cfg: dict) -> int:
     )
     model_path = out_dir / f"model_p{train_cfg.dropout_p:g}.json"
     save_model(result.params, model_path, seed=train_cfg.seed, config_hash=config_hash)
-    prov = _provenance(config_hash, corpus.content_hash, train_cfg.seed)
+    prov = reports.Provenance(config_hash, corpus.content_hash, train_cfg.seed)
     write_text(
         out_dir / f"training_log_p{train_cfg.dropout_p:g}.csv",
-        training_log_csv(result.epoch_losses, result.mean_retained_channels, prov),
+        reports.training_log_csv(result.epoch_losses, result.mean_retained_channels, prov),
     )
     print(
         f"trained p={train_cfg.dropout_p:g} model: loss {result.initial_loss:.4f} -> "
@@ -281,7 +263,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     config_hash = config_fingerprint(
         ft_cfg, window, features, threshold, len(train_r) if epochs else 0,
     )
-    prov = _provenance(config_hash, corpus.content_hash, seed)
+    prov = reports.Provenance(config_hash, corpus.content_hash, seed)
     records = []
 
     def run_side(mode: str, start, parent_hash) -> None:
@@ -295,7 +277,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
             seed=seed, config_hash=config_hash,
             provenance={"parent": parent_hash, "subset": subset.label},
         )
-        write_text(out_dir / f"eval_{mode}_{subset.label}.json", _record_json(record))
+        write_text(out_dir / f"eval_{mode}_{subset.label}.json", json_text(_record_doc(record)))
         records.append((mode, record))
         print(f"{mode} {subset.label}: wer {record.wer:.4f}, per {record.per_total:.4f}")
 
@@ -317,7 +299,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
         )
         run_side("scratch", scratch, None)
 
-    write_text(out_dir / f"comparison_{subset.label}.csv", comparison_csv(records, prov))
+    write_text(out_dir / f"comparison_{subset.label}.csv", reports.comparison_csv(records, prov))
     return EXIT_OK
 
 
@@ -332,7 +314,7 @@ def _search_setup(args: argparse.Namespace, cfg: dict):
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)
-    prov = _provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
+    prov = reports.Provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
     try:
         yield corpus, out_dir, evaluator, prov
     finally:
@@ -350,8 +332,8 @@ def cmd_backward_elim(args: argparse.Namespace, cfg: dict) -> int:
             stop_size=cfg["search"]["stop_size"],
             metric=cfg["search"]["metric"],
         )
-    write_text(out_dir / "elimination.json", elimination_json(trace, prov))
-    write_text(out_dir / "elimination_curve.csv", elimination_plot_csv(trace, prov))
+    write_text(out_dir / "elimination.json", reports.elimination_json(trace, prov))
+    write_text(out_dir / "elimination_curve.csv", reports.elimination_plot_csv(trace, prov))
     order = ", ".join(str(ch + 1) for ch in trace.removal_order)
     print(f"removal order: {order}; survivors: {trace.steps[-1].surviving.label}")
     return EXIT_OK
@@ -378,10 +360,10 @@ def _sweep_reports(args: argparse.Namespace, cfg: dict, cached_only: bool):
     k_top = min(k_top, len(sweep.records))
     counts = top_k_frequency(sweep, k_top)
     averages = channel_average_metric(sweep)
-    write_text(out_dir / "sweep.csv", sweep_csv(sweep, prov))
-    write_text(out_dir / "top_subsets.csv", top_subsets_csv(sweep, k_top, counts, prov))
+    write_text(out_dir / "sweep.csv", reports.sweep_csv(sweep, prov))
+    write_text(out_dir / "top_subsets.csv", reports.top_subsets_csv(sweep, k_top, counts, prov))
     write_text(out_dir / "channel_average.csv",
-               channel_average_csv(averages, sweep.metric_name, prov))
+               reports.channel_average_csv(averages, sweep.metric_name, prov))
     return sweep, out_dir
 
 
@@ -398,17 +380,14 @@ def cmd_exhaustive(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_ablate7(args: argparse.Namespace, cfg: dict) -> int:
     with _search_setup(args, cfg) as (corpus, out_dir, evaluator, prov):
         result = seven_channel_ablation(evaluator, corpus.channels)
-    write_text(out_dir / "worst_channel.csv", worst_channel_csv(result.rows, prov))
+    write_text(out_dir / "worst_channel.csv", reports.worst_channel_csv(result.rows, prov))
     records_doc = {
-        "baseline": json.loads(_record_json(result.baseline)),
+        "baseline": _record_doc(result.baseline),
         "by_removed_channel": {
-            str(ch): json.loads(_record_json(rec)) for ch, rec in sorted(result.records.items())
+            str(ch): _record_doc(rec) for ch, rec in sorted(result.records.items())
         },
     }
-    write_text(
-        out_dir / "ablation_records.json",
-        json.dumps(records_doc, indent=2, sort_keys=True) + "\n",
-    )
+    write_text(out_dir / "ablation_records.json", json_text(records_doc))
     print(f"ablated {corpus.channels} channels; wrote {out_dir / 'worst_channel.csv'}")
     return EXIT_OK
 

@@ -1,9 +1,9 @@
 """Labeled-sequence corpus container and its on-disk directory format.
 
 A corpus directory holds a ``manifest.json`` (generator config + content
-hash), one signal header/payload pair per utterance, and a ``labels.csv``
-with one row per frame. Transcripts are never stored: a sequence derives
-its transcript from the frame labels when it is first read.
+hash), one signal artefact per utterance (see ``artefacts.py``), and a
+``labels.csv`` with one row per frame. Transcripts are never stored: a
+sequence derives its transcript from the frame labels when it is first read.
 """
 
 from __future__ import annotations
@@ -16,18 +16,13 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from ._version import __version__
+from .artefacts import json_text, naming, payload_bytes, positive_int, read_json, write_text
 from .metrics import collapse_frame_labels
 from .phonemes import SILENCE_SYMBOL
-from .signals import (
-    ChannelSubset,
-    MultichannelSignal,
-    load_signal,
-    read_json,
-    restrict_to_subset,
-    save_signal,
-)
+from .signals import ChannelSubset, MultichannelSignal, load_signal, restrict_to_subset, save_signal
 
 CORPUS_FORMAT_VERSION = 1
+_LABELS_HEADER = "utterance,frame,label"
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,7 +114,7 @@ class Corpus:
             h.update(json.dumps(dict(self.config), sort_keys=True).encode("utf-8"))
         for seq in self.sequences:
             h.update("|".join(seq.labels).encode("utf-8"))
-            h.update(seq.signal.samples.astype("<f8").tobytes(order="C"))
+            h.update(payload_bytes(seq.signal.samples))
         return h.hexdigest()
 
 
@@ -130,16 +125,11 @@ def save_corpus(corpus: Corpus, directory: Path, force: bool = False) -> str:
     manifest_path = directory / "manifest.json"
     if manifest_path.exists() and not force:
         raise FileExistsError(f"corpus already exists at {directory} (use force to overwrite)")
-    directory.mkdir(parents=True, exist_ok=True)
-
     for i, seq in enumerate(corpus.sequences):
         save_signal(seq.signal, directory / f"utt_{i:05d}.json")
-
-    lines = ["utterance,frame,label"]
-    for i, seq in enumerate(corpus.sequences):
-        for t, lab in enumerate(seq.labels):
-            lines.append(f"{i},{t},{lab}")
-    (directory / "labels.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [f"{i},{t},{lab}" for i, seq in enumerate(corpus.sequences)
+            for t, lab in enumerate(seq.labels)]
+    write_text(directory / "labels.csv", "\n".join([_LABELS_HEADER, *rows]) + "\n")
 
     manifest = {
         "format_version": CORPUS_FORMAT_VERSION,
@@ -148,21 +138,26 @@ def save_corpus(corpus: Corpus, directory: Path, force: bool = False) -> str:
         "hash": corpus.content_hash,
         "utterances": len(corpus.sequences),
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    write_text(manifest_path, json_text(manifest))
     return corpus.content_hash
 
 
 def load_corpus(directory: Path) -> Corpus:
     """Read a corpus directory back; verifies the manifest hash."""
     directory = Path(directory)
-    manifest = read_json(directory / "manifest.json", "corpus manifest", ("utterances", "hash"))
-    n = int(manifest["utterances"])
+    manifest_path = directory / "manifest.json"
+    manifest = read_json(manifest_path, "corpus manifest", ("utterances", "hash"))
+    with naming("corpus manifest", manifest_path):
+        n = positive_int(manifest["utterances"], "utterances")
 
     labels_by_utt: dict[int, list[tuple[int, str]]] = {i: [] for i in range(n)}
     labels_path = directory / "labels.csv"
     rows = labels_path.read_text(encoding="utf-8").strip().splitlines()
-    if rows[0] != "utterance,frame,label":
-        raise ValueError(f"unexpected labels.csv header: {rows[0]!r}")
+    with naming("corpus labels", labels_path):
+        if not rows:
+            raise ValueError("is empty")
+        if rows[0] != _LABELS_HEADER:
+            raise ValueError(f"has the header {rows[0]!r}, expected {_LABELS_HEADER!r}")
     for line, row in enumerate(rows[1:], start=2):
         try:
             utt, frame, lab = row.split(",")
@@ -173,16 +168,17 @@ def load_corpus(directory: Path) -> Corpus:
                 f"utterance index below {n} and an integer frame, got {row!r}"
             ) from None
 
-    sequences = []
-    for i in range(n):
-        signal = load_signal(directory / f"utt_{i:05d}.json")
-        frames = sorted(labels_by_utt[i])
-        sequences.append(LabeledSequence.from_labels(signal, [lab for _, lab in frames]))
-
-    corpus = Corpus(tuple(sequences), config=manifest.get("config"))
-    if corpus.content_hash != manifest["hash"]:
-        raise ValueError(
-            f"corpus at {directory} fails its integrity check: "
-            f"manifest hash {manifest['hash'][:12]}, recomputed {corpus.content_hash[:12]}"
+    signals = [load_signal(directory / f"utt_{i:05d}.json") for i in range(n)]
+    with naming("corpus labels", labels_path):
+        sequences = tuple(
+            LabeledSequence.from_labels(signal, [lab for _, lab in sorted(labels_by_utt[i])])
+            for i, signal in enumerate(signals)
         )
+    with naming("corpus", directory):
+        corpus = Corpus(sequences, config=manifest.get("config"))
+        if corpus.content_hash != manifest["hash"]:
+            raise ValueError(
+                f"fails its integrity check: manifest hash {str(manifest['hash'])[:12]}, "
+                f"recomputed {corpus.content_hash[:12]}"
+            )
     return corpus

@@ -12,12 +12,16 @@ Training is plain mini-batch gradient descent with a fixed learning rate,
 frame-wise cross-entropy, and optional channel dropout drawn fresh per
 utterance per epoch. Everything is a pure function of the seed; no adaptive
 optimizer state, no threading, so trajectories are bit-reproducible.
+
+A model file is an artefact (see ``artefacts.py``): a JSON manifest of the
+layer sizes, class symbols, seed, config hash, payload SHA-256 and slicing
+provenance (the parent's payload hash and the subset), next to a payload of
+the four parameter arrays, each row-major, in ``_ARRAYS`` order.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import time
 from dataclasses import dataclass, replace
@@ -27,10 +31,11 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
+from .artefacts import naming, payload_bytes, positive_int, read_artefact, write_artefact
 from .corpus import Corpus, LabeledSequence
 from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, TOTAL_ROW
 from .phonemes import SILENCE_SYMBOL, CategoryTable
-from .signals import ChannelSubset, draw_channel_mask, read_json
+from .signals import ChannelSubset, draw_channel_mask
 
 MODEL_FORMAT_VERSION = 1
 LOG_CLAMP = 1e-12
@@ -99,6 +104,11 @@ class ModelParams:
 
 def _arrays(params: ModelParams) -> tuple[np.ndarray, ...]:
     return tuple(getattr(params, name) for name in _ARRAYS)
+
+
+def _flat(params: ModelParams) -> np.ndarray:
+    """The parameters in one flat copy, in ``_ARRAYS`` (payload) order."""
+    return np.concatenate([a.ravel() for a in _arrays(params)])
 
 
 def init_params(
@@ -200,10 +210,10 @@ def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarr
 
 
 def _buffers(params: ModelParams) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """A flat copy of the parameters in ``_ARRAYS`` (payload) order and a
-    flat gradient buffer of the same layout, each with a view per array."""
+    """``_flat(params)`` and a flat gradient buffer of the same layout, each
+    with a view per array."""
     shapes = [a.shape for a in _arrays(params)]
-    flat = np.concatenate([a.ravel() for a in _arrays(params)])
+    flat = _flat(params)
     grad = np.empty_like(flat)
     return flat, _views(flat, shapes), grad, _views(grad, shapes)
 
@@ -665,77 +675,52 @@ def score_windows(
 
 
 # --- model files -------------------------------------------------------------
-#
-# JSON manifest next to a .bin payload of all parameters, each array
-# row-major, concatenated in ``_ARRAYS`` order, little-endian float64.
-# Sliced models record their parent's payload hash and the subset.
-
-
-def _payload(params: ModelParams) -> bytes:
-    flat = np.concatenate([a.ravel() for a in _arrays(params)])
-    return flat.astype("<f8").tobytes(order="C")
-
 
 def model_hash(params: ModelParams) -> str:
-    return hashlib.sha256(_payload(params)).hexdigest()
+    return hashlib.sha256(payload_bytes(_flat(params))).hexdigest()
 
 
-def save_model(
-    params: ModelParams,
-    header_path: Path,
-    seed: int = 0,
-    config_hash: str = "",
-    provenance: Mapping | None = None,
-) -> str:
+def save_model(params: ModelParams, header_path: Path, seed: int = 0, config_hash: str = "",
+               provenance: Mapping | None = None) -> str:
     """Write manifest + payload; returns the payload hash."""
-    header_path = Path(header_path)
-    payload = _payload(params)
-    digest = hashlib.sha256(payload).hexdigest()
+    digest = model_hash(params)
     manifest = {
         "format_version": MODEL_FORMAT_VERSION,
         "tool_version": __version__,
-        "layers": {
-            "channels": params.channels,
-            "window": params.window,
-            "features": params.features,
-            "classes": params.classes,
-        },
+        "layers": {key: getattr(params, key)
+                   for key in ("channels", "window", "features", "classes")},
         "class_symbols": list(params.class_symbols),
         "seed": seed,
         "config_hash": config_hash,
         "payload_sha256": digest,
         "provenance": dict(provenance) if provenance else None,
     }
-    header_path.parent.mkdir(parents=True, exist_ok=True)
-    header_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    header_path.with_suffix(".bin").write_bytes(payload)
+    write_artefact(header_path, manifest, _flat(params), indent=2)
     return digest
 
 
-def load_model(header_path: Path) -> tuple[ModelParams, dict]:
-    header_path = Path(header_path)
-    manifest = read_json(header_path, "model manifest",
-                         ("layers", "class_symbols", "payload_sha256"))
-    layers = manifest["layers"]
+def _manifest_shapes(manifest: dict) -> tuple[tuple[int, ...], ...]:
+    """The parameter shapes a model manifest describes."""
+    layers, symbols = manifest["layers"], manifest["class_symbols"]
     if not isinstance(layers, dict):
-        raise ValueError(f"model manifest {header_path} key 'layers' must hold a JSON object")
+        raise ValueError("key 'layers' must hold a JSON object")
     for key in ("channels", "window", "features"):
         if key not in layers:
-            raise ValueError(f"model manifest {header_path} has no 'layers.{key}' key")
-        if type(layers[key]) is not int:
-            raise ValueError(f"model manifest {header_path} key 'layers.{key}' must be an "
-                             f"integer, got {layers[key]!r}")
-    c, w, f = layers["channels"], layers["window"], layers["features"]
-    symbols = tuple(manifest["class_symbols"])
-    raw = header_path.with_suffix(".bin").read_bytes()
-    if hashlib.sha256(raw).hexdigest() != manifest["payload_sha256"]:
-        raise ValueError(f"model payload at {header_path} fails its integrity check")
-    shapes = _layer_shapes(c, w, f, len(symbols))
-    size = sum(math.prod(shape) for shape in shapes)
-    flat = np.frombuffer(raw, dtype="<f8")
-    if flat.size != size:
-        raise ValueError(f"model payload holds {flat.size} values, expected {size}")
-    arrays = _views(flat, shapes)
-    params = ModelParams(**dict(zip(_ARRAYS, arrays)), channels=c, window=w, features=f,
-                         class_symbols=symbols)
-    return params, manifest
+            raise ValueError(f"has no 'layers.{key}' key")
+        positive_int(layers[key], f"layers.{key}")
+    if not isinstance(symbols, list) or not all(isinstance(s, str) for s in symbols):
+        raise ValueError(f"key 'class_symbols' must be a list of strings, got {symbols!r}")
+    return _layer_shapes(layers["channels"], layers["window"], layers["features"], len(symbols))
+
+
+def load_model(header_path: Path) -> tuple[ModelParams, dict]:
+    manifest, flat = read_artefact(
+        header_path, "model manifest", ("layers", "class_symbols", "payload_sha256"),
+        lambda m: sum(map(math.prod, _manifest_shapes(m))))
+    with naming("model manifest", header_path):
+        if hashlib.sha256(flat).hexdigest() != manifest["payload_sha256"]:
+            raise ValueError("payload fails its integrity check")
+        layers, arrays = manifest["layers"], _views(flat, _manifest_shapes(manifest))
+        return ModelParams(**dict(zip(_ARRAYS, arrays)), channels=layers["channels"],
+                           window=layers["window"], features=layers["features"],
+                           class_symbols=tuple(manifest["class_symbols"])), manifest

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
+from ._version import __version__
+from .artefacts import json_text
 from .metrics import WorstChannelRow
 from .model import EvalRecord
 from .search import EliminationTrace, SweepResult
@@ -28,10 +28,10 @@ from .signals import parse_subset
 
 @dataclass(frozen=True)
 class Provenance:
-    version: str
     config_hash: str
     corpus_hash: str
     seed: int
+    version: str = __version__
 
     def line(self) -> str:
         return (
@@ -98,13 +98,8 @@ def worst_channel_csv(
 def elimination_json(trace: EliminationTrace, provenance: Provenance | None = None) -> str:
     doc = trace.to_dict()
     if provenance:
-        doc["meta"] = {
-            "version": provenance.version,
-            "config_hash": provenance.config_hash,
-            "corpus_hash": provenance.corpus_hash,
-            "seed": provenance.seed,
-        }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc["meta"] = asdict(provenance)
+    return json_text(doc)
 
 
 def elimination_plot_csv(trace: EliminationTrace, provenance: Provenance | None = None) -> str:
@@ -137,9 +132,3 @@ def comparison_csv(
     rows = [("mode", "subset", "wer", "per_total")]
     rows += [(mode, r.subset_label, repr(r.wer), repr(r.per_total)) for mode, r in records]
     return _render(rows, provenance)
-
-
-def write_text(path: Path, text: str) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")

@@ -5,19 +5,20 @@ time steps). Channel dropout zeroes whole rows to simulate absent sensors:
 each channel is kept independently with probability 1 - p and no rescaling is
 applied to the survivors, so a masked channel is indistinguishable from a dead
 one. Subsets are canonically written with 1-based channel labels ("1356" means
-channels 1, 3, 5 and 6) while all in-memory indices are 0-based.
+channels 1, 3, 5 and 6) while all in-memory indices are 0-based. A signal
+file is an artefact (see ``artefacts.py``) whose header holds the channel
+count, the samples per channel and the sample rate.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
 import numpy as np
 
-PAYLOAD_DTYPE = "<f8"  # little-endian float64, row-major
+from .artefacts import naming, positive_int, read_artefact, write_artefact
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,56 +192,20 @@ def restrict_to_subset(x: MultichannelSignal, s: ChannelSubset) -> MultichannelS
     return MultichannelSignal(x.samples[list(s.indices)], sample_rate=x.sample_rate)
 
 
-# --- file formats -----------------------------------------------------------
-#
-# On-disk signal = JSON header {channels, samples_per_channel, sample_rate}
-# plus a sibling .bin file holding the row-major little-endian float64 payload.
-
-
-def read_json(path: Path, what: str, keys: Iterable[str] = ()) -> dict:
-    """The JSON object in ``path``. A file that is not JSON, not an object,
-    or lacks one of ``keys`` is a ValueError naming ``what`` and the path."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{what} {path} is not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} {path} must hold a JSON object")
-    missing = [key for key in keys if key not in doc]
-    if missing:
-        raise ValueError(f"{what} {path} has no {', '.join(map(repr, missing))} key")
-    return doc
-
-
-def payload_path(header_path: Path) -> Path:
-    return Path(header_path).with_suffix(".bin")
-
-
 def save_signal(x: MultichannelSignal, header_path: Path) -> None:
-    header_path = Path(header_path)
-    header = {
-        "channels": x.channels,
-        "samples_per_channel": x.n_samples,
-        "sample_rate": x.sample_rate,
-    }
-    header_path.write_text(json.dumps(header, sort_keys=True) + "\n", encoding="utf-8")
-    payload_path(header_path).write_bytes(x.samples.astype(PAYLOAD_DTYPE).tobytes(order="C"))
+    header = {"channels": x.channels, "samples_per_channel": x.n_samples,
+              "sample_rate": x.sample_rate}
+    write_artefact(header_path, header, x.samples)
 
 
 def load_signal(header_path: Path) -> MultichannelSignal:
-    header_path = Path(header_path)
-    header = read_json(header_path, "signal header",
-                       ("channels", "samples_per_channel", "sample_rate"))
-    c = int(header["channels"])
-    t = int(header["samples_per_channel"])
-    raw = payload_path(header_path).read_bytes()
-    expected = c * t * 8
-    if len(raw) != expected:
-        raise ValueError(
-            f"payload {payload_path(header_path)} holds {len(raw)} bytes, expected {expected}"
-        )
-    arr = np.frombuffer(raw, dtype=PAYLOAD_DTYPE).reshape(c, t)
-    return MultichannelSignal(arr, sample_rate=float(header["sample_rate"]))
+    header, values = read_artefact(
+        header_path, "signal header", ("channels", "samples_per_channel", "sample_rate"),
+        lambda h: positive_int(h["channels"], "channels")
+        * positive_int(h["samples_per_channel"], "samples_per_channel"))
+    with naming("signal header", header_path):
+        return MultichannelSignal(values.reshape(header["channels"], -1),
+                                  sample_rate=float(header["sample_rate"]))
 
 
 def load_signal_csv(path: Path, sample_rate: float = 1.0) -> MultichannelSignal:

@@ -1,7 +1,10 @@
 import argparse
 import copy
+import hashlib
 import json
+import math
 import os
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -557,6 +560,11 @@ class TestConfigSchema:
         assert cfg["generator"]["silence_frames"] == 4  # a null default takes any value
 
 
+def _with_key(key, value):
+    """A JSON file damage that sets the top-level ``key`` to ``value``."""
+    return lambda data: json.dumps({**json.loads(data), key: value}).encode()
+
+
 def _with_layers(edit):
     """A manifest damage that replaces its ``layers`` value with ``edit(layers)``."""
     def damage(text: str) -> str:
@@ -595,13 +603,39 @@ class TestExitCodes:
         assert f"error: config file {torn} is not JSON: Expecting ',' delimiter" in err
         assert not out.exists()
 
-    def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, capsys):
-        header = corpus_dir / "utt_00003.json"
-        header.write_text(header.read_text()[:20])
+    @pytest.mark.parametrize("damaged, damage, what, named, problem", [
+        ("utt_00003.json", lambda data: data[:20], "signal header", "utt_00003.json",
+         "is not JSON: "),
+        ("utt_00002.json", _with_key("channels", "x"), "signal header", "utt_00002.json",
+         "key 'channels' must be an integer, got 'x'"),
+        ("utt_00002.json", _with_key("channels", -4), "signal header", "utt_00002.json",
+         "key 'channels' must be at least 1, got -4"),
+        ("utt_00002.json", _with_key("sample_rate", 0), "signal header", "utt_00002.json",
+         "sample_rate must be positive, got 0.0"),
+        ("utt_00002.json", _with_key("sample_rate", None), "signal header", "utt_00002.json",
+         "float() argument must be"),
+        ("utt_00002.bin", lambda data: struct.pack("<d", math.nan) + data[8:],
+         "signal header", "utt_00002.json", "samples contain NaN or Inf"),
+        ("labels.csv", lambda data: b"", "corpus labels", "labels.csv", "is empty"),
+        ("labels.csv", lambda data: b"".join(data.splitlines(keepends=True)[:-5]),
+         "corpus labels", "labels.csv", "23 frame labels for a 28-frame signal"),
+        ("labels.csv", lambda data: data.replace(b"utterance,frame,label", b"utterance,frame"),
+         "corpus labels", "labels.csv",
+         "has the header 'utterance,frame', expected 'utterance,frame,label'"),
+        ("manifest.json", _with_key("utterances", "eight"), "corpus manifest", "manifest.json",
+         "key 'utterances' must be an integer, got 'eight'"),
+    ], ids=["torn", "channels-not-integer", "channels-negative", "sample-rate-zero",
+            "sample-rate-null", "payload-nan", "labels-empty", "labels-short", "labels-header",
+            "utterances-not-integer"])
+    def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, capsys,
+                                                  damaged, damage, what, named, problem):
+        target = corpus_dir / damaged
+        target.write_bytes(damage(target.read_bytes()))
+        header = corpus_dir / named
         code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "sweep")])
         assert code == EXIT_DATA
-        assert f"error: signal header {header} is not JSON: " in capsys.readouterr().err
+        assert f"error: {what} {header} {problem}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:30], "is not JSON: "),
@@ -613,7 +647,10 @@ class TestExitCodes:
          "key 'layers' must hold a JSON object"),
         (_with_layers(lambda layers: {**layers, "features": 2.5}),
          "key 'layers.features' must be an integer, got 2.5"),
-    ], ids=["torn", "no-layers", "no-layers-window", "layers-not-object", "fractional-size"])
+        (lambda text: json.dumps({**json.loads(text), "class_symbols": "SIL"}),
+         "key 'class_symbols' must be a list of strings, got 'SIL'"),
+    ], ids=["torn", "no-layers", "no-layers-window", "layers-not-object", "fractional-size",
+            "symbols-not-list"])
     def test_damaged_model_manifest_names_the_file(self, workdir, corpus_dir, capsys,
                                                    damage, message):
         pre = workdir / "pretrain"
@@ -621,6 +658,29 @@ class TestExitCodes:
               "--out", str(pre)])
         manifest = pre / "model_p0.json"
         manifest.write_text(damage(manifest.read_text()))
+        capsys.readouterr()
+        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "ft"), "--subset", "13", "--init", str(manifest)])
+        assert code == EXIT_DATA
+        assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda values: values[:-1], "payload holds 840 bytes, expected 848"),
+        (lambda values: np.concatenate([[np.nan], values[1:]]),
+         "input_weights contains NaN or Inf"),
+    ], ids=["one-value-short", "nan"])
+    def test_damaged_model_payload_names_the_manifest(self, workdir, corpus_dir, capsys,
+                                                      damage, message):
+        """A payload damaged behind an updated hash passes the integrity
+        check and is still refused, naming the model's manifest."""
+        pre = workdir / "pretrain"
+        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(pre)])
+        manifest, payload = pre / "model_p0.json", pre / "model_p0.bin"
+        payload.write_bytes(damage(np.frombuffer(payload.read_bytes(), "<f8")).tobytes())
+        doc = json.loads(manifest.read_text())
+        doc["payload_sha256"] = hashlib.sha256(payload.read_bytes()).hexdigest()
+        manifest.write_text(json.dumps(doc))
         capsys.readouterr()
         code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "ft"), "--subset", "13", "--init", str(manifest)])
