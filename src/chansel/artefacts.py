@@ -52,6 +52,13 @@ def positive_int(value, key: str) -> int:
     return value
 
 
+def check_format_version(doc: dict, expected: int) -> None:
+    """Refuse a file written in another format than the one this code reads."""
+    version = doc["format_version"]
+    if type(version) is not int or version != expected:
+        raise ValueError(f"has format_version {version!r}, expected {expected}")
+
+
 def json_text(doc, indent: int | None = 2) -> str:
     return json.dumps(doc, indent=indent, sort_keys=True) + "\n"
 

@@ -19,6 +19,7 @@ import copy
 import os
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
@@ -27,6 +28,7 @@ from typing import Any
 from . import __version__, reports
 from .artefacts import json_text, naming, read_json, write_text
 from .corpus import Corpus, load_corpus, save_corpus
+from .metrics import DEFAULT_CATEGORY_THRESHOLD
 from .model import (
     TrainConfig,
     TrainingDivergedError,
@@ -39,6 +41,7 @@ from .model import (
 )
 from .phonemes import default_table
 from .search import (
+    DEFAULT_SWEEP_BUDGET,
     EvaluationError,
     ResultsCache,
     SweepBudgetError,
@@ -63,23 +66,11 @@ SUBSET_PRESETS = {"4ch": "1356", "5ch": "12345", "6ch": "123458", "7ch": "123457
 DEFAULT_CONFIG: dict[str, dict[str, Any]] = {
     "generator": GeneratorConfig().to_dict(),
     "model": {"window": 9, "features": 32},
-    "train": {
-        "learning_rate": 0.5,
-        "epochs": 30,
-        "batch_size": 16,
-        "dropout_p": 0.0,
-        "seed": 0,
-    },
-    "search": {
-        "k": 4,
-        "k_top": 10,
-        "stop_size": 2,
-        "replicates": 3,
-        "metric": "wer",
-        "budget": 100_000,
-        "workers": 0,  # 0 = CPUs this process may run on
-    },
-    "eval": {"per_threshold": 3000, "train_fraction": 0.75},
+    "train": asdict(TrainConfig()),
+    "search": {"k": 4, "k_top": 10, "stop_size": 2, "replicates": 3, "metric": "wer",
+               "budget": DEFAULT_SWEEP_BUDGET,
+               "workers": 0},  # 0 = CPUs this process may run on
+    "eval": {"per_threshold": DEFAULT_CATEGORY_THRESHOLD, "train_fraction": 0.75},
 }
 
 
@@ -466,12 +457,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     except EvaluationError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, TrainingDivergedError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DIVERGED
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
+        return EXIT_DIVERGED if isinstance(exc.__cause__, TrainingDivergedError) else EXIT_DATA
     except (ValueError, KeyError, OSError, SweepBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -10,13 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from ._version import __version__
-from .artefacts import json_text, naming, payload_bytes, positive_int, read_json, write_text
+from .artefacts import (
+    check_format_version, json_text, naming, payload_bytes, positive_int, read_json, write_text,
+)
 from .metrics import collapse_frame_labels
 from .phonemes import SILENCE_SYMBOL
 from .signals import ChannelSubset, MultichannelSignal, load_signal, restrict_to_subset, save_signal
@@ -120,11 +123,17 @@ class Corpus:
 
 def save_corpus(corpus: Corpus, directory: Path, force: bool = False) -> str:
     """Write the corpus directory; returns the content hash. Refuses to
-    overwrite an existing corpus unless ``force``."""
+    overwrite an existing corpus unless ``force``, and then deletes the
+    utterance files of the old corpus that the new one does not rewrite."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if manifest_path.exists() and not force:
-        raise FileExistsError(f"corpus already exists at {directory} (use force to overwrite)")
+    if manifest_path.exists():
+        if not force:
+            raise FileExistsError(f"corpus already exists at {directory} (use force to overwrite)")
+        for path in directory.iterdir():
+            match = re.fullmatch(r"utt_(\d{5,})\.(json|bin)", path.name)
+            if match and int(match[1]) >= len(corpus.sequences):
+                path.unlink()
     for i, seq in enumerate(corpus.sequences):
         save_signal(seq.signal, directory / f"utt_{i:05d}.json")
     rows = [f"{i},{t},{lab}" for i, seq in enumerate(corpus.sequences)
@@ -146,8 +155,9 @@ def load_corpus(directory: Path) -> Corpus:
     """Read a corpus directory back; verifies the manifest hash."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    manifest = read_json(manifest_path, "corpus manifest", ("utterances", "hash"))
+    manifest = read_json(manifest_path, "corpus manifest", ("format_version", "utterances", "hash"))
     with naming("corpus manifest", manifest_path):
+        check_format_version(manifest, CORPUS_FORMAT_VERSION)
         n = positive_int(manifest["utterances"], "utterances")
 
     labels_by_utt: dict[int, list[tuple[int, str]]] = {i: [] for i in range(n)}

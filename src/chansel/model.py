@@ -31,7 +31,9 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 import numpy as np
 
 from ._version import __version__
-from .artefacts import naming, payload_bytes, positive_int, read_artefact, write_artefact
+from .artefacts import (
+    check_format_version, naming, payload_bytes, positive_int, read_artefact, write_artefact,
+)
 from .corpus import Corpus, LabeledSequence
 from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, TOTAL_ROW
 from .phonemes import SILENCE_SYMBOL, CategoryTable
@@ -699,6 +701,11 @@ def save_model(params: ModelParams, header_path: Path, seed: int = 0, config_has
     return digest
 
 
+def _payload_count(manifest: dict) -> int:
+    check_format_version(manifest, MODEL_FORMAT_VERSION)
+    return sum(map(math.prod, _manifest_shapes(manifest)))
+
+
 def _manifest_shapes(manifest: dict) -> tuple[tuple[int, ...], ...]:
     """The parameter shapes a model manifest describes."""
     layers, symbols = manifest["layers"], manifest["class_symbols"]
@@ -715,8 +722,8 @@ def _manifest_shapes(manifest: dict) -> tuple[tuple[int, ...], ...]:
 
 def load_model(header_path: Path) -> tuple[ModelParams, dict]:
     manifest, flat = read_artefact(
-        header_path, "model manifest", ("layers", "class_symbols", "payload_sha256"),
-        lambda m: sum(map(math.prod, _manifest_shapes(m))))
+        header_path, "model manifest",
+        ("format_version", "layers", "class_symbols", "payload_sha256"), _payload_count)
     with naming("model manifest", header_path):
         if hashlib.sha256(flat).hexdigest() != manifest["payload_sha256"]:
             raise ValueError("payload fails its integrity check")

@@ -152,27 +152,20 @@ class CategoryTable:
             if missing:
                 raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
 
-            def rows() -> Iterator[dict]:
+            def phonemes() -> Iterator[Phoneme]:
                 for row in reader:
                     short = [c for c in columns if row[c] is None]
                     if short:
                         raise ValueError(f"{path} line {reader.line_num}: the row stops "
                                          f"before the column(s) {', '.join(short)}")
-                    yield row
+                    yield Phoneme(symbol=row["symbol"].strip(), kind=row["kind"].strip(),
+                                  **{name: row[name].strip() or None for name in _FIELDS})
 
-            return cls._parse(rows())
-
-    @classmethod
-    def _parse(cls, rows: Iterable[dict]) -> "CategoryTable":
-        return cls(
-            Phoneme(symbol=row["symbol"].strip(), kind=row["kind"].strip(),
-                    **{name: row[name].strip() or None for name in _FIELDS})
-            for row in rows
-        )
+            return cls(phonemes())
 
 
 @lru_cache(maxsize=1)
 def default_table() -> CategoryTable:
     """ARPABET-39 + SIL table shipped with the package."""
-    text = resources.files("chansel").joinpath("data/arpabet.csv").read_text(encoding="utf-8")
-    return CategoryTable._parse(csv.DictReader(text.splitlines()))
+    with resources.as_file(resources.files("chansel").joinpath("data/arpabet.csv")) as path:
+        return CategoryTable.from_csv(path)

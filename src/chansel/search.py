@@ -229,7 +229,6 @@ class TaskInputs:
     window: int
     features: int
     threshold: int
-    alphabet: tuple[str, ...]
     config_hash: str
     corpus_hash: str
 
@@ -274,7 +273,7 @@ def _run_task_impl(inputs: TaskInputs, indices: tuple[int, ...], replicate: int)
     t0 = time.perf_counter()
     cols = subset_columns(subset, inputs.window)
     params = init_params(channels=len(subset), window=inputs.window, features=inputs.features,
-                         class_symbols=inputs.alphabet, seed=init_seed)
+                         class_symbols=inputs.reference.class_symbols, seed=init_seed)
     trained, _, _ = fit_windows(
         params, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels,
         replace(inputs.train_cfg, seed=train_seed))
@@ -305,13 +304,13 @@ class TrainingEvaluator:
     table: CategoryTable
     train_cfg: TrainConfig
     corpus_hash: str
-    window: int = 9
-    features: int = 32
-    replicates: int = 3
-    threshold: int = 3000
-    workers: int = 1
-    cache: ResultsCache = field(default_factory=ResultsCache)
-    training_runs: int = 0
+    window: int
+    features: int
+    replicates: int
+    threshold: int
+    workers: int
+    cache: ResultsCache
+    training_runs: int = field(default=0, init=False)
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -344,7 +343,7 @@ class TrainingEvaluator:
                 reference=ScoringReference(self.test_corpus.sequences, self._alphabet,
                                            self.table),
                 train_cfg=self.train_cfg, window=self.window,
-                features=self.features, threshold=self.threshold, alphabet=self._alphabet,
+                features=self.features, threshold=self.threshold,
                 config_hash=self.config_hash, corpus_hash=self.corpus_hash,
             )
         return self._inputs

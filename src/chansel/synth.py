@@ -18,7 +18,7 @@ per word, so the transcript is exactly the collapse of the frame labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 import numpy as np
@@ -39,6 +39,9 @@ class GeneratorConfig:
     which class indices that channel carries templates for; None means all.
     ``crosstalk`` in [0, 1) linearly mixes every channel's clean component
     toward the cross-channel mean, emulating redundant sensors.
+
+    The fields are the config's keys; the sequence fields may be given as
+    lists, their JSON form, and are stored as tuples, the weights as floats.
     """
 
     channels: int = 8
@@ -54,8 +57,11 @@ class GeneratorConfig:
     silence_frames: int | None = None  # None: same length as phone segments
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "classes", tuple(self.classes))
         if self.channels < 1:
             raise ValueError(f"channels must be >= 1, got {self.channels}")
+        if not all(isinstance(sym, str) for sym in self.classes):
+            raise ValueError(f"classes must be phoneme symbols, got {_lists(self.classes)!r}")
         if len(self.classes) < 2:
             raise ValueError(f"need at least 2 classes, got {len(self.classes)}")
         if len(set(self.classes)) != len(self.classes):
@@ -71,8 +77,10 @@ class GeneratorConfig:
                 f"{len(self.weights)} weights for {self.channels} channels"
             )
         for w in self.weights:
-            if not (math.isfinite(w) and 0.0 <= w <= 1.0):
-                raise ValueError(f"weights must be finite and in [0, 1], got {w}")
+            if (isinstance(w, bool) or not isinstance(w, (int, float))
+                    or not (math.isfinite(w) and 0.0 <= w <= 1.0)):
+                raise ValueError(f"weights must be finite numbers in [0, 1], got {w!r}")
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not (self.noise_sigma > 0):
             raise ValueError(f"noise_sigma must be > 0, got {self.noise_sigma}")
         if self.frames_per_segment < 1 or self.segments_per_utterance < 1 or self.utterances < 1:
@@ -84,55 +92,42 @@ class GeneratorConfig:
                 f"count ({len(self.classes)}) so per-channel templates can be "
                 f"orthogonalised"
             )
-        if self.silence_frames is not None and self.silence_frames < 1:
-            raise ValueError(f"silence_frames must be >= 1, got {self.silence_frames}")
+        if self.silence_frames is not None and not (
+                _is_int(self.silence_frames) and self.silence_frames >= 1):
+            raise ValueError(f"silence_frames must be an integer >= 1 or null, "
+                             f"got {self.silence_frames!r}")
         if not (0.0 <= self.crosstalk < 1.0):
             raise ValueError(f"crosstalk must be in [0, 1), got {self.crosstalk}")
         if self.channel_classes is not None:
-            if len(self.channel_classes) != self.channels:
-                raise ValueError("channel_classes must list one entry per channel")
+            if (not isinstance(self.channel_classes, (list, tuple))
+                    or len(self.channel_classes) != self.channels):
+                raise ValueError(f"channel_classes must list one entry per channel, "
+                                 f"got {_lists(self.channel_classes)!r}")
             k = len(self.classes)
-            norm = tuple(tuple(sorted(set(int(i) for i in cov))) for cov in self.channel_classes)
-            for cov in norm:
+            for cov in self.channel_classes:
+                if not (isinstance(cov, (list, tuple)) and all(map(_is_int, cov))):
+                    raise ValueError(f"channel_classes entries must be lists of integer "
+                                     f"class indices, got {_lists(cov)!r}")
                 if any(i < 0 or i >= k for i in cov):
                     raise ValueError(f"channel_classes index out of range in {cov}")
-            object.__setattr__(self, "channel_classes", norm)
+            object.__setattr__(self, "channel_classes",
+                               tuple(tuple(sorted(set(cov))) for cov in self.channel_classes))
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "channels": self.channels,
-            "classes": list(self.classes),
-            "weights": list(self.weights),
-            "noise_sigma": self.noise_sigma,
-            "frames_per_segment": self.frames_per_segment,
-            "segments_per_utterance": self.segments_per_utterance,
-            "utterances": self.utterances,
-            "seed": self.seed,
-            "channel_classes": (
-                [list(cov) for cov in self.channel_classes]
-                if self.channel_classes is not None else None
-            ),
-            "crosstalk": self.crosstalk,
-            "silence_frames": self.silence_frames,
-        }
+        return {f.name: _lists(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: Mapping[str, Any]) -> "GeneratorConfig":
-        cc = d.get("channel_classes")
-        return cls(
-            channels=int(d["channels"]),
-            classes=tuple(d["classes"]),
-            weights=tuple(float(w) for w in d["weights"]),
-            noise_sigma=float(d["noise_sigma"]),
-            frames_per_segment=int(d["frames_per_segment"]),
-            segments_per_utterance=int(d["segments_per_utterance"]),
-            utterances=int(d["utterances"]),
-            seed=int(d["seed"]),
-            channel_classes=tuple(tuple(cov) for cov in cc) if cc is not None else None,
-            crosstalk=float(d.get("crosstalk", 0.0)),
-            silence_frames=(int(d["silence_frames"])
-                            if d.get("silence_frames") is not None else None),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls)})
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _lists(value: Any) -> Any:
+    """``value`` with every tuple, nested too, as a list: its JSON form."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
 
 
 def _templates(cfg: GeneratorConfig, seed_seq: np.random.SeedSequence) -> np.ndarray:

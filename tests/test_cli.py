@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import struct
 from pathlib import Path
 
@@ -542,6 +543,27 @@ class TestConfigSchema:
         assert code == EXIT_DATA
         assert f"config {section}.{key} must be " in err
 
+    @pytest.mark.parametrize("key, value, shown", [
+        ("silence_frames", 4.5, "4.5"), ("silence_frames", "4", "'4'"),
+        ("silence_frames", True, "True"), ("silence_frames", 0.5, "0.5"),
+        ("weights", ["1", 1, 0, 0, 1, 1, 0, 0], "'1'"),
+        ("weights", [True, 1, 0, 0, 1, 1, 0, 0], "True"),
+        ("channel_classes", [[0, 1.9], *[[1]] * 7], "[0, 1.9]"),
+        ("channel_classes", [["0"], *[[1]] * 7], "['0']"),
+        ("channel_classes", [[0, True], *[[1]] * 7], "[0, True]"),
+        ("channel_classes", "01234567", "'01234567'"),
+        ("classes", [["IY"], "B"], "[['IY'], 'B']"),
+    ], ids=["silence-fraction", "silence-string", "silence-bool", "silence-below-one",
+            "weight-string", "weight-bool", "coverage-fraction", "coverage-string",
+            "coverage-bool", "coverage-not-list", "class-not-string"])
+    def test_malformed_generator_value_is_data_error(self, tmp_path, capsys, key, value, shown):
+        """Values the generator used to cast (4.5 -> 4, "1" -> 1.0,
+        true -> 1) are refused, naming the key and the value as written."""
+        code, err = self._run(tmp_path, capsys, {"generator": {key: value}})
+        assert code == EXIT_DATA
+        assert f"error: {key} " in err
+        assert f"got {shown}\n" in err
+
     def test_misspelt_dropout_key_does_not_pretrain(self, workdir, corpus_dir, capsys):
         capsys.readouterr()
         code, err = self._run(workdir, capsys, {"train": {"dropout": 0.125}}, "pretrain",
@@ -624,9 +646,11 @@ class TestExitCodes:
          "has the header 'utterance,frame', expected 'utterance,frame,label'"),
         ("manifest.json", _with_key("utterances", "eight"), "corpus manifest", "manifest.json",
          "key 'utterances' must be an integer, got 'eight'"),
+        ("manifest.json", _with_key("format_version", 99), "corpus manifest", "manifest.json",
+         "has format_version 99, expected 1"),
     ], ids=["torn", "channels-not-integer", "channels-negative", "sample-rate-zero",
             "sample-rate-null", "payload-nan", "labels-empty", "labels-short", "labels-header",
-            "utterances-not-integer"])
+            "utterances-not-integer", "future-format"])
     def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, capsys,
                                                   damaged, damage, what, named, problem):
         target = corpus_dir / damaged
@@ -649,8 +673,10 @@ class TestExitCodes:
          "key 'layers.features' must be an integer, got 2.5"),
         (lambda text: json.dumps({**json.loads(text), "class_symbols": "SIL"}),
          "key 'class_symbols' must be a list of strings, got 'SIL'"),
+        (lambda text: json.dumps({**json.loads(text), "format_version": 99}),
+         "has format_version 99, expected 1"),
     ], ids=["torn", "no-layers", "no-layers-window", "layers-not-object", "fractional-size",
-            "symbols-not-list"])
+            "symbols-not-list", "future-format"])
     def test_damaged_model_manifest_names_the_file(self, workdir, corpus_dir, capsys,
                                                    damage, message):
         pre = workdir / "pretrain"
@@ -705,6 +731,18 @@ class TestExitCodes:
                          "--epochs", "6"])
         assert code == EXIT_DIVERGED
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capsys, workers):
+        with np.errstate(all="ignore"):
+            code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                         "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
+                         "--epochs", "6", "--workers", workers])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err
+        # serially subset 12 fails first; in a pool, whichever task fails first
+        first = "12" if workers == "1" else "(12|13|14|23|24|34)"
+        assert re.search(rf"evaluation of subset {first} failed: non-finite loss", err), err
 
 
 class TestPoolSize:

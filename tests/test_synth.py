@@ -48,6 +48,17 @@ class TestGeneratorConfig:
         cfg = complementary_pair_config(_small_cfg(channels=4, weights=(0.5,) * 4))
         assert GeneratorConfig.from_dict(cfg.to_dict()) == cfg
 
+    def test_integer_weights_are_stored_as_floats(self):
+        """A weight of 1 builds the corpus a weight of 1.0 does, whether it
+        comes through from_dict or the constructor."""
+        floats = _small_cfg(weights=(1.0, 0.0, 1.0), utterances=2)
+        from_ints = GeneratorConfig.from_dict({**floats.to_dict(), "weights": [1, 0, 1]})
+        built_from_ints = _small_cfg(weights=(1, 0, 1), utterances=2)
+        assert from_ints == built_from_ints == floats
+        assert all(type(w) is float for w in from_ints.weights + built_from_ints.weights)
+        assert (generate(from_ints).content_hash == generate(built_from_ints).content_hash
+                == generate(floats).content_hash)
+
 
 class TestGenerate:
     def test_shapes_and_frame_count(self):
@@ -167,6 +178,17 @@ class TestCorpusIO:
         with pytest.raises(FileExistsError, match="force"):
             save_corpus(corpus, tmp_path / "corpus")
         save_corpus(corpus, tmp_path / "corpus", force=True)
+
+    def test_force_over_a_larger_corpus_leaves_no_stale_utterances(self, tmp_path):
+        directory = tmp_path / "corpus"
+        save_corpus(generate(_small_cfg(utterances=6)), directory)
+        (directory / "notes.txt").write_text("kept")
+        small = generate(_small_cfg(utterances=3))
+        save_corpus(small, directory, force=True)
+        utterances = [f"utt_{i:05d}{ext}" for i in range(3) for ext in (".bin", ".json")]
+        assert sorted(p.name for p in directory.iterdir()) == sorted(
+            ["labels.csv", "manifest.json", "notes.txt", *utterances])
+        assert load_corpus(directory).content_hash == small.content_hash
 
     def test_integrity_check_catches_tampering(self, tmp_path):
         corpus = generate(_small_cfg())
