@@ -51,47 +51,6 @@ from .signals import (
 )
 from .synth import GeneratorConfig, complementary_pair_config, generate, planted_importance
 
-__all__ = [
-    "__version__",
-    "Corpus",
-    "LabeledSequence",
-    "load_corpus",
-    "save_corpus",
-    "CategoryReport",
-    "category_per",
-    "collapse_frame_labels",
-    "phoneme_error_rate",
-    "word_error_rate",
-    "worst_channel_table",
-    "EvalRecord",
-    "ModelParams",
-    "TrainConfig",
-    "evaluate",
-    "forward",
-    "gradient_check",
-    "init_params",
-    "slice_input_channels",
-    "train",
-    "CategoryTable",
-    "Phoneme",
-    "default_table",
-    "EliminationTrace",
-    "ResultsCache",
-    "SweepResult",
-    "TrainingEvaluator",
-    "backward_elimination",
-    "channel_average_metric",
-    "exhaustive_sweep",
-    "seven_channel_ablation",
-    "top_k_frequency",
-    "ChannelMask",
-    "ChannelSubset",
-    "MultichannelSignal",
-    "apply_channel_dropout",
-    "parse_subset",
-    "restrict_to_subset",
-    "GeneratorConfig",
-    "complementary_pair_config",
-    "generate",
-    "planted_importance",
-]
+# the public API is every name imported above from the submodules
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if getattr(value, "__module__", "").startswith(__name__ + "."))]

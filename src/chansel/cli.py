@@ -32,7 +32,6 @@ from .metrics import DEFAULT_CATEGORY_THRESHOLD
 from .model import (
     TrainConfig,
     TrainingDivergedError,
-    evaluate,
     init_params,
     load_model,
     save_model,
@@ -45,6 +44,7 @@ from .search import (
     EvaluationError,
     ResultsCache,
     SweepBudgetError,
+    TaskInputs,
     TrainingEvaluator,
     backward_elimination,
     channel_average_metric,
@@ -52,6 +52,7 @@ from .search import (
     exhaustive_sweep,
     seven_channel_ablation,
     top_k_frequency,
+    train_and_score,
 )
 from .signals import parse_subset
 from .synth import GeneratorConfig, generate
@@ -241,8 +242,6 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     label = SUBSET_PRESETS.get(args.subset, args.subset)
     subset = parse_subset(label, corpus.channels)
     train_c, test_c = corpus.split(cfg["eval"]["train_fraction"])
-    train_r = train_c.restrict(subset)
-    test_r = test_c.restrict(subset)
     out_dir = Path(args.out)
 
     seed, epochs = cfg["train"]["seed"], cfg["train"]["epochs"]
@@ -252,17 +251,18 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     # utterance, so it hashes n_train=0 to stay apart from --epochs 1.
     ft_cfg = TrainConfig(**{**cfg["train"], "epochs": max(epochs, 1), "dropout_p": 0.0})
     config_hash = config_fingerprint(
-        ft_cfg, window, features, threshold, len(train_r) if epochs else 0,
+        ft_cfg, window, features, threshold, len(train_c) if epochs else 0,
     )
     prov = reports.Provenance(config_hash, corpus.content_hash, seed)
     records = []
 
     def run_side(mode: str, start, parent_hash) -> None:
-        tuned = start if epochs == 0 else train(start, train_r, ft_cfg).params
-        record = evaluate(
-            tuned, test_r, default_table(), subset=subset, threshold=threshold,
-            seed=seed, config_hash=config_hash, corpus_hash=corpus.content_hash,
+        inputs = TaskInputs.from_splits(
+            train_c.sequences if epochs else (), test_c.sequences, start.class_symbols,
+            default_table(), train_cfg=ft_cfg, window=window, features=features,
+            threshold=threshold, config_hash=config_hash, corpus_hash=corpus.content_hash,
         )
+        tuned, record = train_and_score(inputs, start, subset, seed if epochs else None, seed)
         save_model(
             tuned, out_dir / f"model_{mode}_{subset.label}.json",
             seed=seed, config_hash=config_hash,
@@ -452,7 +452,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args, _apply_overrides(load_config(args.config), args))
+        cfg = _apply_overrides(load_config(args.config), args)
+        GeneratorConfig.from_dict(cfg["generator"])  # every subcommand refuses a bad one
+        return args.func(args, cfg)
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED

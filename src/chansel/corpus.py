@@ -168,15 +168,15 @@ def load_corpus(directory: Path) -> Corpus:
             raise ValueError("is empty")
         if rows[0] != _LABELS_HEADER:
             raise ValueError(f"has the header {rows[0]!r}, expected {_LABELS_HEADER!r}")
-    for line, row in enumerate(rows[1:], start=2):
-        try:
-            utt, frame, lab = row.split(",")
-            labels_by_utt[int(utt)].append((int(frame), lab))
-        except (ValueError, KeyError):
-            raise ValueError(
-                f"{labels_path} line {line}: expected utterance,frame,label with an "
-                f"utterance index below {n} and an integer frame, got {row!r}"
-            ) from None
+        for line, row in enumerate(rows[1:], start=2):
+            try:
+                utt, frame, lab = row.split(",")
+                labels_by_utt[int(utt)].append((int(frame), lab))
+            except (ValueError, KeyError):
+                raise ValueError(
+                    f"line {line} reads {row!r}, expected utterance,frame,label with an "
+                    f"utterance index below {n} and an integer frame"
+                ) from None
 
     signals = [load_signal(directory / f"utt_{i:05d}.json") for i in range(n)]
     with naming("corpus labels", labels_path):

@@ -278,8 +278,9 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
     """Minimise frame-wise cross-entropy by mini-batch gradient descent.
 
     Featurizes the corpus and runs ``fit_windows``. ``initial_loss`` and
-    ``final_loss`` each cost one full pass over the corpus; the subset search
-    reads neither and calls ``fit_windows`` directly instead.
+    ``final_loss`` each cost one full pass over the corpus. ``pretrain``
+    reports them; the search and ``finetune`` read neither and train through
+    ``search.train_and_score``, which calls ``fit_windows`` directly.
     """
     sequences = list(data)
     if not sequences:

@@ -23,6 +23,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .artefacts import naming
+
 SILENCE_SYMBOL = "SIL"
 
 VOICINGS = ("voiced", "voiceless")
@@ -144,20 +146,20 @@ class CategoryTable:
 
     @classmethod
     def from_csv(cls, path: Path) -> "CategoryTable":
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8") as fh, naming("phoneme table", path):
             reader = csv.DictReader(fh)
             columns = ("symbol", "kind", *_FIELDS)
             header = reader.fieldnames or ()
             missing = [c for c in columns if c not in header]
             if missing:
-                raise ValueError(f"{path} lacks the column(s) {', '.join(missing)}")
+                raise ValueError(f"lacks the column(s) {', '.join(missing)}")
 
             def phonemes() -> Iterator[Phoneme]:
                 for row in reader:
                     short = [c for c in columns if row[c] is None]
                     if short:
-                        raise ValueError(f"{path} line {reader.line_num}: the row stops "
-                                         f"before the column(s) {', '.join(short)}")
+                        raise ValueError(f"line {reader.line_num} stops before the "
+                                         f"column(s) {', '.join(short)}")
                     yield Phoneme(symbol=row["symbol"].strip(), kind=row["kind"].strip(),
                                   **{name: row[name].strip() or None for name in _FIELDS})
 

@@ -22,19 +22,20 @@ import math
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, LabeledSequence
 from .metrics import WorstChannelRow, worst_channel_table
 from .model import (
     EvalRecord,
+    ModelParams,
     ScoringReference,
     TrainConfig,
     _layer_shapes,
@@ -232,6 +233,20 @@ class TaskInputs:
     config_hash: str
     corpus_hash: str
 
+    @classmethod
+    def from_splits(cls, train: Sequence[LabeledSequence], test: Sequence[LabeledSequence],
+                    class_symbols: Sequence[str], table: CategoryTable,
+                    **settings) -> "TaskInputs":
+        """Featurize both splits at full channel count; labels and reference
+        in ``class_symbols``, the start model's class order."""
+        def windows(split: Sequence[LabeledSequence]) -> tuple[np.ndarray, ...]:
+            return tuple(featurize(seq.signal.samples, settings["window"]) for seq in split)
+
+        return cls(train_windows=windows(train),
+                   train_labels=tuple(label_indices(train, class_symbols)),
+                   test_windows=windows(test),
+                   reference=ScoringReference(test, class_symbols, table), **settings)
+
 
 # Installed once per worker by _init_worker, so the task inputs reach each
 # worker once (inherited by fork) rather than per task.
@@ -267,21 +282,32 @@ def _init_worker(inputs: TaskInputs, openblas: str | None) -> None:
         set_threads(1)
 
 
+def train_and_score(inputs: TaskInputs, start: ModelParams, subset: ChannelSubset,
+                    train_seed: int | None, seed: int) -> tuple[ModelParams, EvalRecord]:
+    """Train ``start`` on the subset's column blocks of the train windows
+    (``train_seed`` None: not at all) and score it on those of the test
+    windows; returns the trained model and its record, tagged ``seed``."""
+    cols = subset_columns(subset, inputs.window)
+    trained = start
+    if train_seed is not None:
+        trained, _, _ = fit_windows(
+            start, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels,
+            replace(inputs.train_cfg, seed=train_seed))
+    record = score_windows(
+        trained, [xw[:, cols] for xw in inputs.test_windows], inputs.reference,
+        subset=subset, threshold=inputs.threshold, seed=seed,
+        config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash,
+    )
+    return trained, record
+
+
 def _run_task_impl(inputs: TaskInputs, indices: tuple[int, ...], replicate: int) -> EvalRecord:
     subset = ChannelSubset(indices)
     init_seed, train_seed = derive_task_seeds(inputs.train_cfg.seed, replicate)
     t0 = time.perf_counter()
-    cols = subset_columns(subset, inputs.window)
     params = init_params(channels=len(subset), window=inputs.window, features=inputs.features,
                          class_symbols=inputs.reference.class_symbols, seed=init_seed)
-    trained, _, _ = fit_windows(
-        params, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels,
-        replace(inputs.train_cfg, seed=train_seed))
-    record = score_windows(
-        trained, [xw[:, cols] for xw in inputs.test_windows], inputs.reference,
-        subset=subset, threshold=inputs.threshold, seed=replicate,
-        config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash,
-    )
+    _, record = train_and_score(inputs, params, subset, train_seed, replicate)
     return replace(record, wall_time=time.perf_counter() - t0)
 
 
@@ -333,16 +359,9 @@ class TrainingEvaluator:
         """Built on the first batch that trains, then shared by every task
         and pool of this evaluator; a warm replay never builds it."""
         if self._inputs is None:
-            def windows(split: Corpus) -> tuple[np.ndarray, ...]:
-                return tuple(featurize(seq.signal.samples, self.window) for seq in split)
-
-            self._inputs = TaskInputs(
-                train_windows=windows(self.train_corpus),
-                train_labels=tuple(label_indices(self.train_corpus.sequences, self._alphabet)),
-                test_windows=windows(self.test_corpus),
-                reference=ScoringReference(self.test_corpus.sequences, self._alphabet,
-                                           self.table),
-                train_cfg=self.train_cfg, window=self.window,
+            self._inputs = TaskInputs.from_splits(
+                self.train_corpus.sequences, self.test_corpus.sequences, self._alphabet,
+                self.table, train_cfg=self.train_cfg, window=self.window,
                 features=self.features, threshold=self.threshold,
                 config_hash=self.config_hash, corpus_hash=self.corpus_hash,
             )
@@ -373,35 +392,40 @@ class TrainingEvaluator:
         self.training_runs += 1
         self.cache.put(record)
 
-    def _run_pool(self, pending: Sequence[tuple[ChannelSubset, int]]) -> None:
-        """Run the pending tasks in the evaluator's process pool, started on
-        the first batch that trains and kept for the later ones, keeping
-        each finished record. On the first failure, or an interrupt, close
-        the pool: that cancels the tasks not yet started (this batch's are
-        the only ones outstanding) and waits for the running ones. Then keep
-        every record that finished, and raise."""
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers,
-                initializer=_init_worker,
-                initargs=(self._task_inputs(), _openblas_library()),
-            )
-        futures = {self._pool.submit(_pool_task, s.indices, r): s for s, r in pending}
-        kept = set()
+    def _run(self, pending: Sequence[tuple[ChannelSubset, int]]) -> None:
+        """Run the pending tasks, in the evaluator's pool when workers > 1,
+        and keep each record. Results are read in submission order, which is
+        canonical order, so a failure names the first failed task in that
+        order. On a failure or an interrupt the pool is closed, which cancels
+        this batch's tasks not yet started and waits for the running ones,
+        and every record that finished is kept before the raise."""
+        if self.workers > 1:
+            if self._pool is None:
+                self._pool = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    initializer=_init_worker,
+                    initargs=(self._task_inputs(), _openblas_library()),
+                )
+            futures = [self._pool.submit(_pool_task, s.indices, r) for s, r in pending]
+            results = [fut.result for fut in futures]
+        else:
+            futures, inputs = [], self._task_inputs()
+            results = [partial(_run_task_impl, inputs, s.indices, r) for s, r in pending]
+        kept = 0
         try:
-            for fut in as_completed(futures):
+            for (s, _), result in zip(pending, results):
                 try:
-                    record = fut.result()
+                    record = result()
                 except Exception as exc:
-                    raise EvaluationError(futures[fut].label, exc) from exc
+                    raise EvaluationError(s.label, exc) from exc
                 self._keep(record)
-                kept.add(fut)
+                kept += 1
         except BaseException:
-            self.close()
-            for fut in futures:
-                if (fut not in kept and not fut.cancelled()
-                        and fut.exception() is None):
-                    self._keep(fut.result())
+            if futures:
+                self.close()
+                for fut in futures[kept:]:
+                    if not fut.cancelled() and fut.exception() is None:
+                        self._keep(fut.result())
             raise
 
     def close(self) -> None:
@@ -427,15 +451,8 @@ class TrainingEvaluator:
             raise ValueError(
                 f"cache is missing records for subsets {missing}; run the sweep first"
             )
-        if self.workers > 1 and pending:
-            self._run_pool(pending)
-        else:
-            for s, r in pending:
-                try:
-                    record = _run_task_impl(self._task_inputs(), s.indices, r)
-                except Exception as exc:
-                    raise EvaluationError(s.label, exc) from exc
-                self._keep(record)
+        if pending:
+            self._run(pending)
         return {
             s.label: self._aggregate(s, [cached(s, r) for r in range(self.replicates)])
             for s in subsets

@@ -157,7 +157,8 @@ def test_missing_csv_column_is_named(tmp_path):
         "symbol,kind,voicing,manner,place,height,backness\n"
         "PA,consonant,voiceless,plosive,bilabial,,\n"
     )
-    with pytest.raises(ValueError, match=f"{path} lacks the column\\(s\\) rounding"):
+    with pytest.raises(ValueError, match=f"phoneme table {path} lacks the column\\(s\\) "
+                                         "rounding"):
         CategoryTable.from_csv(path)
 
 
@@ -168,9 +169,20 @@ def test_short_csv_row_names_the_file_and_line(tmp_path):
         "AH,vowel,voiced,,,mid,central,unrounded\n"
         "PA,consonant,voiceless\n"
     )
-    with pytest.raises(ValueError, match=f"{path} line 3: the row stops before the "
+    with pytest.raises(ValueError, match=f"phoneme table {path} line 3 stops before the "
                                          "column\\(s\\) manner, place, height, backness, "
                                          "rounding"):
+        CategoryTable.from_csv(path)
+
+
+def test_invalid_csv_entry_names_the_table(tmp_path):
+    path = tmp_path / "bad_entry.csv"
+    path.write_text(
+        "symbol,kind,voicing,manner,place,height,backness,rounding\n"
+        "PA,consonant,voiceless,plosive,,,,\n"
+    )
+    with pytest.raises(ValueError, match=f"^phoneme table {path} PA: consonant needs one "
+                                         "place, got None$"):
         CategoryTable.from_csv(path)
 
 

@@ -664,13 +664,14 @@ class TestTrainingEvaluator:
 
     def test_pool_interrupt_cancels_queued_tasks_and_keeps_started(self, tmp_path,
                                                                    monkeypatch):
-        # Ctrl-C in the parent after the first finished task: the queue
-        # must not drain, and every task that did start must be cached
+        # Ctrl-C in the parent after the first kept record: the queue must
+        # not drain, and every task that did start must be cached
         corpus = _search_corpus()
         ev = _evaluator(corpus, tmp_path, replicates=4, workers=2)
         started = tmp_path / "started.txt"
         real_task = search._run_task_impl
-        real_as_completed = search.as_completed
+        real_keep = ev._keep
+        keeps = []
 
         def slow_task(*args):
             indices, replicate = args[-2:]
@@ -679,12 +680,14 @@ class TestTrainingEvaluator:
             time.sleep(0.5)
             return real_task(*args)
 
-        def interrupted(futures):
-            yield next(real_as_completed(futures))
-            raise KeyboardInterrupt
+        def interrupted_keep(record):
+            keeps.append(record)
+            if len(keeps) == 2:
+                raise KeyboardInterrupt
+            real_keep(record)
 
         monkeypatch.setattr(search, "_run_task_impl", slow_task)
-        monkeypatch.setattr(search, "as_completed", interrupted)
+        monkeypatch.setattr(ev, "_keep", interrupted_keep)
         with pytest.raises(KeyboardInterrupt):
             ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
         tasks = [line.split() for line in started.read_text(encoding="utf-8").splitlines()]
@@ -693,6 +696,28 @@ class TestTrainingEvaluator:
         assert len(kept) == ev.training_runs == len(tasks)
         for label, replicate in tasks:
             assert kept.get(label, ev.corpus_hash, ev.config_hash, int(replicate)) is not None
+
+    def test_pool_failure_names_the_canonically_first_failed_task(self, tmp_path,
+                                                                  monkeypatch):
+        # subsets 1 and 3 both fail, 1 only after 3 has: the error must name
+        # 1, as the serial path does, and the pool keeps what finished
+        corpus = _search_corpus()
+        ev = _evaluator(corpus, tmp_path, workers=2)
+        real_task = search._run_task_impl
+
+        def failing_task(*args):
+            indices = args[-2]
+            if indices == (0,):
+                time.sleep(1.0)
+            if indices in ((0,), (2,)):
+                raise RuntimeError(f"injected failure {indices}")
+            return real_task(*args)
+
+        monkeypatch.setattr(search, "_run_task_impl", failing_task)
+        with closing(ev), pytest.raises(EvaluationError,
+                                        match=r"subset 1 failed: injected failure \(0,\)"):
+            ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
+        assert ev.training_runs == 1
 
     def test_process_pool_matches_serial(self, tmp_path):
         corpus = _search_corpus()

@@ -212,7 +212,7 @@ class TestCorpusIO:
         labels.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError) as caught:
             load_corpus(tmp_path / "corpus")
-        assert str(caught.value).startswith(f"{labels} line 4: ")
+        assert str(caught.value).startswith(f"corpus labels {labels} line 4 reads ")
         assert repr(row) in str(caught.value)
 
 
