@@ -301,7 +301,7 @@ def _search_setup(args: argparse.Namespace, cfg: dict):
     warns about the cache lines that could not be read. A line is parsed
     when the search first reads its config's records, so that count covers
     every damaged line of this config, and of another config's lines only
-    those that lack the canonical head and are not JSON or carry no key."""
+    those that lack the canonical head and are not UTF-8 JSON or carry no key."""
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)

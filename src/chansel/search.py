@@ -73,9 +73,10 @@ class EvaluationError(RuntimeError):
 
 
 # The head that ``json.dumps(record.to_dict(), sort_keys=True)`` writes. A
-# hash holding no quote, backslash or control character is written as is,
-# so the two groups equal the decoded JSON strings.
-_HEAD = re.compile(r'\{"config_hash": "([^"\\\x00-\x1f]*)", "corpus_hash": "([^"\\\x00-\x1f]*)", ')
+# hash of printable ASCII holding no quote or backslash is written as is, so
+# the two groups, decoded, equal the decoded JSON strings.
+_HEAD = re.compile(rb'\{"config_hash": "([\x20\x21\x23-\x5b\x5d-\x7e]*)", '
+                   rb'"corpus_hash": "([\x20\x21\x23-\x5b\x5d-\x7e]*)", ')
 
 
 def _record_key(d: Mapping) -> tuple[str, str, str, int]:
@@ -86,51 +87,76 @@ class ResultsCache:
     """Append-only JSON-lines store of per-seed EvalRecords.
 
     A record's identity is (subset label, corpus hash, config hash, seed).
-    Loading groups the lines by scope, (corpus hash, config hash), read from
-    the canonical head ``put`` writes, without parsing them. Any other line
-    is parsed at load: one without a key is counted in ``skipped_lines``
-    (not JSON, or the torn final line of a sweep killed mid-write, so that
-    sweep resumes cleanly), one with a key joins its scope. The first
-    ``get`` or ``put`` of a scope keys its lines, counting those that do not
-    parse or carry no key; the first ``get`` of a key decodes its record,
-    counting a body that does not decode, which then reads as a miss. So a
-    cache shared by many configs costs a run little more than its own
-    scope, and damage behind another scope's head is never counted. A torn
-    final line is ended before the first append, so the next record starts
-    a line of its own.
+    A line is the bytes through its ``\\n``. Loading reads the file once, a
+    line at a time, and groups the lines by scope, (corpus hash, config
+    hash), read from the canonical head ``put`` writes: of such a line it
+    keeps only its byte offsets, not its text. Any other line is decoded and
+    parsed at load: one without a key is counted in ``skipped_lines`` (not
+    UTF-8, not JSON, or the torn final line of a sweep killed mid-write, so
+    that sweep resumes cleanly), one with a key joins its scope. The first
+    ``get`` or ``put`` of a scope reads its lines back by offset and keys
+    them, counting those that do not decode, no longer read back (the file
+    was cut short after load) or carry no key; the first ``get`` of a key
+    decodes its record, counting a body that does not decode, which then
+    reads as a miss. So a cache shared by many configs costs a run little
+    more than its own scope, in time and in memory, and damage behind
+    another scope's head is never counted. A torn final line is ended
+    before the first append, so the next record starts a line of its own.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
         # a value is the line's parsed JSON until its first get decodes it
         self._records: dict[tuple[str, str, str, int], EvalRecord | dict] = {}
-        # per scope not yet keyed, its lines in file order (text, or parsed JSON)
-        self._unkeyed: dict[tuple[str, str], list[str | dict]] = {}
+        # per scope not yet keyed, its lines in file order: the (start, end)
+        # byte offsets of a canonical line, or the parsed JSON of another
+        self._unkeyed: dict[tuple[str, str], list[tuple[int, int] | dict]] = {}
         self.skipped_lines = 0
         self._torn_tail = False
         if self.path is not None and self.path.exists():
-            lines = self.path.read_text(encoding="utf-8").splitlines(keepends=True)
-            self._torn_tail = bool(lines) and not lines[-1].endswith("\n")
-            head = _HEAD.match
-            for line in lines:
+            self._load()
+
+    def _load(self) -> None:
+        head = _HEAD.match
+        start = 0
+        line = b""
+        with open(self.path, "rb") as fh:
+            for line in fh:
+                end = start + len(line)
                 m = head(line)
                 if m is not None:
-                    self._unkeyed.setdefault(m.group(2, 1), []).append(line)
+                    scope = (m[2].decode("ascii"), m[1].decode("ascii"))
+                    self._unkeyed.setdefault(scope, []).append((start, end))
                 elif line.strip():
                     try:
-                        d = json.loads(line)
+                        d = json.loads(line.decode("utf-8"))
                         self._unkeyed.setdefault(_record_key(d)[1:3], []).append(d)
-                    except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    except (KeyError, TypeError, ValueError):  # ValueError: not UTF-8 or JSON
                         self.skipped_lines += 1
+                start = end
+        self._torn_tail = bool(line) and not line.endswith(b"\n")
 
     def _key_scope(self, scope: tuple[str, str]) -> None:
-        """Key the lines of one scope, on its first get or put."""
-        for line in self._unkeyed.pop(scope, ()):
-            try:
-                d = json.loads(line) if isinstance(line, str) else line
-                self._records[_record_key(d)] = d
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError):
-                self.skipped_lines += 1
+        """Key the lines of one scope, on its first get or put. A canonical
+        line is read back by its offsets; one the file no longer holds whole
+        does not parse, and is counted."""
+        lines = self._unkeyed.pop(scope, ())
+        fh = None
+        try:
+            for line in lines:
+                try:
+                    if isinstance(line, tuple):
+                        start, end = line
+                        if fh is None:
+                            fh = open(self.path, "rb")
+                        fh.seek(start)
+                        line = json.loads(fh.read(end - start).decode("utf-8"))
+                    self._records[_record_key(line)] = line
+                except (OSError, KeyError, TypeError, ValueError):
+                    self.skipped_lines += 1
+        finally:
+            if fh is not None:
+                fh.close()
 
     def get(self, subset_label: str, corpus_hash: str, config_hash: str, seed: int) -> EvalRecord | None:
         self._key_scope((corpus_hash, config_hash))

@@ -405,6 +405,28 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (odd / name).read_bytes() == reference[name], name
 
+    @pytest.mark.parametrize("where", ["own line", "record body"])
+    def test_byte_that_is_not_utf8_costs_one_line(self, workdir, corpus_dir, capsys, where):
+        clean = workdir / "clean"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(clean)])
+        reference = _read_all(clean)
+        first = (clean / "cache.jsonl").read_bytes().split(b"\n")[0]
+        damage = (b"\xff\xfe garbage" if where == "own line"
+                  else first.replace(b'"per_total": ', b'"per_total": \xff'))
+        assert damage != first
+        damaged = workdir / "damaged"
+        damaged.mkdir()
+        cache = damaged / "cache.jsonl"
+        cache.write_bytes(reference["cache.jsonl"] + damage + b"\n")
+        capsys.readouterr()
+        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(damaged)]) == EXIT_OK
+        assert (f"warning: skipped 1 unreadable cache lines in {cache}"
+                in capsys.readouterr().err)
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (damaged / name).read_bytes() == reference[name], name
+
     def test_broken_record_body_is_counted_only_for_the_running_config(
             self, workdir, corpus_dir, capsys):
         clean = workdir / "clean"

@@ -3,6 +3,7 @@ import itertools
 import json
 import multiprocessing
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import replace
@@ -453,6 +454,101 @@ class TestScopedResultsCache:
         assert reloaded.get("12", "b", 'a\\', 0) is None
         assert reloaded.skipped_lines == 0
         assert len(reloaded) == 2
+
+
+def _other_configs_cache(path, per_category):
+    """2,000 lines of 28 other configs, then 70 of the running one."""
+    records = [replace(make_record(str(i), wer=0.5, seed=i, per_category=per_category),
+                       config_hash=f"other {i % 28}") for i in range(2000)]
+    records += [make_record(str(i), wer=0.25) for i in range(70)]
+    path.write_text("".join(json.dumps(r.to_dict(), sort_keys=True) + "\n" for r in records))
+
+
+class TestOffsetResultsCache:
+    def test_line_that_is_not_utf8_is_counted_at_load(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        lines = _mixed_cache(path)
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+        cache = ResultsCache(path)
+        assert cache.skipped_lines == 1
+        assert len(cache) == len(lines)
+        assert cache.get("12", "corpus", "cfg", 0) is not None
+        assert cache.skipped_lines == 1
+
+    def test_byte_that_is_not_utf8_in_a_running_config_body_is_counted_once(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        line = json.dumps(make_record("13").to_dict(), sort_keys=True).encode()
+        with open(path, "ab") as fh:
+            fh.write(line.replace(b'"subset": "13"', b'"subset": "1\xff"') + b"\n")
+        ResultsCache(path).put(make_record("14", wer=0.25))
+        cache = ResultsCache(path)
+        assert cache.skipped_lines == 0  # behind a canonical head: not read at load
+        assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.5)
+        assert cache.skipped_lines == 1
+        assert cache.get("14", "corpus", "cfg", 0) == make_record("14", wer=0.25)
+        assert cache.get("13", "corpus", "cfg", 0) is None
+        assert len(cache) == 2
+        assert cache.skipped_lines == 1
+
+    def test_load_does_not_grow_with_other_configs_lines(self, tmp_path):
+        rates = {f"category {i}": 0.01 * i for i in range(20)}
+        short, long = tmp_path / "short.jsonl", tmp_path / "long.jsonl"
+        _other_configs_cache(short, None)
+        _other_configs_cache(long, report_from_rates(rates))
+        assert long.stat().st_size > 3 * short.stat().st_size
+
+        def peak(path):
+            # a first load outside the trace, so both traces start from the
+            # same interpreter state (imports, free lists)
+            assert ResultsCache(path).get("0", "corpus", "cfg", 0) is not None
+            tracemalloc.start()
+            try:
+                assert ResultsCache(path).get("0", "corpus", "cfg", 0) is not None
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(long) <= 1.25 * peak(short)
+
+    def test_offsets_stay_valid_after_torn_tail_repair_and_put(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        lines = _mixed_cache(path)
+        torn = next(line for line in lines if line.startswith(
+            '{"config_hash": "third", "corpus_hash": "elsewhere", '))
+        with open(path, "a") as fh:
+            fh.write(torn[:torn.index('"wall_time"')])
+        cache = ResultsCache(path)
+        added = make_record("9", wer=0.75, seed=4)
+        cache.put(added)  # ends the torn tail, then appends
+        assert len(cache) == len(lines) + 1
+        for line in lines:
+            eager = EvalRecord.from_dict(json.loads(line))
+            assert cache.get(eager.subset_label, eager.corpus_hash, eager.config_hash,
+                             eager.seed) == eager
+        assert cache.get("9", "corpus", "cfg", 4) == added
+        assert cache.skipped_lines == 1  # the torn line, read back as it was at load
+
+    @pytest.mark.parametrize("keep", [0, 1000, None])
+    def test_file_cut_short_after_load_counts_its_lines(self, tmp_path, keep):
+        path = tmp_path / "cache.jsonl"
+        lines = _mixed_cache(path)
+        cache = ResultsCache(path)
+        if keep is None:
+            path.unlink()
+            keep = 0
+        else:
+            path.write_bytes(path.read_bytes()[:keep])
+        ends = itertools.accumulate(len(line.encode()) + 1 for line in lines)
+        readable = sum(end <= keep for end in ends)
+        assert (readable > 0) == (keep > 0)
+        assert len(cache) == readable
+        assert cache.skipped_lines == len(lines) - readable
+        for line in lines:
+            d = json.loads(line)
+            cache.get(d["subset"], d["corpus_hash"], d["config_hash"], d["seed"])
+        assert cache.skipped_lines == len(lines) - readable
 
 
 def _blas(library: str) -> tuple:
