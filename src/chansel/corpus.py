@@ -100,9 +100,12 @@ class Corpus:
         ))
 
     def split(self, train_fraction: float) -> tuple["Corpus", "Corpus"]:
-        """Deterministic head/tail split into (train, test)."""
+        """Deterministic head/tail split into (train, test), neither empty."""
         if not (0.0 < train_fraction < 1.0):
             raise ValueError(f"train_fraction must be in (0, 1), got {train_fraction}")
+        if len(self.sequences) < 2:
+            raise ValueError(f"a train/test split needs at least 2 utterances, the corpus "
+                             f"has {len(self.sequences)}")
         n_train = max(1, min(len(self.sequences) - 1, round(len(self.sequences) * train_fraction)))
         return (
             Corpus(self.sequences[:n_train]),

@@ -72,21 +72,32 @@ class CategoryReport:
     rows: tuple[CategoryRow, ...]
     excluded: tuple[str, ...]
 
-    def rate_of(self, name: str) -> float:
+    def _row(self, name: str) -> CategoryRow:
         for row in self.rows:
             if row.name == name:
-                return row.rate
+                return row
         raise KeyError(f"category {name!r} not in report (excluded: {self.excluded})")
 
+    def rate_of(self, name: str) -> float:
+        return self._row(name).rate
+
     def count_of(self, name: str) -> int:
-        for row in self.rows:
-            if row.name == name:
-                return row.count
-        raise KeyError(f"category {name!r} not in report")
+        return self._row(name).count
 
     @property
     def row_names(self) -> tuple[str, ...]:
         return tuple(row.name for row in self.rows)
+
+
+def category_report(frames: int, frame_errors: int, names: Sequence[str], counts: Sequence[int],
+                    errors: Sequence[int], threshold: int) -> CategoryReport:
+    """The report of frame and error counts: the ``total PER`` row over all
+    ``frames``, then one row per category of ``names`` (its reference frame
+    count in ``counts``, its errors in ``errors``), in that order. A row
+    with fewer than ``threshold`` reference frames lands in ``excluded``."""
+    counted = list(zip((TOTAL_ROW, *names), (frames, *counts), (frame_errors, *errors)))
+    rows = tuple(CategoryRow(name, n, e / n) for name, n, e in counted if n >= threshold)
+    return CategoryReport(rows, tuple(name for name, n, _ in counted if n < threshold))
 
 
 def category_per(
@@ -109,25 +120,10 @@ def category_per(
         if sym not in table:
             raise KeyError(f"reference label {sym!r} not in the phoneme inventory")
     errors = Counter(compress(ref, map(ne, ref, hyp)))
-    rows: list[CategoryRow] = []
-    excluded: list[str] = []
-
-    total_count = len(ref)
-    total_errors = errors.total()
-    if total_count >= threshold:
-        rows.append(CategoryRow(TOTAL_ROW, total_count, total_errors / max(total_count, 1)))
-    else:
-        excluded.append(TOTAL_ROW)
-
-    for name in table.names:
-        members = table.category_members(name)
-        n = sum(counts[sym] for sym in members)
-        if n < threshold:
-            excluded.append(name)
-            continue
-        e = sum(errors[sym] for sym in members)
-        rows.append(CategoryRow(name, n, e / n))
-    return CategoryReport(tuple(rows), tuple(excluded))
+    members = [table.category_members(name) for name in table.names]
+    return category_report(len(ref), errors.total(), table.names,
+                           [sum(counts[sym] for sym in m) for m in members],
+                           [sum(errors[sym] for sym in m) for m in members], threshold)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .artefacts import (
     check_format_version, naming, payload_bytes, positive_int, read_artefact, write_artefact,
 )
 from .corpus import Corpus, LabeledSequence
-from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, TOTAL_ROW
+from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, category_report
 from .phonemes import SILENCE_SYMBOL, CategoryTable
 from .signals import ChannelSubset, draw_channel_mask
 
@@ -423,9 +423,9 @@ def slice_input_channels(params: ModelParams, subset: ChannelSubset) -> ModelPar
 class EvalRecord:
     """One evaluation row: the unit of caching and ranking.
 
-    ``seed`` is the replicate index for cached single-training rows and the
-    base seed for aggregated rows (``n_seeds`` > 1). Wall time is bookkeeping
-    only and never flows into report files.
+    ``seed`` is the replicate index in a cache row, one training, and the
+    base seed in every record a search returns, whatever its ``n_seeds``.
+    Wall time is bookkeeping only and never flows into report files.
     """
 
     subset_label: str
@@ -476,10 +476,15 @@ class EvalRecord:
     # the fields a ranking may sort by
     METRICS: ClassVar[tuple[str, ...]] = ("wer", "per_total")
 
+    @classmethod
+    def check_metric(cls, name: str) -> None:
+        """Refuse a name that is not one of ``METRICS``."""
+        if name not in cls.METRICS:
+            raise ValueError(f"unknown metric {name!r} "
+                             f"(expected {' or '.join(map(repr, cls.METRICS))})")
+
     def metric(self, name: str) -> float:
-        if name not in self.METRICS:
-            raise KeyError(f"unknown metric {name!r} "
-                           f"(expected {' or '.join(map(repr, self.METRICS))})")
+        self.check_metric(name)
         return getattr(self, name)
 
 
@@ -626,9 +631,10 @@ def score_windows(
     split's ``reference``: frame argmax predictions, total and per-category
     PER, then WER of the collapsed token transcript against each
     utterance's reference transcript (corpus-level: summed edits over summed
-    reference lengths). Counts are integers over label ids and each rate is
-    the same int / int division as the string functions in ``metrics``, so
-    the record equals theirs to the bit."""
+    reference lengths). Counts are integers over label ids, and
+    ``metrics.category_report`` forms the category rows from them as it does
+    for ``category_per``, so the record equals the string functions' to the
+    bit."""
     t0 = time.perf_counter()
     if params.class_symbols != reference.class_symbols:
         raise ValueError(f"model classes {params.class_symbols} differ from the "
@@ -651,17 +657,6 @@ def score_windows(
     total_errors = int(np.count_nonzero(wrong))
     errors = (reference.membership @ np.bincount(
         reference.frames[wrong], minlength=len(reference.symbols))).tolist()
-    rows: list[CategoryRow] = []
-    excluded: list[str] = []
-    if total_frames >= threshold:
-        rows.append(CategoryRow(TOTAL_ROW, total_frames, total_errors / total_frames))
-    else:
-        excluded.append(TOTAL_ROW)
-    for name, n, e in zip(reference.category_names, reference.category_counts, errors):
-        if n < threshold:
-            excluded.append(name)
-        else:
-            rows.append(CategoryRow(name, n, e / n))
     if subset is None:
         subset = ChannelSubset.full(params.channels)
     return EvalRecord(
@@ -671,7 +666,8 @@ def score_windows(
         corpus_hash=corpus_hash,
         wer=edits / reference.total_tokens,
         per_total=total_errors / total_frames,
-        per_category=CategoryReport(tuple(rows), tuple(excluded)),
+        per_category=category_report(total_frames, total_errors, reference.category_names,
+                                     reference.category_counts, errors, threshold),
         wall_time=time.perf_counter() - t0,
         n_seeds=1,
     )

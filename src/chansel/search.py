@@ -309,13 +309,13 @@ def _init_worker(inputs: TaskInputs, openblas: str | None) -> None:
 
 
 def train_and_score(inputs: TaskInputs, start: ModelParams, subset: ChannelSubset,
-                    train_seed: int | None, seed: int) -> tuple[ModelParams, EvalRecord]:
-    """Train ``start`` on the subset's column blocks of the train windows
-    (``train_seed`` None: not at all) and score it on those of the test
-    windows; returns the trained model and its record, tagged ``seed``."""
+                    train_seed: int, seed: int) -> tuple[ModelParams, EvalRecord]:
+    """Train ``start`` on the subset's column blocks of the train windows,
+    if the inputs hold any, and score it on those of the test windows;
+    returns the trained model and its record, tagged ``seed``."""
     cols = subset_columns(subset, inputs.window)
     trained = start
-    if train_seed is not None:
+    if inputs.train_windows:
         trained, _, _ = fit_windows(
             start, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels,
             replace(inputs.train_cfg, seed=train_seed))
@@ -348,7 +348,7 @@ class TrainingEvaluator:
     split, averaged over ``replicates`` seeded runs.
 
     Per-seed records go through the cache; the returned record is the
-    aggregate (mean wer / per rates, n_seeds = replicates).
+    aggregate (mean wer / per rates, the base seed, n_seeds = replicates).
     """
 
     train_corpus: Corpus
@@ -393,22 +393,22 @@ class TrainingEvaluator:
             )
         return self._inputs
 
-    def _aggregate(self, subset: ChannelSubset, per_seed: Sequence[EvalRecord]) -> EvalRecord:
-        if len(per_seed) == 1:
-            return per_seed[0]
+    def _aggregate(self, per_seed: Sequence[EvalRecord]) -> EvalRecord:
+        """The replicates' mean rates, in the first one's rows, their summed
+        wall time, and the base seed. The copy lays each rate's replicates
+        out contiguously, so ``np.mean`` sums each row pairwise, as it sums a
+        list, and each mean equals that of the rate's list to the bit."""
         first = per_seed[0]
-        rows = tuple(
-            replace(row, rate=float(np.mean([r.per_category.rows[i].rate for r in per_seed])))
-            for i, row in enumerate(first.per_category.rows)
-        )
-        return EvalRecord(
-            subset_label=subset.label,
+        wer, per_total, *rates = np.mean(np.array(
+            [[r.wer, r.per_total, *(row.rate for row in r.per_category.rows)] for r in per_seed]
+        ).T.copy(), axis=1).tolist()
+        return replace(
+            first,
             seed=self.train_cfg.seed,
-            config_hash=self.config_hash,
-            corpus_hash=self.corpus_hash,
-            wer=float(np.mean([r.wer for r in per_seed])),
-            per_total=float(np.mean([r.per_total for r in per_seed])),
-            per_category=replace(first.per_category, rows=rows),
+            wer=wer,
+            per_total=per_total,
+            per_category=replace(first.per_category, rows=tuple(
+                replace(row, rate=rate) for row, rate in zip(first.per_category.rows, rates))),
             wall_time=float(np.sum([r.wall_time for r in per_seed])),
             n_seeds=len(per_seed),
         )
@@ -480,16 +480,9 @@ class TrainingEvaluator:
         if pending:
             self._run(pending)
         return {
-            s.label: self._aggregate(s, [cached(s, r) for r in range(self.replicates)])
+            s.label: self._aggregate([cached(s, r) for r in range(self.replicates)])
             for s in subsets
         }
-
-
-def _check_metric(metric: str) -> None:
-    """Reject an unknown metric name before anything is evaluated."""
-    if metric not in EvalRecord.METRICS:
-        raise ValueError(f"unknown metric {metric!r} "
-                         f"(expected {' or '.join(map(repr, EvalRecord.METRICS))})")
 
 
 # --- backward elimination -----------------------------------------------------
@@ -554,7 +547,7 @@ def backward_elimination(
     if not (1 <= stop_size < channels):
         raise ValueError(f"need 1 <= stop_size < channels, got stop_size={stop_size}, "
                          f"channels={channels}")
-    _check_metric(metric)
+    EvalRecord.check_metric(metric)
     current = ChannelSubset.full(channels)
     steps: list[EliminationStep] = []
     with closing(evaluator):
@@ -615,7 +608,7 @@ def exhaustive_sweep(
     required = math.comb(channels, k)
     if required > budget:
         raise SweepBudgetError(required, budget)
-    _check_metric(metric)
+    EvalRecord.check_metric(metric)
     subsets = [ChannelSubset(combo) for combo in itertools.combinations(range(channels), k)]
     with closing(evaluator):
         records = evaluator.evaluate_many(subsets)

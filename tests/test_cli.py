@@ -535,15 +535,20 @@ class TestSearchCommands:
         assert code == EXIT_DATA
         assert "missing" in capsys.readouterr().err
 
-    def test_ablate7_outputs(self, workdir, corpus_dir):
+    @pytest.mark.parametrize("replicates", ["1", "2"])
+    def test_ablate7_outputs(self, workdir, corpus_dir, replicates):
         out = workdir / "ablate"
         assert main(["ablate7", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
+                     "--out", str(out), "--seed", "5", "--replicates", replicates]) == EXIT_OK
         lines = (out / "worst_channel.csv").read_text().splitlines()
+        assert lines[0].endswith(" seed=5")
         assert lines[1] == "category,baseline_per,worst_per,critical_channel"
         doc = json.loads((out / "ablation_records.json").read_text())
         assert set(doc["by_removed_channel"]) == {"1", "2", "3", "4"}
         assert "wall_time" not in doc["baseline"]
+        # every record a search returns carries the base seed, at any replicate count
+        records = [doc["baseline"], *doc["by_removed_channel"].values()]
+        assert [(r["seed"], r["n_seeds"]) for r in records] == [(5, int(replicates))] * 5
 
     def test_cache_dir_env_override(self, workdir, corpus_dir, monkeypatch, tmp_path):
         cache_home = tmp_path / "cachehome"
@@ -709,6 +714,22 @@ class TestExitCodes:
                      "--corpus", str(workdir / "nope"), "--out", str(workdir / "x")])
         assert code == EXIT_DATA
         capsys.readouterr()
+
+    @pytest.mark.parametrize("command, extra", [
+        ("pretrain", []), ("finetune", ["--subset", "13", "--from-scratch"]),
+        ("exhaustive", []), ("backward-elim", []), ("ablate7", []),
+    ])
+    def test_one_utterance_corpus_cannot_be_split(self, workdir, capsys, command, extra):
+        corpus = workdir / "one"
+        assert main(["gen-data", "--config", _cfg(workdir), "--out", str(corpus),
+                     "--utterances", "1"]) == EXIT_OK
+        out = workdir / "x"
+        code = main([command, "--config", _cfg(workdir), "--corpus", str(corpus),
+                     "--out", str(out), *extra])
+        assert code == EXIT_DATA
+        assert ("error: a train/test split needs at least 2 utterances, the corpus has 1"
+                in capsys.readouterr().err)
+        assert not out.exists()
 
     def test_bad_config_json_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

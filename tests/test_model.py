@@ -568,6 +568,8 @@ class TestEvaluate:
 
         back = EvalRecord.from_dict(record.to_dict())
         assert back == record
+        with pytest.raises(ValueError, match="unknown metric 'foo'"):
+            record.metric("foo")
 
 
 class TestModelFiles:

@@ -8,6 +8,7 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from chansel import search
@@ -649,6 +650,20 @@ class TestTrainingEvaluator:
             for r in range(3)
         ]
         assert agg.per_total == pytest.approx(sum(per_seed) / 3)
+
+    def test_aggregate_is_np_mean_of_each_rate_to_the_bit(self):
+        # nine replicates: numpy sums a contiguous list pairwise, and a
+        # running sum over the replicates would differ in the last bits
+        ev = _evaluator(_search_corpus())
+        rng = np.random.default_rng(7)
+        per_seed = [make_record("12", *rng.random(2),
+                                report_from_rates(dict(zip("abc", rng.random(3)))), seed=r)
+                    for r in range(9)]
+        agg = ev._aggregate(per_seed)
+        assert (agg.seed, agg.n_seeds) == (ev.train_cfg.seed, 9)
+        assert [agg.wer, agg.per_total, *(row.rate for row in agg.per_category.rows)] == [
+            float(np.mean([getattr(r, name) for r in per_seed])) for name in ("wer", "per_total")
+        ] + [float(np.mean([r.per_category.rate_of(c) for r in per_seed])) for c in "abc"]
 
     def test_task_seeds_pair_replicates_across_subsets(self):
         # same replicate -> same training randomness (paired comparisons);
