@@ -125,7 +125,6 @@ FLAGS: dict[str, tuple[str, str]] = {
     **{key: (section, key) for section in ("train", "model", "search", "eval")
        for key in DEFAULT_CONFIG[section]},
     "gen_seed": ("generator", "seed"),
-    "channels": ("generator", "channels"),
     "utterances": ("generator", "utterances"),
     "noise_sigma": ("generator", "noise_sigma"),
 }
@@ -206,6 +205,8 @@ def cmd_pretrain(args: argparse.Namespace, cfg: dict) -> int:
     corpus = load_corpus(Path(args.corpus))
     train_c, _ = corpus.split(cfg["eval"]["train_fraction"])
     train_cfg = TrainConfig(**cfg["train"])
+    config_hash = config_fingerprint(train_cfg, cfg["model"]["window"], cfg["model"]["features"],
+                                     _per_threshold(cfg), len(train_c))
     params = init_params(
         channels=corpus.channels,
         window=cfg["model"]["window"],
@@ -215,10 +216,6 @@ def cmd_pretrain(args: argparse.Namespace, cfg: dict) -> int:
     )
     result = train(params, train_c, train_cfg)
     out_dir = Path(args.out)
-    config_hash = config_fingerprint(
-        train_cfg, cfg["model"]["window"], cfg["model"]["features"],
-        cfg["eval"]["per_threshold"], len(train_c),
-    )
     model_path = out_dir / f"model_p{train_cfg.dropout_p:g}.json"
     save_model(result.params, model_path, seed=train_cfg.seed, config_hash=config_hash)
     prov = reports.Provenance(config_hash, corpus.content_hash, train_cfg.seed)
@@ -249,16 +246,15 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     # fine-tuning never masks channels; dropout belongs to pretraining.
     # epochs == 0 evaluates the initialisation as-is and reads no training
     # utterance, so it hashes n_train=0 to stay apart from --epochs 1.
+    train_seqs = train_c.sequences if epochs else ()
     ft_cfg = TrainConfig(**{**cfg["train"], "epochs": max(epochs, 1), "dropout_p": 0.0})
-    config_hash = config_fingerprint(
-        ft_cfg, window, features, threshold, len(train_c) if epochs else 0,
-    )
+    config_hash = config_fingerprint(ft_cfg, window, features, threshold, len(train_seqs))
     prov = reports.Provenance(config_hash, corpus.content_hash, seed)
     records = []
 
     def run_side(mode: str, start, parent_hash) -> None:
         inputs = TaskInputs.from_splits(
-            train_c.sequences if epochs else (), test_c.sequences, start.class_symbols,
+            train_seqs, test_c.sequences, start.class_symbols,
             default_table(), train_cfg=ft_cfg, window=window, features=features,
             threshold=threshold, config_hash=config_hash, corpus_hash=corpus.content_hash,
         )
@@ -413,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = commands.add_parser("gen-data", help="generate a synthetic corpus")
     _add_common(p, corpus=False)
     p.add_argument("--force", action="store_true", help="overwrite an existing corpus")
-    _add_flags(p, ("gen_seed", "channels", "utterances", "noise_sigma"))
+    _add_flags(p, ("gen_seed", "utterances", "noise_sigma"))
     p.set_defaults(func=cmd_gen_data)
 
     p = commands.add_parser("pretrain", help="train the full-channel model")

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Sequence
@@ -244,8 +243,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be a positive integer, got {self.epochs}")
         if self.batch_size < 1:
@@ -425,7 +424,8 @@ class EvalRecord:
 
     ``seed`` is the replicate index in a cache row, one training, and the
     base seed in every record a search returns, whatever its ``n_seeds``.
-    Wall time is bookkeeping only and never flows into report files.
+    ``wall_time`` is the seconds of the search task that made the record
+    (0.0 from ``evaluate``); it never flows into report files.
     """
 
     subset_label: str
@@ -635,7 +635,6 @@ def score_windows(
     ``metrics.category_report`` forms the category rows from them as it does
     for ``category_per``, so the record equals the string functions' to the
     bit."""
-    t0 = time.perf_counter()
     if params.class_symbols != reference.class_symbols:
         raise ValueError(f"model classes {params.class_symbols} differ from the "
                          f"reference's {reference.class_symbols}")
@@ -668,8 +667,6 @@ def score_windows(
         per_total=total_errors / total_frames,
         per_category=category_report(total_frames, total_errors, reference.category_names,
                                      reference.category_counts, errors, threshold),
-        wall_time=time.perf_counter() - t0,
-        n_seeds=1,
     )
 
 

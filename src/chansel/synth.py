@@ -81,8 +81,8 @@ class GeneratorConfig:
                     or not (math.isfinite(w) and 0.0 <= w <= 1.0)):
                 raise ValueError(f"weights must be finite numbers in [0, 1], got {w!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if not (self.noise_sigma > 0):
-            raise ValueError(f"noise_sigma must be > 0, got {self.noise_sigma}")
+        if not (0 < self.noise_sigma < math.inf):
+            raise ValueError(f"noise_sigma must be finite and > 0, got {self.noise_sigma}")
         if self.frames_per_segment < 1 or self.segments_per_utterance < 1 or self.utterances < 1:
             raise ValueError("frames_per_segment, segments_per_utterance and utterances "
                              "must all be >= 1")

@@ -462,14 +462,19 @@ class TestSearchCommands:
 
     @pytest.mark.parametrize("command, extra", [
         ("exhaustive", []), ("backward-elim", []), ("ablate7", []), ("report", []),
-        ("finetune", ["--subset", "13", "--from-scratch"]),
+        ("finetune", ["--subset", "13", "--from-scratch"]), ("pretrain", []),
     ])
     @pytest.mark.parametrize("threshold", ["-1", "0"])
     def test_per_threshold_below_one_is_rejected_before_training(
-            self, workdir, corpus_dir, capsys, command, extra, threshold):
+            self, workdir, corpus_dir, capsys, monkeypatch, command, extra, threshold):
+        # set in the file: pretrain hashes the threshold but has no flag for it
+        cfg = copy.deepcopy(TINY_CONFIG)
+        cfg["eval"]["per_threshold"] = int(threshold)
+        (workdir / "config.json").write_text(json.dumps(cfg))
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("pretrain trained"))
         out = workdir / "x"
         code = main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--per-threshold", threshold, *extra])
+                     "--out", str(out), *extra])
         assert code == EXIT_DATA
         assert f"per_threshold must be >= 1, got {threshold}" in capsys.readouterr().err
         assert not out.exists() or _read_all(out) == {}
@@ -520,6 +525,17 @@ class TestSearchCommands:
         assert code == EXIT_DATA
         assert f"k_top must be >= 1, got {k_top}" in capsys.readouterr().err
         assert set(_read_all(out)) == {"cache.jsonl"}  # no report written
+
+    def test_k_top_above_the_subset_count_lists_every_subset(self, workdir, corpus_dir):
+        out = workdir / "sweep"
+        for command in ("exhaustive", "report"):
+            assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                         "--out", str(out), "--k-top", "50"]) == EXIT_OK
+            rows = (out / "top_subsets.csv").read_text().splitlines()[2:]
+            # all C(4,2) subsets, then the count row: each channel is in 3 of them
+            assert sorted(row.split(",")[0] for row in rows[:-1]) == [
+                "12", "13", "14", "23", "24", "34"]
+            assert rows[-1] == "count,3,3,3,3,"
 
     def test_negative_workers_is_data_error(self, workdir, corpus_dir, capsys):
         out = workdir / "x"
@@ -609,6 +625,11 @@ class TestConfigSchema:
         assert code == EXIT_DATA
         assert f"unknown config key {section}.nosuch" in err
 
+    def test_file_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, [1, 2])
+        assert code == EXIT_DATA
+        assert f"error: config file {tmp_path / 'bad.json'} must hold a JSON object" in err
+
     def test_section_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, {"train": [1, 2]})
         assert code == EXIT_DATA
@@ -618,7 +639,7 @@ class TestConfigSchema:
         ("train", "epochs", None), ("train", "epochs", [3]), ("train", "epochs", 2.5),
         ("train", "epochs", True), ("train", "epochs", "3"), ("model", "window", {}),
         ("train", "learning_rate", "0.5"), ("search", "metric", 5),
-        ("generator", "weights", 0.5),
+        ("generator", "weights", 0.5), ("train", "epochs", math.inf),
     ])
     def test_value_of_another_type_is_data_error(self, tmp_path, capsys, section, key, value):
         code, err = self._run(tmp_path, capsys, {section: {key: value}})
@@ -704,9 +725,11 @@ def _with_layers(edit):
 
 
 class TestExitCodes:
-    def test_usage_error_is_one(self, capsys):
+    def test_usage_error_is_one(self, tmp_path, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
         assert main(["exhaustive"]) == EXIT_USAGE  # missing required flags
+        # the channel count has one owner, generator.channels in the config
+        assert main(["gen-data", "--out", str(tmp_path / "c"), "--channels", "4"]) == EXIT_USAGE
         capsys.readouterr()
 
     def test_missing_corpus_is_data_error(self, workdir, capsys):
@@ -771,13 +794,20 @@ class TestExitCodes:
          "key 'utterances' must be an integer, got 'eight'"),
         ("manifest.json", _with_key("format_version", 99), "corpus manifest", "manifest.json",
          "has format_version 99, expected 1"),
+        # header and payload agree on 2 of the 4 channels (row-major: the first half)
+        (("utt_00002.json", "utt_00002.bin"),
+         (_with_key("channels", 2), lambda data: data[:len(data) // 2]),
+         "corpus", "", "utterance 2 has 2 channels, expected 4"),
     ], ids=["torn", "channels-not-integer", "channels-negative", "sample-rate-zero",
             "sample-rate-null", "payload-nan", "labels-empty", "labels-short", "labels-header",
-            "utterances-not-integer", "future-format"])
+            "utterances-not-integer", "future-format", "channel-count-differs"])
     def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, capsys,
                                                   damaged, damage, what, named, problem):
-        target = corpus_dir / damaged
-        target.write_bytes(damage(target.read_bytes()))
+        if isinstance(damaged, str):
+            damaged, damage = (damaged,), (damage,)
+        for name, edit in zip(damaged, damage):
+            target = corpus_dir / name
+            target.write_bytes(edit(target.read_bytes()))
         header = corpus_dir / named
         code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "sweep")])
@@ -835,6 +865,20 @@ class TestExitCodes:
                      "--out", str(workdir / "ft"), "--subset", "13", "--init", str(manifest)])
         assert code == EXIT_DATA
         assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag, key", [
+        ("gen-data", "--noise-sigma", "noise_sigma"),
+        ("exhaustive", "--learning-rate", "learning_rate"),
+    ])
+    def test_non_finite_setting_is_refused_naming_the_key(self, workdir, corpus_dir, capsys,
+                                                         command, flag, key):
+        out = workdir / "x"
+        corpus = ["--corpus", str(corpus_dir)] if command != "gen-data" else []
+        code = main([command, "--config", _cfg(workdir), *corpus, "--out", str(out),
+                     flag, "inf"])
+        assert code == EXIT_DATA
+        assert f"error: {key} must be finite and > 0, got inf\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_section_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

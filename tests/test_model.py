@@ -262,7 +262,8 @@ class TestTrain:
         assert DROPOUT_PRESETS == (0.0, 0.125, 0.25)
 
     def test_config_validation(self):
-        for bad in (dict(learning_rate=0.0), dict(epochs=0), dict(batch_size=0),
+        for bad in (dict(learning_rate=0.0), dict(learning_rate=math.inf),
+                    dict(learning_rate=math.nan), dict(epochs=0), dict(batch_size=0),
                     dict(dropout_p=1.5)):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,10 @@ class TestGeneratorConfig:
             _small_cfg(weights=(1.0, 0.5))
         with pytest.raises(ValueError, match="noise_sigma"):
             _small_cfg(noise_sigma=0.0)
+        with pytest.raises(ValueError, match="noise_sigma must be finite and > 0, got inf"):
+            _small_cfg(noise_sigma=math.inf)
+        with pytest.raises(ValueError, match="crosstalk"):
+            _small_cfg(crosstalk=1.0)
         with pytest.raises(ValueError, match="classes"):
             _small_cfg(classes=("B",))
         with pytest.raises(ValueError, match="inventory"):
@@ -99,6 +105,21 @@ class TestGenerate:
                 assert block == {SILENCE_SYMBOL}
             else:
                 assert block <= set(cfg.classes)
+
+    def test_crosstalk_mixes_toward_the_channel_mean(self):
+        """Crosstalk moves each channel's clean part toward the cross-channel
+        mean, so every utterance's samples change but the per-frame mean
+        does not, and the weight-0 channel picks up the others' signal."""
+        weights = (1.0, 0.6, 0.0)
+        plain = generate(_small_cfg(weights=weights))
+        mixed = generate(_small_cfg(weights=weights, crosstalk=0.5))
+        assert mixed.content_hash != plain.content_hash
+        for a, b in zip(plain, mixed):
+            assert a.labels == b.labels
+            assert not np.array_equal(a.signal.samples, b.signal.samples)
+            assert not np.array_equal(a.signal.samples[2], b.signal.samples[2])
+            np.testing.assert_allclose(b.signal.samples.mean(axis=0),
+                                       a.signal.samples.mean(axis=0), rtol=0, atol=1e-12)
 
     def test_zero_weight_channel_is_pure_noise(self):
         cfg = _small_cfg(weights=(1.0, 0.5, 0.0), noise_sigma=0.3, utterances=20)
