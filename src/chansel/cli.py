@@ -294,10 +294,10 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
 def _search_setup(args: argparse.Namespace, cfg: dict):
     """Corpus, output directory, evaluator and provenance shared by
     the search subcommands. On exit, whether the search finished or raised,
-    warns about the cache lines that could not be read. A line is parsed
-    when the search first reads its config's records, so that count covers
-    every damaged line of this config, and of another config's lines only
-    those that lack the canonical head and are not UTF-8 JSON or carry no key."""
+    warns about the cache lines that could not be read: every damaged line
+    of this config (its records are all decoded when the search first reads
+    one), and of other lines only those without the canonical head that are
+    not UTF-8 JSON or name no config."""
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)

@@ -79,38 +79,32 @@ _HEAD = re.compile(rb'\{"config_hash": "([\x20\x21\x23-\x5b\x5d-\x7e]*)", '
                    rb'"corpus_hash": "([\x20\x21\x23-\x5b\x5d-\x7e]*)", ')
 
 
-def _record_key(d: Mapping) -> tuple[str, str, str, int]:
-    return (d["subset"], d["corpus_hash"], d["config_hash"], int(d["seed"]))
-
-
 class ResultsCache:
     """Append-only JSON-lines store of per-seed EvalRecords.
 
     A record's identity is (subset label, corpus hash, config hash, seed).
     A line is the bytes through its ``\\n``. Loading reads the file once, a
-    line at a time, and groups the lines by scope, (corpus hash, config
-    hash), read from the canonical head ``put`` writes: of such a line it
-    keeps only its byte offsets, not its text. Any other line is decoded and
-    parsed at load: one without a key is counted in ``skipped_lines`` (not
-    UTF-8, not JSON, or the torn final line of a sweep killed mid-write, so
-    that sweep resumes cleanly), one with a key joins its scope. The first
-    ``get`` or ``put`` of a scope reads its lines back by offset and keys
-    them, counting those that do not decode, no longer read back (the file
-    was cut short after load) or carry no key; the first ``get`` of a key
-    decodes its record, counting a body that does not decode, which then
-    reads as a miss. So a cache shared by many configs costs a run little
-    more than its own scope, in time and in memory, and damage behind
-    another scope's head is never counted. A torn final line is ended
-    before the first append, so the next record starts a line of its own.
+    line at a time, and keeps the byte offsets of each line under its scope,
+    (corpus hash, config hash), read from the canonical head ``put`` writes;
+    any other line is parsed at load only to find its scope. A line with no
+    scope is counted in ``skipped_lines`` (not UTF-8, not JSON, or the torn
+    final line of a sweep killed mid-write, so that sweep resumes cleanly).
+    The first ``get`` or ``put`` of a scope reads its lines back by offset
+    and decodes each record, counting every line that no longer reads back
+    (the file was cut short after load) or does not decode; a later line of
+    a key replaces an earlier one, and removes it if it does not decode. So
+    a cache shared by many configs costs a run little more than its own
+    scope, in time and in memory, every damaged line of the running config
+    is counted, and damage behind another scope's head is never counted. A
+    torn final line is ended before the first append, so the next record
+    starts a line of its own.
     """
 
     def __init__(self, path: Path | None = None):
         self.path = Path(path) if path is not None else None
-        # a value is the line's parsed JSON until its first get decodes it
-        self._records: dict[tuple[str, str, str, int], EvalRecord | dict] = {}
-        # per scope not yet keyed, its lines in file order: the (start, end)
-        # byte offsets of a canonical line, or the parsed JSON of another
-        self._unkeyed: dict[tuple[str, str], list[tuple[int, int] | dict]] = {}
+        self._records: dict[tuple[str, str, str, int], EvalRecord] = {}
+        # per scope not yet read, the (start, end) byte offsets of its lines
+        self._unread: dict[tuple[str, str], list[tuple[int, int]]] = {}
         self.skipped_lines = 0
         self._torn_tail = False
         if self.path is not None and self.path.exists():
@@ -118,40 +112,39 @@ class ResultsCache:
 
     def _load(self) -> None:
         head = _HEAD.match
-        start = 0
+        end = 0
         line = b""
         with open(self.path, "rb") as fh:
             for line in fh:
-                end = start + len(line)
+                start, end = end, end + len(line)
                 m = head(line)
-                if m is not None:
-                    scope = (m[2].decode("ascii"), m[1].decode("ascii"))
-                    self._unkeyed.setdefault(scope, []).append((start, end))
-                elif line.strip():
-                    try:
+                try:
+                    if m is not None:
+                        scope = (m[2].decode("ascii"), m[1].decode("ascii"))
+                    elif line.strip():
                         d = json.loads(line.decode("utf-8"))
-                        self._unkeyed.setdefault(_record_key(d)[1:3], []).append(d)
-                    except (KeyError, TypeError, ValueError):  # ValueError: not UTF-8 or JSON
-                        self.skipped_lines += 1
-                start = end
+                        scope = (d["corpus_hash"], d["config_hash"])
+                    else:
+                        continue  # a blank line
+                    self._unread.setdefault(scope, []).append((start, end))
+                except (KeyError, TypeError, ValueError):  # ValueError: not UTF-8 or JSON
+                    self.skipped_lines += 1
         self._torn_tail = bool(line) and not line.endswith(b"\n")
 
-    def _key_scope(self, scope: tuple[str, str]) -> None:
-        """Key the lines of one scope, on its first get or put. A canonical
-        line is read back by its offsets; one the file no longer holds whole
-        does not parse, and is counted."""
-        lines = self._unkeyed.pop(scope, ())
+    def _read_scope(self, scope: tuple[str, str]) -> None:
+        """Read back and decode the lines of one scope, on its first get or
+        put; one the file no longer holds whole does not decode."""
         fh = None
         try:
-            for line in lines:
+            for start, end in self._unread.pop(scope, ()):
                 try:
-                    if isinstance(line, tuple):
-                        start, end = line
-                        if fh is None:
-                            fh = open(self.path, "rb")
-                        fh.seek(start)
-                        line = json.loads(fh.read(end - start).decode("utf-8"))
-                    self._records[_record_key(line)] = line
+                    if fh is None:
+                        fh = open(self.path, "rb")
+                    fh.seek(start)
+                    d = json.loads(fh.read(end - start).decode("utf-8"))
+                    key = (d["subset"], d["corpus_hash"], d["config_hash"], int(d["seed"]))
+                    self._records.pop(key, None)  # a later line replaces it, decoded or not
+                    self._records[key] = EvalRecord.from_dict(d)
                 except (OSError, KeyError, TypeError, ValueError):
                     self.skipped_lines += 1
         finally:
@@ -159,21 +152,11 @@ class ResultsCache:
                 fh.close()
 
     def get(self, subset_label: str, corpus_hash: str, config_hash: str, seed: int) -> EvalRecord | None:
-        self._key_scope((corpus_hash, config_hash))
-        key = (subset_label, corpus_hash, config_hash, seed)
-        record = self._records.get(key)
-        if isinstance(record, dict):
-            try:
-                record = EvalRecord.from_dict(record)
-            except (KeyError, TypeError, ValueError):
-                self.skipped_lines += 1
-                del self._records[key]
-                return None
-            self._records[key] = record
-        return record
+        self._read_scope((corpus_hash, config_hash))
+        return self._records.get((subset_label, corpus_hash, config_hash, seed))
 
     def put(self, record: EvalRecord) -> None:
-        self._key_scope((record.corpus_hash, record.config_hash))
+        self._read_scope((record.corpus_hash, record.config_hash))
         self._records[(record.subset_label, record.corpus_hash, record.config_hash,
                        record.seed)] = record
         if self.path is not None:
@@ -186,9 +169,9 @@ class ResultsCache:
                 fh.flush()
 
     def __len__(self) -> int:
-        """The number of distinct keys; keys every scope not yet keyed."""
-        for scope in list(self._unkeyed):
-            self._key_scope(scope)
+        """The number of distinct keys; reads every scope not yet read."""
+        for scope in list(self._unread):
+            self._read_scope(scope)
         return len(self._records)
 
 

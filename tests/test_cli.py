@@ -460,6 +460,23 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (damaged / name).read_bytes() == reference[name], name
 
+    def test_broken_body_no_subset_reads_is_counted(self, workdir, corpus_dir, capsys):
+        out = workdir / "sweep"
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--k", "1"]) == EXIT_OK
+        reference = _read_all(out)
+        cache = out / "cache.jsonl"
+        line = json.loads(cache.read_text().splitlines()[0])
+        with open(cache, "a") as fh:  # the running config's head; --k 1 reads no pair
+            fh.write(json.dumps({**line, "subset": "12", "wer": "x"}, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--k", "1"]) == EXIT_OK
+        assert (f"warning: skipped 1 unreadable cache lines in {cache}"
+                in capsys.readouterr().err)
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (out / name).read_bytes() == reference[name], name
+
     @pytest.mark.parametrize("command, extra", [
         ("exhaustive", []), ("backward-elim", []), ("ablate7", []), ("report", []),
         ("finetune", ["--subset", "13", "--from-scratch"]), ("pretrain", []),
@@ -866,18 +883,21 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command, flag, key", [
-        ("gen-data", "--noise-sigma", "noise_sigma"),
-        ("exhaustive", "--learning-rate", "learning_rate"),
-    ])
-    def test_non_finite_setting_is_refused_naming_the_key(self, workdir, corpus_dir, capsys,
-                                                         command, flag, key):
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("gen-data", "--noise-sigma", "inf", "noise_sigma must be finite and > 0, got inf"),
+        ("exhaustive", "--learning-rate", "inf", "learning_rate must be finite and > 0, got inf"),
+        *[(command, "--train-fraction", value, f"train_fraction must be in (0, 1), got {value}.0")
+          for command in ("exhaustive", "pretrain") for value in ("1", "0")],
+    ], ids=["noise-sigma-inf", "learning-rate-inf", "exhaustive-fraction-1",
+            "exhaustive-fraction-0", "pretrain-fraction-1", "pretrain-fraction-0"])
+    def test_out_of_range_setting_is_refused_naming_the_key(self, workdir, corpus_dir, capsys,
+                                                           command, flag, value, message):
         out = workdir / "x"
         corpus = ["--corpus", str(corpus_dir)] if command != "gen-data" else []
         code = main([command, "--config", _cfg(workdir), *corpus, "--out", str(out),
-                     flag, "inf"])
+                     flag, value])
         assert code == EXIT_DATA
-        assert f"error: {key} must be finite and > 0, got inf\n" in capsys.readouterr().err
+        assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
     def test_unknown_config_section_is_data_error(self, tmp_path, capsys):

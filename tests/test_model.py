@@ -561,6 +561,23 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="channels"):
             evaluate(params, tiny_corpus, table)
 
+    def test_score_windows_refuses_a_reference_for_other_classes(self, table):
+        params, corpus = self._perfect_params(), self._two_class_corpus()
+        xw_all = [featurize(seq.signal.samples, 1) for seq in corpus]
+        reference = model.ScoringReference(corpus, ("T", "B"), table)
+        with pytest.raises(ValueError) as caught:
+            model.score_windows(params, xw_all, reference)
+        assert str(caught.value) == ("model classes ('B', 'T') differ from the "
+                                     "reference's ('T', 'B')")
+
+    def test_score_windows_refuses_windows_of_other_frame_counts(self, table):
+        params, corpus = self._perfect_params(), self._two_class_corpus()
+        xw_all = [featurize(seq.signal.samples, 1) for seq in corpus]
+        reference = model.ScoringReference(corpus, params.class_symbols, table)
+        with pytest.raises(ValueError) as caught:
+            model.score_windows(params, [*xw_all[:2], xw_all[2][:3]], reference)
+        assert str(caught.value) == "windows of [4, 4, 3] frames, the reference has [4, 4, 4]"
+
     def test_record_round_trips_through_dict(self, table, tiny_corpus):
         params = init_params(3, 3, 4, tiny_corpus.label_alphabet(), seed=0)
         record = evaluate(params, tiny_corpus, table, threshold=10, seed=2,

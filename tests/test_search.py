@@ -310,9 +310,12 @@ def _mixed_cache(path):
 
 
 class TestLazyResultsCache:
-    def test_decodes_only_the_records_get_reads_and_each_once(self, tmp_path, monkeypatch):
+    def test_decodes_only_the_read_scope_and_each_record_once(self, tmp_path, monkeypatch):
         path = tmp_path / "cache.jsonl"
-        _mixed_cache(path)
+        scope = [(d["subset"], d["corpus_hash"], d["config_hash"], d["seed"])
+                 for d in map(json.loads, _mixed_cache(path))
+                 if (d["corpus_hash"], d["config_hash"]) == ("corpus", "cfg")]
+        assert len(scope) == 6
         decoded = []
         real_from_dict = EvalRecord.from_dict
 
@@ -327,7 +330,7 @@ class TestLazyResultsCache:
             assert cache.get("12", "corpus", "cfg", 0) is not None
             assert cache.get("234", "corpus", "cfg", 1) is not None
             assert cache.get("34", "corpus", "cfg", 0) is None
-        assert decoded == [("12", "corpus", "cfg", 0), ("234", "corpus", "cfg", 1)]
+        assert decoded == scope  # in file order, each once; no other scope's record
 
     def test_get_equals_an_eager_decode_of_every_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -339,6 +342,31 @@ class TestLazyResultsCache:
             assert cache.get(eager.subset_label, eager.corpus_hash, eager.config_hash,
                              eager.seed) == eager
         assert cache.skipped_lines == 0
+
+    def test_broken_body_is_counted_when_its_scope_is_read(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("1", wer=0.5))
+        broken = {**make_record("12").to_dict(), "wer": "x"}
+        with open(path, "a") as fh:
+            fh.write(json.dumps(broken, sort_keys=True) + "\n")  # the canonical head
+        cache = ResultsCache(path)
+        assert cache.skipped_lines == 0
+        assert cache.get("1", "corpus", "cfg", 0) == make_record("1", wer=0.5)
+        assert cache.skipped_lines == 1  # no get has asked for "12"
+        assert len(cache) == 1
+        cache.put(make_record("12", wer=0.25))
+        assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.25)
+        assert cache.skipped_lines == 1
+
+    def test_later_broken_line_of_a_key_removes_the_earlier_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write(json.dumps({**make_record("12").to_dict(), "wer": "x"}) + "\n")
+        cache = ResultsCache(path)
+        assert cache.get("12", "corpus", "cfg", 0) is None
+        assert cache.skipped_lines == 1
+        assert len(cache) == 0
 
     @pytest.mark.parametrize("field, value", [("wer", "x"), ("per_category", 5)])
     def test_keyed_line_with_broken_body_is_a_counted_miss(self, tmp_path, field, value):
@@ -362,7 +390,8 @@ class TestScopedResultsCache:
     def test_parses_only_the_read_scope_and_the_noncanonical_lines(self, tmp_path,
                                                                    monkeypatch):
         path = tmp_path / "cache.jsonl"
-        scope = [line for line in _mixed_cache(path)
+        lines = _mixed_cache(path)
+        scope = [line for line in lines
                  if '"config_hash": "other", "corpus_hash": "elsewhere"' in line]
         assert len(scope) == 6
         reordered = json.dumps(make_record("9", seed=3).to_dict())  # keys unsorted
@@ -385,7 +414,10 @@ class TestScopedResultsCache:
         assert [text.strip() for text in parsed] == scope
         parsed.clear()
         assert cache.get("9", "corpus", "cfg", 3) == make_record("9", seed=3)
-        assert len(parsed) == 6  # its canonical lines; the reordered one was parsed at load
+        # its canonical lines, then the reordered one, parsed again on being read back
+        assert [text.strip() for text in parsed] == [
+            line for line in lines
+            if line.startswith('{"config_hash": "cfg", "corpus_hash": "corpus", ')] + [reordered]
         assert cache.skipped_lines == 2
 
     def test_unsorted_line_of_the_running_config_is_served(self, tmp_path):
