@@ -258,7 +258,10 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
             default_table(), train_cfg=ft_cfg, window=window, features=features,
             threshold=threshold, config_hash=config_hash, corpus_hash=corpus.content_hash,
         )
-        tuned, record = train_and_score(inputs, start, subset, seed, seed)
+        [outcome] = train_and_score(inputs, start, [subset], seed, seed)
+        if isinstance(outcome, Exception):
+            raise outcome
+        tuned, record = outcome
         save_model(
             tuned, out_dir / f"model_{mode}_{subset.label}.json",
             seed=seed, config_hash=config_hash,

@@ -155,75 +155,127 @@ def _windows(params: ModelParams, signals: Iterable[np.ndarray]) -> list[np.ndar
     return out
 
 
-def _scores(w1, b1, w2, b2, xw: np.ndarray) -> np.ndarray:
-    h = np.tanh(xw @ w1.T + b1)
-    return h @ w2.T + b2
+def _frame_buffers(rows: int, width: int, *sizes: int) -> list[np.ndarray]:
+    """One frame-major (rows, width, size) buffer per size: row t of a
+    buffer holds frame t for each of a stack's ``width`` models."""
+    return [np.empty((rows, width, size)) for size in sizes]
 
 
-def _loss_and_grads(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray, grads) -> float:
-    """Mean batch cross-entropy; writes its gradients into ``grads``, four
-    arrays in ``_ARRAYS`` order. Works in two (n, .) buffers with ``out=``
-    and in-place ufuncs; every elementwise step applies the same operation
-    to the same operands as the textbook formula (softmax, clipped
-    log-likelihood, backprop through tanh), so the results are equal to the
-    bit. The row max is exact, so taking it column by column cannot change a
-    bit either, and the loss is ``np.mean``'s arithmetic: a pairwise sum
-    divided by n."""
-    gw1, gb1, gw2, gb2 = grads
-    n = xw.shape[0]
-    h = xw @ w1.T
+def _check_channels(channels: np.ndarray, xw_all: Sequence[np.ndarray], window: int) -> None:
+    """Refuse a channel the windows lack: ``_gather`` would clip it."""
+    if xw_all and channels.max() >= xw_all[0].shape[1] // window:
+        raise IndexError(f"channel {channels.max()} of windows with "
+                         f"{xw_all[0].shape[1] // window} channels")
+
+
+def _gather(xw: np.ndarray, channels: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
+    """The windows of a stack's models from full-channel windows ``xw``, row
+    s of ``channels`` naming model s's channels: each channel's block of
+    ``window`` columns copied whole, frame-major into the first rows of
+    ``out``, which are returned. ``mode="clip"`` writes straight into
+    ``out`` (the default mode buffers); ``_check_channels`` has checked the
+    channels."""
+    frames = len(xw)
+    np.take(xw.reshape(frames, -1, window), channels, axis=1, mode="clip",
+            out=out[:frames].reshape(frames, *channels.shape, window))
+    return out[:frames]
+
+
+def _scores(w1, b1, w2, b2, xw: np.ndarray, h: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Class scores of a stack of S models (its parameters stacked along a
+    leading axis) on frame-major (n, S, d) windows: fills the (n, S,
+    features) buffer ``h`` with the hidden activations and returns the
+    (n, S, classes) buffer ``g`` filled with the scores. Each matmul is one
+    BLAS call per model on a strided view of the buffers, and each
+    elementwise step applies one model's formula to each of its values, so
+    each model's scores equal those of its own 2-D forward pass to the bit."""
+    np.matmul(xw.transpose(1, 0, 2), w1.transpose(0, 2, 1), out=h.transpose(1, 0, 2))
     h += b1
     np.tanh(h, out=h)
-    g = h @ w2.T
+    np.matmul(h.transpose(1, 0, 2), w2.transpose(0, 2, 1), out=g.transpose(1, 0, 2))
     g += b2
-    top = g[:, 0].copy()
-    for j in range(1, g.shape[1]):
-        np.maximum(top, g[:, j], out=top)
-    g -= top[:, None]
+    return g
+
+
+def _loss_and_grads(w1, b1, w2, b2, xw: np.ndarray, y: np.ndarray, grads, h: np.ndarray,
+                    g: np.ndarray, dh: np.ndarray) -> list[float]:
+    """Mean batch cross-entropy of each model of a stack, on frame-major
+    (n, S, d) windows and the n labels the models share; writes the
+    gradients into ``grads``, four stacked arrays in ``_ARRAYS`` order, and
+    works in the caller's frame-major buffers ``h``, ``g`` and ``dh``, so a
+    step allocates nothing the size of a batch. Every elementwise step
+    applies the same operation to the same operands as the textbook formula
+    (softmax, clipped log-likelihood, backprop through tanh), each matmul is
+    one BLAS call per model and the batch sums run down the frames in order,
+    so each model's loss and gradients equal a one-model step's to the bit.
+    The row max is exact, so taking it column by column cannot change a bit
+    either, and a loss is ``np.mean``'s arithmetic: a pairwise sum divided
+    by n."""
+    gw1, gb1, gw2, gb2 = grads
+    n, width, classes = g.shape
+    _scores(w1, b1, w2, b2, xw, h, g)
+    top = g[..., 0].copy()
+    for j in range(1, classes):
+        np.maximum(top, g[..., j], out=top)
+    g -= top[..., None]
     np.exp(g, out=g)
-    g /= g.sum(axis=1, keepdims=True)
-    # each row's true class as a position in the flat buffer: cheaper to
-    # index than (row, column) pairs
+    g /= g.sum(axis=2, keepdims=True)
+    # each frame's true class as a position in the flat buffer, one row per
+    # model: cheaper to index than (frame, model, class) triples, and the
+    # likelihoods come out one C-ordered row per model, so each row's sum
+    # is pairwise
     flat = g.reshape(-1)
-    true = np.arange(0, flat.size, g.shape[1]) + y
+    true = np.arange(0, width * classes, classes)[:, None] + (
+        np.arange(0, flat.size, width * classes) + y)
     likelihood = flat[true]
     np.maximum(likelihood, LOG_CLAMP, out=likelihood)
     np.log(likelihood, out=likelihood)
-    loss = -(float(np.add.reduce(likelihood)) / n)
+    losses = [-(total / n) for total in np.add.reduce(likelihood, axis=1).tolist()]
     flat[true] -= 1.0
     g /= n
-    np.matmul(g.T, h, out=gw2)
+    hs, gs = h.transpose(1, 0, 2), g.transpose(1, 0, 2)
+    np.matmul(gs.transpose(0, 2, 1), hs, out=gw2)
     np.add.reduce(g, axis=0, out=gb2)
-    dh = g @ w2
+    np.matmul(gs, w2, out=dh.transpose(1, 0, 2))
     h *= h
     np.subtract(1.0, h, out=h)
     dh *= h
-    np.matmul(dh.T, xw, out=gw1)
+    np.matmul(dh.transpose(1, 2, 0), xw.transpose(1, 0, 2), out=gw1)
     np.add.reduce(dh, axis=0, out=gb1)
-    return loss
+    return losses
 
 
 def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarray]:
-    """A view of ``flat`` shaped as each of ``shapes``, laid end to end."""
+    """A view of ``flat`` shaped as each of ``shapes``, laid end to end
+    along its last axis; a leading axis, if any, stays in front."""
     sizes = [math.prod(shape) for shape in shapes]
-    return [part.reshape(shape)
-            for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1]), shapes)]
+    return [part.reshape(*flat.shape[:-1], *shape)
+            for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1], axis=-1), shapes)]
 
 
-def _buffers(params: ModelParams) -> tuple[np.ndarray, list[np.ndarray], np.ndarray, list[np.ndarray]]:
-    """``_flat(params)`` and a flat gradient buffer of the same layout, each
-    with a view per array."""
+def _buffers(params: ModelParams, width: int) -> tuple[np.ndarray, list[np.ndarray],
+                                                        np.ndarray, list[np.ndarray]]:
+    """``width`` copies of ``_flat(params)``, one per row of a (width, P)
+    buffer, and a gradient buffer of the same layout, each with a stacked
+    view per array."""
     shapes = [a.shape for a in _arrays(params)]
-    flat = _flat(params)
+    flat = np.tile(_flat(params), (width, 1))
     grad = np.empty_like(flat)
     return flat, _views(flat, shapes), grad, _views(grad, shapes)
+
+
+def _all_channels(params: ModelParams) -> np.ndarray:
+    """The channel rows of a one-model stack that reads every channel."""
+    return np.arange(params.channels)[None]
 
 
 def forward(params: ModelParams, x) -> np.ndarray:
     """Per-frame class scores, shape (T, classes). Deterministic; dropout is
     a training-only concern and never applied here."""
     samples = x.samples if hasattr(x, "samples") else np.asarray(x, dtype=np.float64)
-    return _scores(*_arrays(params), *_windows(params, [samples]))
+    [xw] = _windows(params, [samples])
+    return _scores(*(a[None] for a in _arrays(params)), xw[:, None],
+                   *_frame_buffers(len(xw), 1, params.features, params.classes))[:, 0]
 
 
 def predict_labels(params: ModelParams, x) -> tuple[str, ...]:
@@ -273,6 +325,11 @@ def label_indices(sequences: Sequence[LabeledSequence],
         raise ValueError(f"corpus label {exc.args[0]!r} is not a model class") from None
 
 
+def max_batch_rows(xw_all: Sequence[np.ndarray], batch_size: int) -> int:
+    """The most frames a batch of ``batch_size`` of these utterances holds."""
+    return sum(sorted(map(len, xw_all))[-batch_size:])
+
+
 def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: TrainConfig) -> TrainResult:
     """Minimise frame-wise cross-entropy by mini-batch gradient descent.
 
@@ -288,11 +345,16 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
     y_all = label_indices(sequences, params.class_symbols)
 
     def clean_loss(p: ModelParams) -> float:
-        _, arrays, _, grads = _buffers(p)
-        return _loss_and_grads(*arrays, np.vstack(xw_all), np.concatenate(y_all), grads)
+        _, arrays, _, grads = _buffers(p, 1)
+        xw = np.vstack(xw_all)[:, None]
+        return _loss_and_grads(*arrays, xw, np.concatenate(y_all), grads, *_frame_buffers(
+            len(xw), 1, p.features, p.classes, p.features))[0]
 
     initial_loss = clean_loss(params)
-    trained, epoch_losses, mean_retained = fit_windows(params, xw_all, y_all, cfg)
+    [outcome], mean_retained = fit_windows(params, _all_channels(params), xw_all, y_all, cfg)
+    if isinstance(outcome, Exception):
+        raise outcome
+    trained, epoch_losses = outcome
     return TrainResult(
         params=trained,
         epoch_losses=epoch_losses,
@@ -304,60 +366,100 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
 
 def fit_windows(
     params: ModelParams,
+    channels: np.ndarray,
     xw_all: Sequence[np.ndarray],
     y_all: Sequence[np.ndarray],
     cfg: TrainConfig,
-) -> tuple[ModelParams, tuple[float, ...], float]:
-    """The gradient-descent loop on featurized utterances: one (T, C * W)
-    window matrix and one label-index vector per utterance. Returns the
-    trained parameters, the per-epoch mean batch losses and the mean number
-    of channels dropout retained.
+) -> tuple[list[tuple[ModelParams, tuple[float, ...]] | Exception], float]:
+    """The gradient-descent loop of a *stack*: S models trained in lockstep
+    from one start model, ``params``, under one seed. Row s of the (S, k)
+    ``channels`` names the channels model s reads from the featurized
+    utterances, one (T, C * W) window matrix and one label-index vector per
+    utterance. Returns, per row, the trained parameters and the per-epoch
+    mean batch losses, or the error that stopped that model; and the mean
+    number of channels dropout retained.
 
-    Batches are groups of utterances; when cfg.dropout_p > 0 a fresh channel
-    mask is drawn for every utterance in every epoch. The parameters and
-    their gradients each live in one flat buffer, so a step is
-    ``grad *= lr; weights -= grad`` on the whole buffer: the same elementwise
-    operations as updating array by array. Identical seeds give
-    bit-identical parameter trajectories. Raises TrainingDivergedError on the
-    first non-finite batch loss.
+    Batches are groups of utterances; when cfg.dropout_p > 0 a fresh mask
+    over the start model's channels is drawn for every utterance in every
+    epoch. What makes a stack possible is common random numbers: its models
+    share the start, the batch order and the masks, so only the channels
+    differ between them, and a step gathers the batch's windows for all S
+    at once into one frame-major buffer and runs ``_loss_and_grads`` on the
+    stack. The parameters and their gradients each live in one (S, P)
+    buffer, so a step is ``grad *= lr; weights -= grad`` on the whole
+    buffer: the same elementwise operations as updating array by array. So
+    each model's trajectory equals its one-model run's to the bit, whatever
+    else is in its stack. A model whose batch loss is not finite stops with
+    TrainingDivergedError and leaves the stack; one whose last step leaves a
+    parameter non-finite stops with ``ModelParams``' ValueError. The others
+    train on.
     """
-    weights, arrays, grad, grads = _buffers(params)
+    window = params.window
+    _check_channels(channels, xw_all, window)
+    width = len(channels)
+    shapes = [a.shape for a in _arrays(params)]
+    weights, arrays, grad, grads = _buffers(params, width)
+    rows = max_batch_rows(xw_all, cfg.batch_size)
+    batch = np.empty((rows, xw_all[0].shape[1]))
+    sizes = (params.channels * window, params.features, params.classes, params.features)
+    work = _frame_buffers(rows, width, *sizes)
+    outcomes: list = [None] * width
+    alive = list(range(width))  # the outcome index of each model still training
+    epoch_losses: list[list[float]] = [[] for _ in range(width)]
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
     p = cfg.dropout_p
     n = len(xw_all)
     retained_sum = 0
     draws = 0
-    epoch_losses: list[float] = []
 
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        batch_losses: list[float] = []
+        batch_losses: list[list[float]] = [[] for _ in range(width)]
         for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
             ids = order[start:start + cfg.batch_size]
-            xs = []
-            for i in ids:
-                if p > 0.0:
+            xs = [xw_all[i] for i in ids]
+            xw = _gather(np.concatenate(xs, out=batch[:sum(map(len, xs))]), channels, window,
+                         work[0])
+            if p > 0.0:
+                row = 0
+                for i in ids:
                     mask = draw_channel_mask(params.channels, p, rng)
                     retained_sum += mask.retained
                     draws += 1
-                    col = np.repeat(np.asarray(mask.bits, dtype=np.float64), params.window)
-                    xs.append(xw_all[i] * col)
-                else:
-                    xs.append(xw_all[i])
-            xw = np.concatenate(xs)
+                    frames = slice(row, row + len(xw_all[i]))
+                    xw[frames] *= np.repeat(np.asarray(mask.bits, dtype=np.float64), window)
+                    row = frames.stop
             y = np.concatenate([y_all[i] for i in ids])
-            loss = _loss_and_grads(*arrays, xw, y, grads)
-            if not math.isfinite(loss):
-                raise TrainingDivergedError(epoch, b_idx, loss)
+            losses = _loss_and_grads(*arrays, xw, y, grads, *(b[:len(xw)] for b in work[1:]))
+            if not all(map(math.isfinite, losses)):
+                keep = [math.isfinite(loss) for loss in losses]
+                for a, loss, kept in zip(alive, losses, keep):
+                    if not kept:
+                        outcomes[a] = TrainingDivergedError(epoch, b_idx, loss)
+                alive = [a for a, kept in zip(alive, keep) if kept]
+                if not alive:
+                    break
+                weights, grad, channels = weights[keep], grad[keep], channels[keep]
+                arrays, grads = _views(weights, shapes), _views(grad, shapes)
+                work = _frame_buffers(rows, len(alive), *sizes)
+                losses = [loss for loss, kept in zip(losses, keep) if kept]
             grad *= lr
             weights -= grad
-            batch_losses.append(loss)
-        epoch_losses.append(float(np.mean(batch_losses)))
+            for a, loss in zip(alive, losses):
+                batch_losses[a].append(loss)
+        if not alive:
+            break
+        for a in alive:
+            epoch_losses[a].append(float(np.mean(batch_losses[a])))
 
-    trained = replace(params, **dict(zip(_ARRAYS, arrays)))
-    mean_retained = retained_sum / draws if draws else float(params.channels)
-    return trained, tuple(epoch_losses), mean_retained
+    for s, a in enumerate(alive):
+        try:
+            outcomes[a] = (replace(params, **{name: arr[s] for name, arr in zip(_ARRAYS, arrays)}),
+                           tuple(epoch_losses[a]))
+        except ValueError as exc:
+            outcomes[a] = exc
+    return outcomes, retained_sum / draws if draws else float(params.channels)
 
 
 def gradient_check(
@@ -374,11 +476,13 @@ def gradient_check(
     negative control: a correct implementation then reports an error near 1."""
     if not batch:
         raise ValueError("gradient check needs a non-empty batch")
-    xw = np.vstack(_windows(params, [seq.signal.samples for seq in batch]))
+    xw = np.vstack(_windows(params, [seq.signal.samples for seq in batch]))[:, None]
     y = np.concatenate(label_indices(batch, params.class_symbols))
 
-    weights, arrays, grad, grads = _buffers(params)
-    _loss_and_grads(*arrays, xw, y, grads)
+    weights, arrays, grad, grads = _buffers(params, 1)
+    weights, grad = weights[0], grad[0]
+    work = _frame_buffers(len(xw), 1, params.features, params.classes, params.features)
+    _loss_and_grads(*arrays, xw, y, grads, *work)
     rng = np.random.default_rng(seed)
     coords = rng.choice(weights.size, size=min(n_coords, weights.size), replace=False)
     analytic = -grad[coords] if negate_analytic else grad[coords]
@@ -387,9 +491,9 @@ def gradient_check(
     for i, a in zip(coords, analytic.tolist()):
         saved = weights[i]
         weights[i] += step
-        loss_plus = _loss_and_grads(*arrays, xw, y, grads)
+        [loss_plus] = _loss_and_grads(*arrays, xw, y, grads, *work)
         weights[i] -= 2 * step
-        loss_minus = _loss_and_grads(*arrays, xw, y, grads)
+        [loss_minus] = _loss_and_grads(*arrays, xw, y, grads, *work)
         weights[i] = saved
         numeric = (loss_plus - loss_minus) / (2 * step)
         rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
@@ -607,67 +711,79 @@ def evaluate(
     corpus_hash: str = "",
 ) -> EvalRecord:
     """Score a model on a corpus: featurize it, build its scoring
-    reference, then ``score_windows``."""
+    reference, then ``score_windows`` on a one-model stack."""
     sequences = list(data)
     if not sequences:
         raise ValueError("evaluation corpus is empty")
     xw_all = _windows(params, [seq.signal.samples for seq in sequences])
     reference = ScoringReference(sequences, params.class_symbols, table)
-    return score_windows(params, xw_all, reference, subset=subset, threshold=threshold,
-                         seed=seed, config_hash=config_hash, corpus_hash=corpus_hash)
+    [record] = score_windows([params], [subset or ChannelSubset.full(params.channels)],
+                             _all_channels(params), xw_all, reference, threshold=threshold,
+                             seed=seed, config_hash=config_hash, corpus_hash=corpus_hash)
+    return record
 
 
 def score_windows(
-    params: ModelParams,
+    stack: Sequence[ModelParams],
+    subsets: Sequence[ChannelSubset],
+    channels: np.ndarray,
     xw_all: Sequence[np.ndarray],
     reference: ScoringReference,
-    subset: ChannelSubset | None = None,
     threshold: int = DEFAULT_CATEGORY_THRESHOLD,
     seed: int = 0,
     config_hash: str = "",
     corpus_hash: str = "",
-) -> EvalRecord:
-    """Score a model on featurized utterances (``xw_all``) against a test
-    split's ``reference``: frame argmax predictions, total and per-category
-    PER, then WER of the collapsed token transcript against each
-    utterance's reference transcript (corpus-level: summed edits over summed
-    reference lengths). Counts are integers over label ids, and
+) -> list[EvalRecord]:
+    """Score a stack of models of one shape, each labelled by its subset
+    and reading the channels in its row of ``channels``, on featurized
+    utterances (``xw_all``) against a test split's ``reference``. The
+    forward pass and frame argmax run once per utterance for the whole
+    stack, each slice equal to the bit to one model's. Then per model: total
+    and per-category PER, and WER of the collapsed token transcript against
+    each utterance's reference transcript (corpus-level: summed edits over
+    summed reference lengths). Counts are integers over label ids, and
     ``metrics.category_report`` forms the category rows from them as it does
-    for ``category_per``, so the record equals the string functions' to the
+    for ``category_per``, so each record equals the string functions' to the
     bit."""
-    if params.class_symbols != reference.class_symbols:
-        raise ValueError(f"model classes {params.class_symbols} differ from the "
-                         f"reference's {reference.class_symbols}")
+    for params in stack:
+        if params.class_symbols != reference.class_symbols:
+            raise ValueError(f"model classes {params.class_symbols} differ from the "
+                             f"reference's {reference.class_symbols}")
     if [len(xw) for xw in xw_all] != reference.lengths:
         raise ValueError(f"windows of {[len(xw) for xw in xw_all]} frames, the reference "
                          f"has {reference.lengths}")
-    arrays = _arrays(params)
-    hyp = reference.class_ids[np.concatenate(
-        [np.argmax(_scores(*arrays, xw), axis=1) for xw in xw_all])]
+    window = stack[0].window
+    _check_channels(channels, xw_all, window)
+    arrays = [np.stack([getattr(p, name) for p in stack]) for name in _ARRAYS]
+    work = _frame_buffers(max(reference.lengths), len(stack), stack[0].channels * window,
+                          stack[0].features, stack[0].classes)
+    hyps = reference.class_ids[np.concatenate(
+        [np.argmax(_scores(*arrays, _gather(xw, channels, window, work[0]),
+                           *(b[:len(xw)] for b in work[1:])), axis=2)
+         for xw in xw_all]).T]
     if reference.total_tokens == 0:
         raise ValueError("corpus reference transcripts are empty; WER undefined")
-    edits = reference.edits(hyp)
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if reference.unknown is not None:
         raise KeyError(f"reference label {reference.unknown!r} not in the phoneme inventory")
-    wrong = hyp != reference.frames
-    total_frames = hyp.size
-    total_errors = int(np.count_nonzero(wrong))
-    errors = (reference.membership @ np.bincount(
-        reference.frames[wrong], minlength=len(reference.symbols))).tolist()
-    if subset is None:
-        subset = ChannelSubset.full(params.channels)
-    return EvalRecord(
-        subset_label=subset.label,
-        seed=seed,
-        config_hash=config_hash,
-        corpus_hash=corpus_hash,
-        wer=edits / reference.total_tokens,
-        per_total=total_errors / total_frames,
-        per_category=category_report(total_frames, total_errors, reference.category_names,
-                                     reference.category_counts, errors, threshold),
-    )
+    records = []
+    for subset, hyp in zip(subsets, hyps):
+        wrong = hyp != reference.frames
+        total_errors = int(np.count_nonzero(wrong))
+        errors = (reference.membership @ np.bincount(
+            reference.frames[wrong], minlength=len(reference.symbols))).tolist()
+        records.append(EvalRecord(
+            subset_label=subset.label,
+            seed=seed,
+            config_hash=config_hash,
+            corpus_hash=corpus_hash,
+            wer=reference.edits(hyp) / reference.total_tokens,
+            per_total=total_errors / hyp.size,
+            per_category=category_report(hyp.size, total_errors, reference.category_names,
+                                         reference.category_counts, errors, threshold),
+        ))
+    return records
 
 
 # --- model files -------------------------------------------------------------

@@ -4,12 +4,13 @@ and the ranking statistics built on top of them.
 Every subset evaluation is keyed by (canonical subset label, corpus hash,
 train-config hash, seed) and stored as one JSON line in an append-only cache,
 so interrupted sweeps resume without recomputation and a warm replay performs
-zero trainings. Evaluations are independent tasks; with workers > 1 they run
-in a process pool, and all outputs are sorted canonically so the worker count
-never changes a byte of what lands on disk. An evaluator starts its pool on
-the first batch that trains and keeps it for every later batch; each search
-procedure closes the evaluator when it ends, and a library caller of
-``evaluate_many`` calls ``close`` itself.
+zero trainings. Evaluations of one subset size and replicate train together
+in stacks, each subset's record equal to the bit to training it alone; with
+workers > 1 the stacks run in a process pool, and all outputs are sorted
+canonically so the worker count never changes a byte of what lands on disk.
+An evaluator starts its pool on the first batch that trains and keeps it for
+every later batch; each search procedure closes the evaluator when it ends,
+and a library caller of ``evaluate_many`` calls ``close`` itself.
 """
 
 from __future__ import annotations
@@ -43,8 +44,8 @@ from .model import (
     fit_windows,
     init_params,
     label_indices,
+    max_batch_rows,
     score_windows,
-    subset_columns,
 )
 from .phonemes import CategoryTable
 from .signals import ChannelSubset, parse_subset
@@ -183,9 +184,12 @@ def derive_task_seeds(base_seed: int, replicate: int) -> tuple[int, int]:
 
     Derived from (base seed, replicate index) only, NOT the subset: subsets
     of equal size then train under common random numbers (same init draws,
-    same batch order), which pairs their comparison and cancels most of the
-    training noise that would otherwise scramble close rankings. Every task
-    builds its own generators from the derived ints; workers share no state.
+    same batch order, same dropout masks), which pairs their comparison and
+    cancels most of the training noise that would otherwise scramble close
+    rankings. The same common random numbers let the subsets of one size and
+    replicate train as one lockstep stack (``model.fit_windows``). Every
+    stack builds its own generators from the derived ints; workers share no
+    state.
     """
     root = np.random.SeedSequence([base_seed, replicate])
     init_ss, train_ss = root.spawn(2)
@@ -224,12 +228,15 @@ class Evaluator(Protocol):
 
 @dataclass(frozen=True, eq=False)
 class TaskInputs:
-    """Everything a subset task reads and no subset changes: the full-channel
-    windows of both splits, the train labels as class indices, the test
-    split's scoring reference, and the evaluator's settings.
+    """Everything a stack of subset tasks reads and no subset changes: the
+    full-channel windows of both splits, the train labels as class indices,
+    the test split's scoring reference, and the evaluator's settings.
     ``featurize`` lays the windows out channel-block-major, so a subset's
     windows are the column blocks ``subset_columns`` names, equal to the bit
-    to featurizing the subset-restricted split."""
+    to featurizing the subset-restricted split. Because every subset of one
+    size and replicate starts from the same model under the same common
+    random numbers (``derive_task_seeds``), a stack of them reads these
+    windows once per step and differs only in the channels it gathers."""
 
     train_windows: tuple[np.ndarray, ...]
     train_labels: tuple[np.ndarray, ...]
@@ -258,7 +265,7 @@ class TaskInputs:
 
 
 # Installed once per worker by _init_worker, so the task inputs reach each
-# worker once (inherited by fork) rather than per task.
+# worker once (inherited by fork) rather than per stack.
 _WORKER_INPUTS: TaskInputs | None = None
 
 
@@ -291,37 +298,74 @@ def _init_worker(inputs: TaskInputs, openblas: str | None) -> None:
         set_threads(1)
 
 
-def train_and_score(inputs: TaskInputs, start: ModelParams, subset: ChannelSubset,
-                    train_seed: int, seed: int) -> tuple[ModelParams, EvalRecord]:
-    """Train ``start`` on the subset's column blocks of the train windows,
-    if the inputs hold any, and score it on those of the test windows;
-    returns the trained model and its record, tagged ``seed``."""
-    cols = subset_columns(subset, inputs.window)
-    trained = start
+def train_and_score(inputs: TaskInputs, start: ModelParams, subsets: Sequence[ChannelSubset],
+                    train_seed: int, seed: int) -> list[tuple[ModelParams, EvalRecord] | Exception]:
+    """Train ``start`` on each subset's column blocks of the train windows,
+    if the inputs hold any, in one lockstep stack, and score the stack on
+    those of the test windows. Returns per subset its trained model and its
+    record, tagged ``seed``, or the error that stopped it: a subset whose
+    training stopped keeps its own error, and a scoring error is every
+    scored subset's."""
+    channels = np.array([s.indices for s in subsets])
+    outcomes: list = [(start, ())] * len(subsets)
     if inputs.train_windows:
-        trained, _, _ = fit_windows(
-            start, [xw[:, cols] for xw in inputs.train_windows], inputs.train_labels,
-            replace(inputs.train_cfg, seed=train_seed))
-    record = score_windows(
-        trained, [xw[:, cols] for xw in inputs.test_windows], inputs.reference,
-        subset=subset, threshold=inputs.threshold, seed=seed,
-        config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash,
-    )
-    return trained, record
+        outcomes, _ = fit_windows(start, channels, inputs.train_windows, inputs.train_labels,
+                                  replace(inputs.train_cfg, seed=train_seed))
+    scored = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
+    if scored:
+        try:
+            records = score_windows(
+                [outcomes[i][0] for i in scored], [subsets[i] for i in scored], channels[scored],
+                inputs.test_windows, inputs.reference, threshold=inputs.threshold, seed=seed,
+                config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash,
+            )
+        except Exception as exc:  # the outcome of every scored subset
+            records = [exc] * len(scored)
+        for i, record in zip(scored, records):
+            outcomes[i] = record if isinstance(record, Exception) else (outcomes[i][0], record)
+    return outcomes
 
 
-def _run_task_impl(inputs: TaskInputs, indices: tuple[int, ...], replicate: int) -> EvalRecord:
-    subset = ChannelSubset(indices)
+# The row budget of a stack. A step's buffers hold (channels x window + 2 x
+# features + classes) floats per batch row per model, about 730 bytes at the
+# bench shape, so 2048 rows of them fill about 1.5 MB, inside a 2 MiB L2.
+# On a 2-vCPU Xeon with that L2 per core, a bench-shape step (232-row
+# batches) took about 117 us per subset alone, 80-87 us in stacks of 4-8
+# and 89-113 us in stacks of 12-17, and cold sweeps with stacks of at most
+# 8 used 5% less CPU than with stacks of at most 17 (4 of 6 pairs). So a
+# stack is at most ROWS // (rows of the largest batch) subsets wide, and
+# never less than one: a default-config batch (16 utterances of 240 frames)
+# gets width 1 and trains one subset at a time, as a search did before
+# stacks.
+ROWS = 2048
+
+
+def _stack_width(inputs: TaskInputs) -> int:
+    """The widest stack the row budget allows for these inputs."""
+    rows = max_batch_rows(inputs.train_windows, inputs.train_cfg.batch_size)
+    return max(1, ROWS // max(rows, 1))
+
+
+def _run_stack(inputs: TaskInputs, stack: tuple[tuple[int, ...], ...],
+               replicate: int) -> list[EvalRecord | Exception]:
+    """Train and score one stack, subsets of one size given by their channel
+    indices, from its replicate's start model; returns per subset its record
+    or its error. A record's ``wall_time`` is its share of the stack's
+    seconds."""
+    subsets = [ChannelSubset(indices) for indices in stack]
     init_seed, train_seed = derive_task_seeds(inputs.train_cfg.seed, replicate)
     t0 = time.perf_counter()
-    params = init_params(channels=len(subset), window=inputs.window, features=inputs.features,
+    params = init_params(channels=len(subsets[0]), window=inputs.window,
+                         features=inputs.features,
                          class_symbols=inputs.reference.class_symbols, seed=init_seed)
-    _, record = train_and_score(inputs, params, subset, train_seed, replicate)
-    return replace(record, wall_time=time.perf_counter() - t0)
+    outcomes = train_and_score(inputs, params, subsets, train_seed, replicate)
+    share = (time.perf_counter() - t0) / len(stack)
+    return [outcome if isinstance(outcome, Exception) else replace(outcome[1], wall_time=share)
+            for outcome in outcomes]
 
 
-def _pool_task(indices: tuple[int, ...], replicate: int) -> EvalRecord:
-    return _run_task_impl(_WORKER_INPUTS, indices, replicate)
+def _pool_stack(stack: tuple[tuple[int, ...], ...], replicate: int) -> list[EvalRecord | Exception]:
+    return _run_stack(_WORKER_INPUTS, stack, replicate)
 
 
 @dataclass
@@ -401,13 +445,36 @@ class TrainingEvaluator:
         self.training_runs += 1
         self.cache.put(record)
 
+    def _stacks(self, pending: Sequence[tuple[ChannelSubset, int]]) -> list[list[int]]:
+        """The pending tasks, by position, cut into stacks: the n tasks of
+        one (subset size, replicate) group go into workers x ceil(n /
+        (workers x width)) near-equal runs of canonical order, so each stack
+        is at most ``_stack_width`` wide and the workers get equal shares.
+        Ordered by first task, the order the result loop reads them in."""
+        width = _stack_width(self._task_inputs())
+        groups: dict[tuple[int, int], list[int]] = {}
+        for i, (s, r) in enumerate(pending):
+            groups.setdefault((len(s), r), []).append(i)
+        stacks = []
+        for tasks in groups.values():
+            n = len(tasks)
+            count = min(n, self.workers * math.ceil(n / (self.workers * width)))
+            stacks += [tasks[j * n // count:(j + 1) * n // count] for j in range(count)]
+        return sorted(stacks)
+
     def _run(self, pending: Sequence[tuple[ChannelSubset, int]]) -> None:
-        """Run the pending tasks, in the evaluator's pool when workers > 1,
-        and keep each record. Results are read in submission order, which is
+        """Run the pending tasks in stacks, in the evaluator's pool when
+        workers > 1 and in this process otherwise, and keep each record. A
+        stack is possible because the tasks of one subset size and replicate
+        train under common random numbers (``derive_task_seeds``), so their
+        models take every step in lockstep. Results are read task by task in
         canonical order, so a failure names the first failed task in that
         order. On a failure or an interrupt the pool is closed, which cancels
-        this batch's tasks not yet started and waits for the running ones,
-        and every record that finished is kept before the raise."""
+        this batch's stacks not yet started and waits for the running ones,
+        and every record of a stack that finished is kept before the raise."""
+        stacks = self._stacks(pending)
+        work = [(tuple(pending[i][0].indices for i in stack), pending[stack[0]][1])
+                for stack in stacks]
         if self.workers > 1:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
@@ -415,26 +482,41 @@ class TrainingEvaluator:
                     initializer=_init_worker,
                     initargs=(self._task_inputs(), _openblas_library()),
                 )
-            futures = [self._pool.submit(_pool_task, s.indices, r) for s, r in pending]
+            futures = [self._pool.submit(_pool_stack, *args) for args in work]
             results = [fut.result for fut in futures]
         else:
             futures, inputs = [], self._task_inputs()
-            results = [partial(_run_task_impl, inputs, s.indices, r) for s, r in pending]
+            results = [partial(_run_stack, inputs, *args) for args in work]
+        where = {i: (k, slot) for k, stack in enumerate(stacks) for slot, i in enumerate(stack)}
+        done: dict[int, list[EvalRecord | Exception]] = {}  # outcomes of each finished stack
+
+        def outcome(i: int) -> EvalRecord | Exception:
+            k, slot = where[i]
+            if k not in done:
+                try:
+                    done[k] = results[k]()
+                except Exception as exc:  # the whole stack failed: each task's error
+                    done[k] = [exc] * len(stacks[k])
+            return done[k][slot]
+
         kept = 0
         try:
-            for (s, _), result in zip(pending, results):
-                try:
-                    record = result()
-                except Exception as exc:
-                    raise EvaluationError(s.label, exc) from exc
-                self._keep(record)
+            for s, _ in pending:
+                result = outcome(kept)
+                if isinstance(result, Exception):
+                    raise EvaluationError(s.label, result) from result
+                self._keep(result)
                 kept += 1
         except BaseException:
             if futures:
                 self.close()
-                for fut in futures[kept:]:
+                for k, fut in enumerate(futures):
                     if not fut.cancelled() and fut.exception() is None:
-                        self._keep(fut.result())
+                        done.setdefault(k, fut.result())
+            for i in range(kept, len(pending)):
+                k, slot = where[i]
+                if k in done and isinstance(done[k][slot], EvalRecord):
+                    self._keep(done[k][slot])
             raise
 
     def close(self) -> None:

@@ -322,7 +322,16 @@ def _reference_fit(params, xw_all, y_all, cfg):
 
 
 def _grad_buffers(arrays):
-    return [np.empty_like(a) for a in arrays]
+    """Gradient buffers of a one-model stack."""
+    return [np.empty((1, *a.shape)) for a in arrays]
+
+
+def _one_model_step(arrays, xw, y, grads):
+    """``_loss_and_grads`` on a one-model stack; its one loss."""
+    features, classes = arrays[1].size, arrays[3].size
+    work = model._frame_buffers(len(xw), 1, features, classes, features)
+    [loss] = _loss_and_grads(*(a[None] for a in arrays), xw[:, None], y, grads, *work)
+    return loss
 
 
 class TestInPlaceStep:
@@ -341,7 +350,7 @@ class TestInPlaceStep:
             xw = rng.normal(size=(rows, cols))
             y = rng.integers(0, classes, size=rows)
             grads = _grad_buffers(arrays)
-            loss = _loss_and_grads(*arrays, xw, y, grads)
+            loss = _one_model_step(arrays, xw, y, grads)
             ref_loss, ref_grads = _reference_loss_and_grads(*arrays, xw, y)
             assert loss == ref_loss
             for g, ref in zip(grads, ref_grads):
@@ -355,11 +364,34 @@ class TestInPlaceStep:
             params = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=seed)
             cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4,
                               dropout_p=dropout_p, seed=seed + 10)
-            trained, losses, _ = model.fit_windows(params, xw_all, y_all, cfg)
+            [(trained, losses)], _ = model.fit_windows(params, model._all_channels(params),
+                                                       xw_all, y_all, cfg)
             ref_arrays, ref_losses = _reference_fit(params, xw_all, y_all, cfg)
             assert losses == ref_losses
             for name, ref in zip(model._ARRAYS, ref_arrays):
                 assert getattr(trained, name).tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
+    def test_each_model_of_a_stack_equals_its_reference_run(self, tiny_corpus, dropout_p):
+        # three 2-of-3 channel subsets from one start: each slice of the
+        # stack trains exactly as the textbook loop on its own columns
+        xw_all = [featurize(seq.signal.samples, 5) for seq in tiny_corpus]
+        y_all = model.label_indices(tiny_corpus.sequences, tiny_corpus.label_alphabet())
+        subsets = [ChannelSubset.of(pair) for pair in ((0, 1), (0, 2), (1, 2))]
+        channels = np.array([s.indices for s in subsets])
+        params = init_params(2, 5, 8, tiny_corpus.label_alphabet(), seed=3)
+        cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4, dropout_p=dropout_p,
+                          seed=11)
+        outcomes, retained = model.fit_windows(params, channels, xw_all, y_all, cfg)
+        assert len(outcomes) == 3
+        for subset, (trained, losses) in zip(subsets, outcomes):
+            cols = subset_columns(subset, 5)
+            ref_arrays, ref_losses = _reference_fit(params, [xw[:, cols] for xw in xw_all],
+                                                    y_all, cfg)
+            assert losses == ref_losses
+            for name, ref in zip(model._ARRAYS, ref_arrays):
+                assert getattr(trained, name).tobytes() == ref.tobytes()
+        assert retained == model.fit_windows(params, channels[:1], xw_all, y_all, cfg)[1]
 
 
 class TestGradientCheck:
@@ -390,7 +422,7 @@ class TestGradientCheck:
         arrays = [params.input_weights, params.input_bias,
                   params.head_weights, params.head_bias]
         grads = _grad_buffers(arrays)
-        loss = _loss_and_grads(*arrays, xw, y, grads)
+        loss = _one_model_step(arrays, xw, y, grads)
         assert loss < 1e-6
         assert all(np.max(np.abs(g)) < 1e-6 for g in grads)
 
@@ -566,7 +598,8 @@ class TestEvaluate:
         xw_all = [featurize(seq.signal.samples, 1) for seq in corpus]
         reference = model.ScoringReference(corpus, ("T", "B"), table)
         with pytest.raises(ValueError) as caught:
-            model.score_windows(params, xw_all, reference)
+            model.score_windows([params], [ChannelSubset.full(1)], model._all_channels(params),
+                                xw_all, reference)
         assert str(caught.value) == ("model classes ('B', 'T') differ from the "
                                      "reference's ('T', 'B')")
 
@@ -575,7 +608,8 @@ class TestEvaluate:
         xw_all = [featurize(seq.signal.samples, 1) for seq in corpus]
         reference = model.ScoringReference(corpus, params.class_symbols, table)
         with pytest.raises(ValueError) as caught:
-            model.score_windows(params, [*xw_all[:2], xw_all[2][:3]], reference)
+            model.score_windows([params], [ChannelSubset.full(1)], model._all_channels(params),
+                                [*xw_all[:2], xw_all[2][:3]], reference)
         assert str(caught.value) == "windows of [4, 4, 3] frames, the reference has [4, 4, 4]"
 
     def test_record_round_trips_through_dict(self, table, tiny_corpus):

@@ -13,7 +13,9 @@ import pytest
 
 from chansel import search
 from chansel.corpus import Corpus, LabeledSequence
-from chansel.model import EvalRecord, TrainConfig, evaluate, init_params, train
+from chansel.model import (
+    EvalRecord, TrainConfig, TrainingDivergedError, evaluate, init_params, train,
+)
 from chansel.phonemes import default_table
 from chansel.search import (
     EvaluationError,
@@ -113,7 +115,7 @@ class TestExhaustiveSweep:
         def boom(*args):
             raise RuntimeError("training fell over")
 
-        monkeypatch.setattr(search, "_run_task_impl", boom)
+        monkeypatch.setattr(search, "_run_stack", boom)
         ev = _evaluator(_search_corpus(), workers=1)
         with pytest.raises(EvaluationError, match="subset 1 failed: training fell over"):
             exhaustive_sweep(ev, 3, 1)
@@ -697,6 +699,27 @@ class TestTrainingEvaluator:
             float(np.mean([getattr(r, name) for r in per_seed])) for name in ("wer", "per_total")
         ] + [float(np.mean([r.per_category.rate_of(c) for r in per_seed])) for c in "abc"]
 
+    @pytest.mark.parametrize("workers, sizes", [(1, [2, 2, 2]), (2, [1, 2, 1, 2])])
+    def test_stacks_cut_each_group_into_near_equal_runs(self, monkeypatch, workers, sizes):
+        # a row budget of two of the largest batch: stacks of at most 2,
+        # workers x ceil(n / (workers x 2)) of them per (size, replicate)
+        # group, each a run of the group's canonical order
+        ev = _evaluator(_search_corpus(channels=4), replicates=2, workers=workers)
+        inputs = ev._task_inputs()
+        monkeypatch.setattr(search, "ROWS", 2 * search.max_batch_rows(
+            inputs.train_windows, inputs.train_cfg.batch_size))
+        pending = [(ChannelSubset(i), r) for i in itertools.combinations(range(4), 2)
+                   for r in range(2)] + [(ChannelSubset.of([0]), 0)]
+        stacks = ev._stacks(pending)
+        assert sorted(i for stack in stacks for i in stack) == list(range(13))
+        assert stacks == sorted(stacks)
+        assert [12] in stacks
+        for replicate in range(2):
+            group = [stack for stack in stacks
+                     if stack != [12] and pending[stack[0]][1] == replicate]
+            assert [len(stack) for stack in group] == sizes
+            assert [i for stack in group for i in stack] == list(range(replicate, 12, 2))
+
     def test_task_seeds_pair_replicates_across_subsets(self):
         # same replicate -> same training randomness (paired comparisons);
         # different replicate or base seed -> fresh randomness
@@ -757,26 +780,63 @@ class TestTrainingEvaluator:
 
     @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
     def test_task_equals_train_and_evaluate_on_restricted_splits(self, dropout_p):
-        # the task slices column blocks of windows built once and skips the
-        # loss passes; its record must equal the restrict/featurize/train/
-        # evaluate route field for field
+        # a stack trains its subsets in lockstep on column blocks of windows
+        # built once and skips the loss passes; at every stack width, each of
+        # its records must equal the restrict/featurize/train/evaluate route
+        # field for field
         corpus = _search_corpus(channels=4)
         ev = _evaluator(corpus, replicates=2)
         ev = replace(ev, train_cfg=replace(ev.train_cfg, dropout_p=dropout_p))
-        for indices in itertools.combinations(range(4), 2):
-            subset = ChannelSubset(indices)
-            for replicate in range(2):
-                init_seed, train_seed = derive_task_seeds(ev.train_cfg.seed, replicate)
+        group = list(itertools.combinations(range(4), 2))
+        for replicate in range(2):
+            init_seed, train_seed = derive_task_seeds(ev.train_cfg.seed, replicate)
+            expected = {}
+            for indices in group:
+                subset = ChannelSubset(indices)
                 params = init_params(2, ev.window, ev.features,
                                      ev.train_corpus.label_alphabet(), init_seed)
                 trained = train(params, ev.train_corpus.restrict(subset),
                                 replace(ev.train_cfg, seed=train_seed)).params
-                expected = evaluate(trained, ev.test_corpus.restrict(subset), ev.table,
-                                    subset=subset, threshold=ev.threshold, seed=replicate,
-                                    config_hash=ev.config_hash,
-                                    corpus_hash=ev.corpus_hash)
-                got = search._run_task_impl(ev._task_inputs(), indices, replicate)
-                assert replace(got, wall_time=0.0) == replace(expected, wall_time=0.0)
+                expected[indices] = replace(evaluate(
+                    trained, ev.test_corpus.restrict(subset), ev.table, subset=subset,
+                    threshold=ev.threshold, seed=replicate, config_hash=ev.config_hash,
+                    corpus_hash=ev.corpus_hash), wall_time=0.0)
+            for width in (1, 2, len(group)):
+                for start in range(0, len(group), width):
+                    stack = tuple(group[start:start + width])
+                    got = search._run_stack(ev._task_inputs(), stack, replicate)
+                    assert [replace(r, wall_time=0.0) for r in got] == [expected[i] for i in stack]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_diverging_subset_leaves_its_stack_alone(self, tmp_path, workers):
+        # channel 4's train windows are not finite, so every subset holding
+        # it diverges at its first batch; the other subsets of its stacks
+        # train on, and each record equals the subset's solo run
+        ev = _evaluator(_search_corpus(channels=4), tmp_path, workers=workers)
+        clean = ev._task_inputs()
+        poisoned = []
+        for xw in clean.train_windows:
+            xw = xw.copy()
+            xw[:, 3 * ev.window:] = np.inf
+            poisoned.append(xw)
+        ev._inputs = inputs = replace(clean, train_windows=tuple(poisoned))
+        group = list(itertools.combinations(range(4), 2))
+        assert len(ev._stacks([(ChannelSubset(i), 0) for i in group])) == workers
+        with np.errstate(all="ignore"):
+            solo = {i: search._run_stack(inputs, (i,), 0)[0] for i in group}
+            with closing(ev), pytest.raises(EvaluationError) as caught:
+                ev.evaluate_many([ChannelSubset(i) for i in group])
+        assert str(caught.value) == ("evaluation of subset 14 failed: non-finite loss nan "
+                                     "at epoch 0, batch 0")
+        assert str(solo[(0, 3)]) == "non-finite loss nan at epoch 0, batch 0"
+        assert ev.training_runs == 3
+        for indices in group:
+            kept = ev.cache.get(ChannelSubset(indices).label, ev.corpus_hash, ev.config_hash, 0)
+            if 3 in indices:
+                assert kept is None
+                assert type(solo[indices]) is TrainingDivergedError
+            else:
+                assert replace(kept, wall_time=0.0) == replace(solo[indices], wall_time=0.0)
 
     def test_pool_failure_cancels_queued_tasks_and_keeps_finished(self, tmp_path,
                                                                   monkeypatch):
@@ -786,18 +846,20 @@ class TestTrainingEvaluator:
         corpus = _search_corpus()
         ev = _evaluator(corpus, tmp_path, replicates=4, workers=2)
         started = tmp_path / "started.txt"
-        real_task = search._run_task_impl
+        real_stack = search._run_stack
 
-        def flaky_task(*args):
-            indices, replicate = args[-2:]
+        def flaky_stack(inputs, stack, replicate):
             with open(started, "a", encoding="utf-8") as fh:
-                fh.write(f"{indices}/{replicate}\n")
-            if (indices, replicate) == ((0,), 0):
-                raise RuntimeError("injected failure")
+                fh.writelines(f"{indices}/{replicate}\n" for indices in stack)
+            if replicate == 0 and (0,) in stack:
+                rest = tuple(indices for indices in stack if indices != (0,))
+                records = iter(real_stack(inputs, rest, replicate) if rest else ())
+                return [RuntimeError("injected failure") if indices == (0,) else next(records)
+                        for indices in stack]
             time.sleep(0.5)
-            return real_task(*args)
+            return real_stack(inputs, stack, replicate)
 
-        monkeypatch.setattr(search, "_run_task_impl", flaky_task)
+        monkeypatch.setattr(search, "_run_stack", flaky_stack)
         with pytest.raises(EvaluationError, match="subset 1 failed: injected failure"):
             ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
         n_started = len(started.read_text(encoding="utf-8").splitlines())
@@ -812,16 +874,16 @@ class TestTrainingEvaluator:
         corpus = _search_corpus()
         ev = _evaluator(corpus, tmp_path, replicates=4, workers=2)
         started = tmp_path / "started.txt"
-        real_task = search._run_task_impl
+        real_stack = search._run_stack
         real_keep = ev._keep
         keeps = []
 
-        def slow_task(*args):
-            indices, replicate = args[-2:]
+        def slow_stack(inputs, stack, replicate):
             with open(started, "a", encoding="utf-8") as fh:
-                fh.write(f"{ChannelSubset(indices).label} {replicate}\n")
+                fh.writelines(f"{ChannelSubset(indices).label} {replicate}\n"
+                              for indices in stack)
             time.sleep(0.5)
-            return real_task(*args)
+            return real_stack(inputs, stack, replicate)
 
         def interrupted_keep(record):
             keeps.append(record)
@@ -829,7 +891,7 @@ class TestTrainingEvaluator:
                 raise KeyboardInterrupt
             real_keep(record)
 
-        monkeypatch.setattr(search, "_run_task_impl", slow_task)
+        monkeypatch.setattr(search, "_run_stack", slow_stack)
         monkeypatch.setattr(ev, "_keep", interrupted_keep)
         with pytest.raises(KeyboardInterrupt):
             ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
@@ -846,17 +908,17 @@ class TestTrainingEvaluator:
         # 1, as the serial path does, and the pool keeps what finished
         corpus = _search_corpus()
         ev = _evaluator(corpus, tmp_path, workers=2)
-        real_task = search._run_task_impl
+        real_stack = search._run_stack
 
-        def failing_task(*args):
-            indices = args[-2]
-            if indices == (0,):
+        def failing_stack(inputs, stack, replicate):
+            if (0,) in stack:
                 time.sleep(1.0)
-            if indices in ((0,), (2,)):
-                raise RuntimeError(f"injected failure {indices}")
-            return real_task(*args)
+            rest = tuple(indices for indices in stack if indices not in ((0,), (2,)))
+            records = iter(real_stack(inputs, rest, replicate) if rest else ())
+            return [RuntimeError(f"injected failure {indices}") if indices in ((0,), (2,))
+                    else next(records) for indices in stack]
 
-        monkeypatch.setattr(search, "_run_task_impl", failing_task)
+        monkeypatch.setattr(search, "_run_stack", failing_stack)
         with closing(ev), pytest.raises(EvaluationError,
                                         match=r"subset 1 failed: injected failure \(0,\)"):
             ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
@@ -903,14 +965,14 @@ class TestPoolLifetime:
     def test_failed_step_closes_the_one_pool(self, tmp_path, monkeypatch):
         # forked workers inherit the patched task: the first step trains,
         # every task of the second step fails
-        real_task = search._run_task_impl
+        real_stack = search._run_stack
 
-        def fails_on_one_channel(*args):
-            if len(args[-2]) == 1:
+        def fails_on_one_channel(inputs, stack, replicate):
+            if len(stack[0]) == 1:
                 raise RuntimeError("injected failure")
-            return real_task(*args)
+            return real_stack(inputs, stack, replicate)
 
-        monkeypatch.setattr(search, "_run_task_impl", fails_on_one_channel)
+        monkeypatch.setattr(search, "_run_stack", fails_on_one_channel)
         starts = _count_pool_starts(monkeypatch)
         ev = _evaluator(_search_corpus(), tmp_path, workers=2)
         with pytest.raises(EvaluationError, match="injected failure"):
