@@ -389,22 +389,21 @@ def fit_windows(
     buffer, so a step is ``grad *= lr; weights -= grad`` on the whole
     buffer: the same elementwise operations as updating array by array. So
     each model's trajectory equals its one-model run's to the bit, whatever
-    else is in its stack. A model whose batch loss is not finite stops with
-    TrainingDivergedError and leaves the stack; one whose last step leaves a
-    parameter non-finite stops with ``ModelParams``' ValueError. The others
-    train on.
+    else is in its stack. A model whose batch loss is not finite gets
+    TrainingDivergedError for that step and keeps its slot in the stack,
+    where its NaNs reach no other model; one whose last step leaves a
+    parameter non-finite gets ``ModelParams``' ValueError. The others train
+    on, and the fit ends early only once every model has failed.
     """
     window = params.window
     _check_channels(channels, xw_all, window)
     width = len(channels)
-    shapes = [a.shape for a in _arrays(params)]
     weights, arrays, grad, grads = _buffers(params, width)
     rows = max_batch_rows(xw_all, cfg.batch_size)
     batch = np.empty((rows, xw_all[0].shape[1]))
-    sizes = (params.channels * window, params.features, params.classes, params.features)
-    work = _frame_buffers(rows, width, *sizes)
+    work = _frame_buffers(rows, width, params.channels * window, params.features,
+                          params.classes, params.features)
     outcomes: list = [None] * width
-    alive = list(range(width))  # the outcome index of each model still training
     epoch_losses: list[list[float]] = [[] for _ in range(width)]
     rng = np.random.default_rng(cfg.seed)
     lr = cfg.learning_rate
@@ -413,52 +412,48 @@ def fit_windows(
     retained_sum = 0
     draws = 0
 
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        batch_losses: list[list[float]] = [[] for _ in range(width)]
-        for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
-            ids = order[start:start + cfg.batch_size]
-            xs = [xw_all[i] for i in ids]
-            xw = _gather(np.concatenate(xs, out=batch[:sum(map(len, xs))]), channels, window,
-                         work[0])
-            if p > 0.0:
-                row = 0
-                for i in ids:
-                    mask = draw_channel_mask(params.channels, p, rng)
-                    retained_sum += mask.retained
-                    draws += 1
-                    frames = slice(row, row + len(xw_all[i]))
-                    xw[frames] *= np.repeat(np.asarray(mask.bits, dtype=np.float64), window)
-                    row = frames.stop
-            y = np.concatenate([y_all[i] for i in ids])
-            losses = _loss_and_grads(*arrays, xw, y, grads, *(b[:len(xw)] for b in work[1:]))
-            if not all(map(math.isfinite, losses)):
-                keep = [math.isfinite(loss) for loss in losses]
-                for a, loss, kept in zip(alive, losses, keep):
-                    if not kept:
-                        outcomes[a] = TrainingDivergedError(epoch, b_idx, loss)
-                alive = [a for a, kept in zip(alive, keep) if kept]
-                if not alive:
+    # A diverged model runs on in its own rows, computing NaN or inf that no
+    # other model reads; its error is already stored, and the warnings that
+    # arithmetic raises would only add stderr text that varies between runs.
+    with np.errstate(all="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            batch_losses: list[list[float]] = [[] for _ in range(width)]
+            for b_idx, start in enumerate(range(0, n, cfg.batch_size)):
+                ids = order[start:start + cfg.batch_size]
+                xs = [xw_all[i] for i in ids]
+                xw = _gather(np.concatenate(xs, out=batch[:sum(map(len, xs))]), channels,
+                             window, work[0])
+                if p > 0.0:
+                    row = 0
+                    for i in ids:
+                        mask = draw_channel_mask(params.channels, p, rng)
+                        retained_sum += mask.retained
+                        draws += 1
+                        frames = slice(row, row + len(xw_all[i]))
+                        xw[frames] *= np.repeat(np.asarray(mask.bits, dtype=np.float64), window)
+                        row = frames.stop
+                y = np.concatenate([y_all[i] for i in ids])
+                losses = _loss_and_grads(*arrays, xw, y, grads, *(b[:len(xw)] for b in work[1:]))
+                for s, loss in enumerate(losses):
+                    if outcomes[s] is None and not math.isfinite(loss):
+                        outcomes[s] = TrainingDivergedError(epoch, b_idx, loss)
+                    batch_losses[s].append(loss)
+                if None not in outcomes:
                     break
-                weights, grad, channels = weights[keep], grad[keep], channels[keep]
-                arrays, grads = _views(weights, shapes), _views(grad, shapes)
-                work = _frame_buffers(rows, len(alive), *sizes)
-                losses = [loss for loss, kept in zip(losses, keep) if kept]
-            grad *= lr
-            weights -= grad
-            for a, loss in zip(alive, losses):
-                batch_losses[a].append(loss)
-        if not alive:
-            break
-        for a in alive:
-            epoch_losses[a].append(float(np.mean(batch_losses[a])))
+                grad *= lr
+                weights -= grad
+            if None not in outcomes:
+                break
+            for s in range(width):
+                epoch_losses[s].append(float(np.mean(batch_losses[s])))
 
-    for s, a in enumerate(alive):
+    for s in [s for s, outcome in enumerate(outcomes) if outcome is None]:
         try:
-            outcomes[a] = (replace(params, **{name: arr[s] for name, arr in zip(_ARRAYS, arrays)}),
-                           tuple(epoch_losses[a]))
+            outcomes[s] = (replace(params, **{name: arr[s] for name, arr in zip(_ARRAYS, arrays)}),
+                           tuple(epoch_losses[s]))
         except ValueError as exc:
-            outcomes[a] = exc
+            outcomes[s] = exc
     return outcomes, retained_sum / draws if draws else float(params.channels)
 
 

@@ -911,25 +911,27 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         assert "chansel" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_is_exit_three(self, workdir, corpus_dir, capsys):
-        with np.errstate(all="ignore"):
-            code = main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(workdir / "pre"), "--learning-rate", "1e308",
-                         "--epochs", "6"])
+        code = main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "pre"), "--learning-rate", "1e308",
+                     "--epochs", "6"])
         assert code == EXIT_DIVERGED
-        assert "diverged" in capsys.readouterr().err
+        assert capsys.readouterr().err == ("error: training diverged: non-finite loss nan "
+                                           "at epoch 1, batch 2\n")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capsys, workers):
-        with np.errstate(all="ignore"):
-            code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
-                         "--epochs", "6", "--workers", workers])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capfd, workers):
+        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
+                     "--epochs", "6", "--workers", workers])
         assert code == EXIT_DIVERGED
-        err = capsys.readouterr().err
         # every task diverges; at any worker count the error names the
-        # failed task that comes first in canonical order
-        assert "evaluation of subset 12 failed: non-finite loss" in err, err
+        # failed task that comes first in canonical order, and nothing else
+        # reaches stderr, the pool workers' file descriptor 2 included
+        assert capfd.readouterr().err == ("error: evaluation of subset 12 failed: non-finite "
+                                          "loss nan at epoch 1, batch 0\n")
 
 
 class TestPoolSize:

@@ -240,18 +240,31 @@ class TestTrain:
             learning_rate=0.1, epochs=10, batch_size=8, dropout_p=0.125, seed=0))
         assert abs(result.mean_retained_channels - 7.0) < 0.2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_with_batch_location(self):
         # conflicting labels keep gradients nonzero, so an absurd step size
-        # drives the weights to inf and the loss to nan
-        seqs = tuple(
-            LabeledSequence.from_labels(MultichannelSignal(np.ones((1, 4))),
-                                        ["B", "T", "B", "T"])
-            for _ in range(4)
-        )
+        # drives the weights to inf and the loss to nan; numpy warns of none
+        # of it
         params = init_params(1, 1, 4, ("B", "T"), seed=6)
-        with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError, match="epoch"):
-            train(params, Corpus(seqs), TrainConfig(learning_rate=1e308, epochs=10,
-                                                    batch_size=2, seed=6))
+        with pytest.raises(TrainingDivergedError, match="epoch"):
+            train(params, Corpus(_conflicting_sequences()),
+                  TrainConfig(learning_rate=1e308, epochs=10, batch_size=2, seed=6))
+
+    @pytest.mark.parametrize("learning_rate", [0.5, 1e308])
+    def test_fit_restores_the_callers_error_state(self, learning_rate):
+        # under the caller's "raise", a diverging fit still returns its
+        # error, and the caller's setting holds again once the fit returns
+        seqs = _conflicting_sequences()
+        params = init_params(1, 1, 4, ("B", "T"), seed=6)
+        xw_all = [featurize(seq.signal.samples, 1) for seq in seqs]
+        y_all = model.label_indices(seqs, params.class_symbols)
+        cfg = TrainConfig(learning_rate=learning_rate, epochs=10, batch_size=2, seed=6)
+        with np.errstate(over="raise", invalid="raise", divide="print", under="warn"):
+            before = np.geterr()
+            [outcome], _ = model.fit_windows(params, model._all_channels(params), xw_all,
+                                             y_all, cfg)
+            assert np.geterr() == before
+        assert isinstance(outcome, TrainingDivergedError) == (learning_rate == 1e308)
 
     def test_empty_corpus_rejected(self):
         params = init_params(1, 1, 4, ("B", "T"), seed=0)
@@ -267,6 +280,13 @@ class TestTrain:
                     dict(dropout_p=1.5)):
             with pytest.raises(ValueError):
                 TrainConfig(**bad)
+
+
+def _conflicting_sequences() -> tuple[LabeledSequence, ...]:
+    """Four one-channel utterances of constant signal whose labels
+    alternate, so no model fits them and the gradients never vanish."""
+    return tuple(LabeledSequence.from_labels(MultichannelSignal(np.ones((1, 4))),
+                                             ["B", "T", "B", "T"]) for _ in range(4))
 
 
 def _reference_loss_and_grads(w1, b1, w2, b2, xw, y):

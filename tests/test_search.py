@@ -807,34 +807,51 @@ class TestTrainingEvaluator:
                     got = search._run_stack(ev._task_inputs(), stack, replicate)
                     assert [replace(r, wall_time=0.0) for r in got] == [expected[i] for i in stack]
 
+    # "channel-4": channel 4's windows are not finite in every train
+    # utterance, so every subset holding it diverges at its first batch.
+    # "two-steps": channel 3's windows are not finite in train utterance 7
+    # (in batch 0 of epoch 0) and channel 4's in utterance 1 (in batch 2), so
+    # the subsets of one stack diverge at different steps, and dead models
+    # run on beside live ones to the end of the fit.
+    @pytest.mark.parametrize("poison, steps", [
+        ({3: range(9)}, {(0, 3): "epoch 0, batch 0"}),
+        ({2: [7], 3: [1]},
+         {(0, 2): "epoch 0, batch 0", (0, 3): "epoch 0, batch 2", (2, 3): "epoch 0, batch 0"}),
+    ], ids=["channel-4", "two-steps"])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_diverging_subset_leaves_its_stack_alone(self, tmp_path, workers):
-        # channel 4's train windows are not finite, so every subset holding
-        # it diverges at its first batch; the other subsets of its stacks
-        # train on, and each record equals the subset's solo run
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_diverging_subset_leaves_its_stack_alone(self, tmp_path, workers, poison, steps):
+        # each diverged subset's error names its own step, the other subsets
+        # of its stacks train on, and each record equals the subset's solo run
         ev = _evaluator(_search_corpus(channels=4), tmp_path, workers=workers)
         clean = ev._task_inputs()
-        poisoned = []
-        for xw in clean.train_windows:
-            xw = xw.copy()
-            xw[:, 3 * ev.window:] = np.inf
-            poisoned.append(xw)
+        poisoned = [xw.copy() for xw in clean.train_windows]
+        for channel, utterances in poison.items():
+            for u in utterances:
+                poisoned[u][:, channel * ev.window:(channel + 1) * ev.window] = np.inf
         ev._inputs = inputs = replace(clean, train_windows=tuple(poisoned))
         group = list(itertools.combinations(range(4), 2))
         assert len(ev._stacks([(ChannelSubset(i), 0) for i in group])) == workers
-        with np.errstate(all="ignore"):
-            solo = {i: search._run_stack(inputs, (i,), 0)[0] for i in group}
-            with closing(ev), pytest.raises(EvaluationError) as caught:
-                ev.evaluate_many([ChannelSubset(i) for i in group])
-        assert str(caught.value) == ("evaluation of subset 14 failed: non-finite loss nan "
-                                     "at epoch 0, batch 0")
-        assert str(solo[(0, 3)]) == "non-finite loss nan at epoch 0, batch 0"
-        assert ev.training_runs == 3
+        solo = {i: search._run_stack(inputs, (i,), 0)[0] for i in group}
+        failed = [i for i in group if not poison.keys().isdisjoint(i)]
+        assert all(type(solo[i]) is TrainingDivergedError for i in failed)
+        for indices, step in steps.items():
+            assert str(solo[indices]) == f"non-finite loss nan at {step}"
+        stacked = search._run_stack(inputs, tuple(group), 0)
+        for indices, got in zip(group, stacked):
+            if indices in failed:
+                assert (type(got), str(got)) == (TrainingDivergedError, str(solo[indices]))
+            else:
+                assert replace(got, wall_time=0.0) == replace(solo[indices], wall_time=0.0)
+        with closing(ev), pytest.raises(EvaluationError) as caught:
+            ev.evaluate_many([ChannelSubset(i) for i in group])
+        first = ChannelSubset(failed[0]).label
+        assert str(caught.value) == f"evaluation of subset {first} failed: {solo[failed[0]]}"
+        assert ev.training_runs == len(group) - len(failed)
         for indices in group:
             kept = ev.cache.get(ChannelSubset(indices).label, ev.corpus_hash, ev.config_hash, 0)
-            if 3 in indices:
+            if indices in failed:
                 assert kept is None
-                assert type(solo[indices]) is TrainingDivergedError
             else:
                 assert replace(kept, wall_time=0.0) == replace(solo[indices], wall_time=0.0)
 
