@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
@@ -467,14 +467,18 @@ class TrainingEvaluator:
         workers > 1 and in this process otherwise, and keep each record. A
         stack is possible because the tasks of one subset size and replicate
         train under common random numbers (``derive_task_seeds``), so their
-        models take every step in lockstep. Results are read task by task in
-        canonical order, so a failure names the first failed task in that
-        order. On a failure or an interrupt the pool is closed, which cancels
-        this batch's stacks not yet started and waits for the running ones,
-        and every record of a stack that finished is kept before the raise."""
+        models take every step in lockstep. One loop reads the stacks in
+        ``_stacks`` order (a serial stack runs when reached); after stack k
+        every task before stack k+1's first has its outcome, and those are
+        kept in canonical order, so a failure names the first failed task in
+        that order. On a failure or an interrupt the pool is closed, which
+        cancels this batch's stacks not yet started and waits for the running
+        ones, and every finished record is kept, in canonical order, before
+        the raise."""
         stacks = self._stacks(pending)
         work = [(tuple(pending[i][0].indices for i in stack), pending[stack[0]][1])
                 for stack in stacks]
+        futures = []
         if self.workers > 1:
             if self._pool is None:
                 self._pool = ProcessPoolExecutor(
@@ -483,40 +487,33 @@ class TrainingEvaluator:
                     initargs=(self._task_inputs(), _openblas_library()),
                 )
             futures = [self._pool.submit(_pool_stack, *args) for args in work]
-            results = [fut.result for fut in futures]
-        else:
-            futures, inputs = [], self._task_inputs()
-            results = [partial(_run_stack, inputs, *args) for args in work]
-        where = {i: (k, slot) for k, stack in enumerate(stacks) for slot, i in enumerate(stack)}
-        done: dict[int, list[EvalRecord | Exception]] = {}  # outcomes of each finished stack
-
-        def outcome(i: int) -> EvalRecord | Exception:
-            k, slot = where[i]
-            if k not in done:
-                try:
-                    done[k] = results[k]()
-                except Exception as exc:  # the whole stack failed: each task's error
-                    done[k] = [exc] * len(stacks[k])
-            return done[k][slot]
-
+        outcomes: list[EvalRecord | Exception | None] = [None] * len(pending)
+        ends = [stack[0] for stack in stacks[1:]] + [len(pending)]
         kept = 0
         try:
-            for s, _ in pending:
-                result = outcome(kept)
-                if isinstance(result, Exception):
-                    raise EvaluationError(s.label, result) from result
-                self._keep(result)
-                kept += 1
+            for k, (stack, end) in enumerate(zip(stacks, ends)):
+                try:
+                    result = (futures[k].result() if futures
+                              else _run_stack(self._task_inputs(), *work[k]))
+                except Exception as exc:  # the whole stack failed: each task's error
+                    result = [exc] * len(stack)
+                for i, outcome in zip(stack, result):
+                    outcomes[i] = outcome
+                for outcome in outcomes[kept:end]:
+                    if isinstance(outcome, Exception):
+                        raise EvaluationError(pending[kept][0].label, outcome) from outcome
+                    self._keep(outcome)
+                    kept += 1
         except BaseException:
             if futures:
                 self.close()
-                for k, fut in enumerate(futures):
+                for stack, fut in zip(stacks, futures):
                     if not fut.cancelled() and fut.exception() is None:
-                        done.setdefault(k, fut.result())
-            for i in range(kept, len(pending)):
-                k, slot = where[i]
-                if k in done and isinstance(done[k][slot], EvalRecord):
-                    self._keep(done[k][slot])
+                        for i, outcome in zip(stack, fut.result()):
+                            outcomes[i] = outcome
+            for outcome in outcomes[kept:]:
+                if isinstance(outcome, EvalRecord):
+                    self._keep(outcome)
             raise
 
     def close(self) -> None:

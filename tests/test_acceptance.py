@@ -204,7 +204,7 @@ def _search_evaluator(corpus, cache, base_seed, replicates, epochs):
         features=32,
         replicates=replicates,
         threshold=10**9,  # category table not needed for ranking runs
-        workers=1,
+        workers=2,  # records are the same at any worker count; a pool cuts the wall time
         cache=cache,
     )
 

@@ -920,6 +920,18 @@ class TestExitCodes:
         assert capsys.readouterr().err == ("error: training diverged: non-finite loss nan "
                                            "at epoch 1, batch 2\n")
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_diverging_finetune_is_exit_three_and_writes_nothing(self, workdir, corpus_dir,
+                                                                 capsys):
+        out = workdir / "ft"
+        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--subset", "12", "--from-scratch",
+                     "--learning-rate", "1e308", "--epochs", "6", "--batch-size", "1"])
+        assert code == EXIT_DIVERGED
+        assert capsys.readouterr().err == ("error: training diverged: non-finite loss nan "
+                                           "at epoch 0, batch 2\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capfd, workers):

@@ -266,6 +266,24 @@ class TestTrain:
             assert np.geterr() == before
         assert isinstance(outcome, TrainingDivergedError) == (learning_rate == 1e308)
 
+    @pytest.mark.parametrize("channels", [[[0]], [[0], [1]]], ids=["one-model", "two-model"])
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_parameter_left_non_finite_by_the_last_step_is_refused(self, channels):
+        # zero weights leave only the head bias a gradient: with labels 9:1
+        # and equal logits it is (-0.4, 0.4), so the one step's loss is
+        # finite but the step lifts the first bias past the float range
+        params = ModelParams(
+            input_weights=np.zeros((1, 1)), input_bias=np.zeros(1),
+            head_weights=np.zeros((2, 1)), head_bias=np.full(2, 1.5e308),
+            channels=1, window=1, features=1, class_symbols=("B", "T"),
+        )
+        xw_all = [np.ones((10, 2))]
+        y_all = [np.array([0] * 9 + [1])]
+        cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=1, seed=0)
+        outcomes, _ = model.fit_windows(params, np.array(channels), xw_all, y_all, cfg)
+        assert [(type(o), str(o)) for o in outcomes] == (
+            [(ValueError, "head_bias contains NaN or Inf")] * len(channels))
+
     def test_empty_corpus_rejected(self):
         params = init_params(1, 1, 4, ("B", "T"), seed=0)
         with pytest.raises(ValueError, match="empty"):
@@ -631,6 +649,19 @@ class TestEvaluate:
             model.score_windows([params], [ChannelSubset.full(1)], model._all_channels(params),
                                 [*xw_all[:2], xw_all[2][:3]], reference)
         assert str(caught.value) == "windows of [4, 4, 3] frames, the reference has [4, 4, 4]"
+
+    def test_fit_and_score_refuse_a_channel_the_windows_lack(self, table):
+        params, corpus = self._perfect_params(), self._two_class_corpus()
+        xw_all = [np.hstack([xw, xw]) for xw in (featurize(seq.signal.samples, 1)
+                                                  for seq in corpus)]
+        y_all = model.label_indices(corpus.sequences, params.class_symbols)
+        reference = model.ScoringReference(corpus, params.class_symbols, table)
+        channels = np.array([[5]])
+        with pytest.raises(IndexError) as fitting:
+            model.fit_windows(params, channels, xw_all, y_all, TrainConfig(epochs=1))
+        with pytest.raises(IndexError) as scoring:
+            model.score_windows([params], [ChannelSubset.of([5])], channels, xw_all, reference)
+        assert str(fitting.value) == str(scoring.value) == "channel 5 of windows with 2 channels"
 
     def test_record_round_trips_through_dict(self, table, tiny_corpus):
         params = init_params(3, 3, 4, tiny_corpus.label_alphabet(), seed=0)

@@ -282,6 +282,21 @@ class TestResultsCache:
         assert reloaded.get("34", "corpus", "cfg", 0) == make_record("34", wer=0.2)
         assert reloaded.skipped_lines == 1
 
+    def test_blank_lines_are_neither_served_nor_counted(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultsCache(path)
+        cache.put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write("\n   \n\t\r\n")
+        cache.put(make_record("13", wer=0.4))
+        with open(path, "a") as fh:
+            fh.write("\n")
+        reloaded = ResultsCache(path)
+        assert reloaded.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.5)
+        assert reloaded.get("13", "corpus", "cfg", 0) == make_record("13", wer=0.4)
+        assert len(reloaded) == 2
+        assert reloaded.skipped_lines == 0
+
     @pytest.mark.parametrize("line", ["42", "null", "[1, 2]", '"text"'])
     def test_counts_json_that_is_not_a_record(self, tmp_path, line):
         path = tmp_path / "cache.jsonl"
@@ -719,6 +734,22 @@ class TestTrainingEvaluator:
                      if stack != [12] and pending[stack[0]][1] == replicate]
             assert [len(stack) for stack in group] == sizes
             assert [i for stack in group for i in stack] == list(range(replicate, 12, 2))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_records_are_kept_in_canonical_order(self, tmp_path, monkeypatch, workers):
+        # stacks of two: those of replicates 0 and 1 interleave in canonical
+        # order, and the cache still gets subset by subset, replicate by
+        # replicate, whichever stack finishes first
+        ev = _evaluator(_search_corpus(channels=4), tmp_path, replicates=2, workers=workers)
+        inputs = ev._task_inputs()
+        monkeypatch.setattr(search, "ROWS", 2 * search.max_batch_rows(
+            inputs.train_windows, inputs.train_cfg.batch_size))
+        subsets = [ChannelSubset(i) for i in itertools.combinations(range(4), 2)]
+        with closing(ev):
+            ev.evaluate_many(subsets)
+        lines = (tmp_path / "cache.jsonl").read_text(encoding="utf-8").splitlines()
+        assert [(d["subset"], d["seed"]) for d in map(json.loads, lines)] == [
+            (s.label, r) for s in subsets for r in (0, 1)]
 
     def test_task_seeds_pair_replicates_across_subsets(self):
         # same replicate -> same training randomness (paired comparisons);
