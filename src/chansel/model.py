@@ -253,13 +253,13 @@ def _views(flat: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> list[np.ndarr
             for part, shape in zip(np.split(flat, np.cumsum(sizes)[:-1], axis=-1), shapes)]
 
 
-def _buffers(params: ModelParams, width: int) -> tuple[np.ndarray, list[np.ndarray],
-                                                        np.ndarray, list[np.ndarray]]:
-    """``width`` copies of ``_flat(params)``, one per row of a (width, P)
-    buffer, and a gradient buffer of the same layout, each with a stacked
-    view per array."""
-    shapes = [a.shape for a in _arrays(params)]
-    flat = np.tile(_flat(params), (width, 1))
+def _buffers(stack: Sequence[ModelParams]) -> tuple[np.ndarray, list[np.ndarray],
+                                                     np.ndarray, list[np.ndarray]]:
+    """The one layout of a stack's parameters: ``_flat`` of model s in row s
+    of an (S, P) buffer, and a gradient buffer of that layout, each with a
+    stacked view per array. The models share the first one's shape."""
+    shapes = [a.shape for a in _arrays(stack[0])]
+    flat = np.stack([_flat(params) for params in stack])
     grad = np.empty_like(flat)
     return flat, _views(flat, shapes), grad, _views(grad, shapes)
 
@@ -274,7 +274,7 @@ def forward(params: ModelParams, x) -> np.ndarray:
     a training-only concern and never applied here."""
     samples = x.samples if hasattr(x, "samples") else np.asarray(x, dtype=np.float64)
     [xw] = _windows(params, [samples])
-    return _scores(*(a[None] for a in _arrays(params)), xw[:, None],
+    return _scores(*_buffers([params])[1], xw[:, None],
                    *_frame_buffers(len(xw), 1, params.features, params.classes))[:, 0]
 
 
@@ -345,7 +345,7 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
     y_all = label_indices(sequences, params.class_symbols)
 
     def clean_loss(p: ModelParams) -> float:
-        _, arrays, _, grads = _buffers(p, 1)
+        _, arrays, _, grads = _buffers([p])
         xw = np.vstack(xw_all)[:, None]
         return _loss_and_grads(*arrays, xw, np.concatenate(y_all), grads, *_frame_buffers(
             len(xw), 1, p.features, p.classes, p.features))[0]
@@ -398,7 +398,7 @@ def fit_windows(
     window = params.window
     _check_channels(channels, xw_all, window)
     width = len(channels)
-    weights, arrays, grad, grads = _buffers(params, width)
+    weights, arrays, grad, grads = _buffers([params] * width)
     rows = max_batch_rows(xw_all, cfg.batch_size)
     batch = np.empty((rows, xw_all[0].shape[1]))
     work = _frame_buffers(rows, width, params.channels * window, params.features,
@@ -474,7 +474,7 @@ def gradient_check(
     xw = np.vstack(_windows(params, [seq.signal.samples for seq in batch]))[:, None]
     y = np.concatenate(label_indices(batch, params.class_symbols))
 
-    weights, arrays, grad, grads = _buffers(params, 1)
+    weights, arrays, grad, grads = _buffers([params])
     weights, grad = weights[0], grad[0]
     work = _frame_buffers(len(xw), 1, params.features, params.classes, params.features)
     _loss_and_grads(*arrays, xw, y, grads, *work)
@@ -729,17 +729,17 @@ def score_windows(
     config_hash: str = "",
     corpus_hash: str = "",
 ) -> list[EvalRecord]:
-    """Score a stack of models of one shape, each labelled by its subset
-    and reading the channels in its row of ``channels``, on featurized
-    utterances (``xw_all``) against a test split's ``reference``. The
-    forward pass and frame argmax run once per utterance for the whole
-    stack, each slice equal to the bit to one model's. Then per model: total
-    and per-category PER, and WER of the collapsed token transcript against
-    each utterance's reference transcript (corpus-level: summed edits over
-    summed reference lengths). Counts are integers over label ids, and
-    ``metrics.category_report`` forms the category rows from them as it does
-    for ``category_per``, so each record equals the string functions' to the
-    bit."""
+    """Score a stack of models of one shape, laid out by ``_buffers`` as
+    for training, each labelled by its subset and reading the channels in
+    its row of ``channels``, on featurized utterances (``xw_all``) against
+    a test split's ``reference``. The forward pass and frame argmax run
+    once per utterance for the whole stack, each slice equal to the bit to
+    one model's. Then per model: total and per-category PER, and WER of
+    the collapsed token transcript against each utterance's reference
+    transcript (corpus-level: summed edits over summed reference lengths).
+    Counts are integers over label ids, and ``metrics.category_report``
+    forms the category rows from them as it does for ``category_per``, so
+    each record equals the string functions' to the bit."""
     for params in stack:
         if params.class_symbols != reference.class_symbols:
             raise ValueError(f"model classes {params.class_symbols} differ from the "
@@ -749,7 +749,7 @@ def score_windows(
                          f"has {reference.lengths}")
     window = stack[0].window
     _check_channels(channels, xw_all, window)
-    arrays = [np.stack([getattr(p, name) for p in stack]) for name in _ARRAYS]
+    arrays = _buffers(stack)[1]
     work = _frame_buffers(max(reference.lengths), len(stack), stack[0].channels * window,
                           stack[0].features, stack[0].classes)
     hyps = reference.class_ids[np.concatenate(

@@ -301,29 +301,27 @@ def _init_worker(inputs: TaskInputs, openblas: str | None) -> None:
 def train_and_score(inputs: TaskInputs, start: ModelParams, subsets: Sequence[ChannelSubset],
                     train_seed: int, seed: int) -> list[tuple[ModelParams, EvalRecord] | Exception]:
     """Train ``start`` on each subset's column blocks of the train windows,
-    if the inputs hold any, in one lockstep stack, and score the stack on
-    those of the test windows. Returns per subset its trained model and its
-    record, tagged ``seed``, or the error that stopped it: a subset whose
-    training stopped keeps its own error, and a scoring error is every
-    scored subset's."""
+    if the inputs hold any, in one lockstep stack, and score every slot of
+    the stack on those of the test windows. Returns per subset its trained
+    model and its record, tagged ``seed``, or the error that stopped it. A
+    slot whose training stopped is scored from ``start``, so the stack keeps
+    one slot per subset, and that record is dropped: the slot keeps its own
+    error. A scoring error is every trained slot's."""
     channels = np.array([s.indices for s in subsets])
     outcomes: list = [(start, ())] * len(subsets)
     if inputs.train_windows:
         outcomes, _ = fit_windows(start, channels, inputs.train_windows, inputs.train_labels,
                                   replace(inputs.train_cfg, seed=train_seed))
-    scored = [i for i, outcome in enumerate(outcomes) if not isinstance(outcome, Exception)]
-    if scored:
-        try:
-            records = score_windows(
-                [outcomes[i][0] for i in scored], [subsets[i] for i in scored], channels[scored],
-                inputs.test_windows, inputs.reference, threshold=inputs.threshold, seed=seed,
-                config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash,
-            )
-        except Exception as exc:  # the outcome of every scored subset
-            records = [exc] * len(scored)
-        for i, record in zip(scored, records):
-            outcomes[i] = record if isinstance(record, Exception) else (outcomes[i][0], record)
-    return outcomes
+    models = [start if isinstance(outcome, Exception) else outcome[0] for outcome in outcomes]
+    try:
+        records = score_windows(models, subsets, channels, inputs.test_windows, inputs.reference,
+                                threshold=inputs.threshold, seed=seed,
+                                config_hash=inputs.config_hash, corpus_hash=inputs.corpus_hash)
+    except Exception as exc:  # the outcome of every slot that trained
+        records = [exc] * len(subsets)
+    return [outcome if isinstance(outcome, Exception) else
+            record if isinstance(record, Exception) else (model, record)
+            for outcome, model, record in zip(outcomes, models, records)]
 
 
 # The row budget of a stack. A step's buffers hold (channels x window + 2 x

@@ -227,6 +227,27 @@ class TestFinetune:
         assert "--init model has 6 channels, the corpus has 4" in capsys.readouterr().err
         assert not out.exists()  # neither side ran
 
+    def test_init_model_must_hold_every_corpus_class(self, workdir, corpus_dir, tmp_path,
+                                                     capsys):
+        pre = workdir / "pretrain"
+        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(pre), "--dropout-p", "0.125"])
+        params, _ = load_model(pre / "model_p0.125.json")
+        keep = [i for i, sym in enumerate(params.class_symbols) if sym != "IY"]
+        params = replace(params, head_weights=params.head_weights[keep],
+                         head_bias=params.head_bias[keep],
+                         class_symbols=tuple(params.class_symbols[i] for i in keep))
+        init_path = tmp_path / "no-iy" / "model.json"
+        save_model(params, init_path)
+        out = workdir / "ft"
+        capsys.readouterr()
+        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--subset", "12", "--init", str(init_path),
+                     "--from-scratch"])
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err == "error: corpus label 'IY' is not a model class\n"
+        assert not out.exists()  # neither side ran
+
     @pytest.mark.parametrize("epochs", ["0", "2"])
     @pytest.mark.parametrize("init", ["dropout", "permuted-classes"])
     def test_sides_equal_the_library_reference_route(self, workdir, corpus_dir, tmp_path,
@@ -935,6 +956,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capfd, workers):
+        """Pins stderr byte for byte, so the pool case needs a numpy wheel
+        that bundles a ``numpy.libs/libscipy_openblas64_*.so`` exporting
+        the BLAS thread setter (as numpy 2.4.6 with scipy-openblas 0.3.31
+        does): on any other build, ``search._openblas_library`` adds its
+        one-line warning and the ``2`` case fails."""
         code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
                      "--epochs", "6", "--workers", workers])

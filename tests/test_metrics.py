@@ -107,8 +107,15 @@ class TestPhonemeErrorRate:
         with pytest.raises(ValueError, match="mismatch"):
             phoneme_error_rate(["B"], ["B", "B"])
 
+    def test_no_frames_is_zero(self):
+        assert phoneme_error_rate([], []) == 0.0
+
 
 class TestCategoryPer:
+    def test_length_mismatch_rejected(self, table):
+        with pytest.raises(ValueError, match="frame label length mismatch: ref 1 vs hyp 2"):
+            category_per(["B"], ["B", "B"], table, threshold=1)
+
     def test_hand_fixture(self, table):
         ref = ["B", "B", "IY", "SIL"]
         hyp = ["B", "P", "IY", "SIL"]

@@ -631,6 +631,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="channels"):
             evaluate(params, tiny_corpus, table)
 
+    def test_empty_corpus_rejected(self, table):
+        with pytest.raises(ValueError, match="evaluation corpus is empty"):
+            evaluate(self._perfect_params(), [], table)
+
     def test_score_windows_refuses_a_reference_for_other_classes(self, table):
         params, corpus = self._perfect_params(), self._two_class_corpus()
         xw_all = [featurize(seq.signal.samples, 1) for seq in corpus]

@@ -147,6 +147,10 @@ class TestTopKFrequency:
         with pytest.raises(ValueError, match="exceeds"):
             top_k_frequency(self._sweep_from_fixture(), 11)
 
+    def test_k_top_below_one_rejected(self):
+        with pytest.raises(ValueError, match="k_top must be >= 1, got 0"):
+            top_k_frequency(self._sweep_from_fixture(), 0)
+
 
 class TestChannelAverage:
     def test_three_record_hand_fixture(self):
@@ -774,6 +778,7 @@ class TestTrainingEvaluator:
         (dict(threshold=-1), "threshold must be >= 1, got -1"),
         (dict(window=0), "bad layer sizes: channels=3 window=0"),
         (dict(features=0), "bad layer sizes: channels=3 window=3 features=0"),
+        (dict(replicates=0), "replicates must be >= 1, got 0"),
     ])
     def test_bad_settings_rejected_at_construction(self, setting, message):
         with pytest.raises(ValueError, match=message):
@@ -885,6 +890,23 @@ class TestTrainingEvaluator:
                 assert kept is None
             else:
                 assert replace(kept, wall_time=0.0) == replace(solo[indices], wall_time=0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_a_diverged_slot_keeps_its_error_when_scoring_fails(self, tmp_path):
+        # every slot of a stack is scored, a diverged one from its start,
+        # so a scoring error replaces only the trained slots' outcomes
+        ev = _evaluator(_search_corpus(channels=4), tmp_path)
+        clean = ev._task_inputs()
+        poisoned = [xw.copy() for xw in clean.train_windows]
+        poisoned[7][:, 2 * ev.window:3 * ev.window] = np.inf
+        inputs = replace(clean, train_windows=tuple(poisoned), threshold=0)
+        mixed = search._run_stack(inputs, ((0, 1), (0, 2), (1, 2)), 0)
+        assert [type(got) for got in mixed] == [ValueError, TrainingDivergedError,
+                                                TrainingDivergedError]
+        assert str(mixed[0]) == "threshold must be >= 1, got 0"
+        diverged = search._run_stack(inputs, ((0, 2), (1, 2)), 0)
+        assert [(type(got), str(got)) for got in diverged] == [
+            (type(got), str(got)) for got in mixed[1:]]
 
     def test_pool_failure_cancels_queued_tasks_and_keeps_finished(self, tmp_path,
                                                                   monkeypatch):

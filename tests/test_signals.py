@@ -70,6 +70,15 @@ class TestChannelSubset:
         with pytest.raises(ValueError):
             parse_subset("1a3", 8)
 
+    def test_parse_rejects_a_negative_label(self):
+        with pytest.raises(ValueError, match="negative channel label in '1,-2'"):
+            parse_subset("1,-2", 4)
+
+    def test_drop_of_a_non_member_rejected(self):
+        assert ChannelSubset.of([0, 2]).drop(2) == ChannelSubset.of([0])
+        with pytest.raises(ValueError, match="channel 1 not in subset 13"):
+            ChannelSubset.of([0, 2]).drop(1)
+
     def test_unsorted_input_is_normalised(self):
         assert parse_subset("3156", 8).label == "1356"
 

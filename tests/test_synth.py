@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from chansel.corpus import load_corpus, save_corpus
+from chansel.corpus import Corpus, load_corpus, save_corpus
 from chansel.metrics import collapse_frame_labels
 from chansel.model import TrainConfig, evaluate, init_params, train
 from chansel.phonemes import SILENCE_SYMBOL
@@ -238,6 +238,10 @@ class TestCorpusIO:
 
 
 class TestCorpusOps:
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ValueError, match="corpus must contain at least one sequence"):
+            Corpus(())
+
     def test_restrict_drops_rows_only(self):
         corpus = generate(_small_cfg())
         sub = corpus.restrict(ChannelSubset.of([0, 2]))
