@@ -30,9 +30,11 @@ from .artefacts import json_text, naming, read_json, write_text
 from .corpus import Corpus, load_corpus, save_corpus
 from .metrics import DEFAULT_CATEGORY_THRESHOLD
 from .model import (
+    EvalRecord,
     TrainConfig,
     TrainingDivergedError,
     init_params,
+    label_indices,
     load_model,
     save_model,
     slice_input_channels,
@@ -130,7 +132,7 @@ FLAGS: dict[str, tuple[str, str]] = {
 }
 
 TRAINING_FLAGS = ("seed", "epochs", "learning_rate", "batch_size")
-SEARCH_FLAGS = (*TRAINING_FLAGS, "window", "features", "replicates", "workers", "metric",
+SEARCH_FLAGS = (*TRAINING_FLAGS, "window", "features", "replicates", "workers",
                 "train_fraction", "per_threshold")
 
 
@@ -147,15 +149,6 @@ def _cache_path(out_dir: Path) -> Path:
     env = os.environ.get("CHANSEL_CACHE_DIR")
     base = Path(env) if env else out_dir
     return base / "cache.jsonl"
-
-
-def _per_threshold(cfg: dict) -> int:
-    """The category PER frame threshold; a category with no reference
-    frames would divide by zero, so it must be at least 1."""
-    threshold = cfg["eval"]["per_threshold"]
-    if threshold < 1:
-        raise ValueError(f"per_threshold must be >= 1, got {threshold}")
-    return threshold
 
 
 def _available_cpus() -> int:
@@ -177,7 +170,7 @@ def _evaluator(corpus: Corpus, cfg: dict, out_dir: Path) -> TrainingEvaluator:
         window=cfg["model"]["window"],
         features=cfg["model"]["features"],
         replicates=cfg["search"]["replicates"],
-        threshold=_per_threshold(cfg),
+        threshold=cfg["eval"]["per_threshold"],
         workers=cfg["search"]["workers"] or _available_cpus(),
         cache=ResultsCache(_cache_path(out_dir)),
     )
@@ -206,7 +199,7 @@ def cmd_pretrain(args: argparse.Namespace, cfg: dict) -> int:
     train_c, _ = corpus.split(cfg["eval"]["train_fraction"])
     train_cfg = TrainConfig(**cfg["train"])
     config_hash = config_fingerprint(train_cfg, cfg["model"]["window"], cfg["model"]["features"],
-                                     _per_threshold(cfg), len(train_c))
+                                     cfg["eval"]["per_threshold"], len(train_c))
     params = init_params(
         channels=corpus.channels,
         window=cfg["model"]["window"],
@@ -235,7 +228,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     if not args.init and not args.from_scratch:
         raise ValueError("finetune needs --init MODEL and/or --from-scratch")
     corpus = load_corpus(Path(args.corpus))
-    threshold = _per_threshold(cfg)
+    threshold = cfg["eval"]["per_threshold"]
     label = SUBSET_PRESETS.get(args.subset, args.subset)
     subset = parse_subset(label, corpus.channels)
     train_c, test_c = corpus.split(cfg["eval"]["train_fraction"])
@@ -244,7 +237,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     seed, epochs = cfg["train"]["seed"], cfg["train"]["epochs"]
     window, features = cfg["model"]["window"], cfg["model"]["features"]
     # fine-tuning never masks channels; dropout belongs to pretraining.
-    # epochs == 0 evaluates the initialisation as-is and reads no training
+    # epochs == 0 evaluates the initialisation as-is and trains on no
     # utterance, so it hashes n_train=0 to stay apart from --epochs 1.
     train_seqs = train_c.sequences if epochs else ()
     ft_cfg = TrainConfig(**{**cfg["train"], "epochs": max(epochs, 1), "dropout_p": 0.0})
@@ -281,6 +274,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
                 f"--init model has window {full_params.window} and features "
                 f"{full_params.features}, the config has window {window} and features {features}"
             )
+        label_indices(train_c.sequences, full_params.class_symbols)  # also at --epochs 0
         run_side("ft", slice_input_channels(full_params, subset), manifest["payload_sha256"])
     if args.from_scratch:
         scratch = init_params(
@@ -333,9 +327,6 @@ def _sweep_reports(args: argparse.Namespace, cfg: dict, cached_only: bool):
     """Run (or, cached_only, replay from the cache) the exhaustive sweep and
     write its three reports; returns the sweep and the output directory."""
     with _search_setup(args, cfg) as (corpus, out_dir, evaluator, prov):
-        k_top = cfg["search"]["k_top"]
-        if k_top < 1:
-            raise ValueError(f"k_top must be >= 1, got {k_top}")
         if cached_only:
             evaluator = SimpleNamespace(
                 evaluate_many=partial(evaluator.evaluate_many, require_cached=True),
@@ -347,7 +338,7 @@ def _sweep_reports(args: argparse.Namespace, cfg: dict, cached_only: bool):
             metric=cfg["search"]["metric"],
             budget=cfg["search"]["budget"],
         )
-    k_top = min(k_top, len(sweep.records))
+    k_top = min(cfg["search"]["k_top"], len(sweep.records))
     counts = top_k_frequency(sweep, k_top)
     averages = channel_average_metric(sweep)
     write_text(out_dir / "sweep.csv", reports.sweep_csv(sweep, prov))
@@ -431,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_finetune)
 
     for name, handler, extras in (
-        ("backward-elim", cmd_backward_elim, ("stop_size",)),
-        ("exhaustive", cmd_exhaustive, ("k", "k_top", "budget")),
+        ("backward-elim", cmd_backward_elim, ("metric", "stop_size")),
+        ("exhaustive", cmd_exhaustive, ("metric", "k", "k_top", "budget")),
         ("ablate7", cmd_ablate7, ()),
-        ("report", cmd_report, ("k", "k_top")),
+        ("report", cmd_report, ("metric", "k", "k_top")),
     ):
         p = commands.add_parser(name, help=f"{name} workflow")
         _add_common(p)
@@ -452,7 +443,14 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _apply_overrides(load_config(args.config), args)
-        GeneratorConfig.from_dict(cfg["generator"])  # every subcommand refuses a bad one
+        # every subcommand refuses an out-of-range setting before it reads a
+        # file; epochs may be 0, as finetune --epochs 0 scores without training
+        GeneratorConfig.from_dict(cfg["generator"])
+        TrainConfig(**{**cfg["train"], "epochs": cfg["train"]["epochs"] or 1})
+        for section, key in (("eval", "per_threshold"), ("search", "k_top")):
+            if cfg[section][key] < 1:
+                raise ValueError(f"{key} must be >= 1, got {cfg[section][key]}")
+        EvalRecord.check_metric(cfg["search"]["metric"])
         return args.func(args, cfg)
     except TrainingDivergedError as exc:
         print(f"error: training diverged: {exc}", file=sys.stderr)

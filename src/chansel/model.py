@@ -424,15 +424,13 @@ def fit_windows(
                 xs = [xw_all[i] for i in ids]
                 xw = _gather(np.concatenate(xs, out=batch[:sum(map(len, xs))]), channels,
                              window, work[0])
-                if p > 0.0:
-                    row = 0
-                    for i in ids:
-                        mask = draw_channel_mask(params.channels, p, rng)
-                        retained_sum += mask.retained
-                        draws += 1
-                        frames = slice(row, row + len(xw_all[i]))
-                        xw[frames] *= np.repeat(np.asarray(mask.bits, dtype=np.float64), window)
-                        row = frames.stop
+                if p > 0.0:  # one mask per utterance, drawn in one call
+                    mask = draw_channel_mask(params.channels * len(ids), p, rng)
+                    retained_sum += mask.retained
+                    draws += len(ids)
+                    bits = np.asarray(mask.bits, dtype=np.float64).reshape(len(ids), -1)
+                    xw *= np.repeat(np.repeat(bits, window, axis=1), list(map(len, xs)),
+                                    axis=0)[:, None]
                 y = np.concatenate([y_all[i] for i in ids])
                 losses = _loss_and_grads(*arrays, xw, y, grads, *(b[:len(xw)] for b in work[1:]))
                 for s, loss in enumerate(losses):

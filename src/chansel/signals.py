@@ -206,9 +206,3 @@ def load_signal(header_path: Path) -> MultichannelSignal:
     with naming("signal header", header_path):
         return MultichannelSignal(values.reshape(header["channels"], -1),
                                   sample_rate=float(header["sample_rate"]))
-
-
-def load_signal_csv(path: Path, sample_rate: float = 1.0) -> MultichannelSignal:
-    """Import a small fixture from CSV: one column per channel, one row per step."""
-    table = np.loadtxt(Path(path), delimiter=",", ndmin=2)
-    return MultichannelSignal(table.T, sample_rate=sample_rate)

@@ -227,8 +227,11 @@ class TestFinetune:
         assert "--init model has 6 channels, the corpus has 4" in capsys.readouterr().err
         assert not out.exists()  # neither side ran
 
+    @pytest.mark.parametrize("epochs", ["0", "2"])
     def test_init_model_must_hold_every_corpus_class(self, workdir, corpus_dir, tmp_path,
-                                                     capsys):
+                                                     capsys, epochs):
+        """Checked once the --init model is loaded, so also at --epochs 0,
+        which trains on no utterance."""
         pre = workdir / "pretrain"
         main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
               "--out", str(pre), "--dropout-p", "0.125"])
@@ -243,7 +246,7 @@ class TestFinetune:
         capsys.readouterr()
         code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(out), "--subset", "12", "--init", str(init_path),
-                     "--from-scratch"])
+                     "--from-scratch", "--epochs", epochs])
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: corpus label 'IY' is not a model class\n"
         assert not out.exists()  # neither side ran
@@ -730,6 +733,29 @@ class TestConfigSchema:
         assert f"error: {key} " in err
         assert f"got {shown}\n" in err
 
+    @pytest.mark.parametrize("command", ["gen-data", *sorted(OTHER_COMMANDS)])
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train", "epochs", -1, "epochs must be a positive integer, got -1"),
+        ("train", "dropout_p", 7.0, "dropout_p must be in [0, 1], got 7.0"),
+        ("eval", "per_threshold", 0, "per_threshold must be >= 1, got 0"),
+        ("search", "k_top", 0, "k_top must be >= 1, got 0"),
+        ("search", "metric", "foo", "unknown metric 'foo' (expected 'wer' or 'per_total')"),
+    ], ids=["epochs", "dropout", "per-threshold", "k-top", "metric"])
+    def test_every_subcommand_refuses_an_out_of_range_setting(
+            self, workdir, corpus_dir, capsys, command, section, key, value, message):
+        """Each is checked once, before any file is read, also by a
+        subcommand that never uses the setting."""
+        flags = list(self.OTHER_COMMANDS.get(command, ()))
+        if key == "epochs" and "--epochs" in flags:  # the flag would beat the file's value
+            at = flags.index("--epochs")
+            del flags[at:at + 2]
+        corpus = ("--corpus", str(corpus_dir)) if command != "gen-data" else ()
+        capsys.readouterr()
+        code, err = self._run(workdir, capsys, {section: {key: value}}, command,
+                              (*corpus, *flags))
+        assert code == EXIT_DATA
+        assert err == f"error: {message}\n"
+
     def test_misspelt_dropout_key_does_not_pretrain(self, workdir, corpus_dir, capsys):
         capsys.readouterr()
         code, err = self._run(workdir, capsys, {"train": {"dropout": 0.125}}, "pretrain",
@@ -768,7 +794,11 @@ class TestExitCodes:
         assert main(["exhaustive"]) == EXIT_USAGE  # missing required flags
         # the channel count has one owner, generator.channels in the config
         assert main(["gen-data", "--out", str(tmp_path / "c"), "--channels", "4"]) == EXIT_USAGE
+        # --metric belongs only to the three subcommands that read it
         capsys.readouterr()
+        assert main(["ablate7", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "a"),
+                     "--metric", "wer"]) == EXIT_USAGE
+        assert "unrecognized arguments: --metric wer" in capsys.readouterr().err
 
     def test_missing_corpus_is_data_error(self, workdir, capsys):
         code = main(["pretrain", "--config", _cfg(workdir),

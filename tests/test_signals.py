@@ -12,7 +12,6 @@ from chansel.signals import (
     apply_channel_dropout,
     draw_channel_mask,
     load_signal,
-    load_signal_csv,
     parse_subset,
     restrict_to_subset,
     save_signal,
@@ -233,10 +232,3 @@ class TestSignalFiles:
         (tmp_path / "sig.bin").write_bytes(payload[:-8])
         with pytest.raises(ValueError, match="expected"):
             load_signal(path)
-
-    def test_csv_import(self, tmp_path):
-        path = tmp_path / "fixture.csv"
-        path.write_text("1.0,4.0\n2.0,5.0\n3.0,6.0\n")
-        sig = load_signal_csv(path, sample_rate=10.0)
-        assert sig.channels == 2
-        assert np.array_equal(sig.samples, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
