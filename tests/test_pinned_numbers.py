@@ -2,14 +2,18 @@
 
 ``pinned_numbers.json`` holds what the CLI computes on ``TINY_CONFIG``: every
 record an ``exhaustive --replicates 2`` run appends to its cache, the loss
-log and weights of ``pretrain --dropout-p 0.125``, and both records and both
-models of ``finetune --subset 13 --init <that model> --from-scratch``.
+log and weights of ``pretrain --dropout-p 0.125``, both records and both
+models of ``finetune --subset 13 --init <that model> --from-scratch``, at the
+configured epochs and at ``--epochs 0``, the cache records and
+``elimination.json`` of ``backward-elim --replicates 2 --stop-size 1``, and
+the ``ablation_records.json`` of ``ablate7 --replicates 2``.
 Strings and integers must match exactly, floats to a relative 1e-9: close
 enough for another CPU's last bit, far from what one float32 step moves.
 
 The fields that hold a hash of float bytes (``payload_sha256``,
 ``provenance.parent``, ``corpus_hash``) change with the last bit of any
-value, and ``tool_version`` with every release, so they are not compared.
+value, and ``tool_version`` and ``meta.version`` with every release, so they
+are not compared.
 
 Regenerate the fixture only with a change that is meant to move these
 numbers and says so; regenerating it to let any other change pass would
@@ -32,7 +36,8 @@ from chansel.cli import EXIT_OK, main
 from test_cli import TINY_CONFIG
 
 FIXTURE = Path(__file__).with_name("pinned_numbers.json")
-UNCOMPARED = {"payload_sha256", "parent", "corpus_hash", "tool_version", "wall_time"}
+UNCOMPARED = {"payload_sha256", "parent", "corpus_hash", "tool_version", "version",
+              "wall_time"}
 
 
 def _run(*argv: str) -> None:
@@ -52,33 +57,49 @@ def _compared(doc):
     return doc
 
 
+def _cache(out: str) -> list:
+    return [json.loads(line) for line in (Path(out) / "cache.jsonl").read_text().splitlines()]
+
+
+def _finetune(out: str) -> dict:
+    return {
+        mode: {
+            "record": json.loads((Path(out) / f"eval_{mode}_13.json").read_text()),
+            "model_manifest": json.loads((Path(out) / f"model_{mode}_13.json").read_text()),
+            "model": _payload(Path(out) / f"model_{mode}_13.json"),
+        }
+        for mode in ("ft", "scratch")
+    }
+
+
 def pinned_numbers(tmp: Path) -> dict:
-    """Run the four subcommands in ``tmp`` and collect the numbers they wrote."""
+    """Run the six subcommands in ``tmp`` and collect the numbers they wrote."""
     config = tmp / "config.json"
     config.write_text(json.dumps(TINY_CONFIG))
-    corpus, sweep, pre, ft = (str(tmp / name) for name in ("corpus", "sweep", "pre", "ft"))
+    corpus, sweep, pre, ft, ft0, elim, abl = (
+        str(tmp / name) for name in ("corpus", "sweep", "pre", "ft", "ft0", "elim", "abl"))
     common = ("--config", str(config))
     _run("gen-data", *common, "--out", corpus)
     _run("exhaustive", *common, "--corpus", corpus, "--out", sweep, "--replicates", "2")
     _run("pretrain", *common, "--corpus", corpus, "--out", pre, "--dropout-p", "0.125")
     init = Path(pre) / "model_p0.125.json"
-    _run("finetune", *common, "--corpus", corpus, "--out", ft, "--subset", "13",
-         "--init", str(init), "--from-scratch")
+    for out, epochs in ((ft, ()), (ft0, ("--epochs", "0"))):
+        _run("finetune", *common, "--corpus", corpus, "--out", out, "--subset", "13",
+             "--init", str(init), "--from-scratch", *epochs)
+    _run("backward-elim", *common, "--corpus", corpus, "--out", elim, "--replicates", "2",
+         "--stop-size", "1")
+    _run("ablate7", *common, "--corpus", corpus, "--out", abl, "--replicates", "2")
     log = (Path(pre) / "training_log_p0.125.csv").read_text().splitlines()[2:]
     return _compared({
-        "exhaustive_cache": [json.loads(line)
-                             for line in (Path(sweep) / "cache.jsonl").read_text().splitlines()],
+        "exhaustive_cache": _cache(sweep),
         "pretrain_loss_log": [[int(epoch), float(loss), float(retained)]
                               for epoch, loss, retained in (row.split(",") for row in log)],
         "pretrain_model": _payload(init),
-        "finetune": {
-            mode: {
-                "record": json.loads((Path(ft) / f"eval_{mode}_13.json").read_text()),
-                "model_manifest": json.loads((Path(ft) / f"model_{mode}_13.json").read_text()),
-                "model": _payload(Path(ft) / f"model_{mode}_13.json"),
-            }
-            for mode in ("ft", "scratch")
-        },
+        "finetune": _finetune(ft),
+        "finetune_epochs_0": _finetune(ft0),
+        "backward_elim": {"cache": _cache(elim),
+                          "elimination": json.loads((Path(elim) / "elimination.json").read_text())},
+        "ablate7": json.loads((Path(abl) / "ablation_records.json").read_text()),
     })
 
 
