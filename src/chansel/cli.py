@@ -229,8 +229,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
         raise ValueError("finetune needs --init MODEL and/or --from-scratch")
     corpus = load_corpus(Path(args.corpus))
     threshold = cfg["eval"]["per_threshold"]
-    label = SUBSET_PRESETS.get(args.subset, args.subset)
-    subset = parse_subset(label, corpus.channels)
+    subset = parse_subset(SUBSET_PRESETS.get(args.subset, args.subset), corpus.channels)
     train_c, test_c = corpus.split(cfg["eval"]["train_fraction"])
     out_dir = Path(args.out)
 
@@ -243,15 +242,33 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     ft_cfg = TrainConfig(**{**cfg["train"], "epochs": max(epochs, 1), "dropout_p": 0.0})
     config_hash = config_fingerprint(ft_cfg, window, features, threshold, len(train_seqs))
     prov = reports.Provenance(config_hash, corpus.content_hash, seed)
+    # the sides, each (mode, start model, parent payload hash), train as one
+    # stack, whose slots share labels: scratch takes an --init model's classes
+    sides = []
+    class_symbols = corpus.label_alphabet()
+    if args.init:
+        full_params, manifest = load_model(Path(args.init))
+        if full_params.channels != corpus.channels:
+            raise ValueError(f"--init model has {full_params.channels} channels, "
+                             f"the corpus has {corpus.channels}")
+        if (full_params.window, full_params.features) != (window, features):
+            raise ValueError(f"--init model has window {full_params.window} and features "
+                             f"{full_params.features}, the config has window {window} and "
+                             f"features {features}")
+        label_indices(train_c.sequences, full_params.class_symbols)  # also at --epochs 0
+        class_symbols = full_params.class_symbols
+        sides.append(("ft", slice_input_channels(full_params, subset), manifest["payload_sha256"]))
+    if args.from_scratch:
+        scratch = init_params(len(subset), window, features, class_symbols, seed=seed)
+        sides.append(("scratch", scratch, None))
+    inputs = TaskInputs.from_splits(
+        train_seqs, test_c.sequences, class_symbols, default_table(), train_cfg=ft_cfg,
+        window=window, features=features, threshold=threshold, config_hash=config_hash,
+        corpus_hash=corpus.content_hash)
+    outcomes = train_and_score(inputs, [start for _, start, _ in sides], [subset] * len(sides),
+                               seed, seed)
     records = []
-
-    def run_side(mode: str, start, parent_hash) -> None:
-        inputs = TaskInputs.from_splits(
-            train_seqs, test_c.sequences, start.class_symbols,
-            default_table(), train_cfg=ft_cfg, window=window, features=features,
-            threshold=threshold, config_hash=config_hash, corpus_hash=corpus.content_hash,
-        )
-        [outcome] = train_and_score(inputs, start, [subset], seed, seed)
+    for (mode, _, parent_hash), outcome in zip(sides, outcomes):
         if isinstance(outcome, Exception):
             raise outcome
         tuned, record = outcome
@@ -263,25 +280,6 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
         write_text(out_dir / f"eval_{mode}_{subset.label}.json", json_text(_record_doc(record)))
         records.append((mode, record))
         print(f"{mode} {subset.label}: wer {record.wer:.4f}, per {record.per_total:.4f}")
-
-    if args.init:
-        full_params, manifest = load_model(Path(args.init))
-        if full_params.channels != corpus.channels:
-            raise ValueError(f"--init model has {full_params.channels} channels, "
-                             f"the corpus has {corpus.channels}")
-        if (full_params.window, full_params.features) != (window, features):
-            raise ValueError(
-                f"--init model has window {full_params.window} and features "
-                f"{full_params.features}, the config has window {window} and features {features}"
-            )
-        label_indices(train_c.sequences, full_params.class_symbols)  # also at --epochs 0
-        run_side("ft", slice_input_channels(full_params, subset), manifest["payload_sha256"])
-    if args.from_scratch:
-        scratch = init_params(
-            channels=len(subset), window=window, features=features,
-            class_symbols=corpus.label_alphabet(), seed=seed,
-        )
-        run_side("scratch", scratch, None)
 
     write_text(out_dir / f"comparison_{subset.label}.csv", reports.comparison_csv(records, prov))
     return EXIT_OK
@@ -444,9 +442,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         # every subcommand refuses an out-of-range setting before it reads a
-        # file; epochs may be 0, as finetune --epochs 0 scores without training
+        # file; only finetune takes epochs 0, which scores without training
         GeneratorConfig.from_dict(cfg["generator"])
-        TrainConfig(**{**cfg["train"], "epochs": cfg["train"]["epochs"] or 1})
+        epochs = cfg["train"]["epochs"] or int(args.command == "finetune")
+        TrainConfig(**{**cfg["train"], "epochs": epochs})
         for section, key in (("eval", "per_threshold"), ("search", "k_top")):
             if cfg[section][key] < 1:
                 raise ValueError(f"{key} must be >= 1, got {cfg[section][key]}")

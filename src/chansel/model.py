@@ -351,7 +351,7 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
             len(xw), 1, p.features, p.classes, p.features))[0]
 
     initial_loss = clean_loss(params)
-    [outcome], mean_retained = fit_windows(params, _all_channels(params), xw_all, y_all, cfg)
+    [outcome], mean_retained = fit_windows([params], _all_channels(params), xw_all, y_all, cfg)
     if isinstance(outcome, Exception):
         raise outcome
     trained, epoch_losses = outcome
@@ -365,25 +365,25 @@ def train(params: ModelParams, data: Corpus | Sequence[LabeledSequence], cfg: Tr
 
 
 def fit_windows(
-    params: ModelParams,
+    stack: Sequence[ModelParams],
     channels: np.ndarray,
     xw_all: Sequence[np.ndarray],
     y_all: Sequence[np.ndarray],
     cfg: TrainConfig,
 ) -> tuple[list[tuple[ModelParams, tuple[float, ...]] | Exception], float]:
     """The gradient-descent loop of a *stack*: S models trained in lockstep
-    from one start model, ``params``, under one seed. Row s of the (S, k)
-    ``channels`` names the channels model s reads from the featurized
-    utterances, one (T, C * W) window matrix and one label-index vector per
-    utterance. Returns, per row, the trained parameters and the per-epoch
-    mean batch losses, or the error that stopped that model; and the mean
-    number of channels dropout retained.
+    under one seed, model s from start ``stack[s]``, all of one shape. Row s
+    of the (S, k) ``channels`` names the channels model s reads from the
+    featurized utterances, one (T, C * W) window matrix and one label-index
+    vector per utterance. Returns, per row, the trained parameters and the
+    per-epoch mean batch losses, or the error that stopped that model; and
+    the mean number of channels dropout retained.
 
     Batches are groups of utterances; when cfg.dropout_p > 0 a fresh mask
-    over the start model's channels is drawn for every utterance in every
+    over the start models' k channels is drawn for every utterance in every
     epoch. What makes a stack possible is common random numbers: its models
-    share the start, the batch order and the masks, so only the channels
-    differ between them, and a step gathers the batch's windows for all S
+    share the batch order and the masks, so only their starts and channels
+    differ, and a step gathers the batch's windows for all S
     at once into one frame-major buffer and runs ``_loss_and_grads`` on the
     stack. The parameters and their gradients each live in one (S, P)
     buffer, so a step is ``grad *= lr; weights -= grad`` on the whole
@@ -395,14 +395,15 @@ def fit_windows(
     parameter non-finite gets ``ModelParams``' ValueError. The others train
     on, and the fit ends early only once every model has failed.
     """
-    window = params.window
+    shape = stack[0]
+    window = shape.window
     _check_channels(channels, xw_all, window)
     width = len(channels)
-    weights, arrays, grad, grads = _buffers([params] * width)
+    weights, arrays, grad, grads = _buffers(stack)
     rows = max_batch_rows(xw_all, cfg.batch_size)
     batch = np.empty((rows, xw_all[0].shape[1]))
-    work = _frame_buffers(rows, width, params.channels * window, params.features,
-                          params.classes, params.features)
+    work = _frame_buffers(rows, width, shape.channels * window, shape.features,
+                          shape.classes, shape.features)
     outcomes: list = [None] * width
     epoch_losses: list[list[float]] = [[] for _ in range(width)]
     rng = np.random.default_rng(cfg.seed)
@@ -425,7 +426,7 @@ def fit_windows(
                 xw = _gather(np.concatenate(xs, out=batch[:sum(map(len, xs))]), channels,
                              window, work[0])
                 if p > 0.0:  # one mask per utterance, drawn in one call
-                    mask = draw_channel_mask(params.channels * len(ids), p, rng)
+                    mask = draw_channel_mask(shape.channels * len(ids), p, rng)
                     retained_sum += mask.retained
                     draws += len(ids)
                     bits = np.asarray(mask.bits, dtype=np.float64).reshape(len(ids), -1)
@@ -448,11 +449,11 @@ def fit_windows(
 
     for s in [s for s, outcome in enumerate(outcomes) if outcome is None]:
         try:
-            outcomes[s] = (replace(params, **{name: arr[s] for name, arr in zip(_ARRAYS, arrays)}),
+            outcomes[s] = (replace(stack[s], **{name: arr[s] for name, arr in zip(_ARRAYS, arrays)}),
                            tuple(epoch_losses[s]))
         except ValueError as exc:
             outcomes[s] = exc
-    return outcomes, retained_sum / draws if draws else float(params.channels)
+    return outcomes, retained_sum / draws if draws else float(shape.channels)
 
 
 def gradient_check(

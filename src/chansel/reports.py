@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import statistics
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -107,9 +108,7 @@ def elimination_plot_csv(trace: EliminationTrace, provenance: Provenance | None 
     each surviving subset size."""
     rows = [("channel_count", f"best_{trace.metric_name}", f"median_{trace.metric_name}")]
     for step in trace.steps:
-        metrics = sorted(m for _, m in step.candidates)
-        n = len(metrics)
-        median = metrics[n // 2] if n % 2 else (metrics[n // 2 - 1] + metrics[n // 2]) / 2
+        median = statistics.median(m for _, m in step.candidates)
         rows.append((len(step.surviving), repr(step.metric), repr(median)))
     return _render(rows, provenance)
 

@@ -298,21 +298,23 @@ def _init_worker(inputs: TaskInputs, openblas: str | None) -> None:
         set_threads(1)
 
 
-def train_and_score(inputs: TaskInputs, start: ModelParams, subsets: Sequence[ChannelSubset],
-                    train_seed: int, seed: int) -> list[tuple[ModelParams, EvalRecord] | Exception]:
-    """Train ``start`` on each subset's column blocks of the train windows,
+def train_and_score(inputs: TaskInputs, starts: Sequence[ModelParams],
+                    subsets: Sequence[ChannelSubset], train_seed: int,
+                    seed: int) -> list[tuple[ModelParams, EvalRecord] | Exception]:
+    """Train ``starts[s]`` on subset s's column blocks of the train windows,
     if the inputs hold any, in one lockstep stack, and score every slot of
     the stack on those of the test windows. Returns per subset its trained
     model and its record, tagged ``seed``, or the error that stopped it. A
-    slot whose training stopped is scored from ``start``, so the stack keeps
-    one slot per subset, and that record is dropped: the slot keeps its own
-    error. A scoring error is every trained slot's."""
+    slot whose training stopped is scored from its own start, so the stack
+    keeps one slot per subset, and that record is dropped: the slot keeps
+    its own error. A scoring error is every trained slot's."""
     channels = np.array([s.indices for s in subsets])
-    outcomes: list = [(start, ())] * len(subsets)
+    outcomes: list = [(start, ()) for start in starts]
     if inputs.train_windows:
-        outcomes, _ = fit_windows(start, channels, inputs.train_windows, inputs.train_labels,
+        outcomes, _ = fit_windows(starts, channels, inputs.train_windows, inputs.train_labels,
                                   replace(inputs.train_cfg, seed=train_seed))
-    models = [start if isinstance(outcome, Exception) else outcome[0] for outcome in outcomes]
+    models = [start if isinstance(outcome, Exception) else outcome[0]
+              for start, outcome in zip(starts, outcomes)]
     try:
         records = score_windows(models, subsets, channels, inputs.test_windows, inputs.reference,
                                 threshold=inputs.threshold, seed=seed,
@@ -353,10 +355,9 @@ def _run_stack(inputs: TaskInputs, stack: tuple[tuple[int, ...], ...],
     subsets = [ChannelSubset(indices) for indices in stack]
     init_seed, train_seed = derive_task_seeds(inputs.train_cfg.seed, replicate)
     t0 = time.perf_counter()
-    params = init_params(channels=len(subsets[0]), window=inputs.window,
-                         features=inputs.features,
-                         class_symbols=inputs.reference.class_symbols, seed=init_seed)
-    outcomes = train_and_score(inputs, params, subsets, train_seed, replicate)
+    params = init_params(len(subsets[0]), inputs.window, inputs.features,
+                         inputs.reference.class_symbols, seed=init_seed)
+    outcomes = train_and_score(inputs, [params] * len(subsets), subsets, train_seed, replicate)
     share = (time.perf_counter() - t0) / len(stack)
     return [outcome if isinstance(outcome, Exception) else replace(outcome[1], wall_time=share)
             for outcome in outcomes]

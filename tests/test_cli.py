@@ -11,12 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chansel import cli, reports
+from chansel import cli, reports, search
 from chansel.artefacts import json_text, write_text
 from chansel.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
 from chansel.corpus import load_corpus
 from chansel.model import (
-    TrainConfig, evaluate, init_params, load_model, save_model, slice_input_channels, train,
+    TrainConfig, evaluate, featurize, init_params, load_model, save_model, slice_input_channels,
+    train,
 )
 from chansel.phonemes import default_table
 from chansel.search import config_fingerprint
@@ -257,8 +258,11 @@ class TestFinetune:
                                                      init, epochs):
         """Each side, and the comparison, must equal restrict -> train ->
         evaluate -> save_model from the same start model, byte for byte: the
-        sliced --init model in its own class order, and a scratch model in
-        the corpus alphabet's."""
+        sliced --init model, and a scratch model, both in the --init model's
+        class order, since the two sides train as one stack that shares its
+        labels. A pretrained --init model holds the corpus alphabet's order,
+        so only the permuted-classes scratch side differs from a scratch-only
+        run."""
         pre = workdir / "pretrain"
         main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
               "--out", str(pre), "--dropout-p", "0.125"])
@@ -284,7 +288,7 @@ class TestFinetune:
         full, manifest = load_model(init_path)
         starts = {
             "ft": (slice_input_channels(full, subset), manifest["payload_sha256"]),
-            "scratch": (init_params(2, 3, 6, corpus.label_alphabet(), seed=0), None),
+            "scratch": (init_params(2, 3, 6, full.class_symbols, seed=0), None),
         }
         reference, records = tmp_path / "reference", []
         for mode, (start, parent) in starts.items():
@@ -299,6 +303,23 @@ class TestFinetune:
         prov = reports.Provenance(config_hash, corpus.content_hash, 0)
         write_text(reference / "comparison_13.csv", reports.comparison_csv(records, prov))
         assert _read_all(out) == _read_all(reference)
+
+    def test_both_sides_featurize_each_utterance_once(self, workdir, corpus_dir, monkeypatch):
+        pre = workdir / "pretrain"
+        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(pre)])
+        calls = []
+
+        def counted(samples, window):
+            calls.append(samples.shape)
+            return featurize(samples, window)
+
+        monkeypatch.setattr(search, "featurize", counted)
+        assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "ft"), "--subset", "13", "--epochs", "1",
+                     "--init", str(pre / "model_p0.json"), "--from-scratch"]) == EXIT_OK
+        # one featurization of each utterance serves both sides
+        assert len(calls) == TINY_CONFIG["generator"]["utterances"]
 
     def test_requires_init_or_scratch(self, workdir, corpus_dir, capsys):
         code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
@@ -711,6 +732,15 @@ class TestConfigSchema:
         "report": ("--k", "1", "--replicates", "1"),
     }
 
+    def _flags(self, command, without_epochs):
+        """``command``'s flags of OTHER_COMMANDS; ``without_epochs`` drops
+        ``--epochs``, whose flag would beat a config file's value."""
+        flags = list(self.OTHER_COMMANDS.get(command, ()))
+        if without_epochs and "--epochs" in flags:
+            at = flags.index("--epochs")
+            del flags[at:at + 2]
+        return flags
+
     @pytest.mark.parametrize("key, value, shown", **MALFORMED_GENERATOR)
     def test_malformed_generator_value_is_data_error(self, tmp_path, capsys, key, value, shown):
         """Values the generator used to cast (4.5 -> 4, "1" -> 1.0,
@@ -745,16 +775,23 @@ class TestConfigSchema:
             self, workdir, corpus_dir, capsys, command, section, key, value, message):
         """Each is checked once, before any file is read, also by a
         subcommand that never uses the setting."""
-        flags = list(self.OTHER_COMMANDS.get(command, ()))
-        if key == "epochs" and "--epochs" in flags:  # the flag would beat the file's value
-            at = flags.index("--epochs")
-            del flags[at:at + 2]
+        flags = self._flags(command, without_epochs=key == "epochs")
         corpus = ("--corpus", str(corpus_dir)) if command != "gen-data" else ()
         capsys.readouterr()
         code, err = self._run(workdir, capsys, {section: {key: value}}, command,
                               (*corpus, *flags))
         assert code == EXIT_DATA
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["gen-data", *sorted(set(OTHER_COMMANDS) - {"finetune"})])
+    def test_only_finetune_takes_zero_epochs(self, tmp_path, capsys, command):
+        """Refused before the corpus is read, so a missing one goes unnamed;
+        only finetune --epochs 0 scores without training."""
+        corpus = ("--corpus", str(tmp_path / "missing")) if command != "gen-data" else ()
+        code, err = self._run(tmp_path, capsys, {"train": {"epochs": 0}}, command,
+                              (*corpus, *self._flags(command, without_epochs=True)))
+        assert code == EXIT_DATA
+        assert err == "error: epochs must be a positive integer, got 0\n"
 
     def test_misspelt_dropout_key_does_not_pretrain(self, workdir, corpus_dir, capsys):
         capsys.readouterr()

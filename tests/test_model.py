@@ -261,7 +261,7 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=learning_rate, epochs=10, batch_size=2, seed=6)
         with np.errstate(over="raise", invalid="raise", divide="print", under="warn"):
             before = np.geterr()
-            [outcome], _ = model.fit_windows(params, model._all_channels(params), xw_all,
+            [outcome], _ = model.fit_windows([params], model._all_channels(params), xw_all,
                                              y_all, cfg)
             assert np.geterr() == before
         assert isinstance(outcome, TrainingDivergedError) == (learning_rate == 1e308)
@@ -280,7 +280,8 @@ class TestTrain:
         xw_all = [np.ones((10, 2))]
         y_all = [np.array([0] * 9 + [1])]
         cfg = TrainConfig(learning_rate=1e308, epochs=1, batch_size=1, seed=0)
-        outcomes, _ = model.fit_windows(params, np.array(channels), xw_all, y_all, cfg)
+        outcomes, _ = model.fit_windows([params] * len(channels), np.array(channels), xw_all,
+                                        y_all, cfg)
         assert [(type(o), str(o)) for o in outcomes] == (
             [(ValueError, "head_bias contains NaN or Inf")] * len(channels))
 
@@ -402,34 +403,41 @@ class TestInPlaceStep:
             params = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=seed)
             cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4,
                               dropout_p=dropout_p, seed=seed + 10)
-            [(trained, losses)], _ = model.fit_windows(params, model._all_channels(params),
+            [(trained, losses)], _ = model.fit_windows([params], model._all_channels(params),
                                                        xw_all, y_all, cfg)
             ref_arrays, ref_losses = _reference_fit(params, xw_all, y_all, cfg)
             assert losses == ref_losses
             for name, ref in zip(model._ARRAYS, ref_arrays):
                 assert getattr(trained, name).tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("per_slot_starts", [False, True], ids=["one-start", "sliced-starts"])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
-    def test_each_model_of_a_stack_equals_its_reference_run(self, tiny_corpus, dropout_p):
-        # three 2-of-3 channel subsets from one start: each slice of the
-        # stack trains exactly as the textbook loop on its own columns
+    def test_each_model_of_a_stack_equals_its_reference_run(self, tiny_corpus, dropout_p,
+                                                            per_slot_starts):
+        # three 2-of-3 channel subsets, from one start or each from its own
+        # slice of one 3-channel model: each slot of the stack trains
+        # exactly as the textbook loop from its own start on its own columns
         xw_all = [featurize(seq.signal.samples, 5) for seq in tiny_corpus]
         y_all = model.label_indices(tiny_corpus.sequences, tiny_corpus.label_alphabet())
         subsets = [ChannelSubset.of(pair) for pair in ((0, 1), (0, 2), (1, 2))]
         channels = np.array([s.indices for s in subsets])
-        params = init_params(2, 5, 8, tiny_corpus.label_alphabet(), seed=3)
+        if per_slot_starts:
+            full = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=3)
+            starts = [slice_input_channels(full, subset) for subset in subsets]
+        else:
+            starts = [init_params(2, 5, 8, tiny_corpus.label_alphabet(), seed=3)] * 3
         cfg = TrainConfig(learning_rate=0.5, epochs=4, batch_size=4, dropout_p=dropout_p,
                           seed=11)
-        outcomes, retained = model.fit_windows(params, channels, xw_all, y_all, cfg)
+        outcomes, retained = model.fit_windows(starts, channels, xw_all, y_all, cfg)
         assert len(outcomes) == 3
-        for subset, (trained, losses) in zip(subsets, outcomes):
+        for subset, start, (trained, losses) in zip(subsets, starts, outcomes):
             cols = subset_columns(subset, 5)
-            ref_arrays, ref_losses = _reference_fit(params, [xw[:, cols] for xw in xw_all],
+            ref_arrays, ref_losses = _reference_fit(start, [xw[:, cols] for xw in xw_all],
                                                     y_all, cfg)
             assert losses == ref_losses
             for name, ref in zip(model._ARRAYS, ref_arrays):
                 assert getattr(trained, name).tobytes() == ref.tobytes()
-        assert retained == model.fit_windows(params, channels[:1], xw_all, y_all, cfg)[1]
+        assert retained == model.fit_windows(starts[:1], channels[:1], xw_all, y_all, cfg)[1]
 
 
 class TestGradientCheck:
@@ -662,7 +670,7 @@ class TestEvaluate:
         reference = model.ScoringReference(corpus, params.class_symbols, table)
         channels = np.array([[5]])
         with pytest.raises(IndexError) as fitting:
-            model.fit_windows(params, channels, xw_all, y_all, TrainConfig(epochs=1))
+            model.fit_windows([params], channels, xw_all, y_all, TrainConfig(epochs=1))
         with pytest.raises(IndexError) as scoring:
             model.score_windows([params], [ChannelSubset.of([5])], channels, xw_all, reference)
         assert str(fitting.value) == str(scoring.value) == "channel 5 of windows with 2 channels"

@@ -128,6 +128,8 @@ def test_elimination_plot_csv_has_best_and_median():
     assert lines[0] == "channel_count,best_wer,median_wer"
     # first step: candidates 23/13/12 with 0.2/0.3/0.0 -> best 0.0, median 0.2
     assert lines[1] == "2,0.0,0.2"
+    # second step: candidates 2/1 with 0.1/0.4 -> best 0.1, median of two 0.25
+    assert lines[2] == "1,0.1,0.25"
 
 
 def test_training_log_rows_match_epochs():
