@@ -243,7 +243,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
     config_hash = config_fingerprint(ft_cfg, window, features, threshold, len(train_seqs))
     prov = reports.Provenance(config_hash, corpus.content_hash, seed)
     # the sides, each (mode, start model, parent payload hash), train as one
-    # stack, whose slots share labels: scratch takes an --init model's classes
+    # stack, whose slots share labels: scratch takes an --init model's order
     sides = []
     class_symbols = corpus.label_alphabet()
     if args.init:

@@ -383,13 +383,13 @@ def fit_windows(
     over the start models' k channels is drawn for every utterance in every
     epoch. What makes a stack possible is common random numbers: its models
     share the batch order and the masks, so only their starts and channels
-    differ, and a step gathers the batch's windows for all S
-    at once into one frame-major buffer and runs ``_loss_and_grads`` on the
-    stack. The parameters and their gradients each live in one (S, P)
-    buffer, so a step is ``grad *= lr; weights -= grad`` on the whole
-    buffer: the same elementwise operations as updating array by array. So
-    each model's trajectory equals its one-model run's to the bit, whatever
-    else is in its stack. A model whose batch loss is not finite gets
+    differ, and a step gathers the batch's windows for all S at once into
+    one frame-major buffer and runs ``_loss_and_grads`` on the stack. The
+    parameters and their gradients each live in one (S, P) buffer, so a step
+    is ``grad *= lr; weights -= grad`` on the whole buffer: the same
+    elementwise operations as updating array by array. So each model's
+    trajectory equals its one-model run's to the bit, whatever else is in
+    its stack. A model whose batch loss is not finite gets
     TrainingDivergedError for that step and keeps its slot in the stack,
     where its NaNs reach no other model; one whose last step leaves a
     parameter non-finite gets ``ModelParams``' ValueError. The others train

@@ -410,8 +410,9 @@ class TestInPlaceStep:
             for name, ref in zip(model._ARRAYS, ref_arrays):
                 assert getattr(trained, name).tobytes() == ref.tobytes()
 
-    @pytest.mark.parametrize("per_slot_starts", [False, True], ids=["one-start", "sliced-starts"])
-    @pytest.mark.parametrize("dropout_p", [0.0, 0.25])
+    @pytest.mark.parametrize("dropout_p, per_slot_starts", [
+        (0.0, False), (0.25, False), (0.0, True), (0.25, True),
+    ], ids=["0.0", "0.25", "0.0-sliced-starts", "0.25-sliced-starts"])
     def test_each_model_of_a_stack_equals_its_reference_run(self, tiny_corpus, dropout_p,
                                                             per_slot_starts):
         # three 2-of-3 channel subsets, from one start or each from its own
