@@ -446,9 +446,16 @@ def main(argv: list[str] | None = None) -> int:
         GeneratorConfig.from_dict(cfg["generator"])
         epochs = cfg["train"]["epochs"] or int(args.command == "finetune")
         TrainConfig(**{**cfg["train"], "epochs": epochs})
-        for section, key in (("eval", "per_threshold"), ("search", "k_top")):
+        for section, key in (("eval", "per_threshold"), ("search", "k_top"),
+                             ("search", "replicates"), ("model", "window"),
+                             ("model", "features")):
             if cfg[section][key] < 1:
                 raise ValueError(f"{key} must be >= 1, got {cfg[section][key]}")
+        if cfg["search"]["workers"] < 0:  # 0 runs as many workers as there are CPUs
+            raise ValueError(f"workers must be >= 1, got {cfg['search']['workers']}")
+        if not 0.0 < cfg["eval"]["train_fraction"] < 1.0:
+            raise ValueError(f"train_fraction must be in (0, 1), got "
+                             f"{cfg['eval']['train_fraction']}")
         EvalRecord.check_metric(cfg["search"]["metric"])
         return args.func(args, cfg)
     except TrainingDivergedError as exc:

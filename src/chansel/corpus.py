@@ -163,30 +163,37 @@ def load_corpus(directory: Path) -> Corpus:
         check_format_version(manifest, CORPUS_FORMAT_VERSION)
         n = positive_int(manifest["utterances"], "utterances")
 
-    labels_by_utt: dict[int, list[tuple[int, str]]] = {i: [] for i in range(n)}
+    # one list of labels per utterance, filled row by row; every label is
+    # the one string object kept for its text, shared by all utterances
+    labels_by_utt: dict[int, list[str]] = {i: [] for i in range(n)}
+    symbols: dict[str, str] = {}
     labels_path = directory / "labels.csv"
-    rows = labels_path.read_text(encoding="utf-8").strip().splitlines()
-    with naming("corpus labels", labels_path):
-        if not rows:
+    with labels_path.open(encoding="utf-8") as lines, naming("corpus labels", labels_path):
+        header = next(lines, "").rstrip("\n")
+        if not header:
             raise ValueError("is empty")
-        if rows[0] != _LABELS_HEADER:
-            raise ValueError(f"has the header {rows[0]!r}, expected {_LABELS_HEADER!r}")
-        for line, row in enumerate(rows[1:], start=2):
+        if header != _LABELS_HEADER:
+            raise ValueError(f"has the header {header!r}, expected {_LABELS_HEADER!r}")
+        for line, row in enumerate(lines, start=2):
+            row = row.rstrip("\n")
             try:
                 utt, frame, lab = row.split(",")
-                labels_by_utt[int(utt)].append((int(frame), lab))
+                labels = labels_by_utt[int(utt)]
+                frame = int(frame)
             except (ValueError, KeyError):
                 raise ValueError(
                     f"line {line} reads {row!r}, expected utterance,frame,label with an "
                     f"utterance index below {n} and an integer frame"
                 ) from None
+            if frame != len(labels):
+                raise ValueError(f"line {line} reads {row!r}, expected frame {len(labels)} of "
+                                 f"utterance {int(utt)}")
+            labels.append(symbols.setdefault(lab, lab))
 
     signals = [load_signal(directory / f"utt_{i:05d}.json") for i in range(n)]
     with naming("corpus labels", labels_path):
-        sequences = tuple(
-            LabeledSequence.from_labels(signal, [lab for _, lab in sorted(labels_by_utt[i])])
-            for i, signal in enumerate(signals)
-        )
+        sequences = tuple(LabeledSequence.from_labels(signal, labels_by_utt[i])
+                          for i, signal in enumerate(signals))
     with naming("corpus", directory):
         corpus = Corpus(sequences, config=manifest.get("config"))
         if corpus.content_hash != manifest["hash"]:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import statistics
 from dataclasses import asdict, dataclass
 from typing import Sequence
 
@@ -108,7 +107,9 @@ def elimination_plot_csv(trace: EliminationTrace, provenance: Provenance | None 
     each surviving subset size."""
     rows = [("channel_count", f"best_{trace.metric_name}", f"median_{trace.metric_name}")]
     for step in trace.steps:
-        median = statistics.median(m for _, m in step.candidates)
+        values = sorted(m for _, m in step.candidates)
+        mid = len(values) // 2
+        median = values[mid] if len(values) % 2 else (values[mid - 1] + values[mid]) / 2
         rows.append((len(step.surviving), repr(step.metric), repr(median)))
     return _render(rows, provenance)
 

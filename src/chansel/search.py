@@ -10,7 +10,10 @@ workers > 1 the stacks run in a process pool, and all outputs are sorted
 canonically so the worker count never changes a byte of what lands on disk.
 An evaluator starts its pool on the first batch that trains and keeps it for
 every later batch; each search procedure closes the evaluator when it ends,
-and a library caller of ``evaluate_many`` calls ``close`` itself.
+and a library caller of ``evaluate_many`` calls ``close`` itself. The pool
+machinery (``concurrent.futures.process`` and ``multiprocessing``) is
+imported when the module attribute ``ProcessPoolExecutor`` is first read,
+which a pool start does, so a command that trains nothing never loads it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import math
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -49,6 +51,15 @@ from .model import (
 )
 from .phonemes import CategoryTable
 from .signals import ChannelSubset, parse_subset
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first read (PEP 562); assigning
+    the name replaces the class that later pools start from."""
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class SweepBudgetError(RuntimeError):
@@ -480,7 +491,8 @@ class TrainingEvaluator:
         futures = []
         if self.workers > 1:
             if self._pool is None:
-                self._pool = ProcessPoolExecutor(
+                # read through the module, so an assigned pool class is used
+                self._pool = sys.modules[__name__].ProcessPoolExecutor(
                     max_workers=self.workers,
                     initializer=_init_worker,
                     initargs=(self._task_inputs(), _openblas_library()),

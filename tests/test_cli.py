@@ -5,6 +5,8 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -124,7 +126,7 @@ class TestPretrain:
         code = main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(out), flag, "0"])
         assert code == EXIT_DATA
-        assert "bad layer sizes" in capsys.readouterr().err
+        assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_rerun_is_byte_identical(self, workdir, corpus_dir):
@@ -206,7 +208,7 @@ class TestFinetune:
                      "--out", str(out), "--subset", "13", "--from-scratch",
                      "--features", "0"])
         assert code == EXIT_DATA
-        assert "bad layer sizes" in capsys.readouterr().err
+        assert "features must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_init_model_must_match_corpus_channels(self, workdir, corpus_dir, tmp_path,
@@ -613,6 +615,31 @@ class TestSearchCommands:
         assert code == EXIT_DATA
         assert "missing" in capsys.readouterr().err
 
+    def test_commands_that_train_nothing_load_no_pool_modules(self, workdir, corpus_dir):
+        """gen-data, then a warm exhaustive and report at two workers, run in
+        a fresh interpreter, import neither the process-pool machinery nor
+        statistics."""
+        out = workdir / "sweep"
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out)]) == EXIT_OK
+        script = """
+import json, sys
+from chansel.cli import main
+config, corpus, out = json.loads(sys.argv[1])
+assert main(["gen-data", "--config", config, "--out", corpus]) == 0
+for command in ("exhaustive", "report"):
+    assert main([command, "--config", config, "--corpus", corpus, "--out", out,
+                 "--workers", "2"]) == 0
+modules = ("concurrent.futures.process", "multiprocessing", "statistics")
+print(json.dumps([name for name in modules if name in sys.modules]))
+"""
+        args = json.dumps([_cfg(workdir), str(workdir / "regenerated"), str(out)])
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-c", script, args], env=env,
+                             capture_output=True, text=True, check=True)
+        assert "wrote 12 utterances" in run.stdout  # the same corpus hash: every record hits
+        assert json.loads(run.stdout.splitlines()[-1]) == []
+
     @pytest.mark.parametrize("replicates", ["1", "2"])
     def test_ablate7_outputs(self, workdir, corpus_dir, replicates):
         out = workdir / "ablate"
@@ -895,6 +922,10 @@ class TestExitCodes:
         ("labels.csv", lambda data: data.replace(b"utterance,frame,label", b"utterance,frame"),
          "corpus labels", "labels.csv",
          "has the header 'utterance,frame', expected 'utterance,frame,label'"),
+        ("labels.csv", lambda data: data.replace(b"\n0,1,SIL\n", b"\n0,0,SIL\n", 1),
+         "corpus labels", "labels.csv", "line 3 reads '0,0,SIL', expected frame 1 of utterance 0"),
+        ("labels.csv", lambda data: data.replace(b"\n0,1,SIL\n", b"\n", 1),
+         "corpus labels", "labels.csv", "line 3 reads '0,2,SIL', expected frame 1 of utterance 0"),
         ("manifest.json", _with_key("utterances", "eight"), "corpus manifest", "manifest.json",
          "key 'utterances' must be an integer, got 'eight'"),
         ("manifest.json", _with_key("format_version", 99), "corpus manifest", "manifest.json",
@@ -905,6 +936,7 @@ class TestExitCodes:
          "corpus", "", "utterance 2 has 2 channels, expected 4"),
     ], ids=["torn", "channels-not-integer", "channels-negative", "sample-rate-zero",
             "sample-rate-null", "payload-nan", "labels-empty", "labels-short", "labels-header",
+            "labels-frame-repeated", "labels-frame-skipped",
             "utterances-not-integer", "future-format", "channel-count-differs"])
     def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, capsys,
                                                   damaged, damage, what, named, problem):
@@ -976,12 +1008,21 @@ class TestExitCodes:
         ("exhaustive", "--learning-rate", "inf", "learning_rate must be finite and > 0, got inf"),
         *[(command, "--train-fraction", value, f"train_fraction must be in (0, 1), got {value}.0")
           for command in ("exhaustive", "pretrain") for value in ("1", "0")],
+        ("exhaustive", "--train-fraction", "2.0", "train_fraction must be in (0, 1), got 2.0"),
+        ("exhaustive", "--replicates", "0", "replicates must be >= 1, got 0"),
+        ("exhaustive", "--workers", "-1", "workers must be >= 1, got -1"),
+        ("exhaustive", "--window", "0", "window must be >= 1, got 0"),
+        ("exhaustive", "--features", "0", "features must be >= 1, got 0"),
+        ("pretrain", "--window", "0", "window must be >= 1, got 0"),
     ], ids=["noise-sigma-inf", "learning-rate-inf", "exhaustive-fraction-1",
-            "exhaustive-fraction-0", "pretrain-fraction-1", "pretrain-fraction-0"])
-    def test_out_of_range_setting_is_refused_naming_the_key(self, workdir, corpus_dir, capsys,
+            "exhaustive-fraction-0", "pretrain-fraction-1", "pretrain-fraction-0",
+            "exhaustive-fraction-2", "exhaustive-replicates-0", "exhaustive-workers-negative",
+            "exhaustive-window-0", "exhaustive-features-0", "pretrain-window-0"])
+    def test_out_of_range_setting_is_refused_naming_the_key(self, workdir, capsys,
                                                            command, flag, value, message):
+        """Refused before any file is read: the corpus does not exist."""
         out = workdir / "x"
-        corpus = ["--corpus", str(corpus_dir)] if command != "gen-data" else []
+        corpus = ["--corpus", str(workdir / "missing")] if command != "gen-data" else []
         code = main([command, "--config", _cfg(workdir), *corpus, "--out", str(out),
                      flag, value])
         assert code == EXIT_DATA

@@ -1025,6 +1025,8 @@ class TestPoolLifetime:
         corpus = _search_corpus(channels=4)
         serial = backward_elimination(_evaluator(corpus, tmp_path / "serial"), 4, 1,
                                       metric="per_total")
+        # imported on first read: the real class until the name is assigned
+        assert search.ProcessPoolExecutor is ProcessPoolExecutor
         starts = _count_pool_starts(monkeypatch)
         ev = _evaluator(corpus, tmp_path / "pool", workers=2)
         assert backward_elimination(ev, 4, 1, metric="per_total") == serial
