@@ -1,11 +1,12 @@
 """chansel: channel-subset selection toolkit for multichannel sequence data.
 
-Core pieces: channel dropout masking and subset restriction (signals),
-a phoneme category taxonomy (phonemes), WER/PER metrics with per-category
-aggregation (metrics), a small trainable reference classifier whose input
-layer slices along channels (model), a synthetic corpus generator with
-planted channel informativeness (synth), and cached subset-search procedures
-(search). The ``chansel`` CLI orchestrates the experiment workflows.
+Core pieces: channel dropout masks and subset restriction (signals), a
+phoneme category taxonomy (phonemes), edit distance and per-category error
+rates (metrics), a small trainable reference classifier whose input layer
+slices along channels and whose training applies channel dropout (model), a
+synthetic corpus generator with planted channel informativeness (synth), and
+cached subset-search procedures (search). The ``chansel`` CLI orchestrates
+the experiment workflows.
 """
 
 from ._version import __version__
@@ -14,8 +15,6 @@ from .metrics import (
     CategoryReport,
     category_per,
     collapse_frame_labels,
-    phoneme_error_rate,
-    word_error_rate,
     worst_channel_table,
 )
 from .model import (
@@ -24,7 +23,6 @@ from .model import (
     TrainConfig,
     evaluate,
     forward,
-    gradient_check,
     init_params,
     slice_input_channels,
     train,
@@ -45,11 +43,10 @@ from .signals import (
     ChannelMask,
     ChannelSubset,
     MultichannelSignal,
-    apply_channel_dropout,
     parse_subset,
     restrict_to_subset,
 )
-from .synth import GeneratorConfig, complementary_pair_config, generate, planted_importance
+from .synth import GeneratorConfig, generate
 
 # the public API is every name imported above from the submodules
 __all__ = ["__version__", *(name for name, value in globals().items()

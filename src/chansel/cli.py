@@ -452,7 +452,7 @@ def main(argv: list[str] | None = None) -> int:
             if cfg[section][key] < 1:
                 raise ValueError(f"{key} must be >= 1, got {cfg[section][key]}")
         if cfg["search"]["workers"] < 0:  # 0 runs as many workers as there are CPUs
-            raise ValueError(f"workers must be >= 1, got {cfg['search']['workers']}")
+            raise ValueError(f"workers must be >= 0, got {cfg['search']['workers']}")
         if not 0.0 < cfg["eval"]["train_fraction"] < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got "
                              f"{cfg['eval']['train_fraction']}")

@@ -1,10 +1,11 @@
-"""Word error rate, frame-wise phoneme error rate, and category aggregation.
+"""Edit distance, frame labels as word tokens, and per-category error rates.
 
 WER is classic minimum-edit-distance with unit costs over word tokens; the
 rate is edits divided by the reference length and can exceed 1.0 when the
-hypothesis inserts enough junk. PER here is frame-wise classification error
-(one prediction per frame), which makes per-category attribution exact: a
-frame belongs to a category iff its REFERENCE label does.
+hypothesis inserts enough junk (the scorer, ``model.ScoringReference``, sums
+both over a split). PER here is frame-wise classification error (one
+prediction per frame), which makes per-category attribution exact: a frame
+belongs to a category iff its REFERENCE label does.
 
 Rates are plain fractions everywhere in this module; turning them into
 percentages is the report writers' business.
@@ -38,22 +39,6 @@ def edit_distance(ref: Sequence[str], hyp: Sequence[str]) -> int:
                 cur[j] = 1 + min(prev[j - 1], prev[j], cur[j - 1])
         prev = cur
     return prev[m]
-
-
-def word_error_rate(ref: Sequence[str], hyp: Sequence[str]) -> float:
-    """(S + D + I) / len(ref). The reference must be non-empty."""
-    if len(ref) == 0:
-        raise ValueError("reference token sequence must be non-empty")
-    return edit_distance(ref, hyp) / len(ref)
-
-
-def phoneme_error_rate(ref: Sequence[str], hyp: Sequence[str]) -> float:
-    """Fraction of frames where the hypothesis label differs from the reference."""
-    if len(ref) != len(hyp):
-        raise ValueError(f"frame label length mismatch: ref {len(ref)} vs hyp {len(hyp)}")
-    if len(ref) == 0:
-        return 0.0
-    return sum(map(ne, ref, hyp)) / len(ref)
 
 
 @dataclass(frozen=True)

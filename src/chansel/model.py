@@ -456,45 +456,6 @@ def fit_windows(
     return outcomes, retained_sum / draws if draws else float(shape.channels)
 
 
-def gradient_check(
-    params: ModelParams,
-    batch: Sequence[LabeledSequence],
-    n_coords: int = 100,
-    step: float = 1e-5,
-    seed: int = 0,
-    negate_analytic: bool = False,
-) -> float:
-    """Max relative error between analytic and central finite-difference
-    gradients on randomly chosen coordinates of the flat parameter buffer.
-    ``negate_analytic`` flips the analytic gradient's sign and exists as the
-    negative control: a correct implementation then reports an error near 1."""
-    if not batch:
-        raise ValueError("gradient check needs a non-empty batch")
-    xw = np.vstack(_windows(params, [seq.signal.samples for seq in batch]))[:, None]
-    y = np.concatenate(label_indices(batch, params.class_symbols))
-
-    weights, arrays, grad, grads = _buffers([params])
-    weights, grad = weights[0], grad[0]
-    work = _frame_buffers(len(xw), 1, params.features, params.classes, params.features)
-    _loss_and_grads(*arrays, xw, y, grads, *work)
-    rng = np.random.default_rng(seed)
-    coords = rng.choice(weights.size, size=min(n_coords, weights.size), replace=False)
-    analytic = -grad[coords] if negate_analytic else grad[coords]
-
-    worst = 0.0
-    for i, a in zip(coords, analytic.tolist()):
-        saved = weights[i]
-        weights[i] += step
-        [loss_plus] = _loss_and_grads(*arrays, xw, y, grads, *work)
-        weights[i] -= 2 * step
-        [loss_minus] = _loss_and_grads(*arrays, xw, y, grads, *work)
-        weights[i] = saved
-        numeric = (loss_plus - loss_minus) / (2 * step)
-        rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
-        worst = max(worst, rel)
-    return worst
-
-
 def subset_columns(subset: ChannelSubset, window: int) -> np.ndarray:
     """Input-layer columns of a subset's channels: channel c owns columns
     [c*W, (c+1)*W), so ``featurize(x)[:, cols]`` equals the windows of the

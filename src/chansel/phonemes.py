@@ -135,9 +135,6 @@ class CategoryTable:
     def __contains__(self, symbol: str) -> bool:
         return symbol in self._by_symbol
 
-    def categories_of(self, symbol: str) -> frozenset[str]:
-        return self.phoneme(symbol).categories()
-
     def category_members(self, name: str) -> frozenset[str]:
         try:
             return self._members[name]

@@ -1,13 +1,14 @@
-"""Multichannel signal container, channel dropout masking, and subset restriction.
+"""Multichannel signal container, channel dropout masks, and subset restriction.
 
 A recording is a C-by-T block of real samples (rows are channels, columns are
-time steps). Channel dropout zeroes whole rows to simulate absent sensors:
-each channel is kept independently with probability 1 - p and no rescaling is
-applied to the survivors, so a masked channel is indistinguishable from a dead
-one. Subsets are canonically written with 1-based channel labels ("1356" means
-channels 1, 3, 5 and 6) while all in-memory indices are 0-based. A signal
-file is an artefact (see ``artefacts.py``) whose header holds the channel
-count, the samples per channel and the sample rate.
+time steps). A channel dropout mask keeps each channel independently with
+probability 1 - p; training (``model.fit_windows``) zeroes the dropped
+channels' window blocks and leaves the survivors unscaled, so a masked
+channel is indistinguishable from a dead one. Subsets are canonically written
+with 1-based channel labels ("1356" means channels 1, 3, 5 and 6) while all
+in-memory indices are 0-based. A signal file is an artefact (see
+``artefacts.py``) whose header holds the channel count, the samples per
+channel and the sample rate.
 """
 
 from __future__ import annotations
@@ -70,13 +71,6 @@ class ChannelMask:
     @property
     def retained(self) -> int:
         return sum(self.bits)
-
-    def apply(self, x: MultichannelSignal) -> MultichannelSignal:
-        """Zero every channel whose bit is 0. Idempotent."""
-        if len(self.bits) != x.channels:
-            raise ValueError(f"mask covers {len(self.bits)} channels, signal has {x.channels}")
-        col = np.asarray(self.bits, dtype=np.float64)[:, None]
-        return MultichannelSignal(x.samples * col, sample_rate=x.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -166,20 +160,6 @@ def draw_channel_mask(channels: int, p: float, rng: np.random.Generator) -> Chan
         raise ValueError(f"dropout probability must be in [0, 1], got {p}")
     bits = rng.random(channels) < 1.0 - p
     return ChannelMask(tuple(int(b) for b in bits))
-
-
-def apply_channel_dropout(
-    x: MultichannelSignal, p: float, rng: np.random.Generator
-) -> tuple[MultichannelSignal, ChannelMask]:
-    """Randomly zero whole channels of ``x``.
-
-    Each channel is retained independently with probability 1 - p; dropped
-    channels become exact zeros and retained ones are untouched (no 1/(1-p)
-    rescaling). The input signal is never modified. p=0 is the identity,
-    p=1 zeroes everything; the all-zero mask is a legal draw.
-    """
-    mask = draw_channel_mask(x.channels, p, rng)
-    return mask.apply(x), mask
 
 
 def restrict_to_subset(x: MultichannelSignal, s: ChannelSubset) -> MultichannelSignal:

@@ -18,7 +18,7 @@ per word, so the transcript is exactly the collapse of the frame labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 import numpy as np
@@ -191,50 +191,3 @@ def generate(cfg: GeneratorConfig) -> Corpus:
             LabeledSequence.from_labels(MultichannelSignal(signal), labels)
         )
     return Corpus(tuple(sequences), config=cfg.to_dict())
-
-
-def planted_importance(cfg: GeneratorConfig) -> tuple[int, ...]:
-    """Channels (0-based) ranked most-informative first: by planted weight
-    descending, ties broken by channel index."""
-    return tuple(sorted(range(cfg.channels), key=lambda c: (-cfg.weights[c], c)))
-
-
-def complementary_pair_config(
-    base: GeneratorConfig,
-    pair: tuple[int, int] = (0, 1),
-    pair_weight: float = 1.0,
-) -> GeneratorConfig:
-    """Rig a config so two channels are only strong together.
-
-    The pair channels each carry templates for a disjoint half of the class
-    set at ``pair_weight``; every other channel keeps its base weight and
-    covers all classes. Neither pair member can decode the classes the other
-    owns, but jointly they cover everything at full strength, so the best
-    equal-size subset must contain both: the fixture on which greedy
-    elimination can go wrong while an exhaustive sweep cannot.
-    """
-    if base.channels < 4:
-        raise ValueError(f"complementary fixture needs >= 4 channels, got {base.channels}")
-    a, b = pair
-    if a == b or not (0 <= a < base.channels and 0 <= b < base.channels):
-        raise ValueError(f"invalid channel pair {pair} for {base.channels} channels")
-    k = len(base.classes)
-    first_half = tuple(range((k + 1) // 2))
-    second_half = tuple(range((k + 1) // 2, k))
-    all_classes = tuple(range(k))
-    coverage = []
-    weights = list(base.weights)
-    for c in range(base.channels):
-        if c == a:
-            coverage.append(first_half)
-            weights[c] = pair_weight
-        elif c == b:
-            coverage.append(second_half)
-            weights[c] = pair_weight
-        else:
-            coverage.append(all_classes)
-    return replace(
-        base,
-        weights=tuple(weights),
-        channel_classes=tuple(coverage),
-    )

@@ -20,7 +20,6 @@ from chansel.model import (
     TrainConfig,
     evaluate,
     forward,
-    gradient_check,
     init_params,
     slice_input_channels,
     train,
@@ -41,13 +40,16 @@ from chansel.signals import (
     parse_subset,
     restrict_to_subset,
 )
-from chansel.synth import (
-    GeneratorConfig,
+from chansel.synth import GeneratorConfig, generate
+from util import (
+    binomial_by_factorials,
     complementary_pair_config,
-    generate,
+    exhaustive_edit_distance,
+    gradient_check,
+    make_record,
+    make_sequence,
     planted_importance,
 )
-from util import binomial_by_factorials, exhaustive_edit_distance, make_record, make_sequence
 
 
 @contextmanager

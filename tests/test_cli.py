@@ -606,7 +606,7 @@ class TestSearchCommands:
         code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(out), "--workers", "-1"])
         assert code == EXIT_DATA
-        assert "workers must be >= 1, got -1" in capsys.readouterr().err
+        assert "workers must be >= 0, got -1" in capsys.readouterr().err
         assert not out.exists() or _read_all(out) == {}
 
     def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
@@ -1010,7 +1010,7 @@ class TestExitCodes:
           for command in ("exhaustive", "pretrain") for value in ("1", "0")],
         ("exhaustive", "--train-fraction", "2.0", "train_fraction must be in (0, 1), got 2.0"),
         ("exhaustive", "--replicates", "0", "replicates must be >= 1, got 0"),
-        ("exhaustive", "--workers", "-1", "workers must be >= 1, got -1"),
+        ("exhaustive", "--workers", "-1", "workers must be >= 0, got -1"),
         ("exhaustive", "--window", "0", "window must be >= 1, got 0"),
         ("exhaustive", "--features", "0", "features must be >= 1, got 0"),
         ("pretrain", "--window", "0", "window must be >= 1, got 0"),

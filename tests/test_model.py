@@ -11,7 +11,6 @@ from chansel.metrics import (
     category_per,
     collapse_frame_labels,
     edit_distance,
-    phoneme_error_rate,
 )
 from chansel.model import (
     DROPOUT_PRESETS,
@@ -20,7 +19,6 @@ from chansel.model import (
     TrainingDivergedError,
     evaluate,
     forward,
-    gradient_check,
     init_params,
     load_model,
     model_hash,
@@ -33,7 +31,7 @@ from chansel.model import (
     featurize,
 )
 from chansel.signals import ChannelSubset, MultichannelSignal, restrict_to_subset
-from util import make_sequence
+from util import gradient_check, make_sequence, phoneme_error_rate
 
 
 def _hand_params() -> ModelParams:

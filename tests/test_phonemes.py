@@ -35,10 +35,11 @@ def test_inventory_is_arpabet_39_plus_silence(table):
 
 
 def test_chart_examples(table):
-    assert table.categories_of("B") == {"consonant", "voiced", "manner_plosive", "place_bilabial"}
-    assert table.categories_of(SILENCE_SYMBOL) == {"silence"}
-    assert table.categories_of("IY") == {"vowel", "voiced", "vowel_high", "vowel_front",
-                                         "vowel_unrounded"}
+    assert table.phoneme("B").categories() == {"consonant", "voiced", "manner_plosive",
+                                               "place_bilabial"}
+    assert table.phoneme(SILENCE_SYMBOL).categories() == {"silence"}
+    assert table.phoneme("IY").categories() == {"vowel", "voiced", "vowel_high", "vowel_front",
+                                                "vowel_unrounded"}
 
 
 def test_member_examples(table):
@@ -49,7 +50,7 @@ def test_member_examples(table):
 
 def test_unknown_lookups_raise(table):
     with pytest.raises(KeyError, match="ZZ"):
-        table.categories_of("ZZ")
+        table.phoneme("ZZ").categories()
     with pytest.raises(KeyError, match="manner_click"):
         table.category_members("manner_click")
 
@@ -88,7 +89,7 @@ def test_categories_and_members_are_mutually_consistent(table):
     for symbol in table.symbols:
         for name in table.names:
             in_members = symbol in table.category_members(name)
-            in_categories = name in table.categories_of(symbol)
+            in_categories = name in table.phoneme(symbol).categories()
             assert in_members == in_categories, (symbol, name)
 
 
@@ -133,7 +134,7 @@ def test_csv_round_trip(table, tmp_path):
     reloaded = CategoryTable.from_csv(path)
     assert reloaded.symbols == table.symbols
     for sym in table.symbols:
-        assert reloaded.categories_of(sym) == table.categories_of(sym)
+        assert reloaded.phoneme(sym).categories() == table.phoneme(sym).categories()
 
 
 def test_custom_inventory_substitution(tmp_path):
@@ -146,8 +147,8 @@ def test_custom_inventory_substitution(tmp_path):
         "SIL,silence,,,,,,\n"
     )
     mini = CategoryTable.from_csv(path)
-    assert mini.categories_of("PA") == {"consonant", "voiceless", "manner_plosive",
-                                        "place_bilabial"}
+    assert mini.phoneme("PA").categories() == {"consonant", "voiceless", "manner_plosive",
+                                               "place_bilabial"}
     assert mini.category_members("manner_nasal") == set()
 
 

@@ -1,4 +1,7 @@
+import ast
 import ctypes
+import importlib
+import inspect
 import itertools
 import json
 import multiprocessing
@@ -7,6 +10,7 @@ import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1078,6 +1082,63 @@ class TestPoolLifetime:
         ev.close()
         assert ev.training_runs == 3
         assert multiprocessing.active_children() == []
+
+
+REPLICA = Path(__file__).parents[1] / "perfbench" / "replica.py"
+
+
+def _replica_calls() -> dict[tuple[str, ...], set[str]]:
+    """Each chansel name ``perfbench/replica.py`` reads, as a module and an
+    attribute chain, with the keyword names it passes when it calls it: the
+    names of its ``from chansel.<module> import`` lines, the modules of its
+    ``from chansel import`` line, and every attribute chain it reads from
+    those modules."""
+    tree = ast.parse(REPLICA.read_text())
+    modules: dict[str, str] = {}
+    calls: dict[tuple[str, ...], set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "chansel":
+            for alias in node.names:
+                modules[alias.asname or alias.name] = f"chansel.{alias.name}"
+                calls[(f"chansel.{alias.name}",)] = set()
+        elif isinstance(node, ast.ImportFrom) and node.module.startswith("chansel."):
+            for alias in node.names:
+                calls[(node.module, alias.name)] = set()
+
+    def chain(node) -> tuple[str, ...] | None:
+        if isinstance(node, ast.Name):
+            return (modules[node.id],) if node.id in modules else None
+        if isinstance(node, ast.Attribute):
+            head = chain(node.value)
+            return None if head is None else (*head, node.attr)
+        return None
+
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and (path := chain(node)):
+            calls.setdefault(path, set())
+        if isinstance(node, ast.Call) and (path := chain(node.func)):
+            calls.setdefault(path, set()).update(kw.arg for kw in node.keywords)
+    return calls
+
+
+def test_benchmark_replica_names_resolve():
+    """The traced benchmark runs ``perfbench/replica.py`` on this checkout's
+    ``src/``; a name it reads that the library drops breaks only that run."""
+    calls = _replica_calls()
+    assert ("chansel.model", "predict_labels") in calls  # the walk finds the module reads
+    assert calls[("chansel.search", "TrainingEvaluator")] >= {"train_corpus", "workers", "cache"}
+    for (module, *attrs), keywords in calls.items():
+        obj = importlib.import_module(module)
+        for attr in attrs:
+            assert hasattr(obj, attr), ".".join((module, *attrs))
+            obj = getattr(obj, attr)
+        if keywords:
+            inspect.signature(obj).bind_partial(**dict.fromkeys(keywords))
+    # what the replica calls on instances, which the walk cannot resolve
+    for cls, method in ((Corpus, "restrict"), (Corpus, "split"), (Corpus, "label_alphabet"),
+                        (ResultsCache, "get"), (ResultsCache, "put"), (ResultsCache, "__len__")):
+        assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
+    inspect.signature(TrainingEvaluator.evaluate_many).bind_partial(None, [], require_cached=True)
 
 
 class TestSevenChannelAblation:

@@ -2,14 +2,12 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from chansel.signals import (
-    ChannelMask,
     ChannelSubset,
     MultichannelSignal,
-    apply_channel_dropout,
     draw_channel_mask,
     load_signal,
     parse_subset,
@@ -131,34 +129,15 @@ class TestRestrict:
 
 class TestChannelDropout:
     def test_p_zero_is_identity(self):
-        x = _signal()
-        out, mask = apply_channel_dropout(x, 0.0, np.random.default_rng(0))
-        assert mask.bits == (1,) * x.channels
-        assert np.array_equal(out.samples, x.samples)
+        assert draw_channel_mask(4, 0.0, np.random.default_rng(0)).bits == (1,) * 4
 
     def test_p_one_zeroes_everything(self):
-        x = _signal()
-        out, mask = apply_channel_dropout(x, 1.0, np.random.default_rng(0))
-        assert mask.bits == (0,) * x.channels
-        assert np.all(out.samples == 0.0)
+        assert draw_channel_mask(4, 1.0, np.random.default_rng(0)).bits == (0,) * 4
 
     def test_p_out_of_range_rejected(self):
-        x = _signal()
         for bad in (-0.1, 1.1):
             with pytest.raises(ValueError, match=r"\[0, 1\]"):
-                apply_channel_dropout(x, bad, np.random.default_rng(0))
-
-    def test_input_not_modified_and_no_rescaling(self):
-        x = _signal(seed=3)
-        before = x.samples.copy()
-        out, mask = apply_channel_dropout(x, 0.5, np.random.default_rng(5))
-        assert np.array_equal(x.samples, before)
-        for c, bit in enumerate(mask.bits):
-            if bit:
-                # retained rows are bit-identical: plain masking, no 1/(1-p)
-                assert np.array_equal(out.samples[c], x.samples[c])
-            else:
-                assert np.all(out.samples[c] == 0.0)
+                draw_channel_mask(4, bad, np.random.default_rng(0))
 
     def test_same_seed_same_mask_sequence(self):
         seqs = []
@@ -176,34 +155,6 @@ class TestChannelDropout:
             hits += draw_channel_mask(channels, p, rng).bits
         bound = 4 * np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(hits / n - (1 - p)) <= bound)
-
-    @given(st.integers(0, 10_000), st.integers(1, 6), st.integers(1, 8))
-    @settings(max_examples=50)
-    def test_masking_is_idempotent(self, seed, channels, frames):
-        rng = np.random.default_rng(seed)
-        x = MultichannelSignal(rng.normal(size=(channels, frames)))
-        mask = draw_channel_mask(channels, 0.5, rng)
-        once = mask.apply(x)
-        twice = mask.apply(once)
-        assert np.array_equal(once.samples, twice.samples)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50)
-    def test_mask_then_restrict_commutes(self, seed):
-        rng = np.random.default_rng(seed)
-        channels = int(rng.integers(2, 7))
-        x = MultichannelSignal(rng.normal(size=(channels, 5)))
-        mask = draw_channel_mask(channels, 0.5, rng)
-        size = int(rng.integers(1, channels + 1))
-        subset = ChannelSubset.of(rng.choice(channels, size=size, replace=False))
-        a = restrict_to_subset(mask.apply(x), subset)
-        sub_mask = ChannelMask(tuple(mask.bits[i] for i in subset.indices))
-        b = sub_mask.apply(restrict_to_subset(x, subset))
-        assert np.array_equal(a.samples, b.samples)
-
-    def test_mask_length_must_match(self):
-        with pytest.raises(ValueError, match="covers"):
-            ChannelMask((1, 0)).apply(_signal(channels=3))
 
 
 class TestSignalFiles:

@@ -8,12 +8,8 @@ from chansel.metrics import collapse_frame_labels
 from chansel.model import TrainConfig, evaluate, init_params, train
 from chansel.phonemes import SILENCE_SYMBOL
 from chansel.signals import ChannelSubset
-from chansel.synth import (
-    GeneratorConfig,
-    complementary_pair_config,
-    generate,
-    planted_importance,
-)
+from chansel.synth import GeneratorConfig, generate
+from util import complementary_pair_config, planted_importance
 
 
 def _small_cfg(**overrides) -> GeneratorConfig:

@@ -1,21 +1,32 @@
 """Shared test helpers: independent oracles and fixture builders.
 
-The oracles here deliberately avoid the production code paths: edit distance
-is found by enumerating edit scripts with iterative deepening (no DP table),
-and binomial counts come straight from factorials.
+Most oracles avoid the production code paths: edit distance is found by
+enumerating edit scripts with iterative deepening (no DP table), binomial
+counts come straight from factorials, and the frame error rate counts
+differing labels one frame at a time. ``gradient_check`` is the exception:
+it differentiates the production loss, ``model._loss_and_grads``, by central
+finite differences and compares the result with that function's analytic
+gradient. The fixture builders rig ``synth`` configs whose right answer is
+known: the planted channel ranking and a pair of channels only strong
+together.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from operator import ne
 from typing import Sequence
 
 import numpy as np
 
 from chansel.corpus import LabeledSequence
 from chansel.metrics import CategoryReport, CategoryRow
-from chansel.model import EvalRecord
+from chansel.model import (
+    EvalRecord, ModelParams, _buffers, _frame_buffers, _loss_and_grads, _windows, label_indices,
+)
 from chansel.signals import MultichannelSignal
+from chansel.synth import GeneratorConfig
 
 
 def _can_edit(ref: tuple, hyp: tuple, budget: int) -> bool:
@@ -50,6 +61,97 @@ def binomial_by_factorials(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.factorial(n) // (math.factorial(k) * math.factorial(n - k))
+
+
+def phoneme_error_rate(ref: Sequence[str], hyp: Sequence[str]) -> float:
+    """Fraction of frames where the hypothesis label differs from the reference."""
+    if len(ref) != len(hyp):
+        raise ValueError(f"frame label length mismatch: ref {len(ref)} vs hyp {len(hyp)}")
+    if len(ref) == 0:
+        return 0.0
+    return sum(map(ne, ref, hyp)) / len(ref)
+
+
+def gradient_check(
+    params: ModelParams,
+    batch: Sequence[LabeledSequence],
+    n_coords: int = 100,
+    step: float = 1e-5,
+    seed: int = 0,
+    negate_analytic: bool = False,
+) -> float:
+    """Max relative error between analytic and central finite-difference
+    gradients on randomly chosen coordinates of the flat parameter buffer.
+    ``negate_analytic`` flips the analytic gradient's sign and exists as the
+    negative control: a correct implementation then reports an error near 1."""
+    if not batch:
+        raise ValueError("gradient check needs a non-empty batch")
+    xw = np.vstack(_windows(params, [seq.signal.samples for seq in batch]))[:, None]
+    y = np.concatenate(label_indices(batch, params.class_symbols))
+
+    weights, arrays, grad, grads = _buffers([params])
+    weights, grad = weights[0], grad[0]
+    work = _frame_buffers(len(xw), 1, params.features, params.classes, params.features)
+    _loss_and_grads(*arrays, xw, y, grads, *work)
+    rng = np.random.default_rng(seed)
+    coords = rng.choice(weights.size, size=min(n_coords, weights.size), replace=False)
+    analytic = -grad[coords] if negate_analytic else grad[coords]
+
+    worst = 0.0
+    for i, a in zip(coords, analytic.tolist()):
+        saved = weights[i]
+        weights[i] += step
+        [loss_plus] = _loss_and_grads(*arrays, xw, y, grads, *work)
+        weights[i] -= 2 * step
+        [loss_minus] = _loss_and_grads(*arrays, xw, y, grads, *work)
+        weights[i] = saved
+        numeric = (loss_plus - loss_minus) / (2 * step)
+        rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
+        worst = max(worst, rel)
+    return worst
+
+
+def planted_importance(cfg: GeneratorConfig) -> tuple[int, ...]:
+    """Channels (0-based) ranked most-informative first: by planted weight
+    descending, ties broken by channel index."""
+    return tuple(sorted(range(cfg.channels), key=lambda c: (-cfg.weights[c], c)))
+
+
+def complementary_pair_config(
+    base: GeneratorConfig,
+    pair: tuple[int, int] = (0, 1),
+    pair_weight: float = 1.0,
+) -> GeneratorConfig:
+    """Rig a config so two channels are only strong together.
+
+    The pair channels each carry templates for a disjoint half of the class
+    set at ``pair_weight``; every other channel keeps its base weight and
+    covers all classes. Neither pair member can decode the classes the other
+    owns, but jointly they cover everything at full strength, so the best
+    equal-size subset must contain both: the fixture on which greedy
+    elimination can go wrong while an exhaustive sweep cannot.
+    """
+    if base.channels < 4:
+        raise ValueError(f"complementary fixture needs >= 4 channels, got {base.channels}")
+    a, b = pair
+    if a == b or not (0 <= a < base.channels and 0 <= b < base.channels):
+        raise ValueError(f"invalid channel pair {pair} for {base.channels} channels")
+    k = len(base.classes)
+    first_half = tuple(range((k + 1) // 2))
+    second_half = tuple(range((k + 1) // 2, k))
+    all_classes = tuple(range(k))
+    coverage = []
+    weights = list(base.weights)
+    for c in range(base.channels):
+        if c == a:
+            coverage.append(first_half)
+            weights[c] = pair_weight
+        elif c == b:
+            coverage.append(second_half)
+            weights[c] = pair_weight
+        else:
+            coverage.append(all_classes)
+    return replace(base, weights=tuple(weights), channel_classes=tuple(coverage))
 
 
 def make_sequence(labels: Sequence[str], channels: int = 2, seed: int = 0) -> LabeledSequence:
