@@ -12,8 +12,9 @@ from chansel.metrics import (
     edit_distance,
     worst_channel_table,
 )
-from chansel.model import evaluate, init_params
-from util import exhaustive_edit_distance, phoneme_error_rate, report_from_rates
+from chansel.model import ScoringReference, evaluate, init_params
+from chansel.phonemes import SILENCE_SYMBOL, default_table
+from util import exhaustive_edit_distance, make_sequence, phoneme_error_rate, report_from_rates
 
 
 def _symbol_confusion(ref, hyp, table):
@@ -51,7 +52,30 @@ tokens = st.lists(st.sampled_from(["the", "cat", "sat", "on", "a", "mat", "bat",
                   max_size=6)
 
 
+def _scored_edits(ref_words, hyp_words) -> tuple[int, int]:
+    """Edits and reference tokens as ``ScoringReference.edits`` counts a
+    record's WER: each word one phoneme and a silence frame, the shorter
+    side padded with silence, which makes no word."""
+    ref, hyp = ([f for word in words for f in (word, SILENCE_SYMBOL)]
+                for words in (ref_words, hyp_words))
+    ref += [SILENCE_SYMBOL] * (len(hyp) - len(ref))
+    hyp += [SILENCE_SYMBOL] * (len(ref) - len(hyp))
+    classes = (SILENCE_SYMBOL, "B", "T", "AE", "M", "IY")
+    reference = ScoringReference([make_sequence(ref, channels=1)], classes, default_table())
+    return reference.edits(np.array([classes.index(sym) for sym in hyp])), reference.total_tokens
+
+
 class TestWordErrorRate:
+    @pytest.mark.parametrize("ref, hyp, edits", [
+        ("B T AE", "B T AE", 0), ("B T AE", "", 3), ("B T AE", "B M AE IY", 2),
+        ("B", "M T IY", 3), ("", "B T", 2),
+    ], ids=["identical", "all-deletions", "substitution-plus-insertion", "above-one",
+            "empty-reference-all-insertions"])
+    def test_record_edits_equal_the_exhaustive_oracle(self, ref, hyp, edits):
+        # a record refuses a split with no reference words (WER undefined)
+        assert exhaustive_edit_distance(ref.split(), hyp.split()) == edits
+        assert _scored_edits(ref.split(), hyp.split()) == (edits, len(ref.split()))
+
     @given(tokens.filter(len), tokens)
     @settings(max_examples=200, deadline=None)
     def test_matches_exhaustive_enumeration(self, ref, hyp):

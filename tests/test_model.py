@@ -30,7 +30,7 @@ from chansel.model import (
     _loss_and_grads,
     featurize,
 )
-from chansel.signals import ChannelSubset, MultichannelSignal, restrict_to_subset
+from chansel.signals import ChannelSubset, MultichannelSignal, draw_channel_mask, restrict_to_subset
 from util import gradient_check, make_sequence, phoneme_error_rate
 
 
@@ -53,15 +53,11 @@ def _sign_corpus(n_utts: int = 8, frames: int = 12, seed: int = 0) -> Corpus:
     rng = np.random.default_rng(seed)
     seqs = []
     for _ in range(n_utts):
-        labels = []
-        values = []
+        labels, values = [], []
         for _ in range(frames):
-            if rng.random() < 0.5:
-                labels.append("B")
-                values.append(1.0 + 0.05 * rng.normal())
-            else:
-                labels.append("T")
-                values.append(-1.0 + 0.05 * rng.normal())
+            label, level = ("B", 1.0) if rng.random() < 0.5 else ("T", -1.0)
+            labels.append(label)
+            values.append(level + 0.05 * rng.normal())
         seqs.append(LabeledSequence.from_labels(
             MultichannelSignal(np.array([values])), labels))
     return Corpus(tuple(seqs))
@@ -237,6 +233,28 @@ class TestTrain:
         result = train(params, Corpus(seqs), TrainConfig(
             learning_rate=0.1, epochs=10, batch_size=8, dropout_p=0.125, seed=0))
         assert abs(result.mean_retained_channels - 7.0) < 0.2
+
+    @pytest.mark.parametrize("seed, kept", [(14, [1, 0, 0]), (10, [1, 1, 0]), (11, [0, 1, 1])])
+    def test_dropout_freezes_only_the_columns_of_channels_the_batch_dropped(
+            self, tiny_corpus, seed, kept):
+        # one batch, one epoch: the masks drawn after the batch order keep
+        # ``kept``'s channels in some utterance; the caller's windows stay as they were
+        sequences = tiny_corpus.sequences[:4]
+        xw_all = [featurize(seq.signal.samples, 5) for seq in sequences]
+        before = [xw.tobytes() for xw in xw_all]
+        params = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=0)
+        cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=4, dropout_p=0.5, seed=seed)
+        rng = np.random.default_rng(seed)
+        rng.permutation(4)
+        bits = np.array([draw_channel_mask(3, 0.5, rng).bits for _ in sequences])
+        assert bits.any(axis=0).tolist() == kept
+        [(trained, _)], retained = model.fit_windows([params], model._all_channels(params), xw_all,
+            model.label_indices(sequences, params.class_symbols), cfg)
+        assert retained == bits.sum() / 4 and [xw.tobytes() for xw in xw_all] == before
+        for channel in range(3):
+            cols = subset_columns(ChannelSubset.of([channel]), 5)
+            assert np.array_equal(trained.input_weights[:, cols],
+                                  params.input_weights[:, cols]) != kept[channel], channel
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_with_batch_location(self):

@@ -1106,12 +1106,10 @@ def _replica_calls() -> dict[tuple[str, ...], set[str]]:
                 calls[(node.module, alias.name)] = set()
 
     def chain(node) -> tuple[str, ...] | None:
-        if isinstance(node, ast.Name):
-            return (modules[node.id],) if node.id in modules else None
         if isinstance(node, ast.Attribute):
             head = chain(node.value)
-            return None if head is None else (*head, node.attr)
-        return None
+            return head and (*head, node.attr)
+        return (modules[node.id],) if isinstance(node, ast.Name) and node.id in modules else None
 
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and (path := chain(node)):

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chansel.signals import (
+    ChannelMask,
     ChannelSubset,
     MultichannelSignal,
     draw_channel_mask,
@@ -155,6 +156,12 @@ class TestChannelDropout:
             hits += draw_channel_mask(channels, p, rng).bits
         bound = 4 * np.sqrt(p * (1 - p) / n)
         assert np.all(np.abs(hits / n - (1 - p)) <= bound)
+
+    def test_mask_rejects_empty_and_non_binary_bits(self):
+        for bad, message in (((), "at least one channel"), ((1, 2), "0 or 1"),
+                             ((1, 0.5), "0 or 1")):
+            with pytest.raises(ValueError, match=message):
+                ChannelMask(bad)
 
 
 class TestSignalFiles:

@@ -137,21 +137,10 @@ def complementary_pair_config(
     if a == b or not (0 <= a < base.channels and 0 <= b < base.channels):
         raise ValueError(f"invalid channel pair {pair} for {base.channels} channels")
     k = len(base.classes)
-    first_half = tuple(range((k + 1) // 2))
-    second_half = tuple(range((k + 1) // 2, k))
-    all_classes = tuple(range(k))
-    coverage = []
-    weights = list(base.weights)
-    for c in range(base.channels):
-        if c == a:
-            coverage.append(first_half)
-            weights[c] = pair_weight
-        elif c == b:
-            coverage.append(second_half)
-            weights[c] = pair_weight
-        else:
-            coverage.append(all_classes)
-    return replace(base, weights=tuple(weights), channel_classes=tuple(coverage))
+    halves = {a: tuple(range((k + 1) // 2)), b: tuple(range((k + 1) // 2, k))}
+    coverage = tuple(halves.get(c, tuple(range(k))) for c in range(base.channels))
+    weights = tuple(pair_weight if c in halves else w for c, w in enumerate(base.weights))
+    return replace(base, weights=weights, channel_classes=coverage)
 
 
 def make_sequence(labels: Sequence[str], channels: int = 2, seed: int = 0) -> LabeledSequence:
