@@ -2,22 +2,42 @@
 
 An artefact is a JSON header ``NAME.json`` next to a payload ``NAME.bin`` of
 float64 values, little-endian and row-major; the header says how many.
-Signals and models are artefacts. Every other file chansel writes, except
-the results cache, is text written by ``write_text``.
+Signals and models are artefacts, read back as the header and the payload's
+bytes. Every other file chansel writes, except the results cache, is text
+written by ``write_text``.
 
 Every ValueError raised while reading a file, or building an object from
 it, reads ``<what> <path> <problem>``; ``naming`` adds the first two, also
 to a TypeError, which a value of the wrong type in a file raises.
+
+Every module that uses numpy imports ``np`` from here, bound by
+``lazy_numpy``, so a command that builds no array never loads numpy.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import json
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-import numpy as np
+
+def lazy_numpy():
+    """numpy, loaded on its first attribute read; unless numpy is imported
+    already, the lazy module goes into ``sys.modules``. An ``import numpy``
+    statement reads ``__spec__``, which loads it, so modules import ``np`` here."""
+    module = sys.modules.get("numpy")
+    if module is None:
+        spec = importlib.util.find_spec("numpy")
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules["numpy"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+np = lazy_numpy()
 
 
 def read_json(path: Path, what: str, keys: Iterable[str] = ()) -> dict:
@@ -72,20 +92,20 @@ def payload_bytes(values: np.ndarray) -> bytes:
     return np.ascontiguousarray(values, dtype="<f8").tobytes()
 
 
-def write_artefact(header_path: Path, header: dict, values: np.ndarray,
+def write_artefact(header_path: Path, header: dict, payload: bytes,
                    indent: int | None = None) -> None:
     write_text(header_path, json_text(header, indent))
-    Path(header_path).with_suffix(".bin").write_bytes(payload_bytes(values))
+    Path(header_path).with_suffix(".bin").write_bytes(payload)
 
 
 def read_artefact(header_path: Path, what: str, keys: Iterable[str],
-                  count: Callable[[dict], int]) -> tuple[dict, np.ndarray]:
-    """The header, which must hold ``keys``, and the ``count(header)``
-    values of its payload, read-only."""
+                  count: Callable[[dict], int]) -> tuple[dict, bytes]:
+    """The header, which must hold ``keys``, and its payload's bytes, which
+    must hold ``count(header)`` values."""
     header = read_json(header_path, what, keys)
     with naming(what, header_path):
         expected = 8 * count(header)
         raw = Path(header_path).with_suffix(".bin").read_bytes()
         if len(raw) != expected:
             raise ValueError(f"payload holds {len(raw)} bytes, expected {expected}")
-    return header, np.frombuffer(raw, dtype="<f8")
+    return header, raw

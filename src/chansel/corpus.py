@@ -17,9 +17,7 @@ from pathlib import Path
 from typing import Any, Iterator, Mapping, Sequence
 
 from ._version import __version__
-from .artefacts import (
-    check_format_version, json_text, naming, payload_bytes, positive_int, read_json, write_text,
-)
+from .artefacts import check_format_version, json_text, naming, positive_int, read_json, write_text
 from .metrics import collapse_frame_labels
 from .phonemes import SILENCE_SYMBOL
 from .signals import ChannelSubset, MultichannelSignal, load_signal, restrict_to_subset, save_signal
@@ -120,7 +118,7 @@ class Corpus:
             h.update(json.dumps(dict(self.config), sort_keys=True).encode("utf-8"))
         for seq in self.sequences:
             h.update("|".join(seq.labels).encode("utf-8"))
-            h.update(payload_bytes(seq.signal.samples))
+            h.update(seq.signal.payload)
         return h.hexdigest()
 
 

@@ -27,11 +27,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import ClassVar, Iterable, Mapping, Sequence
 
-import numpy as np
-
 from ._version import __version__
 from .artefacts import (
-    check_format_version, naming, payload_bytes, positive_int, read_artefact, write_artefact,
+    check_format_version, naming, np, payload_bytes, positive_int, read_artefact, write_artefact,
 )
 from .corpus import Corpus, LabeledSequence
 from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, category_report
@@ -762,7 +760,7 @@ def save_model(params: ModelParams, header_path: Path, seed: int = 0, config_has
         "payload_sha256": digest,
         "provenance": dict(provenance) if provenance else None,
     }
-    write_artefact(header_path, manifest, _flat(params), indent=2)
+    write_artefact(header_path, manifest, payload_bytes(_flat(params)), indent=2)
     return digest
 
 
@@ -786,12 +784,13 @@ def _manifest_shapes(manifest: dict) -> tuple[tuple[int, ...], ...]:
 
 
 def load_model(header_path: Path) -> tuple[ModelParams, dict]:
-    manifest, flat = read_artefact(
+    manifest, payload = read_artefact(
         header_path, "model manifest",
         ("format_version", "layers", "class_symbols", "payload_sha256"), _payload_count)
     with naming("model manifest", header_path):
-        if hashlib.sha256(flat).hexdigest() != manifest["payload_sha256"]:
+        if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
             raise ValueError("payload fails its integrity check")
+        flat = np.frombuffer(payload, dtype="<f8")
         layers, arrays = manifest["layers"], _views(flat, _manifest_shapes(manifest))
         return ModelParams(**dict(zip(_ARRAYS, arrays)), channels=layers["channels"],
                            window=layers["window"], features=layers["features"],

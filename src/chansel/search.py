@@ -14,6 +14,8 @@ and a library caller of ``evaluate_many`` calls ``close`` itself. The pool
 machinery (``concurrent.futures.process`` and ``multiprocessing``) is
 imported when the module attribute ``ProcessPoolExecutor`` is first read,
 which a pool start does, so a command that trains nothing never loads it.
+numpy, too, loads on first use: a batch served from the cache is averaged in
+plain Python, to the bit as numpy would, so a warm replay never imports it.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Protocol, Sequence
 
-import numpy as np
-
+from .artefacts import np
 from .corpus import Corpus, LabeledSequence
 from .metrics import WorstChannelRow, worst_channel_table
 from .model import (
@@ -378,6 +379,25 @@ def _pool_stack(stack: tuple[tuple[int, ...], ...], replicate: int) -> list[Eval
     return _run_stack(_WORKER_INPUTS, stack, replicate)
 
 
+def pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's float64 sum of ``values``, to the bit: a left fold below 8
+    values, 8 interleaved accumulators up to 128, and above that the sums
+    of two halves, split on a multiple of 8."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return pairwise_sum(values[:half]) + pairwise_sum(values[half:])
+    total, tail = 0.0, values
+    if n >= 8:
+        acc, tail = list(values[:8]), values[n - n % 8:]
+        for i in range(8, n - n % 8, 8):
+            acc = [a + v for a, v in zip(acc, values[i:i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+    for value in tail:
+        total += value
+    return total
+
+
 @dataclass
 class TrainingEvaluator:
     """Scores a channel subset by training the reference classifier from
@@ -432,13 +452,11 @@ class TrainingEvaluator:
 
     def _aggregate(self, per_seed: Sequence[EvalRecord]) -> EvalRecord:
         """The replicates' mean rates, in the first one's rows, their summed
-        wall time, and the base seed. The copy lays each rate's replicates
-        out contiguously, so ``np.mean`` sums each row pairwise, as it sums a
-        list, and each mean equals that of the rate's list to the bit."""
+        wall time, and the base seed. Each sum is ``pairwise_sum``, so each
+        mean equals ``np.mean`` of the rate's list to the bit."""
         first = per_seed[0]
-        wer, per_total, *rates = np.mean(np.array(
-            [[r.wer, r.per_total, *(row.rate for row in r.per_category.rows)] for r in per_seed]
-        ).T.copy(), axis=1).tolist()
+        wer, per_total, *rates = (pairwise_sum(column) / len(per_seed) for column in zip(
+            *([r.wer, r.per_total, *(row.rate for row in r.per_category.rows)] for r in per_seed)))
         return replace(
             first,
             seed=self.train_cfg.seed,
@@ -446,7 +464,7 @@ class TrainingEvaluator:
             per_total=per_total,
             per_category=replace(first.per_category, rows=tuple(
                 replace(row, rate=rate) for row, rate in zip(first.per_category.rows, rates))),
-            wall_time=float(np.sum([r.wall_time for r in per_seed])),
+            wall_time=pairwise_sum([r.wall_time for r in per_seed]),
             n_seeds=len(per_seed),
         )
 
@@ -699,16 +717,16 @@ def channel_average_metric(sweep: SweepResult) -> tuple[tuple[int, float], ...]:
             f"C={sweep.channels}, k={sweep.k} "
             f"(expected {math.comb(sweep.channels, sweep.k)})"
         )
-    sums = np.zeros(sweep.channels)
-    counts = np.zeros(sweep.channels, dtype=int)
+    sums = [0.0] * sweep.channels
+    counts = [0] * sweep.channels
     for record in sweep.records:
         m = record.metric(sweep.metric_name)
         for ch in parse_subset(record.subset_label, sweep.channels).indices:
             sums[ch] += m
             counts[ch] += 1
-    means = sums / counts
+    means = [total / count for total, count in zip(sums, counts)]
     order = sorted(range(sweep.channels), key=lambda c: (means[c], c))
-    return tuple((c, float(means[c])) for c in order)
+    return tuple((c, means[c]) for c in order)
 
 
 def top_k_frequency(sweep: SweepResult, k_top: int) -> tuple[int, ...]:

@@ -13,47 +13,62 @@ channel and the sample rate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
 
-import numpy as np
-
-from .artefacts import naming, positive_int, read_artefact, write_artefact
+from .artefacts import naming, np, payload_bytes, positive_int, read_artefact, write_artefact
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class MultichannelSignal:
-    """Immutable C x T sample block with a sample-rate tag.
+    """Immutable C x T block of float64 samples with a sample-rate tag.
 
-    The sample array is copied on construction and locked read-only, so
-    instances can be shared freely across threads and worker processes.
+    A signal keeps its samples as its artefact payload: the values as
+    little-endian float64 bytes, row-major, checked finite on construction.
+    ``samples`` decodes them on first read as a read-only view of those bytes,
+    not a copy, so a signal that is only hashed or saved builds no array.
+    Instances can be shared freely across threads and worker processes.
     ``sample_rate`` is metadata only; nothing in the toolkit resamples.
     """
 
-    samples: np.ndarray
-    sample_rate: float = 1.0
+    payload: bytes = field(repr=False)
+    channels: int
+    n_samples: int
+    sample_rate: float
 
-    def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.float64, order="C", copy=True)
+    def __init__(self, samples, sample_rate: float = 1.0) -> None:
+        arr = np.asarray(samples, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError(f"samples must be 2-D (channels x time), got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"signal needs at least one channel and one sample, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
+        self._set(payload_bytes(arr), *arr.shape, sample_rate)
+
+    @classmethod
+    def from_payload(cls, payload: bytes, channels: int, n_samples: int,
+                     sample_rate: float) -> "MultichannelSignal":
+        """``load_signal``'s path: ``payload`` holds channels x n_samples values."""
+        signal = cls.__new__(cls)
+        signal._set(payload, channels, n_samples, sample_rate)
+        return signal
+
+    def _set(self, payload: bytes, channels: int, n_samples: int, sample_rate: float) -> None:
+        # NaN and Inf have all 11 exponent bits set: the low 7 of a value's last
+        # byte (so it reads 0x7f or 0xff) and the high 4 of the byte before it
+        top = payload[7::8]
+        if (b"\x7f" in top or b"\xff" in top) and any(
+                high & 0x7F == 0x7F and low >= 0xF0 for high, low in zip(top, payload[6::8])):
             raise ValueError("samples contain NaN or Inf")
-        if not (self.sample_rate > 0):
-            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        if not (sample_rate > 0):
+            raise ValueError(f"sample_rate must be positive, got {sample_rate}")
+        self.__dict__.update(payload=payload, channels=channels, n_samples=n_samples,
+                             sample_rate=sample_rate)
 
-    @property
-    def channels(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[1]
+    @cached_property
+    def samples(self) -> np.ndarray:
+        return np.frombuffer(self.payload, dtype="<f8").reshape(self.channels, self.n_samples)
 
 
 @dataclass(frozen=True)
@@ -175,14 +190,15 @@ def restrict_to_subset(x: MultichannelSignal, s: ChannelSubset) -> MultichannelS
 def save_signal(x: MultichannelSignal, header_path: Path) -> None:
     header = {"channels": x.channels, "samples_per_channel": x.n_samples,
               "sample_rate": x.sample_rate}
-    write_artefact(header_path, header, x.samples)
+    write_artefact(header_path, header, x.payload)
 
 
 def load_signal(header_path: Path) -> MultichannelSignal:
-    header, values = read_artefact(
+    header, payload = read_artefact(
         header_path, "signal header", ("channels", "samples_per_channel", "sample_rate"),
         lambda h: positive_int(h["channels"], "channels")
         * positive_int(h["samples_per_channel"], "samples_per_channel"))
     with naming("signal header", header_path):
-        return MultichannelSignal(values.reshape(header["channels"], -1),
-                                  sample_rate=float(header["sample_rate"]))
+        return MultichannelSignal.from_payload(payload, header["channels"],
+                                               header["samples_per_channel"],
+                                               float(header["sample_rate"]))

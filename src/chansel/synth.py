@@ -21,8 +21,7 @@ import math
 from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
-import numpy as np
-
+from .artefacts import np
 from .corpus import Corpus, LabeledSequence
 from .phonemes import SILENCE_SYMBOL, default_table
 from .signals import MultichannelSignal

@@ -640,6 +640,52 @@ print(json.dumps([name for name in modules if name in sys.modules]))
         assert "wrote 12 utterances" in run.stdout  # the same corpus hash: every record hits
         assert json.loads(run.stdout.splitlines()[-1]) == []
 
+    def test_warm_commands_load_no_numpy(self, workdir, corpus_dir):
+        """With every record cached by this process, a warm exhaustive,
+        report, backward-elim and ablate7 in a fresh interpreter never load
+        numpy's core and leave the cache as it was; a cold exhaustive in a
+        fresh interpreter loads it."""
+        warm = workdir / "warm"
+        for command in ("exhaustive", "backward-elim", "ablate7"):
+            assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                         "--out", str(warm)]) == EXIT_OK
+        cache = (warm / "cache.jsonl").read_bytes()
+        script = """
+import json, sys
+from chansel.cli import main
+config, corpus, out, commands = json.loads(sys.argv[1])
+for command in commands:
+    assert main([command, "--config", config, "--corpus", corpus, "--out", out]) == 0
+print(json.dumps("numpy._core" in sys.modules))
+"""
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+
+        def loads_numpy(out: Path, *commands: str) -> bool:
+            args = json.dumps([_cfg(workdir), str(corpus_dir), str(out), commands])
+            run = subprocess.run([sys.executable, "-c", script, args], env=env,
+                                 capture_output=True, text=True, check=True)
+            return json.loads(run.stdout.splitlines()[-1])
+
+        assert loads_numpy(warm, "exhaustive", "report", "backward-elim", "ablate7") is False
+        assert (warm / "cache.jsonl").read_bytes() == cache
+        assert loads_numpy(workdir / "cold", "exhaustive") is True
+
+    def test_warm_report_still_checks_stored_samples(self, workdir, corpus_dir, capsys):
+        # every record is cached, so no sample is ever decoded: the NaN must
+        # still stop the load, before the corpus hash is checked
+        out = workdir / "sweep"
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out)]) == EXIT_OK
+        payload = corpus_dir / "utt_00002.bin"
+        data = payload.read_bytes()
+        payload.write_bytes(data[:40] + struct.pack("<d", math.nan) + data[48:])
+        capsys.readouterr()
+        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out)]) == EXIT_DATA
+        header = corpus_dir / "utt_00002.json"
+        assert (f"error: signal header {header} samples contain NaN or Inf"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("replicates", ["1", "2"])
     def test_ablate7_outputs(self, workdir, corpus_dir, replicates):
         out = workdir / "ablate"

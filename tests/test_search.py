@@ -14,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from chansel import search
 from chansel.corpus import Corpus, LabeledSequence
@@ -34,7 +36,7 @@ from chansel.search import (
     seven_channel_ablation,
     top_k_frequency,
 )
-from chansel.signals import ChannelSubset
+from chansel.signals import ChannelSubset, parse_subset
 from chansel.synth import GeneratorConfig, generate
 from util import binomial_by_factorials, make_record, report_from_rates
 
@@ -176,6 +178,19 @@ class TestChannelAverage:
         per_channel = binomial_by_factorials(5, 2)
         total = sum(mean * per_channel for _, mean in averages)
         assert total == pytest.approx(3 * sum(r.wer for r in sweep.records))
+
+    def test_means_equal_float64_sums_over_counts_to_the_bit(self):
+        rng = np.random.default_rng(11)
+        ev = FakeEvaluator(lambda s: float(rng.random()))
+        sweep = exhaustive_sweep(ev, 8, 4)
+        sums, counts = np.zeros(8), np.zeros(8, dtype=int)
+        for record in sweep.records:
+            for ch in parse_subset(record.subset_label, 8).indices:
+                sums[ch] += record.wer
+                counts[ch] += 1
+        means = sums / counts
+        assert channel_average_metric(sweep) == tuple(sorted(
+            ((c, float(means[c])) for c in range(8)), key=lambda pair: (pair[1], pair[0])))
 
     def test_incomplete_sweep_rejected(self):
         sweep = SweepResult(channels=8, k=4, metric_name="wer",
@@ -721,6 +736,20 @@ class TestTrainingEvaluator:
         assert [agg.wer, agg.per_total, *(row.rate for row in agg.per_category.rows)] == [
             float(np.mean([getattr(r, name) for r in per_seed])) for name in ("wer", "per_total")
         ] + [float(np.mean([r.per_category.rate_of(c) for r in per_seed])) for c in "abc"]
+
+    def test_replicate_mean_and_wall_time_are_numpys_to_the_bit(self):
+        # from 8 values numpy sums pairwise with 8 accumulators in blocks of
+        # 128; a running or compensated sum differs in the last bits
+        ev = _evaluator(_search_corpus())
+
+        @given(st.lists(st.one_of(st.just(0.0), st.sampled_from([0.25, 1 / 3, 0.7]),
+                                  st.floats(0.0, 1e3)), min_size=1, max_size=300))
+        def check(values):
+            agg = ev._aggregate([replace(make_record("12", v, v), wall_time=v) for v in values])
+            assert agg.wer == agg.per_total == np.mean(values)
+            assert agg.wall_time == np.sum(values)
+
+        check()
 
     @pytest.mark.parametrize("workers, sizes", [(1, [2, 2, 2]), (2, [1, 2, 1, 2])])
     def test_stacks_cut_each_group_into_near_equal_runs(self, monkeypatch, workers, sizes):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chansel.artefacts import payload_bytes
+from chansel.corpus import load_corpus, save_corpus
 from chansel.signals import (
     ChannelMask,
     ChannelSubset,
@@ -15,6 +17,7 @@ from chansel.signals import (
     restrict_to_subset,
     save_signal,
 )
+from chansel.synth import GeneratorConfig, generate
 
 
 def _signal(seed: int = 0, channels: int = 4, frames: int = 10) -> MultichannelSignal:
@@ -28,6 +31,15 @@ class TestMultichannelSignal:
             MultichannelSignal(np.array([[1.0, np.nan]]))
         with pytest.raises(ValueError, match="NaN"):
             MultichannelSignal(np.array([[np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="NaN"):
+            MultichannelSignal(np.array([[0.0], [-np.inf]]))
+
+    def test_accepts_the_largest_finite_values(self):
+        # their exponent bits are all ones but the lowest, so the byte scan
+        # for NaN and Inf must look past the last byte of each value
+        top = np.finfo(np.float64).max
+        values = np.array([[top, -top, 1e308, -1e308, 1.5, 0.0, -0.0, 2.0 ** -1074]])
+        assert np.array_equal(MultichannelSignal(values).samples, values)
 
     def test_rejects_empty_and_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -181,6 +193,21 @@ class TestSignalFiles:
         header = json.loads(path.read_text())
         assert header == {"channels": 2, "samples_per_channel": 5, "sample_rate": 100.0}
         assert (tmp_path / "sig.bin").stat().st_size == 2 * 5 * 8
+
+    def test_reloaded_corpus_samples_are_read_only_views_of_the_payload(self, tmp_path):
+        corpus = generate(GeneratorConfig(channels=3, classes=("B", "IY"), weights=(1.0, 0.5, 0.0),
+                                          frames_per_segment=4, utterances=3, seed=4))
+        digest = save_corpus(corpus, tmp_path / "corpus")
+        back = load_corpus(tmp_path / "corpus")
+        assert back.content_hash == corpus.content_hash == digest
+        for seq, original in zip(back, corpus):
+            samples = seq.signal.samples
+            assert samples.dtype == np.float64 and samples.flags.c_contiguous
+            assert samples.tobytes() == original.signal.samples.tobytes()
+            assert seq.signal.payload == payload_bytes(samples)
+            assert not samples.flags.writeable and not samples.flags.owndata
+            with pytest.raises(ValueError, match="read-only"):
+                samples[0, 0] = 1.0
 
     def test_truncated_payload_rejected(self, tmp_path):
         x = _signal(channels=2, frames=5)
