@@ -323,6 +323,30 @@ class TestFinetune:
         # one featurization of each utterance serves both sides
         assert len(calls) == TINY_CONFIG["generator"]["utterances"]
 
+    @pytest.mark.parametrize("epochs", ["0", "2"])
+    def test_both_sides_equal_their_one_sided_runs(self, workdir, corpus_dir, epochs):
+        """The two sides train as one stack, yet each side's record and model
+        files equal those of a run of that side alone, byte for byte."""
+        pre = workdir / "pretrain"
+        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(pre)])
+        init = ["--init", str(pre / "model_p0.json")]
+        runs = {}
+        for name, flags in {"both": [*init, "--from-scratch"], "ft": init,
+                            "scratch": ["--from-scratch"]}.items():
+            out = workdir / name
+            assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                         "--out", str(out), "--subset", "12", "--epochs", epochs,
+                         *flags]) == EXIT_OK
+            # the comparison lists the sides that ran, so it differs by design
+            runs[name] = {file: data for file, data in _read_all(out).items()
+                          if file != "comparison_12.csv"}
+        for side in ("ft", "scratch"):
+            names = {f"eval_{side}_12.json", f"model_{side}_12.json", f"model_{side}_12.bin"}
+            assert set(runs[side]) == names
+            assert runs[side] == {name: runs["both"][name] for name in names}
+        assert set(runs["both"]) == set(runs["ft"]) | set(runs["scratch"])
+
     def test_requires_init_or_scratch(self, workdir, corpus_dir, capsys):
         code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(workdir / "x"), "--subset", "13"])
@@ -361,6 +385,25 @@ class TestSearchCommands:
         for name in first:
             if name != "cache.jsonl":  # cache rows carry wall times
                 assert again[name] == first[name], name
+
+    def test_commands_run_on_the_default_config(self, tmp_path, monkeypatch):
+        """Flags only, no --config: gen-data, a sweep of single channels, and
+        its warm report, which rewrites the sweep's reports byte for byte."""
+        monkeypatch.delenv("CHANSEL_CACHE_DIR", raising=False)
+        corpus, out = str(tmp_path / "c"), tmp_path / "s"
+        flags = ["--corpus", corpus, "--out", str(out), "--k", "1", "--epochs", "1",
+                 "--replicates", "1", "--workers", "1"]
+        assert main(["gen-data", "--out", corpus, "--utterances", "4"]) == EXIT_OK
+        assert main(["exhaustive", *flags]) == EXIT_OK
+        names = ("sweep.csv", "top_subsets.csv", "channel_average.csv")
+        swept = {name: (out / name).read_bytes() for name in names}
+        # provenance, header and one row per channel of the default generator
+        channels = cli.DEFAULT_CONFIG["generator"]["channels"]
+        assert len(swept["sweep.csv"].splitlines()) == 2 + channels
+        for name in names:
+            (out / name).unlink()
+        assert main(["report", *flags]) == EXIT_OK
+        assert {name: (out / name).read_bytes() for name in names} == swept
 
     def test_exhaustive_outputs(self, workdir, corpus_dir):
         out = workdir / "sweep"
@@ -563,13 +606,18 @@ class TestSearchCommands:
         assert f"k_top must be >= 1, got {k_top}" in capsys.readouterr().err
         assert not out.exists() or _read_all(out) == {}
 
-    @pytest.mark.parametrize("command", ["backward-elim", "exhaustive", "ablate7"])
-    def test_worker_count_changes_no_output_byte(self, workdir, corpus_dir, command):
+    @pytest.mark.parametrize("command, replicates", [
+        ("backward-elim", "1"), ("exhaustive", "1"), ("ablate7", "1"),
+        ("backward-elim", "2"), ("exhaustive", "2"), ("ablate7", "2"),
+    ], ids=["backward-elim", "exhaustive", "ablate7", "backward-elim-replicates-2",
+            "exhaustive-replicates-2", "ablate7-replicates-2"])
+    def test_worker_count_changes_no_output_byte(self, workdir, corpus_dir, command, replicates):
         outputs = []
         for workers in ("1", "2"):
             out = workdir / f"{command}_w{workers}"
             assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(out), "--workers", workers]) == EXIT_OK
+                         "--out", str(out), "--workers", workers,
+                         "--replicates", replicates]) == EXIT_OK
             outputs.append({name: data for name, data in _read_all(out).items()
                             if name != "cache.jsonl"})  # cache rows carry wall times
         serial, pooled = outputs
@@ -909,6 +957,7 @@ class TestExitCodes:
         assert main(["ablate7", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "a"),
                      "--metric", "wer"]) == EXIT_USAGE
         assert "unrecognized arguments: --metric wer" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists()
 
     def test_missing_corpus_is_data_error(self, workdir, capsys):
         code = main(["pretrain", "--config", _cfg(workdir),
@@ -1056,23 +1105,26 @@ class TestExitCodes:
           for command in ("exhaustive", "pretrain") for value in ("1", "0")],
         ("exhaustive", "--train-fraction", "2.0", "train_fraction must be in (0, 1), got 2.0"),
         ("exhaustive", "--replicates", "0", "replicates must be >= 1, got 0"),
+        ("finetune", "--epochs", "-1", "epochs must be a positive integer, got -1"),
         ("exhaustive", "--workers", "-1", "workers must be >= 0, got -1"),
         ("exhaustive", "--window", "0", "window must be >= 1, got 0"),
         ("exhaustive", "--features", "0", "features must be >= 1, got 0"),
         ("pretrain", "--window", "0", "window must be >= 1, got 0"),
     ], ids=["noise-sigma-inf", "learning-rate-inf", "exhaustive-fraction-1",
             "exhaustive-fraction-0", "pretrain-fraction-1", "pretrain-fraction-0",
-            "exhaustive-fraction-2", "exhaustive-replicates-0", "exhaustive-workers-negative",
-            "exhaustive-window-0", "exhaustive-features-0", "pretrain-window-0"])
+            "exhaustive-fraction-2", "exhaustive-replicates-0", "finetune-epochs-negative",
+            "exhaustive-workers-negative", "exhaustive-window-0", "exhaustive-features-0",
+            "pretrain-window-0"])
     def test_out_of_range_setting_is_refused_naming_the_key(self, workdir, capsys,
                                                            command, flag, value, message):
         """Refused before any file is read: the corpus does not exist."""
         out = workdir / "x"
         corpus = ["--corpus", str(workdir / "missing")] if command != "gen-data" else []
+        sides = ["--subset", "12", "--from-scratch"] if command == "finetune" else []
         code = main([command, "--config", _cfg(workdir), *corpus, "--out", str(out),
-                     flag, value])
+                     *sides, flag, value])
         assert code == EXIT_DATA
-        assert f"error: {message}\n" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_unknown_config_section_is_data_error(self, tmp_path, capsys):

@@ -234,3 +234,8 @@ def test_duplicate_symbols_rejected():
     ]
     with pytest.raises(ValueError, match="duplicate"):
         CategoryTable(dup)
+
+
+def test_empty_inventory_rejected():
+    with pytest.raises(ValueError, match="empty phoneme inventory"):
+        CategoryTable([])

@@ -9,12 +9,12 @@ import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from chansel import search
@@ -31,6 +31,7 @@ from chansel.search import (
     TrainingEvaluator,
     backward_elimination,
     channel_average_metric,
+    config_fingerprint,
     derive_task_seeds,
     exhaustive_sweep,
     seven_channel_ablation,
@@ -667,6 +668,11 @@ def _search_corpus(channels=3, utterances=12, seed=0):
     ))
 
 
+def _uniform_row(n: int) -> list[float]:
+    """``n`` seeded floats in [0, 1000)."""
+    return (np.random.default_rng(n).random(n) * 1e3).tolist()
+
+
 def _evaluator(corpus, tmp_path=None, replicates=1, workers=1, epochs=3):
     train_c, test_c = corpus.split(0.75)
     return TrainingEvaluator(
@@ -744,6 +750,13 @@ class TestTrainingEvaluator:
 
         @given(st.lists(st.one_of(st.just(0.0), st.sampled_from([0.25, 1 / 3, 0.7]),
                                   st.floats(0.0, 1e3)), min_size=1, max_size=300))
+        # above 128 values numpy adds the sums of two halves; the strategy
+        # seldom draws that many
+        @example(_uniform_row(129))
+        @example(_uniform_row(136))
+        @example(_uniform_row(256))
+        @example(_uniform_row(300))
+        @example(_uniform_row(1000))
         def check(values):
             agg = ev._aggregate([replace(make_record("12", v, v), wall_time=v) for v in values])
             assert agg.wer == agg.per_total == np.mean(values)
@@ -806,12 +819,27 @@ class TestTrainingEvaluator:
         ev_b.evaluate_many([subset])[subset.label]
         assert ev_a.training_runs == ev_b.training_runs == 1
 
+    def test_every_hashed_setting_moves_the_config_hash(self):
+        """Each TrainConfig field and each other argument enters the hash, so
+        a setting added to TrainConfig must enter it too, or fail here."""
+        train_cfg = TrainConfig()
+        sizes = dict(window=3, features=8, threshold=1, n_train=12)
+        reference = config_fingerprint(train_cfg, **sizes)
+        moved = {int: lambda v: v + 1, float: lambda v: v / 2 if v else 0.25}
+        for f in fields(TrainConfig):
+            value = getattr(train_cfg, f.name)
+            changed = replace(train_cfg, **{f.name: moved[type(value)](value)})
+            assert config_fingerprint(changed, **sizes) != reference, f.name
+        for name, value in sizes.items():
+            assert config_fingerprint(train_cfg, **{**sizes, name: value + 1}) != reference, name
+
     @pytest.mark.parametrize("setting, message", [
         (dict(threshold=0), "threshold must be >= 1, got 0"),
         (dict(threshold=-1), "threshold must be >= 1, got -1"),
         (dict(window=0), "bad layer sizes: channels=3 window=0"),
         (dict(features=0), "bad layer sizes: channels=3 window=3 features=0"),
         (dict(replicates=0), "replicates must be >= 1, got 0"),
+        (dict(workers=0), "workers must be >= 1, got 0"),
     ])
     def test_bad_settings_rejected_at_construction(self, setting, message):
         with pytest.raises(ValueError, match=message):

@@ -9,7 +9,7 @@ from chansel.model import TrainConfig, evaluate, init_params, train
 from chansel.phonemes import SILENCE_SYMBOL
 from chansel.signals import ChannelSubset
 from chansel.synth import GeneratorConfig, generate
-from util import complementary_pair_config, planted_importance
+from util import complementary_pair_config, make_sequence, planted_importance
 
 
 def _small_cfg(**overrides) -> GeneratorConfig:
@@ -45,6 +45,17 @@ class TestGeneratorConfig:
             _small_cfg(classes=("B", SILENCE_SYMBOL))
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             _small_cfg(weights=(1.0, 0.5, 2.0))
+        with pytest.raises(ValueError, match="channels must be >= 1, got 0"):
+            _small_cfg(channels=0)
+        with pytest.raises(ValueError, match="duplicate class symbols"):
+            _small_cfg(classes=("B", "IY", "B"))
+        with pytest.raises(ValueError, match="utterances must all be >= 1"):
+            _small_cfg(utterances=0)
+        with pytest.raises(ValueError, match=r"frames_per_segment \(3\) must be >= the class "
+                                             r"count \(4\)"):
+            _small_cfg(frames_per_segment=3)
+        with pytest.raises(ValueError, match=r"channel_classes index out of range in \(0, 4\)"):
+            _small_cfg(channel_classes=((0, 1), (2, 3), (0, 4)))
 
     def test_dict_round_trip(self):
         cfg = complementary_pair_config(_small_cfg(channels=4, weights=(0.5,) * 4))
@@ -253,9 +264,24 @@ class TestCorpusOps:
         assert train_c.sequences[0] is corpus.sequences[0]
         assert test_c.sequences[-1] is corpus.sequences[-1]
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_split_refuses_a_fraction_that_leaves_a_side_empty(self, fraction):
+        message = rf"train_fraction must be in \(0, 1\), got {fraction}"
+        with pytest.raises(ValueError, match=message):
+            generate(_small_cfg()).split(fraction)
+
     def test_alphabet_order_from_config(self):
         corpus = generate(_small_cfg())
         assert corpus.label_alphabet() == (SILENCE_SYMBOL, "B", "IY", "T", "AE")
+
+    @pytest.mark.parametrize("labels, alphabet", [
+        (["T", "B", SILENCE_SYMBOL, "AE"], (SILENCE_SYMBOL, "AE", "B", "T")),
+        (["T", "B", "AE", "B"], ("AE", "B", "T")),
+    ], ids=["silence-first", "no-silence"])
+    def test_alphabet_without_config_sorts_the_labels_present(self, labels, alphabet):
+        corpus = Corpus((make_sequence(labels),))
+        assert corpus.config is None
+        assert corpus.label_alphabet() == alphabet
 
 
 class TestPlantedSignalIsLearnable:
