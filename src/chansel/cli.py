@@ -45,7 +45,6 @@ from .search import (
     DEFAULT_SWEEP_BUDGET,
     EvaluationError,
     ResultsCache,
-    SweepBudgetError,
     TaskInputs,
     TrainingEvaluator,
     backward_elimination,
@@ -464,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED if isinstance(exc.__cause__, TrainingDivergedError) else EXIT_DATA
-    except (ValueError, KeyError, OSError, SweepBudgetError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

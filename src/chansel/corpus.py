@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping
 
 from ._version import __version__
 from .artefacts import check_format_version, json_text, naming, positive_int, read_json, write_text
@@ -28,20 +28,17 @@ _LABELS_HEADER = "utterance,frame,label"
 
 @dataclass(frozen=True, eq=False)
 class LabeledSequence:
-    """A signal with one phoneme label per frame."""
+    """A signal with one phoneme label per frame, the labels kept as a tuple."""
 
     signal: MultichannelSignal
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "labels", tuple(self.labels))
         if len(self.labels) != self.signal.n_samples:
             raise ValueError(
                 f"{len(self.labels)} frame labels for a {self.signal.n_samples}-frame signal"
             )
-
-    @classmethod
-    def from_labels(cls, signal: MultichannelSignal, labels: Sequence[str]) -> "LabeledSequence":
-        return cls(signal=signal, labels=tuple(labels))
 
     @cached_property
     def transcript(self) -> tuple[str, ...]:
@@ -190,7 +187,7 @@ def load_corpus(directory: Path) -> Corpus:
 
     signals = [load_signal(directory / f"utt_{i:05d}.json") for i in range(n)]
     with naming("corpus labels", labels_path):
-        sequences = tuple(LabeledSequence.from_labels(signal, labels_by_utt[i])
+        sequences = tuple(LabeledSequence(signal, labels_by_utt[i])
                           for i, signal in enumerate(signals))
     with naming("corpus", directory):
         corpus = Corpus(sequences, config=manifest.get("config"))

@@ -63,17 +63,6 @@ def __getattr__(name: str):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-class SweepBudgetError(RuntimeError):
-    """Sweep would exceed the configured evaluation budget."""
-
-    def __init__(self, required: int, budget: int):
-        super().__init__(
-            f"exhaustive sweep needs {required} subset evaluations, budget allows {budget}"
-        )
-        self.required = required
-        self.budget = budget
-
-
 class EvaluationError(RuntimeError):
     """Evaluator failure, tagged with the subset that was being scored."""
 
@@ -698,7 +687,8 @@ def exhaustive_sweep(
         raise ValueError(f"need 1 <= k <= channels, got k={k}, channels={channels}")
     required = math.comb(channels, k)
     if required > budget:
-        raise SweepBudgetError(required, budget)
+        raise ValueError(
+            f"exhaustive sweep needs {required} subset evaluations, budget allows {budget}")
     EvalRecord.check_metric(metric)
     subsets = [ChannelSubset(combo) for combo in itertools.combinations(range(channels), k)]
     with closing(evaluator):

@@ -186,7 +186,5 @@ def generate(cfg: GeneratorConfig) -> Corpus:
             signal += mixed
         else:
             signal += clean
-        sequences.append(
-            LabeledSequence.from_labels(MultichannelSignal(signal), labels)
-        )
+        sequences.append(LabeledSequence(MultichannelSignal(signal), labels))
     return Corpus(tuple(sequences), config=cfg.to_dict())

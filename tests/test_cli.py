@@ -765,6 +765,22 @@ print(json.dumps("numpy._core" in sys.modules))
         assert "budget" in capsys.readouterr().err
 
 
+def test_package_import_loads_only_its_version():
+    """``import chansel`` in a fresh interpreter loads no submodule but
+    ``_version``, and no numpy, lazy or not: each name is imported from
+    its module."""
+    script = """
+import json, sys
+import chansel
+print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "chansel"),
+                  "numpy" in sys.modules]))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True)
+    assert json.loads(run.stdout.splitlines()[-1]) == [["chansel", "chansel._version"], False]
+
+
 class TestFlagTable:
     OWN = {"help", "config", "out", "corpus", "subset", "init", "from_scratch", "force"}
 

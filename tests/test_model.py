@@ -58,8 +58,7 @@ def _sign_corpus(n_utts: int = 8, frames: int = 12, seed: int = 0) -> Corpus:
             label, level = ("B", 1.0) if rng.random() < 0.5 else ("T", -1.0)
             labels.append(label)
             values.append(level + 0.05 * rng.normal())
-        seqs.append(LabeledSequence.from_labels(
-            MultichannelSignal(np.array([values])), labels))
+        seqs.append(LabeledSequence(MultichannelSignal(np.array([values])), labels))
     return Corpus(tuple(seqs))
 
 
@@ -225,8 +224,7 @@ class TestTrain:
         # 8 channels at p=0.125 keep 7 on average; 300 draws pin it tightly
         rng = np.random.default_rng(3)
         seqs = tuple(
-            LabeledSequence.from_labels(
-                MultichannelSignal(rng.normal(size=(8, 4))), ["B", "B", "T", "T"])
+            LabeledSequence(MultichannelSignal(rng.normal(size=(8, 4))), ["B", "B", "T", "T"])
             for _ in range(30)
         )
         params = init_params(8, 1, 4, ("B", "T"), seed=0)
@@ -320,8 +318,8 @@ class TestTrain:
 def _conflicting_sequences() -> tuple[LabeledSequence, ...]:
     """Four one-channel utterances of constant signal whose labels
     alternate, so no model fits them and the gradients never vanish."""
-    return tuple(LabeledSequence.from_labels(MultichannelSignal(np.ones((1, 4))),
-                                             ["B", "T", "B", "T"]) for _ in range(4))
+    return tuple(LabeledSequence(MultichannelSignal(np.ones((1, 4))), ["B", "T", "B", "T"])
+                 for _ in range(4))
 
 
 def _reference_loss_and_grads(w1, b1, w2, b2, xw, y):
@@ -518,7 +516,7 @@ def _one_hot_params(class_symbols) -> ModelParams:
 def _utterance(labels, hyp, classes: int) -> LabeledSequence:
     samples = np.zeros((classes, len(labels)))
     samples[hyp, np.arange(len(labels))] = 1.0
-    return LabeledSequence.from_labels(MultichannelSignal(samples), labels)
+    return LabeledSequence(MultichannelSignal(samples), labels)
 
 
 def _string_score(params, sequences, table, threshold):
@@ -626,8 +624,7 @@ class TestEvaluate:
         seqs = []
         for labels in (["B", "B", "T", "T"], ["T", "T", "B", "B"], ["B", "T", "B", "T"]):
             values = [1.0 if lab == "B" else -1.0 for lab in labels]
-            seqs.append(LabeledSequence.from_labels(
-                MultichannelSignal(np.array([values])), labels))
+            seqs.append(LabeledSequence(MultichannelSignal(np.array([values])), labels))
         return Corpus(tuple(seqs))
 
     def test_perfect_model_scores_zero(self, table):

@@ -26,7 +26,6 @@ from chansel.phonemes import default_table
 from chansel.search import (
     EvaluationError,
     ResultsCache,
-    SweepBudgetError,
     SweepResult,
     TrainingEvaluator,
     backward_elimination,
@@ -102,7 +101,7 @@ class TestExhaustiveSweep:
 
     def test_budget_refusal_names_required_count(self):
         ev = FakeEvaluator(lambda s: 0.5)
-        with pytest.raises(SweepBudgetError, match="70"):
+        with pytest.raises(ValueError, match="70"):
             exhaustive_sweep(ev, 8, 4, budget=69)
 
     def test_bad_k_rejected(self):
@@ -653,6 +652,23 @@ class TestPoolWorkerThreads:
                 assert pool.submit(_worker_blas_threads).result(timeout=60) == 1
         finally:
             set_threads(before)
+
+    def test_numpy_without_thread_setter_warns_once(self, tmp_path, monkeypatch, capsys):
+        """A numpy with no ``numpy.libs`` beside it: no library, and one
+        warning naming the directory, however often the lookup is asked."""
+        (tmp_path / "numpy").mkdir()
+        (tmp_path / "numpy" / "__init__.py").write_text("")
+        monkeypatch.setattr(search.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        search._openblas_library.cache_clear()
+        try:
+            assert search._openblas_library() is None
+            assert search._openblas_library() is None
+        finally:
+            search._openblas_library.cache_clear()
+        warned = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("warning:")]
+        assert len(warned) == 1
+        assert str(tmp_path / "numpy.libs") in warned[0]
 
 
 def _search_corpus(channels=3, utterances=12, seed=0):

@@ -147,7 +147,7 @@ def make_sequence(labels: Sequence[str], channels: int = 2, seed: int = 0) -> La
     """LabeledSequence with an arbitrary (seeded noise) signal of matching length."""
     rng = np.random.default_rng(seed)
     signal = MultichannelSignal(rng.normal(size=(channels, len(labels))))
-    return LabeledSequence.from_labels(signal, labels)
+    return LabeledSequence(signal, labels)
 
 
 def empty_report() -> CategoryReport:
