@@ -34,7 +34,7 @@ from .artefacts import (
 from .corpus import Corpus, LabeledSequence
 from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, category_report
 from .phonemes import SILENCE_SYMBOL, CategoryTable
-from .signals import ChannelSubset, draw_channel_mask
+from .signals import ChannelSubset, MultichannelSignal, draw_channel_mask
 
 MODEL_FORMAT_VERSION = 1
 LOG_CLAMP = 1e-12
@@ -267,11 +267,10 @@ def _all_channels(params: ModelParams) -> np.ndarray:
     return np.arange(params.channels)[None]
 
 
-def forward(params: ModelParams, x) -> np.ndarray:
+def forward(params: ModelParams, x: MultichannelSignal) -> np.ndarray:
     """Per-frame class scores, shape (T, classes). Deterministic; dropout is
     a training-only concern and never applied here."""
-    samples = x.samples if hasattr(x, "samples") else np.asarray(x, dtype=np.float64)
-    [xw] = _windows(params, [samples])
+    [xw] = _windows(params, [x.samples])
     return _scores(*_buffers([params])[1], xw[:, None],
                    *_frame_buffers(len(xw), 1, params.features, params.classes))[:, 0]
 
@@ -424,12 +423,11 @@ def fit_windows(
                 xw = _gather(np.concatenate(xs, out=batch[:sum(map(len, xs))]), channels,
                              window, work[0])
                 if p > 0.0:  # one mask per utterance, drawn in one call
-                    mask = draw_channel_mask(shape.channels * len(ids), p, rng)
-                    retained_sum += mask.retained
+                    keep = draw_channel_mask(shape.channels * len(ids), p, rng)
+                    retained_sum += int(keep.sum())
                     draws += len(ids)
-                    bits = np.asarray(mask.bits, dtype=np.float64).reshape(len(ids), -1)
-                    xw *= np.repeat(np.repeat(bits, window, axis=1), list(map(len, xs)),
-                                    axis=0)[:, None]
+                    xw *= np.repeat(np.repeat(keep.reshape(len(ids), -1), window, axis=1),
+                                    list(map(len, xs)), axis=0)[:, None]
                 y = np.concatenate([y_all[i] for i in ids])
                 losses = _loss_and_grads(*arrays, xw, y, grads, *(b[:len(xw)] for b in work[1:]))
                 for s, loss in enumerate(losses):

@@ -1,10 +1,11 @@
 """Multichannel signal container, channel dropout masks, and subset restriction.
 
 A recording is a C-by-T block of real samples (rows are channels, columns are
-time steps). A channel dropout mask keeps each channel independently with
-probability 1 - p; training (``model.fit_windows``) zeroes the dropped
-channels' window blocks and leaves the survivors unscaled, so a masked
-channel is indistinguishable from a dead one. Subsets are canonically written
+time steps). A channel dropout mask is the boolean array the generator
+draws, True for a channel kept, which happens independently with probability
+1 - p; training (``model.fit_windows``) zeroes the dropped channels' window
+blocks and leaves the survivors unscaled, so a masked channel is
+indistinguishable from a dead one. Subsets are canonically written
 with 1-based channel labels ("1356" means channels 1, 3, 5 and 6) while all
 in-memory indices are 0-based. A signal file is an artefact (see
 ``artefacts.py``) whose header holds the channel count, the samples per
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .artefacts import naming, np, payload_bytes, positive_int, read_artefact, write_artefact
 
@@ -72,23 +73,6 @@ class MultichannelSignal:
 
 
 @dataclass(frozen=True)
-class ChannelMask:
-    """Per-channel keep/zero bits, one per channel."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.bits) < 1:
-            raise ValueError("mask must cover at least one channel")
-        if any(b not in (0, 1) for b in self.bits):
-            raise ValueError(f"mask bits must be 0 or 1, got {self.bits}")
-
-    @property
-    def retained(self) -> int:
-        return sum(self.bits)
-
-
-@dataclass(frozen=True)
 class ChannelSubset:
     """Strictly increasing 0-based channel indices; non-empty."""
 
@@ -101,14 +85,6 @@ class ChannelSubset:
             raise ValueError(f"negative channel index in {self.indices}")
         if any(b <= a for a, b in zip(self.indices, self.indices[1:])):
             raise ValueError(f"indices must be strictly increasing, got {self.indices}")
-
-    @classmethod
-    def of(cls, indices: Iterable[int]) -> "ChannelSubset":
-        """Build from any iterable of 0-based indices; rejects duplicates."""
-        idx = sorted(int(i) for i in indices)
-        if len(idx) != len(set(idx)):
-            raise ValueError(f"duplicate channel index in {idx}")
-        return cls(tuple(idx))
 
     @classmethod
     def full(cls, channels: int) -> "ChannelSubset":
@@ -134,9 +110,6 @@ class ChannelSubset:
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.indices)
-
-    def __contains__(self, channel: int) -> bool:
-        return channel in self.indices
 
 
 def parse_subset(label: str, channels: int) -> ChannelSubset:
@@ -166,15 +139,15 @@ def parse_subset(label: str, channels: int) -> ChannelSubset:
         raise ValueError(f"channel {bad} out of range for {channels}-channel signal")
     if len(one_based) != len(set(one_based)):
         raise ValueError(f"duplicate channel in subset label {label!r}")
-    return ChannelSubset.of(i - 1 for i in one_based)
+    return ChannelSubset(tuple(sorted(i - 1 for i in one_based)))
 
 
-def draw_channel_mask(channels: int, p: float, rng: np.random.Generator) -> ChannelMask:
-    """Draw keep bits, each 1 with probability 1 - p, independently per channel."""
+def draw_channel_mask(channels: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Draw a boolean keep mask, each entry True with probability 1 - p,
+    independently per channel."""
     if not (0.0 <= p <= 1.0):
         raise ValueError(f"dropout probability must be in [0, 1], got {p}")
-    bits = rng.random(channels) < 1.0 - p
-    return ChannelMask(tuple(int(b) for b in bits))
+    return rng.random(channels) < 1.0 - p
 
 
 def restrict_to_subset(x: MultichannelSignal, s: ChannelSubset) -> MultichannelSignal:

@@ -130,7 +130,8 @@ class TestFeaturize:
         rng = np.random.default_rng(seed)
         x = MultichannelSignal(rng.normal(size=(channels, int(rng.integers(1, 12)))))
         size = int(rng.integers(1, channels + 1))
-        subset = ChannelSubset.of(rng.choice(channels, size=size, replace=False))
+        subset = ChannelSubset(
+            tuple(sorted(rng.choice(channels, size=size, replace=False).tolist())))
         sliced = featurize(x.samples, window)[:, subset_columns(subset, window)]
         restricted = featurize(restrict_to_subset(x, subset).samples, window)
         assert np.array_equal(sliced, restricted)
@@ -145,7 +146,7 @@ class TestSlice:
 
     def test_column_count_halves(self):
         params = init_params(8, 9, 16, ("A", "B"), seed=5)
-        sliced = slice_input_channels(params, ChannelSubset.of([0, 2, 4, 5]))
+        sliced = slice_input_channels(params, ChannelSubset((0, 2, 4, 5)))
         assert sliced.input_weights.shape[1] == params.input_weights.shape[1] // 2
         assert sliced.channels == 4
         assert np.array_equal(sliced.head_weights, params.head_weights)
@@ -154,7 +155,7 @@ class TestSlice:
         rng = np.random.default_rng(9)
         params = init_params(5, 7, 10, ("A", "B", "C"), seed=3)
         x = MultichannelSignal(rng.normal(size=(5, 20)))
-        subset = ChannelSubset.of([1, 3, 4])
+        subset = ChannelSubset((1, 3, 4))
         masked = x.samples.copy()
         masked[[0, 2], :] = 0.0
         full_scores = forward(params, MultichannelSignal(masked))
@@ -165,7 +166,7 @@ class TestSlice:
     def test_out_of_range_subset_rejected(self):
         params = init_params(3, 3, 4, ("A", "B"), seed=0)
         with pytest.raises(ValueError, match="channel 5"):
-            slice_input_channels(params, ChannelSubset.of([0, 5]))
+            slice_input_channels(params, ChannelSubset((0, 5)))
 
 
 class TestTrain:
@@ -244,13 +245,13 @@ class TestTrain:
         cfg = TrainConfig(learning_rate=0.5, epochs=1, batch_size=4, dropout_p=0.5, seed=seed)
         rng = np.random.default_rng(seed)
         rng.permutation(4)
-        bits = np.array([draw_channel_mask(3, 0.5, rng).bits for _ in sequences])
+        bits = np.array([draw_channel_mask(3, 0.5, rng) for _ in sequences])
         assert bits.any(axis=0).tolist() == kept
         [(trained, _)], retained = model.fit_windows([params], model._all_channels(params), xw_all,
             model.label_indices(sequences, params.class_symbols), cfg)
         assert retained == bits.sum() / 4 and [xw.tobytes() for xw in xw_all] == before
         for channel in range(3):
-            cols = subset_columns(ChannelSubset.of([channel]), 5)
+            cols = subset_columns(ChannelSubset((channel,)), 5)
             assert np.array_equal(trained.input_weights[:, cols],
                                   params.input_weights[:, cols]) != kept[channel], channel
 
@@ -361,7 +362,7 @@ def _reference_fit(params, xw_all, y_all, cfg):
             for i in ids:
                 if cfg.dropout_p > 0.0:
                     mask = model.draw_channel_mask(params.channels, cfg.dropout_p, rng)
-                    col = np.repeat(np.asarray(mask.bits, dtype=np.float64), params.window)
+                    col = np.repeat(mask, params.window)
                     xs.append(xw_all[i] * col)
                 else:
                     xs.append(xw_all[i])
@@ -434,7 +435,7 @@ class TestInPlaceStep:
         # exactly as the textbook loop from its own start on its own columns
         xw_all = [featurize(seq.signal.samples, 5) for seq in tiny_corpus]
         y_all = model.label_indices(tiny_corpus.sequences, tiny_corpus.label_alphabet())
-        subsets = [ChannelSubset.of(pair) for pair in ((0, 1), (0, 2), (1, 2))]
+        subsets = [ChannelSubset(pair) for pair in ((0, 1), (0, 2), (1, 2))]
         channels = np.array([s.indices for s in subsets])
         if per_slot_starts:
             full = init_params(3, 5, 8, tiny_corpus.label_alphabet(), seed=3)
@@ -686,7 +687,7 @@ class TestEvaluate:
         with pytest.raises(IndexError) as fitting:
             model.fit_windows([params], channels, xw_all, y_all, TrainConfig(epochs=1))
         with pytest.raises(IndexError) as scoring:
-            model.score_windows([params], [ChannelSubset.of([5])], channels, xw_all, reference)
+            model.score_windows([params], [ChannelSubset((5,))], channels, xw_all, reference)
         assert str(fitting.value) == str(scoring.value) == "channel 5 of windows with 2 channels"
 
     def test_record_round_trips_through_dict(self, table, tiny_corpus):
@@ -738,7 +739,7 @@ class TestModelFiles:
     def test_slice_provenance_recorded(self, tmp_path):
         params = init_params(4, 3, 6, ("A", "B"), seed=1)
         parent = save_model(params, tmp_path / "full.json")
-        sliced = slice_input_channels(params, ChannelSubset.of([0, 2]))
+        sliced = slice_input_channels(params, ChannelSubset((0, 2)))
         save_model(sliced, tmp_path / "sliced.json",
                    provenance={"parent": parent, "subset": "13"})
         _, manifest = load_model(tmp_path / "sliced.json")

@@ -710,7 +710,7 @@ class TestTrainingEvaluator:
     def test_deterministic_and_cached(self, tmp_path):
         corpus = _search_corpus()
         ev = _evaluator(corpus, tmp_path)
-        subset = ChannelSubset.of([0, 1])
+        subset = ChannelSubset((0, 1))
         first = ev.evaluate_many([subset])[subset.label]
         assert ev.training_runs == 1
         again = ev.evaluate_many([subset])[subset.label]
@@ -730,7 +730,7 @@ class TestTrainingEvaluator:
 
     def test_replicates_aggregate_and_resume_incrementally(self, tmp_path):
         corpus = _search_corpus()
-        subset = ChannelSubset.of([0, 2])
+        subset = ChannelSubset((0, 2))
         ev1 = _evaluator(corpus, tmp_path, replicates=1)
         single = ev1.evaluate_many([subset])[subset.label]
         assert single.n_seeds == 1
@@ -790,7 +790,7 @@ class TestTrainingEvaluator:
         monkeypatch.setattr(search, "ROWS", 2 * search.max_batch_rows(
             inputs.train_windows, inputs.train_cfg.batch_size))
         pending = [(ChannelSubset(i), r) for i in itertools.combinations(range(4), 2)
-                   for r in range(2)] + [(ChannelSubset.of([0]), 0)]
+                   for r in range(2)] + [(ChannelSubset((0,)), 0)]
         stacks = ev._stacks(pending)
         assert sorted(i for stack in stacks for i in stack) == list(range(13))
         assert stacks == sorted(stacks)
@@ -830,7 +830,7 @@ class TestTrainingEvaluator:
         ev_a = _evaluator(corpus, tmp_path, epochs=2)
         ev_b = _evaluator(corpus, tmp_path, epochs=3)
         assert ev_a.config_hash != ev_b.config_hash
-        subset = ChannelSubset.of([0])
+        subset = ChannelSubset((0,))
         ev_a.evaluate_many([subset])[subset.label]
         ev_b.evaluate_many([subset])[subset.label]
         assert ev_a.training_runs == ev_b.training_runs == 1
@@ -865,7 +865,7 @@ class TestTrainingEvaluator:
         corpus = _search_corpus()
         ev = _evaluator(corpus, tmp_path)
         with pytest.raises(ValueError, match="missing"):
-            ev.evaluate_many([ChannelSubset.of([0])], require_cached=True)
+            ev.evaluate_many([ChannelSubset((0,))], require_cached=True)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case,error,message", [
@@ -885,7 +885,7 @@ class TestTrainingEvaluator:
         ev = replace(ev, test_corpus=Corpus(tuple(test)))
         if case == "threshold":
             ev.threshold = 0  # the constructor refuses it; the task refuses it too
-        subset = ChannelSubset.of([0, 1])
+        subset = ChannelSubset((0, 1))
         with closing(ev), pytest.raises(EvaluationError) as caught:
             ev.evaluate_many([subset])
         assert str(caught.value) == f"evaluation of subset {subset.label} failed: {message}"
@@ -1008,7 +1008,7 @@ class TestTrainingEvaluator:
 
         monkeypatch.setattr(search, "_run_stack", flaky_stack)
         with pytest.raises(EvaluationError, match="subset 1 failed: injected failure"):
-            ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
+            ev.evaluate_many([ChannelSubset((c,)) for c in range(3)])
         n_started = len(started.read_text(encoding="utf-8").splitlines())
         assert n_started < 12
         kept = ResultsCache(tmp_path / "cache.jsonl")
@@ -1041,7 +1041,7 @@ class TestTrainingEvaluator:
         monkeypatch.setattr(search, "_run_stack", slow_stack)
         monkeypatch.setattr(ev, "_keep", interrupted_keep)
         with pytest.raises(KeyboardInterrupt):
-            ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
+            ev.evaluate_many([ChannelSubset((c,)) for c in range(3)])
         tasks = [line.split() for line in started.read_text(encoding="utf-8").splitlines()]
         assert len(tasks) < 12
         kept = ResultsCache(tmp_path / "cache.jsonl")
@@ -1068,7 +1068,7 @@ class TestTrainingEvaluator:
         monkeypatch.setattr(search, "_run_stack", failing_stack)
         with closing(ev), pytest.raises(EvaluationError,
                                         match=r"subset 1 failed: injected failure \(0,\)"):
-            ev.evaluate_many([ChannelSubset.of([c]) for c in range(3)])
+            ev.evaluate_many([ChannelSubset((c,)) for c in range(3)])
         assert ev.training_runs == 1
 
     def test_process_pool_matches_serial(self, tmp_path):
@@ -1132,7 +1132,7 @@ class TestPoolLifetime:
 
     def test_cached_batch_starts_no_pool(self, tmp_path, monkeypatch):
         corpus = _search_corpus()
-        subsets = [ChannelSubset.of([c]) for c in range(3)]
+        subsets = [ChannelSubset((c,)) for c in range(3)]
         _evaluator(corpus, tmp_path).evaluate_many(subsets)
         starts = _count_pool_starts(monkeypatch)
         ev = _evaluator(corpus, tmp_path, workers=2)
@@ -1144,13 +1144,13 @@ class TestPoolLifetime:
                                                                      monkeypatch):
         starts = _count_pool_starts(monkeypatch)
         ev = _evaluator(_search_corpus(), tmp_path, workers=2)
-        ev.evaluate_many([ChannelSubset.of([0])])
-        ev.evaluate_many([ChannelSubset.of([1])])
+        ev.evaluate_many([ChannelSubset((0,))])
+        ev.evaluate_many([ChannelSubset((1,))])
         assert starts == [2]
         ev.close()
         ev.close()
         assert multiprocessing.active_children() == []
-        ev.evaluate_many([ChannelSubset.of([2])])
+        ev.evaluate_many([ChannelSubset((2,))])
         assert starts == [2, 2]
         ev.close()
         assert ev.training_runs == 3

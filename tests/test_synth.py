@@ -251,7 +251,7 @@ class TestCorpusOps:
 
     def test_restrict_drops_rows_only(self):
         corpus = generate(_small_cfg())
-        sub = corpus.restrict(ChannelSubset.of([0, 2]))
+        sub = corpus.restrict(ChannelSubset((0, 2)))
         assert sub.channels == 2
         for a, b in zip(corpus, sub):
             assert np.array_equal(b.signal.samples[1], a.signal.samples[2])
@@ -300,7 +300,7 @@ class TestPlantedSignalIsLearnable:
         )
         corpus = generate(cfg)
         train_c, test_c = corpus.split(0.8)
-        strong = corpus.restrict(ChannelSubset.of([0]))
+        strong = corpus.restrict(ChannelSubset((0,)))
         train_r, test_r = strong.split(0.8)
         params = init_params(1, 9, 16, corpus.label_alphabet(), seed=0)
         result = train(params, train_r, TrainConfig(learning_rate=0.8, epochs=30,
