@@ -197,11 +197,17 @@ def derive_task_seeds(base_seed: int, replicate: int) -> tuple[int, int]:
     return int(init_ss.generate_state(1)[0]), int(train_ss.generate_state(1)[0])
 
 
+# Bumped by any change that moves a trained number: it is hashed into every
+# config hash, so a cache never serves a record that other numerics produced.
+NUMERICS_VERSION = 1
+
+
 def config_fingerprint(
     train_cfg: TrainConfig, window: int, features: int, threshold: int, n_train: int
 ) -> str:
     """Hash of everything that shapes a cached record besides corpus/subset/seed."""
     payload = {
+        "numerics_version": NUMERICS_VERSION,
         "learning_rate": train_cfg.learning_rate,
         "epochs": train_cfg.epochs,
         "batch_size": train_cfg.batch_size,

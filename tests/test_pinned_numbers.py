@@ -9,6 +9,8 @@ configured epochs and at ``--epochs 0``, the cache records and
 the ``ablation_records.json`` of ``ablate7 --replicates 2``.
 Strings and integers must match exactly, floats to a relative 1e-9: close
 enough for another CPU's last bit, far from what one float32 step moves.
+The fixture also records the ``search.NUMERICS_VERSION`` it was made at, so
+a bump without a regeneration fails here too.
 
 The fields that hold a hash of float bytes (``payload_sha256``,
 ``provenance.parent``, ``corpus_hash``) change with the last bit of any
@@ -16,10 +18,13 @@ value, and ``tool_version`` and ``meta.version`` with every release, so they
 are not compared.
 
 Regenerate the fixture only with a change that is meant to move these
-numbers and says so; regenerating it to let any other change pass would
-loosen this test:
+numbers, and bump ``NUMERICS_VERSION`` with it:
 
     PYTHONPATH=src python tests/test_pinned_numbers.py
+
+The script refuses, exits nonzero and writes nothing when the fixture
+already records the current version and a number it holds would move; it
+may add entries that the fixture lacks.
 """
 
 from __future__ import annotations
@@ -27,12 +32,14 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import tempfile
 from pathlib import Path
 
 import numpy as np
 
 from chansel.cli import EXIT_OK, main
+from chansel.search import NUMERICS_VERSION
 from test_cli import TINY_CONFIG
 
 FIXTURE = Path(__file__).with_name("pinned_numbers.json")
@@ -91,6 +98,7 @@ def pinned_numbers(tmp: Path) -> dict:
     _run("ablate7", *common, "--corpus", corpus, "--out", abl, "--replicates", "2")
     log = (Path(pre) / "training_log_p0.125.csv").read_text().splitlines()[2:]
     return _compared({
+        "numerics_version": NUMERICS_VERSION,
         "exhaustive_cache": _cache(sweep),
         "pretrain_loss_log": [[int(epoch), float(loss), float(retained)]
                               for epoch, loss, retained in (row.split(",") for row in log)],
@@ -119,6 +127,15 @@ def _assert_close(expected, got, where: str = "") -> None:
         assert got == expected, (where, expected, got)
 
 
+def _held(got, expected):
+    """``got`` cut to the dict keys that ``expected`` holds, at every depth."""
+    if isinstance(expected, dict) and isinstance(got, dict):
+        return {key: _held(got[key], expected[key]) for key in expected if key in got}
+    if isinstance(expected, list) and isinstance(got, list):
+        return [_held(g, e) for g, e in zip(got, expected)] + got[len(expected):]
+    return got
+
+
 def test_trained_numbers_match_the_fixture(tmp_path, monkeypatch):
     monkeypatch.delenv("CHANSEL_CACHE_DIR", raising=False)
     expected = json.loads(FIXTURE.read_text())
@@ -128,5 +145,13 @@ def test_trained_numbers_match_the_fixture(tmp_path, monkeypatch):
 if __name__ == "__main__":
     os.environ.pop("CHANSEL_CACHE_DIR", None)
     with tempfile.TemporaryDirectory() as tmp:
-        FIXTURE.write_text(json.dumps(pinned_numbers(Path(tmp)), indent=1) + "\n")
+        numbers = pinned_numbers(Path(tmp))
+    old = json.loads(FIXTURE.read_text()) if FIXTURE.exists() else {}
+    if old.get("numerics_version") == NUMERICS_VERSION:
+        try:
+            _assert_close(old, _held(numbers, old))
+        except AssertionError as exc:
+            sys.exit(f"refused: {FIXTURE.name} holds numerics version {NUMERICS_VERSION} and "
+                     f"a number it pins would move {exc}; bump search.NUMERICS_VERSION")
+    FIXTURE.write_text(json.dumps(numbers, indent=1) + "\n")
     print(f"wrote {FIXTURE}")
