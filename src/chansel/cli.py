@@ -4,7 +4,8 @@ Subcommands: gen-data, pretrain, finetune, backward-elim, exhaustive,
 ablate7, report. Settings come from a JSON config file; DEFAULT_CONFIG is
 its schema, and a key it lacks or a value of another type is a config error.
 Every flag overrides its file value. Exit codes: 0 success, 1 usage error,
-2 data/config error, 3 evaluator divergence.
+2 data/config error, 3 evaluator divergence, 130 interrupted (SIGINT); an
+interrupted search keeps every record it finished and says how many.
 
 The results cache lives in <output-dir>/cache.jsonl unless CHANSEL_CACHE_DIR
 points somewhere else. Outputs embed (version, config hash, corpus hash,
@@ -62,6 +63,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_DIVERGED = 3
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 
 SUBSET_PRESETS = {"4ch": "1356", "5ch": "12345", "6ch": "123458", "7ch": "1234578"}
 
@@ -291,13 +293,17 @@ def _search_setup(args: argparse.Namespace, cfg: dict):
     warns about the cache lines that could not be read: every damaged line
     of this config (its records are all decoded when the search first reads
     one), and of other lines only those without the canonical head that are
-    not UTF-8 JSON or name no config."""
+    not UTF-8 JSON or name no config. An interrupt is raised again with
+    the number of records the search kept and the cache they are in."""
     corpus = load_corpus(Path(args.corpus))
     out_dir = Path(args.out)
     evaluator = _evaluator(corpus, cfg, out_dir)
     prov = reports.Provenance(evaluator.config_hash, corpus.content_hash, evaluator.train_cfg.seed)
     try:
         yield corpus, out_dir, evaluator, prov
+    except KeyboardInterrupt:
+        raise KeyboardInterrupt(f"kept {evaluator.training_runs} new records in "
+                                f"{evaluator.cache.path}; rerun to resume") from None
     finally:
         cache = evaluator.cache
         if cache.skipped_lines:
@@ -466,6 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except KeyboardInterrupt as exc:  # a search says what it kept
+        print(f"interrupted: {exc}" if exc.args else "interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -26,6 +26,7 @@ import itertools
 import json
 import math
 import re
+import signal
 import sys
 import time
 from contextlib import closing
@@ -296,9 +297,12 @@ def _openblas_library() -> str | None:
 def _init_worker(inputs: TaskInputs, openblas: str | None) -> None:
     """Install the task inputs, and pin BLAS to one thread: the pool runs
     ``workers`` processes side by side, and BLAS threads on top of them
-    oversubscribe the cores without making a task faster."""
+    oversubscribe the cores without making a task faster. A worker ignores
+    SIGINT: a terminal's Ctrl-C reaches the whole process group, and the
+    search process alone handles it, letting the running stacks finish."""
     global _WORKER_INPUTS
     _WORKER_INPUTS = inputs
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     if openblas is not None:
         set_threads = ctypes.CDLL(openblas).scipy_openblas_set_num_threads64_
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
@@ -559,10 +563,10 @@ class TrainingEvaluator:
 
         pending = [(s, r) for s in subsets for r in range(self.replicates) if cached(s, r) is None]
         if pending and require_cached:
-            missing = sorted({s.label for s, _ in pending})
-            raise ValueError(
-                f"cache is missing records for subsets {missing}; run the sweep first"
-            )
+            missing = list(dict.fromkeys(s.label for s, _ in pending))
+            named = " ".join(missing[:5]) + (" ..." if len(missing) > 5 else "")
+            raise ValueError(f"cache is missing records for {len(missing)} of {len(subsets)} "
+                             f"subsets ({named}); run the sweep first")
         if pending:
             self._run(pending)
         return {

@@ -4,9 +4,11 @@ import hashlib
 import json
 import math
 import os
+import signal
 import struct
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -15,7 +17,7 @@ import pytest
 
 from chansel import cli, reports, search
 from chansel.artefacts import json_text, write_text
-from chansel.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_OK, EXIT_USAGE, main
+from chansel.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
 from chansel.corpus import load_corpus
 from chansel.model import (
     TrainConfig, evaluate, featurize, init_params, load_model, save_model, slice_input_channels,
@@ -537,7 +539,7 @@ class TestSearchCommands:
         assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                      "--out", str(damaged)]) == EXIT_DATA
         err = capsys.readouterr().err
-        assert f"cache is missing records for subsets ['{ours['subset']}']" in err
+        assert f"cache is missing records for 1 of 6 subsets ({ours['subset']}); run" in err
         assert warning in err
         assert cache.read_bytes() == before
 
@@ -1192,6 +1194,52 @@ class TestExitCodes:
         # reaches stderr, the pool workers' file descriptor 2 included
         assert capfd.readouterr().err == ("error: evaluation of subset 12 failed: non-finite "
                                           "loss nan at epoch 1, batch 0\n")
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sigint_keeps_the_finished_records_and_exits_130(self, tmp_path, workers):
+        """Ctrl-C, sent to the process group as a terminal sends it, once the
+        cache holds a line: the search keeps what it finished, says so in one
+        line and exits 130, and a rerun resumes to the uninterrupted reports.
+        240-frame utterances in batches of 16 make each task a stack of its
+        own, so 18 tasks of about 60 ms each are left when the signal goes."""
+        cfg = copy.deepcopy(TINY_CONFIG)
+        cfg["generator"].update(frames_per_segment=40, segments_per_utterance=6, utterances=24)
+        cfg["train"].update(batch_size=16, epochs=30)
+        cfg["search"].update(replicates=3, workers=int(workers))
+        config, corpus = tmp_path / "config.json", tmp_path / "corpus"
+        config.write_text(json.dumps(cfg))
+        assert main(["gen-data", "--config", str(config), "--out", str(corpus)]) == EXIT_OK
+        argv = ["exhaustive", "--config", str(config), "--corpus", str(corpus), "--out"]
+        assert main([*argv, str(tmp_path / "whole")]) == EXIT_OK
+        reference = _read_all(tmp_path / "whole")
+
+        out = tmp_path / "interrupted"
+        cache = out / "cache.jsonl"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        env.pop("CHANSEL_CACHE_DIR", None)
+        run = subprocess.Popen([sys.executable, "-m", "chansel.cli", *argv, str(out)], env=env,
+                               stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                               start_new_session=True)
+        try:
+            while run.poll() is None and not (cache.exists() and cache.stat().st_size):
+                time.sleep(0.002)
+            sent = time.monotonic()
+            os.killpg(run.pid, signal.SIGINT)
+            err = run.communicate(timeout=60)[1]
+        finally:
+            run.kill()
+        assert run.returncode == EXIT_INTERRUPTED
+        assert time.monotonic() - sent < 30
+        text = cache.read_text()
+        lines = text.splitlines()
+        assert text.endswith("\n") and all(json.loads(line) for line in lines)
+        assert 1 <= len(lines) < 18
+        assert err == f"interrupted: kept {len(lines)} new records in {cache}; rerun to resume\n"
+
+        assert main([*argv, str(out)]) == EXIT_OK
+        assert len(cache.read_text().splitlines()) == 18  # the rerun trained only the rest
+        assert {name: data for name, data in _read_all(out).items() if name != "cache.jsonl"} == {
+            name: data for name, data in reference.items() if name != "cache.jsonl"}
 
 
 class TestPoolSize:

@@ -5,6 +5,10 @@ import inspect
 import itertools
 import json
 import multiprocessing
+import os
+import signal
+import subprocess
+import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
@@ -867,6 +871,14 @@ class TestTrainingEvaluator:
         with pytest.raises(ValueError, match="missing"):
             ev.evaluate_many([ChannelSubset((0,))], require_cached=True)
 
+    def test_require_cached_counts_the_missing_subsets_and_names_five(self, tmp_path):
+        ev = _evaluator(_search_corpus(), tmp_path)
+        subsets = [ChannelSubset(tuple(c for c in range(3) if bits >> c & 1))
+                   for bits in range(1, 8)]
+        with pytest.raises(ValueError, match=r"^cache is missing records for 7 of 7 subsets "
+                                             r"\(1 2 12 3 13 \.\.\.\); run the sweep first$"):
+            ev.evaluate_many(subsets, require_cached=True)
+
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("case,error,message", [
         ("silent", ValueError, "corpus reference transcripts are empty; WER undefined"),
@@ -1048,6 +1060,33 @@ class TestTrainingEvaluator:
         assert len(kept) == ev.training_runs == len(tasks)
         for label, replicate in tasks:
             assert kept.get(label, ev.corpus_hash, ev.config_hash, int(replicate)) is not None
+
+    def test_idle_pool_workers_print_nothing_on_ctrl_c(self):
+        # a terminal's Ctrl-C reaches every process of the group; a worker
+        # waiting for work would otherwise die with a traceback of its own
+        script = """
+import time
+from chansel.signals import ChannelSubset
+from test_search import _evaluator, _search_corpus
+ev = _evaluator(_search_corpus(), workers=2)
+ev.evaluate_many([ChannelSubset((0,))])  # starts the pool, which then waits for work
+try:
+    print("idle", flush=True)
+    time.sleep(60)
+except KeyboardInterrupt:
+    ev.close()
+"""
+        paths = (Path(search.__file__).parents[1], Path(__file__).parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+        run = subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True, start_new_session=True)
+        try:
+            assert run.stdout.readline() == "idle\n"
+            os.killpg(run.pid, signal.SIGINT)
+            err = run.communicate(timeout=60)[1]
+        finally:
+            run.kill()
+        assert (run.returncode, err) == (0, "")
 
     def test_pool_failure_names_the_canonically_first_failed_task(self, tmp_path,
                                                                   monkeypatch):
