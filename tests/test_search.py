@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from chansel import search
 from chansel.corpus import Corpus, LabeledSequence
 from chansel.model import (
-    EvalRecord, TrainConfig, TrainingDivergedError, evaluate, init_params, train,
+    EvalRecord, TrainConfig, TrainingDivergedError, TrainResult, evaluate, init_params, train,
 )
 from chansel.phonemes import default_table
 from chansel.search import (
@@ -1249,6 +1249,20 @@ def test_benchmark_replica_names_resolve():
                         (ResultsCache, "get"), (ResultsCache, "put"), (ResultsCache, "__len__")):
         assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
     inspect.signature(TrainingEvaluator.evaluate_many).bind_partial(None, [], require_cached=True)
+    # what the replica and the untimed benchmark read from instances and
+    # cache lines; workloads.py reads each line's wall_time as well
+    corpus = _search_corpus()
+    seq = corpus.sequences[0]
+    for obj, attrs in ((corpus, ("content_hash", "channels")),
+                       (seq, ("transcript", "labels", "signal")), (seq.signal, ("samples",)),
+                       (_evaluator(corpus), ("cache", "corpus_hash", "config_hash", "replicates"))):
+        for attr in attrs:
+            assert hasattr(obj, attr), f"{type(obj).__name__}.{attr}"
+    for cls, names in ((TrainResult, {"params", "epoch_losses"}),
+                       (SweepResult, {"records", "metric_name"})):
+        assert names <= {f.name for f in fields(cls)}, cls.__name__
+    assert {"subset", "seed", "config_hash", "corpus_hash", "wall_time"} <= set(
+        make_record("1").to_dict())
 
 
 class TestSevenChannelAblation:
