@@ -2,14 +2,13 @@
 
 A recording is a C-by-T block of real samples (rows are channels, columns are
 time steps). A channel dropout mask is the boolean array the generator
-draws, True for a channel kept, which happens independently with probability
-1 - p; training (``model.fit_windows``) zeroes the dropped channels' window
-blocks and leaves the survivors unscaled, so a masked channel is
-indistinguishable from a dead one. Subsets are canonically written
-with 1-based channel labels ("1356" means channels 1, 3, 5 and 6) while all
-in-memory indices are 0-based. A signal file is an artefact (see
-``artefacts.py``) whose header holds the channel count, the samples per
-channel and the sample rate.
+draws: True keeps a channel, independently with probability 1 - p. Training
+(``model.fit_windows``) zeroes the dropped channels' window blocks and leaves
+the survivors unscaled, so a masked channel is indistinguishable from a dead
+one. Subsets are canonically written with 1-based channel labels ("1356"
+means channels 1, 3, 5 and 6) while all in-memory indices are 0-based. A
+signal file is an artefact (see ``artefacts.py``) whose header holds the
+channel count, the samples per channel and the sample rate.
 """
 
 from __future__ import annotations
