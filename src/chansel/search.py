@@ -418,7 +418,9 @@ class TrainingEvaluator:
     threshold: int
     workers: int
     cache: ResultsCache
-    training_runs: int = field(default=0, init=False)
+    # (subset, seed) of each record this evaluator trained and stored; a keep
+    # an interrupt cuts is retried, so a record may be stored twice, once counted
+    _kept: set = field(default_factory=set, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.replicates < 1:
@@ -467,10 +469,14 @@ class TrainingEvaluator:
             n_seeds=len(per_seed),
         )
 
+    @property
+    def training_runs(self) -> int:
+        return len(self._kept)
+
     def _keep(self, record: EvalRecord) -> None:
-        """Count one finished training task and store its record."""
-        self.training_runs += 1
+        """Store one finished training task's record, then count it."""
         self.cache.put(record)
+        self._kept.add((record.subset_label, record.seed))
 
     def _stacks(self, pending: Sequence[tuple[ChannelSubset, int]]) -> list[list[int]]:
         """The pending tasks, by position, cut into stacks: the n tasks of
