@@ -77,10 +77,8 @@ class Corpus:
         return self.sequences[0].signal.channels
 
     def label_alphabet(self) -> tuple[str, ...]:
-        """Stable class-symbol order: silence first, then the config's class
-        list when available, else the sorted labels actually present."""
-        if self.config and "classes" in self.config:
-            return (SILENCE_SYMBOL, *self.config["classes"])
+        """Class-symbol order of every model of this corpus: silence first,
+        then the sorted labels the corpus holds."""
         seen = sorted({lab for seq in self.sequences for lab in seq.labels})
         if SILENCE_SYMBOL in seen:
             seen.remove(SILENCE_SYMBOL)

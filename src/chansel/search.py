@@ -200,7 +200,7 @@ def derive_task_seeds(base_seed: int, replicate: int) -> tuple[int, int]:
 
 # Bumped by any change that moves a trained number: it is hashed into every
 # config hash, so a cache never serves a record that other numerics produced.
-NUMERICS_VERSION = 1
+NUMERICS_VERSION = 2
 
 
 def config_fingerprint(
@@ -429,7 +429,7 @@ class TrainingEvaluator:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.threshold < 1:
             raise ValueError(f"threshold must be >= 1, got {self.threshold}")
-        self._alphabet = self.train_corpus.label_alphabet()
+        self._alphabet = Corpus((*self.train_corpus, *self.test_corpus)).label_alphabet()
         _layer_shapes(self.train_corpus.channels, self.window, self.features,
                       len(self._alphabet))
         self.config_hash = config_fingerprint(

@@ -26,6 +26,7 @@ from chansel.model import (
 from chansel.phonemes import default_table
 from chansel.search import config_fingerprint
 from chansel.signals import parse_subset
+from chansel.synth import DEFAULT_CLASSES
 
 TINY_CONFIG = {
     "generator": {
@@ -765,6 +766,37 @@ print(json.dumps("numpy._core" in sys.modules))
                      "--out", str(workdir / "x"), "--budget", "2"])
         assert code == EXIT_DATA
         assert "budget" in capsys.readouterr().err
+
+
+def test_every_model_of_a_corpus_takes_one_class_order(tmp_path):
+    """Search, ``pretrain`` and scratch ``finetune`` models share their
+    class symbols: ``SIL``, then the sorted labels of the whole corpus. On
+    this corpus the generator's class list is unsorted, and the train split
+    lacks a class that the test split holds."""
+    cfg = copy.deepcopy(TINY_CONFIG)
+    cfg["generator"].update(classes=list(DEFAULT_CLASSES), frames_per_segment=12,
+                            segments_per_utterance=3, utterances=6, seed=0)
+    config, corpus_dir = tmp_path / "config.json", tmp_path / "corpus"
+    config.write_text(json.dumps(cfg))
+    common = ["--config", str(config), "--corpus", str(corpus_dir)]
+    assert main(["gen-data", "--config", str(config), "--out", str(corpus_dir)]) == EXIT_OK
+    assert main(["pretrain", *common, "--out", str(tmp_path / "pre")]) == EXIT_OK
+    assert main(["finetune", *common, "--out", str(tmp_path / "ft"), "--subset", "12",
+                 "--from-scratch"]) == EXIT_OK
+
+    corpus = load_corpus(corpus_dir)
+    train_c, test_c = corpus.split(cfg["eval"]["train_fraction"])
+    present = {lab for seq in corpus for lab in seq.labels} - {"SIL"}
+    assert list(DEFAULT_CLASSES) != sorted(DEFAULT_CLASSES)
+    assert {lab for seq in test_c for lab in seq.labels} - {lab for seq in train_c
+                                                            for lab in seq.labels}
+    evaluator = cli._evaluator(corpus, cli.load_config(str(config)), tmp_path / "search")
+    orders = {
+        "search": evaluator._task_inputs().reference.class_symbols,
+        "pretrain": load_model(tmp_path / "pre" / "model_p0.json")[0].class_symbols,
+        "finetune": load_model(tmp_path / "ft" / "model_scratch_12.json")[0].class_symbols,
+    }
+    assert orders == dict.fromkeys(orders, ("SIL", *sorted(present)))
 
 
 def test_package_import_loads_only_its_version():

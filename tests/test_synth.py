@@ -270,9 +270,10 @@ class TestCorpusOps:
         with pytest.raises(ValueError, match=message):
             generate(_small_cfg()).split(fraction)
 
-    def test_alphabet_order_from_config(self):
+    def test_alphabet_sorts_the_labels_whatever_the_config_order(self):
         corpus = generate(_small_cfg())
-        assert corpus.label_alphabet() == (SILENCE_SYMBOL, "B", "IY", "T", "AE")
+        assert corpus.config["classes"] == ["B", "IY", "T", "AE"]
+        assert corpus.label_alphabet() == (SILENCE_SYMBOL, "AE", "B", "IY", "T")
 
     @pytest.mark.parametrize("labels, alphabet", [
         (["T", "B", SILENCE_SYMBOL, "AE"], (SILENCE_SYMBOL, "AE", "B", "T")),
