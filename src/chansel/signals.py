@@ -92,11 +92,11 @@ class ChannelSubset:
     @property
     def label(self) -> str:
         """Canonical 1-based text form: "1356" style while every label fits a
-        single digit, comma-separated otherwise."""
+        single digit, else comma-separated, "1,10,12", or "12," for one."""
         one_based = [i + 1 for i in self.indices]
         if one_based[-1] <= 9:
             return "".join(str(i) for i in one_based)
-        return ",".join(str(i) for i in one_based)
+        return ",".join(str(i) for i in one_based) + ("," if len(one_based) == 1 else "")
 
     def drop(self, channel: int) -> "ChannelSubset":
         """Subset without ``channel`` (which must be a member)."""
@@ -115,14 +115,14 @@ def parse_subset(label: str, channels: int) -> ChannelSubset:
     """Parse a 1-based subset label into a 0-based :class:`ChannelSubset`.
 
     Two forms are accepted: a run of digits ("1356", channels 1..9 only) or
-    comma-separated 1-based indices ("1,3,5,6"). Output is sorted; the result
-    round-trips through :attr:`ChannelSubset.label`.
+    comma-separated 1-based indices ("1,3,5,6", or "12," for one channel).
+    Output is sorted; the result round-trips through :attr:`ChannelSubset.label`.
     """
     text = label.strip()
     if not text:
         raise ValueError("empty subset label")
     if "," in text:
-        parts = [p.strip() for p in text.split(",")]
+        parts = [p.strip() for p in text.removesuffix(",").split(",")]
     else:
         parts = list(text)
     try:

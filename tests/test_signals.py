@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -95,11 +96,21 @@ class TestChannelSubset:
         s = ChannelSubset((0, 9, 11))
         assert s.label == "1,10,12"
         assert parse_subset(s.label, 12) == s
+        # a lone channel past 9 ends in a comma: "12" is channels 1 and 2
+        assert [ChannelSubset((i,)).label for i in (8, 9, 11)] == ["9", "10,", "12,"]
+        assert parse_subset("12,", 12) == ChannelSubset((11,))
 
-    @given(st.lists(st.integers(0, 8), min_size=1, max_size=9, unique=True))
+    @given(st.lists(st.integers(0, 15), min_size=1, max_size=16, unique=True))
     def test_label_round_trips(self, indices):
         s = ChannelSubset(tuple(sorted(indices)))
-        assert parse_subset(s.label, 9) == s
+        assert parse_subset(s.label, 16) == s
+
+    def test_every_subset_has_its_own_label(self):
+        subsets = [ChannelSubset(tuple(c)) for k in range(1, 13)
+                   for c in itertools.combinations(range(12), k)]
+        labels = {s.label: s for s in subsets}
+        assert len(labels) == len(subsets) == 2 ** 12 - 1
+        assert all(parse_subset(label, 12) == s for label, s in labels.items())
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
