@@ -319,8 +319,8 @@ def cmd_backward_elim(args: argparse.Namespace, cfg: dict) -> int:
             stop_size=cfg["search"]["stop_size"],
             metric=cfg["search"]["metric"],
         )
-    write_text(out_dir / "elimination.json", reports.elimination_json(trace, prov))
-    write_text(out_dir / "elimination_curve.csv", reports.elimination_plot_csv(trace, prov))
+        write_text(out_dir / "elimination.json", reports.elimination_json(trace, prov))
+        write_text(out_dir / "elimination_curve.csv", reports.elimination_plot_csv(trace, prov))
     order = ", ".join(str(ch + 1) for ch in trace.removal_order)
     print(f"removal order: {order}; survivors: {trace.steps[-1].surviving.label}")
     return EXIT_OK
@@ -341,13 +341,13 @@ def _sweep_reports(args: argparse.Namespace, cfg: dict, cached_only: bool):
             metric=cfg["search"]["metric"],
             budget=cfg["search"]["budget"],
         )
-    k_top = min(cfg["search"]["k_top"], len(sweep.records))
-    counts = top_k_frequency(sweep, k_top)
-    averages = channel_average_metric(sweep)
-    write_text(out_dir / "sweep.csv", reports.sweep_csv(sweep, prov))
-    write_text(out_dir / "top_subsets.csv", reports.top_subsets_csv(sweep, k_top, counts, prov))
-    write_text(out_dir / "channel_average.csv",
-               reports.channel_average_csv(averages, sweep.metric_name, prov))
+        k_top = min(cfg["search"]["k_top"], len(sweep.records))
+        counts = top_k_frequency(sweep, k_top)
+        averages = channel_average_metric(sweep)
+        write_text(out_dir / "sweep.csv", reports.sweep_csv(sweep, prov))
+        write_text(out_dir / "top_subsets.csv", reports.top_subsets_csv(sweep, k_top, counts, prov))
+        write_text(out_dir / "channel_average.csv",
+                   reports.channel_average_csv(averages, sweep.metric_name, prov))
     return sweep, out_dir
 
 
@@ -364,14 +364,14 @@ def cmd_exhaustive(args: argparse.Namespace, cfg: dict) -> int:
 def cmd_ablate7(args: argparse.Namespace, cfg: dict) -> int:
     with _search_setup(args, cfg) as (corpus, out_dir, evaluator, prov):
         result = seven_channel_ablation(evaluator, corpus.channels)
-    write_text(out_dir / "worst_channel.csv", reports.worst_channel_csv(result.rows, prov))
-    records_doc = {
-        "baseline": _record_doc(result.baseline),
-        "by_removed_channel": {
-            str(ch): _record_doc(rec) for ch, rec in sorted(result.records.items())
-        },
-    }
-    write_text(out_dir / "ablation_records.json", json_text(records_doc))
+        write_text(out_dir / "worst_channel.csv", reports.worst_channel_csv(result.rows, prov))
+        records_doc = {
+            "baseline": _record_doc(result.baseline),
+            "by_removed_channel": {
+                str(ch): _record_doc(rec) for ch, rec in sorted(result.records.items())
+            },
+        }
+        write_text(out_dir / "ablation_records.json", json_text(records_doc))
     print(f"ablated {corpus.channels} channels; wrote {out_dir / 'worst_channel.csv'}")
     return EXIT_OK
 

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import hashlib
+import importlib
 import json
 import math
 import os
@@ -433,6 +434,32 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (resumed / name).read_bytes() == reference[name], name
 
+    @pytest.mark.parametrize("command, kept", [
+        ("exhaustive", 6), ("backward-elim", 7), ("ablate7", 5)])
+    def test_interrupt_while_writing_reports_says_what_was_kept(
+            self, workdir, corpus_dir, capsys, monkeypatch, command, kept):
+        argv = [command, "--config", _cfg(workdir), "--corpus", str(corpus_dir), "--out"]
+        assert main([*argv, str(workdir / "whole")]) == EXIT_OK
+        reference = _read_all(workdir / "whole")
+        out = workdir / "interrupted"
+        capsys.readouterr()
+
+        def interrupt(path, text):
+            raise KeyboardInterrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "write_text", interrupt)
+            assert main([*argv, str(out)]) == EXIT_INTERRUPTED
+        cache = out / "cache.jsonl"
+        assert capsys.readouterr().err == (f"interrupted: kept {kept} new records in {cache}; "
+                                           "rerun to resume\n")
+        assert list(_read_all(out)) == ["cache.jsonl"]
+        cached = cache.read_bytes()
+        assert main([*argv, str(out)]) == EXIT_OK
+        assert cache.read_bytes() == cached  # the rerun trained nothing
+        assert {name: data for name, data in _read_all(out).items() if name != "cache.jsonl"} == {
+            name: data for name, data in reference.items() if name != "cache.jsonl"}
+
     def test_report_rebuilds_from_cache_without_training(self, workdir, corpus_dir):
         out = workdir / "sweep"
         main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
@@ -813,6 +840,34 @@ print(json.dumps([sorted(m for m in sys.modules if m.split(".")[0] == "chansel")
     run = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True)
     assert json.loads(run.stdout.splitlines()[-1]) == [["chansel", "chansel._version"], False]
+
+
+def test_benchmark_config_and_argv_are_accepted(tmp_path, monkeypatch):
+    """``perfbench/workloads.py`` writes a config file of every key and runs
+    the CLI with fixed flags; a key or flag the CLI drops fails every
+    benchmark run, so its configs must load and each argv it builds parse."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    argvs = []
+
+    def run(bench, *args, cache_dir=None):
+        argvs.append(list(args))
+        return workloads.CliRun(list(args), 0, 0.0, 0.0, 0.0, 0.0, tmp_path / "log")
+
+    monkeypatch.setattr(workloads.Bench, "cli", run)
+    for seed in (1, 51):
+        bench = workloads.Bench(tmp_path, tmp_path / f"seed{seed}", seed)
+        loaded = cli.load_config(str(bench.config_path))
+        assert all(loaded[section][key] == value for section, values in bench.config.items()
+                   for key, value in values.items())
+        bench.gen_data()
+        (tmp_path / f"seed{seed}" / "shared_cache").mkdir()
+        (tmp_path / f"seed{seed}" / "shared_cache" / "cache.jsonl").touch()
+        for workload in workloads.WORKLOADS.values():
+            workload.iterate(bench, tmp_path / f"seed{seed}" / "out", workloads.WORKERS)
+    parser = cli.build_parser()
+    assert {parser.parse_args(argv).command for argv in argvs} == {
+        "gen-data", "exhaustive", "backward-elim", "report"}
 
 
 class TestFlagTable:
