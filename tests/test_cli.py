@@ -812,18 +812,17 @@ def test_every_model_of_a_corpus_takes_one_class_order(tmp_path):
                  "--from-scratch"]) == EXIT_OK
 
     corpus = load_corpus(corpus_dir)
-    train_c, test_c = corpus.split(cfg["eval"]["train_fraction"])
-    present = {lab for seq in corpus for lab in seq.labels} - {"SIL"}
+    train, test = ({lab for seq in split for lab in seq.labels}
+                   for split in corpus.split(cfg["eval"]["train_fraction"]))
     assert list(DEFAULT_CLASSES) != sorted(DEFAULT_CLASSES)
-    assert {lab for seq in test_c for lab in seq.labels} - {lab for seq in train_c
-                                                            for lab in seq.labels}
+    assert test - train  # a class only the test split holds
     evaluator = cli._evaluator(corpus, cli.load_config(str(config)), tmp_path / "search")
     orders = {
         "search": evaluator._task_inputs().reference.class_symbols,
         "pretrain": load_model(tmp_path / "pre" / "model_p0.json")[0].class_symbols,
         "finetune": load_model(tmp_path / "ft" / "model_scratch_12.json")[0].class_symbols,
     }
-    assert orders == dict.fromkeys(orders, ("SIL", *sorted(present)))
+    assert orders == dict.fromkeys(orders, ("SIL", *sorted((train | test) - {"SIL"})))
 
 
 def test_package_import_loads_only_its_version():
@@ -861,10 +860,11 @@ def test_benchmark_config_and_argv_are_accepted(tmp_path, monkeypatch):
         assert all(loaded[section][key] == value for section, values in bench.config.items()
                    for key, value in values.items())
         bench.gen_data()
-        (tmp_path / f"seed{seed}" / "shared_cache").mkdir()
-        (tmp_path / f"seed{seed}" / "shared_cache" / "cache.jsonl").touch()
+        shared = workloads.WORKLOADS["replay-warm"].cache_dir(bench)
+        shared.mkdir()
+        (shared / "cache.jsonl").touch()  # the replay counts its lines
         for workload in workloads.WORKLOADS.values():
-            workload.iterate(bench, tmp_path / f"seed{seed}" / "out", workloads.WORKERS)
+            workload.iterate(bench, bench.work / "out", workloads.WORKERS)
     parser = cli.build_parser()
     assert {parser.parse_args(argv).command for argv in argvs} == {
         "gen-data", "exhaustive", "backward-elim", "report"}
