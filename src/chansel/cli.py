@@ -178,10 +178,7 @@ def _evaluator(corpus: Corpus, cfg: dict, out_dir: Path) -> TrainingEvaluator:
 
 
 def _record_doc(record) -> dict:
-    doc = record.to_dict()
-    doc.pop("wall_time")  # timings would break byte-identical reruns
-    doc["tool_version"] = __version__
-    return doc
+    return {**record.to_dict(), "tool_version": __version__}
 
 
 # --- subcommands ---------------------------------------------------------------

@@ -479,8 +479,7 @@ class EvalRecord:
 
     ``seed`` is the replicate index in a cache row, one training, and the
     base seed in every record a search returns, whatever its ``n_seeds``.
-    ``wall_time`` is the seconds of the search task that made the record
-    (0.0 from ``evaluate``); it never flows into report files.
+    A record is a function of (subset, corpus, config, seed) alone.
     """
 
     subset_label: str
@@ -490,7 +489,6 @@ class EvalRecord:
     wer: float
     per_total: float
     per_category: CategoryReport
-    wall_time: float = 0.0
     n_seeds: int = 1
 
     def to_dict(self) -> dict:
@@ -505,7 +503,6 @@ class EvalRecord:
                 "rows": [[r.name, r.count, r.rate] for r in self.per_category.rows],
                 "excluded": list(self.per_category.excluded),
             },
-            "wall_time": self.wall_time,
             "n_seeds": self.n_seeds,
         }
 
@@ -524,7 +521,6 @@ class EvalRecord:
                            for name, count, rate in cat["rows"]),
                 excluded=tuple(cat["excluded"]),
             ),
-            wall_time=float(d["wall_time"]),
             n_seeds=int(d.get("n_seeds", 1)),
         )
 

@@ -75,7 +75,7 @@ class EvaluationError(RuntimeError):
 # --- results cache -----------------------------------------------------------
 
 
-# The head that ``json.dumps(record.to_dict(), sort_keys=True)`` writes. A
+# The head of the line ``ResultsCache.put`` writes, keys sorted. A
 # hash of printable ASCII holding no quote or backslash is written as is, so
 # the two groups, decoded, equal the decoded JSON strings.
 _HEAD = re.compile(rb'\{"config_hash": "([\x20\x21\x23-\x5b\x5d-\x7e]*)", '
@@ -158,7 +158,8 @@ class ResultsCache:
         self._read_scope((corpus_hash, config_hash))
         return self._records.get((subset_label, corpus_hash, config_hash, seed))
 
-    def put(self, record: EvalRecord) -> None:
+    def put(self, record: EvalRecord, wall_time: float = 0.0) -> None:
+        """Store ``record``; its line adds the seconds of the task that made it."""
         self._read_scope((record.corpus_hash, record.config_hash))
         self._records[(record.subset_label, record.corpus_hash, record.config_hash,
                        record.seed)] = record
@@ -168,7 +169,8 @@ class ResultsCache:
                 if self._torn_tail:
                     fh.write("\n")
                     self._torn_tail = False
-                fh.write(json.dumps(record.to_dict(), sort_keys=True) + "\n")
+                fh.write(json.dumps({**record.to_dict(), "wall_time": wall_time},
+                                    sort_keys=True) + "\n")
                 fh.flush()
 
     def __len__(self) -> int:
@@ -358,11 +360,10 @@ def _stack_width(inputs: TaskInputs) -> int:
 
 
 def _run_stack(inputs: TaskInputs, stack: tuple[tuple[int, ...], ...],
-               replicate: int) -> list[EvalRecord | Exception]:
+               replicate: int) -> list[tuple[EvalRecord, float] | Exception]:
     """Train and score one stack, subsets of one size given by their channel
     indices, from its replicate's start model; returns per subset its record
-    or its error. A record's ``wall_time`` is its share of the stack's
-    seconds."""
+    with its share of the stack's seconds, or its error."""
     subsets = [ChannelSubset(indices) for indices in stack]
     init_seed, train_seed = derive_task_seeds(inputs.train_cfg.seed, replicate)
     t0 = time.perf_counter()
@@ -370,11 +371,12 @@ def _run_stack(inputs: TaskInputs, stack: tuple[tuple[int, ...], ...],
                          inputs.reference.class_symbols, seed=init_seed)
     outcomes = train_and_score(inputs, [params] * len(subsets), subsets, train_seed, replicate)
     share = (time.perf_counter() - t0) / len(stack)
-    return [outcome if isinstance(outcome, Exception) else replace(outcome[1], wall_time=share)
+    return [outcome if isinstance(outcome, Exception) else (outcome[1], share)
             for outcome in outcomes]
 
 
-def _pool_stack(stack: tuple[tuple[int, ...], ...], replicate: int) -> list[EvalRecord | Exception]:
+def _pool_stack(stack: tuple[tuple[int, ...], ...],
+                replicate: int) -> list[tuple[EvalRecord, float] | Exception]:
     return _run_stack(_WORKER_INPUTS, stack, replicate)
 
 
@@ -452,8 +454,8 @@ class TrainingEvaluator:
         return self._inputs
 
     def _aggregate(self, per_seed: Sequence[EvalRecord]) -> EvalRecord:
-        """The replicates' mean rates, in the first one's rows, their summed
-        wall time, and the base seed. Each sum is ``pairwise_sum``, so each
+        """The replicates' mean rates, in the first one's rows, and the base
+        seed. Each sum is ``pairwise_sum``, so each
         mean equals ``np.mean`` of the rate's list to the bit."""
         first = per_seed[0]
         wer, per_total, *rates = (pairwise_sum(column) / len(per_seed) for column in zip(
@@ -465,7 +467,6 @@ class TrainingEvaluator:
             per_total=per_total,
             per_category=replace(first.per_category, rows=tuple(
                 replace(row, rate=rate) for row, rate in zip(first.per_category.rows, rates))),
-            wall_time=pairwise_sum([r.wall_time for r in per_seed]),
             n_seeds=len(per_seed),
         )
 
@@ -473,9 +474,10 @@ class TrainingEvaluator:
     def training_runs(self) -> int:
         return len(self._kept)
 
-    def _keep(self, record: EvalRecord) -> None:
-        """Store one finished training task's record, then count it."""
-        self.cache.put(record)
+    def _keep(self, record: EvalRecord, seconds: float) -> None:
+        """Store one finished training task's record and its seconds, then
+        count it."""
+        self.cache.put(record, seconds)
         self._kept.add((record.subset_label, record.seed))
 
     def _stacks(self, pending: Sequence[tuple[ChannelSubset, int]]) -> list[list[int]]:
@@ -521,7 +523,7 @@ class TrainingEvaluator:
                     initargs=(self._task_inputs(), _openblas_library()),
                 )
             futures = [self._pool.submit(_pool_stack, *args) for args in work]
-        outcomes: list[EvalRecord | Exception | None] = [None] * len(pending)
+        outcomes: list[tuple[EvalRecord, float] | Exception | None] = [None] * len(pending)
         ends = [stack[0] for stack in stacks[1:]] + [len(pending)]
         kept = 0
         try:
@@ -536,7 +538,7 @@ class TrainingEvaluator:
                 for outcome in outcomes[kept:end]:
                     if isinstance(outcome, Exception):
                         raise EvaluationError(pending[kept][0].label, outcome) from outcome
-                    self._keep(outcome)
+                    self._keep(*outcome)
                     kept += 1
         except BaseException:
             if futures:
@@ -546,8 +548,8 @@ class TrainingEvaluator:
                         for i, outcome in zip(stack, fut.result()):
                             outcomes[i] = outcome
             for outcome in outcomes[kept:]:
-                if isinstance(outcome, EvalRecord):
-                    self._keep(outcome)
+                if isinstance(outcome, tuple):
+                    self._keep(*outcome)
             raise
 
     def close(self) -> None:

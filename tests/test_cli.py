@@ -21,8 +21,8 @@ from chansel.artefacts import json_text, write_text
 from chansel.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
 from chansel.corpus import load_corpus
 from chansel.model import (
-    TrainConfig, evaluate, featurize, init_params, load_model, save_model, slice_input_channels,
-    train,
+    EvalRecord, TrainConfig, evaluate, featurize, init_params, load_model, save_model,
+    slice_input_channels, train,
 )
 from chansel.phonemes import default_table
 from chansel.search import config_fingerprint
@@ -648,10 +648,13 @@ class TestSearchCommands:
             assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
                          "--out", str(out), "--workers", workers,
                          "--replicates", replicates]) == EXIT_OK
-            outputs.append({name: data for name, data in _read_all(out).items()
-                            if name != "cache.jsonl"})  # cache rows carry wall times
+            files = _read_all(out)
+            # each cache line holds the seconds of its task, which no record reads
+            files["cache.jsonl"] = [EvalRecord.from_dict(json.loads(line))
+                                    for line in files["cache.jsonl"].splitlines()]
+            outputs.append(files)
         serial, pooled = outputs
-        assert serial and serial == pooled
+        assert serial["cache.jsonl"] and serial == pooled
 
     @pytest.mark.parametrize("k_top", ["-1", "0"])
     def test_report_rejects_k_top_below_one(self, workdir, corpus_dir, capsys, k_top):

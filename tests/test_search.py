@@ -334,6 +334,16 @@ class TestResultsCache:
         assert len(reloaded) == 1
         assert reloaded.skipped_lines == 1
 
+    def test_line_holds_the_task_seconds_and_reads_back_as_the_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        record, other = make_record("12", wer=0.5), make_record("12", seed=1)
+        ResultsCache(path).put(record, 1.5)
+        ResultsCache(path).put(other)
+        assert path.read_text().splitlines() == [
+            json.dumps({**r.to_dict(), "wall_time": t}, sort_keys=True)
+            for r, t in ((record, 1.5), (other, 0.0))]
+        assert ResultsCache(path).get("12", "corpus", "cfg", 0) == record
+
     def test_memory_only_mode(self):
         cache = ResultsCache(None)
         cache.put(make_record("12"))
@@ -348,8 +358,7 @@ def _mixed_cache(path):
         for seed in (0, 1):
             record = make_record(label, wer=0.1 * i + seed, per_total=0.01 * i, seed=seed,
                                  per_category=report_from_rates({"vowels": 0.2, "stops": i}))
-            cache.put(replace(record, config_hash=config, corpus_hash=corpus,
-                              wall_time=0.5 + i))
+            cache.put(replace(record, config_hash=config, corpus_hash=corpus), 0.5 + i)
     return path.read_text().splitlines()
 
 
@@ -483,7 +492,7 @@ class TestScopedResultsCache:
         first = ResultsCache(path)
         first.put(make_record("12", wer=0.5))
         line = json.dumps(make_record("13").to_dict(), sort_keys=True)
-        torn = line[:line.index('"wall_time"')]
+        torn = line[:line.index('"wer"')]
         with open(path, "a") as fh:
             fh.write(torn if tail else torn + "\n")
         if not tail:
@@ -506,7 +515,7 @@ class TestScopedResultsCache:
         other = replace(make_record("13"), config_hash="other")
         line = json.dumps(other.to_dict(), sort_keys=True)
         with open(path, "a") as fh:
-            fh.write(line[:line.index('"wall_time"')] + "\n")
+            fh.write(line[:line.index('"wer"')] + "\n")
         ResultsCache(path).put(make_record("14", wer=0.25))
         cache = ResultsCache(path)
         assert cache.get("12", "corpus", "cfg", 0) == make_record("12", wer=0.5)
@@ -763,7 +772,7 @@ class TestTrainingEvaluator:
             float(np.mean([getattr(r, name) for r in per_seed])) for name in ("wer", "per_total")
         ] + [float(np.mean([r.per_category.rate_of(c) for r in per_seed])) for c in "abc"]
 
-    def test_replicate_mean_and_wall_time_are_numpys_to_the_bit(self):
+    def test_replicate_mean_is_numpys_to_the_bit(self):
         # from 8 values numpy sums pairwise with 8 accumulators in blocks of
         # 128; a running or compensated sum differs in the last bits
         ev = _evaluator(_search_corpus())
@@ -778,9 +787,8 @@ class TestTrainingEvaluator:
         @example(_uniform_row(300))
         @example(_uniform_row(1000))
         def check(values):
-            agg = ev._aggregate([replace(make_record("12", v, v), wall_time=v) for v in values])
+            agg = ev._aggregate([make_record("12", v, v) for v in values])
             assert agg.wer == agg.per_total == np.mean(values)
-            assert agg.wall_time == np.sum(values)
 
         check()
 
@@ -922,15 +930,15 @@ class TestTrainingEvaluator:
                                      ev.train_corpus.label_alphabet(), init_seed)
                 trained = train(params, ev.train_corpus.restrict(subset),
                                 replace(ev.train_cfg, seed=train_seed)).params
-                expected[indices] = replace(evaluate(
+                expected[indices] = evaluate(
                     trained, ev.test_corpus.restrict(subset), ev.table, subset=subset,
                     threshold=ev.threshold, seed=replicate, config_hash=ev.config_hash,
-                    corpus_hash=ev.corpus_hash), wall_time=0.0)
+                    corpus_hash=ev.corpus_hash)
             for width in (1, 2, len(group)):
                 for start in range(0, len(group), width):
                     stack = tuple(group[start:start + width])
                     got = search._run_stack(ev._task_inputs(), stack, replicate)
-                    assert [replace(r, wall_time=0.0) for r in got] == [expected[i] for i in stack]
+                    assert [record for record, _ in got] == [expected[i] for i in stack]
 
     # "channel-4": channel 4's windows are not finite in every train
     # utterance, so every subset holding it diverges at its first batch.
@@ -967,7 +975,7 @@ class TestTrainingEvaluator:
             if indices in failed:
                 assert (type(got), str(got)) == (TrainingDivergedError, str(solo[indices]))
             else:
-                assert replace(got, wall_time=0.0) == replace(solo[indices], wall_time=0.0)
+                assert got[0] == solo[indices][0]
         with closing(ev), pytest.raises(EvaluationError) as caught:
             ev.evaluate_many([ChannelSubset(i) for i in group])
         first = ChannelSubset(failed[0]).label
@@ -978,7 +986,7 @@ class TestTrainingEvaluator:
             if indices in failed:
                 assert kept is None
             else:
-                assert replace(kept, wall_time=0.0) == replace(solo[indices], wall_time=0.0)
+                assert kept == solo[indices][0]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_diverged_slot_keeps_its_error_when_scoring_fails(self, tmp_path):
@@ -1044,11 +1052,11 @@ class TestTrainingEvaluator:
             time.sleep(0.5)
             return real_stack(inputs, stack, replicate)
 
-        def interrupted_keep(record):
+        def interrupted_keep(record, seconds):
             keeps.append(record)
             if len(keeps) == 2:
                 raise KeyboardInterrupt
-            real_keep(record)
+            real_keep(record, seconds)
 
         monkeypatch.setattr(search, "_run_stack", slow_stack)
         monkeypatch.setattr(ev, "_keep", interrupted_keep)
@@ -1116,10 +1124,7 @@ except KeyboardInterrupt:
         sweep_serial = exhaustive_sweep(serial, 3, 2, metric="per_total")
         pooled = _evaluator(corpus, tmp_path / "pool", workers=2)
         sweep_pooled = exhaustive_sweep(pooled, 3, 2, metric="per_total")
-        for a, b in zip(sweep_serial.records, sweep_pooled.records):
-            assert a.subset_label == b.subset_label
-            assert a.wer == b.wer
-            assert a.per_total == b.per_total
+        assert sweep_pooled.records == sweep_serial.records
 
 
 def _count_pool_starts(monkeypatch) -> list:
@@ -1231,7 +1236,7 @@ def _replica_calls() -> dict[tuple[str, ...], set[str]]:
     return calls
 
 
-def test_benchmark_replica_names_resolve():
+def test_benchmark_replica_names_resolve(tmp_path):
     """The traced benchmark runs ``perfbench/replica.py`` on this checkout's
     ``src/``; a name it reads that the library drops breaks only that run."""
     calls = _replica_calls()
@@ -1250,7 +1255,8 @@ def test_benchmark_replica_names_resolve():
         assert callable(getattr(cls, method, None)), f"{cls.__name__}.{method}"
     inspect.signature(TrainingEvaluator.evaluate_many).bind_partial(None, [], require_cached=True)
     # what the replica and the untimed benchmark read from instances and
-    # cache lines; workloads.py reads each line's wall_time as well
+    # from the lines a cache writes; workloads.py reads each line's wall_time
+    # as well
     corpus = _search_corpus()
     seq = corpus.sequences[0]
     for obj, attrs in ((corpus, ("content_hash", "channels")),
@@ -1261,8 +1267,9 @@ def test_benchmark_replica_names_resolve():
     for cls, names in ((TrainResult, {"params", "epoch_losses"}),
                        (SweepResult, {"records", "metric_name"})):
         assert names <= {f.name for f in fields(cls)}, cls.__name__
+    ResultsCache(tmp_path / "cache.jsonl").put(make_record("1"))
     assert {"subset", "seed", "config_hash", "corpus_hash", "wall_time"} <= set(
-        make_record("1").to_dict())
+        json.loads((tmp_path / "cache.jsonl").read_text()))
 
 
 class TestSevenChannelAblation:
