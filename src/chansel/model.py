@@ -300,6 +300,8 @@ class TrainConfig:
             raise ValueError(f"batch_size must be positive, got {self.batch_size}")
         if not (0.0 <= self.dropout_p <= 1.0):
             raise ValueError(f"dropout_p must be in [0, 1], got {self.dropout_p}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -97,6 +97,8 @@ class GeneratorConfig:
                              f"got {self.silence_frames!r}")
         if not (0.0 <= self.crosstalk < 1.0):
             raise ValueError(f"crosstalk must be in [0, 1), got {self.crosstalk}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.channel_classes is not None:
             if (not isinstance(self.channel_classes, (list, tuple))
                     or len(self.channel_classes) != self.channels):

@@ -996,10 +996,13 @@ class TestConfigSchema:
     @pytest.mark.parametrize("section, key, value, message", [
         ("train", "epochs", -1, "epochs must be a positive integer, got -1"),
         ("train", "dropout_p", 7.0, "dropout_p must be in [0, 1], got 7.0"),
+        ("train", "seed", -1, "seed must be >= 0, got -1"),
+        ("generator", "seed", -1, "seed must be >= 0, got -1"),
         ("eval", "per_threshold", 0, "per_threshold must be >= 1, got 0"),
         ("search", "k_top", 0, "k_top must be >= 1, got 0"),
         ("search", "metric", "foo", "unknown metric 'foo' (expected 'wer' or 'per_total')"),
-    ], ids=["epochs", "dropout", "per-threshold", "k-top", "metric"])
+    ], ids=["epochs", "dropout", "train-seed", "generator-seed", "per-threshold", "k-top",
+            "metric"])
     def test_every_subcommand_refuses_an_out_of_range_setting(
             self, workdir, corpus_dir, capsys, command, section, key, value, message):
         """Each is checked once, before any file is read, also by a
