@@ -8,9 +8,10 @@ zero trainings. Evaluations of one subset size and replicate train together
 in stacks, each subset's record equal to the bit to training it alone; with
 workers > 1 the stacks run in a process pool, and all outputs are sorted
 canonically so the worker count never changes a byte of what lands on disk.
-An evaluator starts its pool on the first batch that trains and keeps it for
-every later batch; each search procedure closes the evaluator when it ends,
-and a library caller of ``evaluate_many`` calls ``close`` itself. The pool
+An evaluator starts its pool on the first batch that trains, one worker per
+stack up to ``workers``, and keeps it for every later batch; each search
+procedure closes the evaluator when it ends, and a library caller of
+``evaluate_many`` calls ``close`` itself. The pool
 machinery (``concurrent.futures.process`` and ``multiprocessing``) is
 imported when the module attribute ``ProcessPoolExecutor`` is first read,
 which a pool start does, so a command that trains nothing never loads it.
@@ -518,7 +519,7 @@ class TrainingEvaluator:
             if self._pool is None:
                 # read through the module, so an assigned pool class is used
                 self._pool = sys.modules[__name__].ProcessPoolExecutor(
-                    max_workers=self.workers,
+                    max_workers=min(self.workers, len(work)),
                     initializer=_init_worker,
                     initargs=(self._task_inputs(), _openblas_library()),
                 )

@@ -1077,7 +1077,8 @@ import time
 from chansel.signals import ChannelSubset
 from test_search import _evaluator, _search_corpus
 ev = _evaluator(_search_corpus(), workers=2)
-ev.evaluate_many([ChannelSubset((0,))])  # starts the pool, which then waits for work
+# two stacks start a pool of two workers, which then wait for work
+ev.evaluate_many([ChannelSubset((0,)), ChannelSubset((1,))])
 try:
     print("idle", flush=True)
     time.sleep(60)
@@ -1190,14 +1191,26 @@ class TestPoolLifetime:
         ev = _evaluator(_search_corpus(), tmp_path, workers=2)
         ev.evaluate_many([ChannelSubset((0,))])
         ev.evaluate_many([ChannelSubset((1,))])
-        assert starts == [2]
+        assert starts == [1]
         ev.close()
         ev.close()
         assert multiprocessing.active_children() == []
         ev.evaluate_many([ChannelSubset((2,))])
-        assert starts == [2, 2]
+        assert starts == [1, 1]
         ev.close()
         assert ev.training_runs == 3
+        assert multiprocessing.active_children() == []
+
+    def test_a_pool_starts_one_worker_per_stack_of_its_first_batch(self, tmp_path,
+                                                                  monkeypatch):
+        # a fork pool starts all its workers at the first submit, so a batch
+        # of two stacks on four workers would leave two of them idle
+        starts = _count_pool_starts(monkeypatch)
+        ev = _evaluator(_search_corpus(), tmp_path, workers=4)
+        with closing(ev):
+            ev.evaluate_many([ChannelSubset((0,)), ChannelSubset((1,))])
+            assert starts == [2]
+            assert len(ev._pool._processes) == 2
         assert multiprocessing.active_children() == []
 
 
