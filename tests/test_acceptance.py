@@ -41,6 +41,7 @@ from chansel.signals import (
     restrict_to_subset,
 )
 from chansel.synth import GeneratorConfig, generate
+from test_cli import TINY_CONFIG, _read_all
 from util import (
     binomial_by_factorials,
     complementary_pair_config,
@@ -331,33 +332,10 @@ def test_criterion_10_category_aggregation(table):
             assert name in report2.row_names
 
 
-TINY_CLI_CONFIG = {
-    "generator": {
-        "channels": 4, "classes": ["B", "IY", "T"], "weights": [1.0, 0.7, 0.4, 0.2],
-        "noise_sigma": 0.5, "frames_per_segment": 4, "segments_per_utterance": 3,
-        "utterances": 12, "seed": 5, "channel_classes": None, "crosstalk": 0.0,
-        "silence_frames": None,
-    },
-    "model": {"window": 3, "features": 6},
-    "train": {"learning_rate": 0.5, "epochs": 2, "batch_size": 4, "dropout_p": 0.0,
-              "seed": 0},
-    "search": {"k": 2, "k_top": 3, "stop_size": 2, "replicates": 1,
-               "metric": "per_total", "budget": 1000, "workers": 1},
-    "eval": {"per_threshold": 1, "train_fraction": 0.75},
-}
-
-
-def _snapshot(directory):
-    return {
-        str(p.relative_to(directory)): p.read_bytes()
-        for p in sorted(directory.rglob("*")) if p.is_file()
-    }
-
-
 def test_criterion_11_reproducibility(tmp_path):
     with criterion(11, "reproducibility"):
         cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(TINY_CLI_CONFIG))
+        cfg_path.write_text(json.dumps(TINY_CONFIG))
         corpus_dir = tmp_path / "corpus"
         assert main(["gen-data", "--config", str(cfg_path), "--out", str(corpus_dir)]) == 0
         hash_a = json.loads((corpus_dir / "manifest.json").read_text())["hash"]
@@ -368,21 +346,21 @@ def test_criterion_11_reproducibility(tmp_path):
         pre_dir = tmp_path / "pretrain"
         assert main(["pretrain", "--config", str(cfg_path), "--corpus", str(corpus_dir),
                      "--out", str(pre_dir)]) == 0
-        first = _snapshot(pre_dir)
+        first = _read_all(pre_dir)
         assert main(["pretrain", "--config", str(cfg_path), "--corpus", str(corpus_dir),
                      "--out", str(pre_dir)]) == 0
-        assert _snapshot(pre_dir) == first
+        assert _read_all(pre_dir) == first
 
         sweep_dir = tmp_path / "sweep"
         assert main(["exhaustive", "--config", str(cfg_path), "--corpus", str(corpus_dir),
                      "--out", str(sweep_dir)]) == 0
-        reference = _snapshot(sweep_dir)
+        reference = _read_all(sweep_dir)
         report_names = ("sweep.csv", "top_subsets.csv", "channel_average.csv")
 
         # plain rerun on the warm cache
         assert main(["exhaustive", "--config", str(cfg_path), "--corpus", str(corpus_dir),
                      "--out", str(sweep_dir)]) == 0
-        rerun = _snapshot(sweep_dir)
+        rerun = _read_all(sweep_dir)
         for name in report_names:
             assert rerun[name] == reference[name], name
 
@@ -393,6 +371,6 @@ def test_criterion_11_reproducibility(tmp_path):
         (resumed_dir / "cache.jsonl").write_text("\n".join(cache_lines[:2]) + "\n")
         assert main(["exhaustive", "--config", str(cfg_path), "--corpus", str(corpus_dir),
                      "--out", str(resumed_dir)]) == 0
-        resumed = _snapshot(resumed_dir)
+        resumed = _read_all(resumed_dir)
         for name in report_names:
             assert resumed[name] == reference[name], name
