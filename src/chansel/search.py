@@ -11,10 +11,10 @@ canonically so the worker count never changes a byte of what lands on disk.
 An evaluator starts its pool on the first batch that trains, one worker per
 stack up to ``workers``, and keeps it for every later batch; each search
 procedure closes the evaluator when it ends, and a library caller of
-``evaluate_many`` calls ``close`` itself. The pool
-machinery (``concurrent.futures.process`` and ``multiprocessing``) is
-imported when the module attribute ``ProcessPoolExecutor`` is first read,
-which a pool start does, so a command that trains nothing never loads it.
+``evaluate_many`` calls ``close`` itself. The pool machinery
+(``concurrent.futures.process`` and ``multiprocessing``) is imported when
+the module attribute ``ProcessPoolExecutor`` is first read, which a pool
+start does, so a command that trains nothing never loads it.
 numpy, too, loads on first use: a batch served from the cache is averaged in
 plain Python, to the bit as numpy would, so a warm replay never imports it.
 """
@@ -456,8 +456,8 @@ class TrainingEvaluator:
 
     def _aggregate(self, per_seed: Sequence[EvalRecord]) -> EvalRecord:
         """The replicates' mean rates, in the first one's rows, and the base
-        seed. Each sum is ``pairwise_sum``, so each
-        mean equals ``np.mean`` of the rate's list to the bit."""
+        seed. Each sum is ``pairwise_sum``, so each mean equals ``np.mean``
+        of the rate's list to the bit."""
         first = per_seed[0]
         wer, per_total, *rates = (pairwise_sum(column) / len(per_seed) for column in zip(
             *([r.wer, r.per_total, *(row.rate for row in r.per_category.rows)] for r in per_seed)))
@@ -476,8 +476,7 @@ class TrainingEvaluator:
         return len(self._kept)
 
     def _keep(self, record: EvalRecord, seconds: float) -> None:
-        """Store one finished training task's record and its seconds, then
-        count it."""
+        """Store one finished training task's record and seconds, then count it."""
         self.cache.put(record, seconds)
         self._kept.add((record.subset_label, record.seed))
 
