@@ -8,10 +8,11 @@ zero trainings. Evaluations of one subset size and replicate train together
 in stacks, each subset's record equal to the bit to training it alone; with
 workers > 1 the stacks run in a process pool, and all outputs are sorted
 canonically so the worker count never changes a byte of what lands on disk.
-An evaluator starts its pool on the first batch that trains, one worker per
-stack up to ``workers``, and keeps it for every later batch; each search
-procedure closes the evaluator when it ends, and a library caller of
-``evaluate_many`` calls ``close`` itself. The pool machinery
+An evaluator starts its pool on the first batch that trains, with one worker
+per stack up to ``workers``, and keeps it for every later batch that has no
+more stacks than that (a wider one, as after a resume, gets a new pool);
+each search procedure closes the evaluator when it ends, and a library
+caller of ``evaluate_many`` calls ``close`` itself. The pool machinery
 (``concurrent.futures.process`` and ``multiprocessing``) is imported when
 the module attribute ``ProcessPoolExecutor`` is first read, which a pool
 start does, so a command that trains nothing never loads it.
@@ -441,6 +442,7 @@ class TrainingEvaluator:
         )
         self._inputs: TaskInputs | None = None
         self._pool: ProcessPoolExecutor | None = None
+        self._pool_workers = 0
 
     def _task_inputs(self) -> TaskInputs:
         """Built on the first batch that trains, then shared by every task
@@ -515,13 +517,17 @@ class TrainingEvaluator:
                 for stack in stacks]
         futures = []
         if self.workers > 1:
+            size = min(self.workers, len(work))
+            if self._pool is not None and self._pool_workers < size:
+                self.close()  # this batch has more stacks than the pool has workers
             if self._pool is None:
                 # read through the module, so an assigned pool class is used
                 self._pool = sys.modules[__name__].ProcessPoolExecutor(
-                    max_workers=min(self.workers, len(work)),
+                    max_workers=size,
                     initializer=_init_worker,
                     initargs=(self._task_inputs(), _openblas_library()),
                 )
+                self._pool_workers = size
             futures = [self._pool.submit(_pool_stack, *args) for args in work]
         outcomes: list[tuple[EvalRecord, float] | Exception | None] = [None] * len(pending)
         ends = [stack[0] for stack in stacks[1:]] + [len(pending)]

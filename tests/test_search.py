@@ -1213,6 +1213,21 @@ class TestPoolLifetime:
             assert len(ev._pool._processes) == 2
         assert multiprocessing.active_children() == []
 
+    def test_a_batch_wider_than_the_pool_starts_a_wider_one(self, tmp_path, monkeypatch):
+        # a resumed elimination whose first step is cached but for one
+        # subset: that step starts one worker, the next step's two stacks two
+        corpus = _search_corpus(channels=4)
+        _evaluator(corpus, tmp_path).evaluate_many(
+            [ChannelSubset(c) for c in ((0, 1, 2), (0, 1, 3), (0, 2, 3))])
+        serial = backward_elimination(_evaluator(corpus, tmp_path / "serial"), 4, 2,
+                                      metric="per_total")
+        starts = _count_pool_starts(monkeypatch)
+        ev = _evaluator(corpus, tmp_path, workers=2)
+        assert backward_elimination(ev, 4, 2, metric="per_total") == serial
+        assert ev.training_runs == 1 + 3
+        assert starts == [1, 2]
+        assert multiprocessing.active_children() == []
+
 
 REPLICA = Path(__file__).parents[1] / "perfbench" / "replica.py"
 
