@@ -57,17 +57,11 @@ class CategoryReport:
     rows: tuple[CategoryRow, ...]
     excluded: tuple[str, ...]
 
-    def _row(self, name: str) -> CategoryRow:
+    def rate_of(self, name: str) -> float:
         for row in self.rows:
             if row.name == name:
-                return row
+                return row.rate
         raise KeyError(f"category {name!r} not in report (excluded: {self.excluded})")
-
-    def rate_of(self, name: str) -> float:
-        return self._row(name).rate
-
-    def count_of(self, name: str) -> int:
-        return self._row(name).count
 
     @property
     def row_names(self) -> tuple[str, ...]:

@@ -42,6 +42,7 @@ from chansel.signals import (
 )
 from chansel.synth import GeneratorConfig, generate
 from test_cli import TINY_CONFIG, _read_all
+from test_search import TOP10_FIXTURE
 from util import (
     binomial_by_factorials,
     complementary_pair_config,
@@ -89,14 +90,9 @@ def test_criterion_01_combinatorics():
 
 def test_criterion_02_top10_count_row():
     with criterion(2, "top10-count-row"):
-        published = [
-            ("1356", 47.2), ("2357", 47.3), ("1346", 47.7), ("1238", 48.3),
-            ("1235", 48.4), ("2347", 48.6), ("1236", 48.8), ("1345", 49.0),
-            ("1245", 49.6), ("2367", 49.6),
-        ]
         sweep = SweepResult(
             channels=8, k=4, metric_name="wer",
-            records=tuple(make_record(lab, wer=wer / 100) for lab, wer in published),
+            records=tuple(make_record(lab, wer=wer / 100) for lab, wer in TOP10_FIXTURE),
         )
         assert top_k_frequency(sweep, 10) == (7, 7, 9, 4, 5, 4, 3, 1)
 
@@ -315,7 +311,7 @@ def test_criterion_10_category_aggregation(table):
         assert report.rate_of("vowel") == 0.0
         assert report.rate_of("silence") == 0.0
         assert report.rate_of(TOTAL_ROW) == 0.25
-        assert report.count_of("consonant") == 2
+        assert {row.name: row.count for row in report.rows}["consonant"] == 2
 
         # rare-category exclusion analogue: the six categories backed only by
         # scarce classes fall under the 3000-frame threshold and drop out

@@ -87,12 +87,6 @@ class TestGenData:
         assert code == EXIT_DATA
         assert "force" in capsys.readouterr().err
 
-    def test_force_rerun_reproduces_hash(self, workdir, corpus_dir):
-        before = load_corpus(corpus_dir).content_hash
-        assert main(["gen-data", "--config", _cfg(workdir), "--out", str(corpus_dir),
-                     "--force"]) == EXIT_OK
-        assert load_corpus(corpus_dir).content_hash == before
-
     def test_flag_overrides_config_seed(self, workdir, tmp_path):
         out_a = tmp_path / "a"
         out_b = tmp_path / "b"
@@ -124,23 +118,6 @@ class TestPretrain:
         b = json.loads((out_b / "model_p0.25.json").read_text())["payload_sha256"]
         assert a != b
 
-    @pytest.mark.parametrize("flag", ["--window", "--features"])
-    def test_zero_layer_size_is_data_error(self, workdir, corpus_dir, capsys, flag):
-        out = workdir / "pretrain"
-        code = main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), flag, "0"])
-        assert code == EXIT_DATA
-        assert f"{flag[2:]} must be >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_rerun_is_byte_identical(self, workdir, corpus_dir):
-        out = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(out)])
-        first = _read_all(out)
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(out)])
-        assert _read_all(out) == first
 
 
 class TestFinetune:
@@ -205,15 +182,6 @@ class TestFinetune:
                          "--init", str(pre / "model_p0.json")]) == EXIT_OK
             hashes.append(json.loads((out / "eval_ft_13.json").read_text())["config_hash"])
         assert hashes[0] != hashes[1]  # their records differ, so must their hashes
-
-    def test_zero_features_is_data_error(self, workdir, corpus_dir, capsys):
-        out = workdir / "ft"
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "13", "--from-scratch",
-                     "--features", "0"])
-        assert code == EXIT_DATA
-        assert "features must be >= 1, got 0" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_init_model_must_match_corpus_channels(self, workdir, corpus_dir, tmp_path,
                                                    capsys):
@@ -418,22 +386,6 @@ class TestSearchCommands:
         assert (out / "top_subsets.csv").exists()
         assert (out / "channel_average.csv").exists()
 
-    def test_interrupt_and_resume_is_byte_identical(self, workdir, corpus_dir):
-        full = workdir / "full"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(full)])
-        reference = _read_all(full)
-
-        resumed = workdir / "resumed"
-        resumed.mkdir()
-        cache_lines = (full / "cache.jsonl").read_text().splitlines()
-        # simulate a run killed partway: only the first records made it
-        (resumed / "cache.jsonl").write_text("\n".join(cache_lines[:2]) + "\n")
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(resumed)]) == EXIT_OK
-        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
-            assert (resumed / name).read_bytes() == reference[name], name
-
     @pytest.mark.parametrize("command, kept", [
         ("exhaustive", 6), ("backward-elim", 7), ("ablate7", 5)])
     def test_interrupt_while_writing_reports_says_what_was_kept(
@@ -597,45 +549,6 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (out / name).read_bytes() == reference[name], name
 
-    @pytest.mark.parametrize("command, extra", [
-        ("exhaustive", []), ("backward-elim", []), ("ablate7", []), ("report", []),
-        ("finetune", ["--subset", "13", "--from-scratch"]), ("pretrain", []),
-    ])
-    @pytest.mark.parametrize("threshold", ["-1", "0"])
-    def test_per_threshold_below_one_is_rejected_before_training(
-            self, workdir, corpus_dir, capsys, monkeypatch, command, extra, threshold):
-        # set in the file: pretrain hashes the threshold but has no flag for it
-        cfg = copy.deepcopy(TINY_CONFIG)
-        cfg["eval"]["per_threshold"] = int(threshold)
-        (workdir / "config.json").write_text(json.dumps(cfg))
-        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("pretrain trained"))
-        out = workdir / "x"
-        code = main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), *extra])
-        assert code == EXIT_DATA
-        assert f"per_threshold must be >= 1, got {threshold}" in capsys.readouterr().err
-        assert not out.exists() or _read_all(out) == {}
-
-    @pytest.mark.parametrize("command", ["exhaustive", "backward-elim"])
-    def test_unknown_metric_is_rejected_before_training(
-            self, workdir, corpus_dir, capsys, command):
-        out = workdir / "x"
-        code = main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--metric", "foo"])
-        assert code == EXIT_DATA
-        assert "error: unknown metric 'foo'" in capsys.readouterr().err
-        assert not out.exists() or _read_all(out) == {}
-
-    @pytest.mark.parametrize("k_top", ["-1", "0"])
-    def test_exhaustive_rejects_k_top_below_one_before_training(
-            self, workdir, corpus_dir, capsys, k_top):
-        out = workdir / "x"
-        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--k-top", k_top])
-        assert code == EXIT_DATA
-        assert f"k_top must be >= 1, got {k_top}" in capsys.readouterr().err
-        assert not out.exists() or _read_all(out) == {}
-
     @pytest.mark.parametrize("command, replicates", [
         ("backward-elim", "1"), ("exhaustive", "1"), ("ablate7", "1"),
         ("backward-elim", "2"), ("exhaustive", "2"), ("ablate7", "2"),
@@ -656,21 +569,6 @@ class TestSearchCommands:
         serial, pooled = outputs
         assert serial["cache.jsonl"] and serial == pooled
 
-    @pytest.mark.parametrize("k_top", ["-1", "0"])
-    def test_report_rejects_k_top_below_one(self, workdir, corpus_dir, capsys, k_top):
-        sweep = workdir / "sweep"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(sweep)])
-        out = workdir / "ktop"
-        out.mkdir()
-        (out / "cache.jsonl").write_bytes((sweep / "cache.jsonl").read_bytes())
-        capsys.readouterr()
-        code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--k-top", k_top])
-        assert code == EXIT_DATA
-        assert f"k_top must be >= 1, got {k_top}" in capsys.readouterr().err
-        assert set(_read_all(out)) == {"cache.jsonl"}  # no report written
-
     def test_k_top_above_the_subset_count_lists_every_subset(self, workdir, corpus_dir):
         out = workdir / "sweep"
         for command in ("exhaustive", "report"):
@@ -681,14 +579,6 @@ class TestSearchCommands:
             assert sorted(row.split(",")[0] for row in rows[:-1]) == [
                 "12", "13", "14", "23", "24", "34"]
             assert rows[-1] == "count,3,3,3,3,"
-
-    def test_negative_workers_is_data_error(self, workdir, corpus_dir, capsys):
-        out = workdir / "x"
-        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--workers", "-1"])
-        assert code == EXIT_DATA
-        assert "workers must be >= 0, got -1" in capsys.readouterr().err
-        assert not out.exists() or _read_all(out) == {}
 
     def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
         code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
@@ -921,6 +811,11 @@ class TestConfigSchema:
         assert code == EXIT_DATA
         assert f"error: config file {tmp_path / 'bad.json'} must hold a JSON object" in err
 
+    def test_unknown_config_section_is_data_error(self, tmp_path, capsys):
+        code, err = self._run(tmp_path, capsys, {"generatr": {}})
+        assert code == EXIT_DATA
+        assert "generatr" in err
+
     def test_section_that_is_not_an_object_is_data_error(self, tmp_path, capsys):
         code, err = self._run(tmp_path, capsys, {"train": [1, 2]})
         assert code == EXIT_DATA
@@ -992,6 +887,8 @@ class TestConfigSchema:
         assert f"error: {key} " in err
         assert f"got {shown}\n" in err
 
+    # Each range check in cli.main is tested by a row in one of the two refusal
+    # tables, not by a test of its own.
     @pytest.mark.parametrize("command", ["gen-data", *sorted(OTHER_COMMANDS)])
     @pytest.mark.parametrize("section, key, value, message", [
         ("train", "epochs", -1, "epochs must be a positive integer, got -1"),
@@ -999,18 +896,20 @@ class TestConfigSchema:
         ("train", "seed", -1, "seed must be >= 0, got -1"),
         ("generator", "seed", -1, "seed must be >= 0, got -1"),
         ("eval", "per_threshold", 0, "per_threshold must be >= 1, got 0"),
+        ("eval", "per_threshold", -1, "per_threshold must be >= 1, got -1"),
         ("search", "k_top", 0, "k_top must be >= 1, got 0"),
+        ("search", "k_top", -1, "k_top must be >= 1, got -1"),
         ("search", "metric", "foo", "unknown metric 'foo' (expected 'wer' or 'per_total')"),
-    ], ids=["epochs", "dropout", "train-seed", "generator-seed", "per-threshold", "k-top",
-            "metric"])
+    ], ids=["epochs", "dropout", "train-seed", "generator-seed", "per-threshold",
+            "per-threshold-negative", "k-top", "k-top-negative", "metric"])
     def test_every_subcommand_refuses_an_out_of_range_setting(
-            self, workdir, corpus_dir, capsys, command, section, key, value, message):
-        """Each is checked once, before any file is read, also by a
-        subcommand that never uses the setting."""
+            self, tmp_path, capsys, command, section, key, value, message):
+        """Each is checked once, before any file is read, so a missing
+        corpus goes unnamed; also by a subcommand that never uses the
+        setting."""
         flags = self._flags(command, without_epochs=key == "epochs")
-        corpus = ("--corpus", str(corpus_dir)) if command != "gen-data" else ()
-        capsys.readouterr()
-        code, err = self._run(workdir, capsys, {section: {key: value}}, command,
+        corpus = ("--corpus", str(tmp_path / "missing")) if command != "gen-data" else ()
+        code, err = self._run(tmp_path, capsys, {section: {key: value}}, command,
                               (*corpus, *flags))
         assert code == EXIT_DATA
         assert err == f"error: {message}\n"
@@ -1091,13 +990,6 @@ class TestExitCodes:
         assert ("error: a train/test split needs at least 2 utterances, the corpus has 1"
                 in capsys.readouterr().err)
         assert not out.exists()
-
-    def test_bad_config_json_is_data_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "c")])
-        assert code == EXIT_DATA
-        capsys.readouterr()
 
     def test_torn_config_json_names_the_file(self, tmp_path, capsys):
         torn = tmp_path / "torn.json"
@@ -1209,6 +1101,8 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
 
+    # Each range check in cli.main is tested by a row in one of the two refusal
+    # tables, not by a test of its own.
     @pytest.mark.parametrize("command, flag, value, message", [
         ("gen-data", "--noise-sigma", "inf", "noise_sigma must be finite and > 0, got inf"),
         ("exhaustive", "--learning-rate", "inf", "learning_rate must be finite and > 0, got inf"),
@@ -1221,11 +1115,13 @@ class TestExitCodes:
         ("exhaustive", "--window", "0", "window must be >= 1, got 0"),
         ("exhaustive", "--features", "0", "features must be >= 1, got 0"),
         ("pretrain", "--window", "0", "window must be >= 1, got 0"),
+        ("pretrain", "--features", "0", "features must be >= 1, got 0"),
+        ("finetune", "--features", "0", "features must be >= 1, got 0"),
     ], ids=["noise-sigma-inf", "learning-rate-inf", "exhaustive-fraction-1",
             "exhaustive-fraction-0", "pretrain-fraction-1", "pretrain-fraction-0",
             "exhaustive-fraction-2", "exhaustive-replicates-0", "finetune-epochs-negative",
             "exhaustive-workers-negative", "exhaustive-window-0", "exhaustive-features-0",
-            "pretrain-window-0"])
+            "pretrain-window-0", "pretrain-features-0", "finetune-features-0"])
     def test_out_of_range_setting_is_refused_naming_the_key(self, workdir, capsys,
                                                            command, flag, value, message):
         """Refused before any file is read: the corpus does not exist."""
@@ -1237,13 +1133,6 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-
-    def test_unknown_config_section_is_data_error(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"generatr": {}}))
-        code = main(["gen-data", "--config", str(bad), "--out", str(tmp_path / "c")])
-        assert code == EXIT_DATA
-        assert "generatr" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
@@ -1270,23 +1159,39 @@ class TestExitCodes:
                                            "at epoch 0, batch 2\n")
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("case", ["1", "2", "no-setter"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capfd, workers):
-        """Pins stderr byte for byte, so the pool case needs a numpy wheel
-        that bundles a ``numpy.libs/libscipy_openblas64_*.so`` exporting
-        the BLAS thread setter (as numpy 2.4.6 with scipy-openblas 0.3.31
-        does): on any other build, ``search._openblas_library`` adds its
-        one-line warning and the ``2`` case fails."""
-        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
-                     "--epochs", "6", "--workers", workers])
+    def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capfd, monkeypatch,
+                                            case):
+        """Pins stderr byte for byte at one worker and at two. A pool looks up
+        numpy's OpenBLAS thread setter once per process and, on a numpy with
+        none (``no-setter`` fakes one), says so first; the lookup is cleared
+        so that line does not depend on an earlier test's pool."""
+        if case == "no-setter":
+            (workdir / "numpy").mkdir()
+            (workdir / "numpy" / "__init__.py").write_text("")
+            monkeypatch.setattr(search.np, "__file__", str(workdir / "numpy" / "__init__.py"))
+        workers = "1" if case == "1" else "2"
+        search._openblas_library.cache_clear()
+        try:
+            code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                         "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
+                         "--epochs", "6", "--workers", workers])
+            err = capfd.readouterr().err
+            # the pool's lookup is cached by now, so reading it prints nothing
+            noted = case == "no-setter" or (case == "2" and search._openblas_library() is None)
+        finally:
+            search._openblas_library.cache_clear()
         assert code == EXIT_DIVERGED
+        libs = Path(search.np.__file__).resolve().parent.parent / "numpy.libs"
+        note = (f"warning: no scipy-openblas library with a thread setter in {libs}; pool "
+                "workers keep the BLAS default thread count (set OPENBLAS_NUM_THREADS=1 "
+                "to pin it)\n")
         # every task diverges; at any worker count the error names the
         # failed task that comes first in canonical order, and nothing else
         # reaches stderr, the pool workers' file descriptor 2 included
-        assert capfd.readouterr().err == ("error: evaluation of subset 12 failed: non-finite "
-                                          "loss nan at epoch 1, batch 0\n")
+        assert err == (note if noted else "") + (
+            "error: evaluation of subset 12 failed: non-finite loss nan at epoch 1, batch 0\n")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_sigint_keeps_the_finished_records_and_exits_130(self, tmp_path, workers):

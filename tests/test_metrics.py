@@ -128,7 +128,7 @@ class TestCategoryPer:
         assert report.rate_of("consonant") == pytest.approx(0.5)
         assert report.rate_of("voiced") == pytest.approx(1 / 3)
         assert report.rate_of(TOTAL_ROW) == pytest.approx(0.25)
-        assert report.count_of(TOTAL_ROW) == 4
+        assert {row.name: row.count for row in report.rows}[TOTAL_ROW] == 4
         assert "voiceless" in report.excluded  # no voiceless reference frames
 
     def test_all_silence_excludes_everything_else(self, table):
@@ -167,8 +167,8 @@ class TestCategoryPer:
         ref = [symbols[i] for i in rng.integers(0, len(symbols), size=300)]
         hyp = [symbols[i] for i in rng.integers(0, len(symbols), size=300)]
         report = category_per(ref, hyp, table, threshold=1)
-        kinds = sum(report.count_of(k) for k in ("vowel", "consonant", "silence")
-                    if k in report.row_names)
+        kinds = sum(row.count for row in report.rows
+                    if row.name in ("vowel", "consonant", "silence"))
         assert kinds == len(ref)
 
     def test_unknown_reference_symbol_rejected(self, table):

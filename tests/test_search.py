@@ -138,10 +138,6 @@ class TestTopKFrequency:
         )
         return SweepResult(channels=8, k=4, metric_name="wer", records=records)
 
-    def test_published_count_row(self):
-        counts = top_k_frequency(self._sweep_from_fixture(), 10)
-        assert counts == (7, 7, 9, 4, 5, 4, 3, 1)
-
     def test_k_top_all_gives_binomial_counts(self):
         ev = FakeEvaluator(lambda s: 0.5)
         sweep = exhaustive_sweep(ev, 6, 3)
