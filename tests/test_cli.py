@@ -856,12 +856,13 @@ class TestConfigSchema:
         "report": ("--k", "1", "--replicates", "1"),
     }
 
-    def _flags(self, command, without_epochs):
-        """``command``'s flags of OTHER_COMMANDS; ``without_epochs`` drops
-        ``--epochs``, whose flag would beat a config file's value."""
+    def _flags(self, command, key):
+        """``command``'s flags of OTHER_COMMANDS without the flag of config
+        key ``key``, which would beat a config file's value."""
         flags = list(self.OTHER_COMMANDS.get(command, ()))
-        if without_epochs and "--epochs" in flags:
-            at = flags.index("--epochs")
+        flag = "--" + key.replace("_", "-")
+        if flag in flags:
+            at = flags.index(flag)
             del flags[at:at + 2]
         return flags
 
@@ -899,15 +900,21 @@ class TestConfigSchema:
         ("eval", "per_threshold", -1, "per_threshold must be >= 1, got -1"),
         ("search", "k_top", 0, "k_top must be >= 1, got 0"),
         ("search", "k_top", -1, "k_top must be >= 1, got -1"),
+        ("search", "replicates", 0, "replicates must be >= 1, got 0"),
+        ("search", "workers", -1, "workers must be >= 0, got -1"),
+        ("model", "window", 0, "window must be >= 1, got 0"),
+        ("model", "features", 0, "features must be >= 1, got 0"),
+        ("eval", "train_fraction", 1.0, "train_fraction must be in (0, 1), got 1.0"),
         ("search", "metric", "foo", "unknown metric 'foo' (expected 'wer' or 'per_total')"),
     ], ids=["epochs", "dropout", "train-seed", "generator-seed", "per-threshold",
-            "per-threshold-negative", "k-top", "k-top-negative", "metric"])
+            "per-threshold-negative", "k-top", "k-top-negative", "replicates", "workers",
+            "window", "features", "train-fraction", "metric"])
     def test_every_subcommand_refuses_an_out_of_range_setting(
             self, tmp_path, capsys, command, section, key, value, message):
         """Each is checked once, before any file is read, so a missing
         corpus goes unnamed; also by a subcommand that never uses the
         setting."""
-        flags = self._flags(command, without_epochs=key == "epochs")
+        flags = self._flags(command, key)
         corpus = ("--corpus", str(tmp_path / "missing")) if command != "gen-data" else ()
         code, err = self._run(tmp_path, capsys, {section: {key: value}}, command,
                               (*corpus, *flags))
@@ -920,7 +927,7 @@ class TestConfigSchema:
         only finetune --epochs 0 scores without training."""
         corpus = ("--corpus", str(tmp_path / "missing")) if command != "gen-data" else ()
         code, err = self._run(tmp_path, capsys, {"train": {"epochs": 0}}, command,
-                              (*corpus, *self._flags(command, without_epochs=True)))
+                              (*corpus, *self._flags(command, "epochs")))
         assert code == EXIT_DATA
         assert err == "error: epochs must be a positive integer, got 0\n"
 
