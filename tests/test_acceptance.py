@@ -44,6 +44,7 @@ from chansel.synth import GeneratorConfig, generate
 from test_cli import TINY_CONFIG, _read_all
 from test_search import TOP10_FIXTURE
 from util import (
+    FakeEvaluator,
     binomial_by_factorials,
     complementary_pair_config,
     exhaustive_edit_distance,
@@ -64,28 +65,20 @@ def criterion(number: int, name: str):
     print(f"\nACCEPTANCE {number:02d} {name}: PASS")
 
 
-class CountingEvaluator:
-    def __init__(self):
-        self.calls = 0
-
-    def evaluate_many(self, subsets):
-        self.calls += len(subsets)
-        return {s.label: make_record(s.label, wer=0.5) for s in subsets}
-
-    def close(self):
-        pass
-
-
 def test_criterion_01_combinatorics():
     with criterion(1, "combinatorics"):
-        ev = CountingEvaluator()
+        ev = FakeEvaluator(lambda s: 0.5)
         sweep = exhaustive_sweep(ev, 8, 4)
         assert len(sweep.records) == 70
         assert len({r.subset_label for r in sweep.records}) == 70
+        assert ev.calls == 70
         for c in range(1, 11):
             for k in range(1, c + 1):
-                got = len(exhaustive_sweep(CountingEvaluator(), c, k).records)
-                assert got == binomial_by_factorials(c, k), (c, k)
+                sweep = exhaustive_sweep(FakeEvaluator(lambda s: 0.5), c, k)
+                assert len(sweep.records) == binomial_by_factorials(c, k), (c, k)
+                assert sweep.is_complete(), (c, k)
+        full = exhaustive_sweep(FakeEvaluator(lambda s: 0.5), 8, 8)
+        assert [r.subset_label for r in full.records] == ["12345678"]
 
 
 def test_criterion_02_top10_count_row():
@@ -136,6 +129,10 @@ def test_criterion_05_gradient_check():
             ]
             err = gradient_check(params, batch, n_coords=100, seed=trial)
             assert err < 1e-4, (trial, err)
+        # a batch of two utterances stacks their windows into one loss
+        params = init_params(3, 3, 6, ("B", "IY", "T"), seed=7)
+        batch = [make_sequence(["B", "IY", "B", "T"], channels=3, seed=i) for i in range(2)]
+        assert gradient_check(params, batch, n_coords=120, seed=0) < 1e-4
         params = init_params(2, 3, 6, ("B", "T"), seed=0)
         batch = [make_sequence(["B", "T", "B", "T"], channels=2, seed=5)]
         flipped = gradient_check(params, batch, n_coords=100, seed=0, negate_analytic=True)

@@ -77,11 +77,6 @@ def _read_all(directory: Path) -> dict[str, bytes]:
 
 
 class TestGenData:
-    def test_creates_corpus_in_new_directory(self, workdir, corpus_dir):
-        corpus = load_corpus(corpus_dir)
-        assert len(corpus) == 12
-        assert corpus.channels == 4
-
     def test_refuses_overwrite_without_force(self, workdir, corpus_dir, capsys):
         code = main(["gen-data", "--config", _cfg(workdir), "--out", str(corpus_dir)])
         assert code == EXIT_DATA
@@ -93,31 +88,6 @@ class TestGenData:
         main(["gen-data", "--config", _cfg(workdir), "--out", str(out_a), "--gen-seed", "9"])
         main(["gen-data", "--config", _cfg(workdir), "--out", str(out_b)])
         assert load_corpus(out_a).content_hash != load_corpus(out_b).content_hash
-
-
-class TestPretrain:
-    def test_emits_model_and_log(self, workdir, corpus_dir):
-        out = workdir / "pretrain"
-        assert main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
-        params, manifest = load_model(out / "model_p0.json")
-        assert params.channels == 4
-        log = (out / "training_log_p0.csv").read_text().splitlines()
-        assert log[0].startswith("# chansel=")
-        assert log[1] == "epoch,loss,mean_retained_channels"
-        assert len(log) == 2 + TINY_CONFIG["train"]["epochs"]
-
-    def test_dropout_changes_model_hash(self, workdir, corpus_dir):
-        out_a = workdir / "p0"
-        out_b = workdir / "p25"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(out_a)])
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(out_b), "--dropout-p", "0.25"])
-        a = json.loads((out_a / "model_p0.json").read_text())["payload_sha256"]
-        b = json.loads((out_b / "model_p0.25.json").read_text())["payload_sha256"]
-        assert a != b
-
 
 
 class TestFinetune:
@@ -138,20 +108,6 @@ class TestFinetune:
         assert tuned["provenance"]["parent"] == parent
         assert 0.0 <= record["wer"]
 
-    def test_comparison_rows_side_by_side(self, workdir, corpus_dir):
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
-        out = workdir / "cmp"
-        assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "13",
-                     "--init", str(pre / "model_p0.json"), "--from-scratch"]) == EXIT_OK
-        lines = (out / "comparison_13.csv").read_text().splitlines()
-        assert lines[1] == "mode,subset,wer,per_total"
-        assert lines[2].startswith("ft,13,")
-        assert lines[3].startswith("scratch,13,")
-        assert (out / "model_scratch_13.json").exists()
-
     @pytest.mark.parametrize("flag, value, shape", [
         ("--window", "5", "window 3 and features 6, the config has window 5 and features 6"),
         ("--features", "4", "window 3 and features 6, the config has window 3 and features 4"),
@@ -169,19 +125,6 @@ class TestFinetune:
         assert code == EXIT_DATA
         assert shape in capsys.readouterr().err
         assert _read_all(out) == {}  # neither side ran
-
-    def test_zero_and_one_epochs_hash_apart(self, workdir, corpus_dir):
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
-        hashes = []
-        for epochs in ("0", "1"):
-            out = workdir / f"ft{epochs}"
-            assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(out), "--subset", "13", "--epochs", epochs,
-                         "--init", str(pre / "model_p0.json")]) == EXIT_OK
-            hashes.append(json.loads((out / "eval_ft_13.json").read_text())["config_hash"])
-        assert hashes[0] != hashes[1]  # their records differ, so must their hashes
 
     def test_init_model_must_match_corpus_channels(self, workdir, corpus_dir, tmp_path,
                                                    capsys):
@@ -277,6 +220,7 @@ class TestFinetune:
         prov = reports.Provenance(config_hash, corpus.content_hash, 0)
         write_text(reference / "comparison_13.csv", reports.comparison_csv(records, prov))
         assert _read_all(out) == _read_all(reference)
+        assert (out / "comparison_13.csv").read_text().splitlines()[1] == "mode,subset,wer,per_total"
 
     def test_both_sides_featurize_each_utterance_once(self, workdir, corpus_dir, monkeypatch):
         pre = workdir / "pretrain"
@@ -377,15 +321,6 @@ class TestSearchCommands:
         assert main(["report", *flags]) == EXIT_OK
         assert {name: (out / name).read_bytes() for name in names} == swept
 
-    def test_exhaustive_outputs(self, workdir, corpus_dir):
-        out = workdir / "sweep"
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
-        sweep_lines = (out / "sweep.csv").read_text().splitlines()
-        assert len(sweep_lines) == 2 + 6  # provenance + header + C(4,2)
-        assert (out / "top_subsets.csv").exists()
-        assert (out / "channel_average.csv").exists()
-
     @pytest.mark.parametrize("command, kept", [
         ("exhaustive", 6), ("backward-elim", 7), ("ablate7", 5)])
     def test_interrupt_while_writing_reports_says_what_was_kept(
@@ -411,18 +346,6 @@ class TestSearchCommands:
         assert cache.read_bytes() == cached  # the rerun trained nothing
         assert {name: data for name, data in _read_all(out).items() if name != "cache.jsonl"} == {
             name: data for name, data in reference.items() if name != "cache.jsonl"}
-
-    def test_report_rebuilds_from_cache_without_training(self, workdir, corpus_dir):
-        out = workdir / "sweep"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(out)])
-        cache_before = (out / "cache.jsonl").read_bytes()
-        sweep_before = (out / "sweep.csv").read_bytes()
-        (out / "sweep.csv").unlink()
-        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
-        assert (out / "cache.jsonl").read_bytes() == cache_before  # nothing recomputed
-        assert (out / "sweep.csv").read_bytes() == sweep_before
 
     def test_report_rejects_k_above_channel_count(self, workdir, corpus_dir, capsys):
         sweep = workdir / "sweep"

@@ -76,11 +76,6 @@ class TestWordErrorRate:
         assert exhaustive_edit_distance(ref.split(), hyp.split()) == edits
         assert _scored_edits(ref.split(), hyp.split()) == (edits, len(ref.split()))
 
-    @given(tokens.filter(len), tokens)
-    @settings(max_examples=200, deadline=None)
-    def test_matches_exhaustive_enumeration(self, ref, hyp):
-        assert edit_distance(ref, hyp) == exhaustive_edit_distance(ref, hyp)
-
     @given(tokens, tokens, tokens)
     @settings(max_examples=100, deadline=None)
     def test_triangle_inequality(self, a, b, c):

@@ -138,7 +138,8 @@ def pinned_numbers(tmp: Path, workers: int = 1) -> dict:
     corpus_hash = json.loads((Path(corpus) / "manifest.json").read_text())["hash"][:12]
     runs_text = json.dumps(runs).replace(str(tmp), "<tmp>").replace(corpus_hash, "<corpus>")
 
-    log = (Path(pre) / "training_log_p0.125.csv").read_text().splitlines()[2:]
+    provenance, header, *log = (Path(pre) / "training_log_p0.125.csv").read_text().splitlines()
+    assert provenance.startswith("# chansel=") and header == "epoch,loss,mean_retained_channels"
     return _compared({
         "numerics_version": NUMERICS_VERSION,
         "exhaustive_cache": _cache(sweep),

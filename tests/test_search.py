@@ -42,26 +42,7 @@ from chansel.search import (
 )
 from chansel.signals import ChannelSubset, parse_subset
 from chansel.synth import GeneratorConfig, generate
-from util import binomial_by_factorials, make_record, report_from_rates
-
-
-class FakeEvaluator:
-    """Metric comes from a function of the subset; counts every subset scored."""
-
-    def __init__(self, metric_fn):
-        self.metric_fn = metric_fn
-        self.calls = 0
-
-    def evaluate_many(self, subsets) -> dict[str, EvalRecord]:
-        records = {}
-        for subset in subsets:
-            self.calls += 1
-            m = self.metric_fn(subset)
-            records[subset.label] = make_record(subset.label, wer=m, per_total=m)
-        return records
-
-    def close(self) -> None:
-        pass
+from util import FakeEvaluator, binomial_by_factorials, make_record, report_from_rates
 
 
 # published top-10 4-channel subsets and their WERs (%)
@@ -72,31 +53,6 @@ TOP10_FIXTURE = [
 
 
 class TestExhaustiveSweep:
-    def test_c8_k4_yields_70_records(self):
-        ev = FakeEvaluator(lambda s: 0.1 * len(s))
-        sweep = exhaustive_sweep(ev, 8, 4)
-        assert len(sweep.records) == 70
-        assert len({r.subset_label for r in sweep.records}) == 70
-        assert ev.calls == 70
-
-    def test_counts_match_factorial_oracle_for_all_c_up_to_10(self):
-        for c in range(1, 11):
-            for k in range(1, c + 1):
-                ev = FakeEvaluator(lambda s: 0.5)
-                sweep = exhaustive_sweep(ev, c, k)
-                assert len(sweep.records) == binomial_by_factorials(c, k), (c, k)
-                assert sweep.is_complete()
-
-    def test_k_equals_c_single_record(self):
-        ev = FakeEvaluator(lambda s: 0.3)
-        sweep = exhaustive_sweep(ev, 8, 8)
-        assert len(sweep.records) == 1
-        assert sweep.records[0].subset_label == "12345678"
-
-    def test_c5_k2_ten_records(self):
-        ev = FakeEvaluator(lambda s: 0.3)
-        assert len(exhaustive_sweep(ev, 5, 2).records) == 10
-
     def test_sorted_by_metric_then_label(self):
         metrics = {"12": 0.5, "13": 0.2, "23": 0.5}
         ev = FakeEvaluator(lambda s: metrics[s.label])
@@ -1114,14 +1070,6 @@ except KeyboardInterrupt:
                                         match=r"subset 1 failed: injected failure \(0,\)"):
             ev.evaluate_many([ChannelSubset((c,)) for c in range(3)])
         assert ev.training_runs == 1
-
-    def test_process_pool_matches_serial(self, tmp_path):
-        corpus = _search_corpus()
-        serial = _evaluator(corpus, tmp_path / "serial", workers=1)
-        sweep_serial = exhaustive_sweep(serial, 3, 2, metric="per_total")
-        pooled = _evaluator(corpus, tmp_path / "pool", workers=2)
-        sweep_pooled = exhaustive_sweep(pooled, 3, 2, metric="per_total")
-        assert sweep_pooled.records == sweep_serial.records
 
 
 def _count_pool_starts(monkeypatch) -> list:
