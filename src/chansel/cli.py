@@ -448,7 +448,8 @@ def main(argv: list[str] | None = None) -> int:
         GeneratorConfig.from_dict(cfg["generator"])
         epochs = cfg["train"]["epochs"] or int(args.command == "finetune")
         TrainConfig(**{**cfg["train"], "epochs": epochs})
-        for section, key in (("eval", "per_threshold"), ("search", "k_top"),
+        for section, key in (("eval", "per_threshold"), ("search", "k"), ("search", "k_top"),
+                             ("search", "stop_size"), ("search", "budget"),
                              ("search", "replicates"), ("model", "window"),
                              ("model", "features")):
             if cfg[section][key] < 1:

@@ -1,7 +1,17 @@
 import pytest
 
+from chansel import search
 from chansel.phonemes import default_table
 from chansel.synth import GeneratorConfig, generate
+
+
+@pytest.fixture(autouse=True)
+def fresh_openblas_lookup():
+    """Each test looks up numpy's OpenBLAS thread setter afresh, so the note
+    a pool prints on a numpy without one does not depend on an earlier test."""
+    search._openblas_library.cache_clear()
+    yield
+    search._openblas_library.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -28,6 +28,7 @@ from chansel.phonemes import default_table
 from chansel.search import config_fingerprint
 from chansel.signals import parse_subset
 from chansel.synth import DEFAULT_CLASSES
+from util import fake_numpy_without_thread_setter, no_thread_setter_note
 
 TINY_CONFIG = {
     "generator": {
@@ -810,6 +811,9 @@ class TestConfigSchema:
         ("eval", "per_threshold", -1, "per_threshold must be >= 1, got -1"),
         ("search", "k_top", 0, "k_top must be >= 1, got 0"),
         ("search", "k_top", -1, "k_top must be >= 1, got -1"),
+        ("search", "k", 0, "k must be >= 1, got 0"),
+        ("search", "stop_size", 0, "stop_size must be >= 1, got 0"),
+        ("search", "budget", 0, "budget must be >= 1, got 0"),
         ("search", "replicates", 0, "replicates must be >= 1, got 0"),
         ("search", "workers", -1, "workers must be >= 0, got -1"),
         ("model", "window", 0, "window must be >= 1, got 0"),
@@ -817,7 +821,8 @@ class TestConfigSchema:
         ("eval", "train_fraction", 1.0, "train_fraction must be in (0, 1), got 1.0"),
         ("search", "metric", "foo", "unknown metric 'foo' (expected 'wer' or 'per_total')"),
     ], ids=["epochs", "dropout", "train-seed", "generator-seed", "per-threshold",
-            "per-threshold-negative", "k-top", "k-top-negative", "replicates", "workers",
+            "per-threshold-negative", "k-top", "k-top-negative", "k", "stop-size", "budget",
+            "replicates", "workers",
             "window", "features", "train-fraction", "metric"])
     def test_every_subcommand_refuses_an_out_of_range_setting(
             self, tmp_path, capsys, command, section, key, value, message):
@@ -1034,11 +1039,15 @@ class TestExitCodes:
         ("pretrain", "--window", "0", "window must be >= 1, got 0"),
         ("pretrain", "--features", "0", "features must be >= 1, got 0"),
         ("finetune", "--features", "0", "features must be >= 1, got 0"),
+        ("exhaustive", "--k", "0", "k must be >= 1, got 0"),
+        ("backward-elim", "--stop-size", "0", "stop_size must be >= 1, got 0"),
+        ("exhaustive", "--budget", "0", "budget must be >= 1, got 0"),
     ], ids=["noise-sigma-inf", "learning-rate-inf", "exhaustive-fraction-1",
             "exhaustive-fraction-0", "pretrain-fraction-1", "pretrain-fraction-0",
             "exhaustive-fraction-2", "exhaustive-replicates-0", "finetune-epochs-negative",
             "exhaustive-workers-negative", "exhaustive-window-0", "exhaustive-features-0",
-            "pretrain-window-0", "pretrain-features-0", "finetune-features-0"])
+            "pretrain-window-0", "pretrain-features-0", "finetune-features-0",
+            "exhaustive-k-0", "backward-elim-stop-size-0", "exhaustive-budget-0"])
     def test_out_of_range_setting_is_refused_naming_the_key(self, workdir, capsys,
                                                            command, flag, value, message):
         """Refused before any file is read: the corpus does not exist."""
@@ -1083,31 +1092,22 @@ class TestExitCodes:
         """Pins stderr byte for byte at one worker and at two. A pool looks up
         numpy's OpenBLAS thread setter once per process and, on a numpy with
         none (``no-setter`` fakes one), says so first; the lookup is cleared
-        so that line does not depend on an earlier test's pool."""
+        around each test, so that line does not depend on an earlier test's
+        pool."""
         if case == "no-setter":
-            (workdir / "numpy").mkdir()
-            (workdir / "numpy" / "__init__.py").write_text("")
-            monkeypatch.setattr(search.np, "__file__", str(workdir / "numpy" / "__init__.py"))
+            fake_numpy_without_thread_setter(monkeypatch, workdir)
         workers = "1" if case == "1" else "2"
-        search._openblas_library.cache_clear()
-        try:
-            code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
-                         "--epochs", "6", "--workers", workers])
-            err = capfd.readouterr().err
-            # the pool's lookup is cached by now, so reading it prints nothing
-            noted = case == "no-setter" or (case == "2" and search._openblas_library() is None)
-        finally:
-            search._openblas_library.cache_clear()
+        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
+                     "--epochs", "6", "--workers", workers])
+        err = capfd.readouterr().err
+        # the pool's lookup is cached by now, so reading it prints nothing
+        noted = case != "1" and search._openblas_library() is None
         assert code == EXIT_DIVERGED
-        libs = Path(search.np.__file__).resolve().parent.parent / "numpy.libs"
-        note = (f"warning: no scipy-openblas library with a thread setter in {libs}; pool "
-                "workers keep the BLAS default thread count (set OPENBLAS_NUM_THREADS=1 "
-                "to pin it)\n")
         # every task diverges; at any worker count the error names the
         # failed task that comes first in canonical order, and nothing else
         # reaches stderr, the pool workers' file descriptor 2 included
-        assert err == (note if noted else "") + (
+        assert err == (no_thread_setter_note() if noted else "") + (
             "error: evaluation of subset 12 failed: non-finite loss nan at epoch 1, batch 0\n")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
@@ -1154,8 +1154,9 @@ class TestExitCodes:
         # on two lines, and counts once
         kept = records()
         assert 1 <= len(set(kept)) < 18
-        assert err == (f"interrupted: kept {len(set(kept))} new records in {cache}; "
-                       "rerun to resume\n")
+        noted = workers == "2" and search._openblas_library() is None
+        assert err == (no_thread_setter_note() if noted else "") + (
+            f"interrupted: kept {len(set(kept))} new records in {cache}; rerun to resume\n")
 
         assert main([*argv, str(out)]) == EXIT_OK
         resumed = records()

@@ -42,7 +42,10 @@ from chansel.search import (
 )
 from chansel.signals import ChannelSubset, parse_subset
 from chansel.synth import GeneratorConfig, generate
-from util import FakeEvaluator, binomial_by_factorials, make_record, report_from_rates
+from util import (
+    FakeEvaluator, binomial_by_factorials, fake_numpy_without_thread_setter, make_record,
+    no_thread_setter_note, report_from_rates,
+)
 
 
 # published top-10 4-channel subsets and their WERs (%)
@@ -66,10 +69,10 @@ class TestExhaustiveSweep:
 
     def test_bad_k_rejected(self):
         ev = FakeEvaluator(lambda s: 0.5)
-        with pytest.raises(ValueError):
-            exhaustive_sweep(ev, 4, 0)
-        with pytest.raises(ValueError):
-            exhaustive_sweep(ev, 4, 5)
+        for bad in (0, 5):
+            with pytest.raises(ValueError,
+                               match=f"need 1 <= k <= channels, got k={bad}, channels=4"):
+                exhaustive_sweep(ev, 4, bad)
 
     def test_unknown_metric_rejected_before_evaluating(self):
         ev = FakeEvaluator(lambda s: 0.5)
@@ -191,7 +194,8 @@ class TestBackwardElimination:
     def test_stop_size_validation(self):
         ev = FakeEvaluator(lambda s: 0.5)
         for bad in (0, 4, 5):
-            with pytest.raises(ValueError):
+            with pytest.raises(ValueError, match=f"need 1 <= stop_size < channels, got "
+                                                 f"stop_size={bad}, channels=4"):
                 backward_elimination(ev, 4, bad)
 
     def test_json_view_uses_one_based_channels(self):
@@ -608,19 +612,12 @@ class TestPoolWorkerThreads:
     def test_numpy_without_thread_setter_warns_once(self, tmp_path, monkeypatch, capsys):
         """A numpy with no ``numpy.libs`` beside it: no library, and one
         warning naming the directory, however often the lookup is asked."""
-        (tmp_path / "numpy").mkdir()
-        (tmp_path / "numpy" / "__init__.py").write_text("")
-        monkeypatch.setattr(search.np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
-        search._openblas_library.cache_clear()
-        try:
-            assert search._openblas_library() is None
-            assert search._openblas_library() is None
-        finally:
-            search._openblas_library.cache_clear()
-        warned = [line for line in capsys.readouterr().err.splitlines()
-                  if line.startswith("warning:")]
-        assert len(warned) == 1
-        assert str(tmp_path / "numpy.libs") in warned[0]
+        fake_numpy_without_thread_setter(monkeypatch, tmp_path)
+        assert search._openblas_library() is None
+        assert search._openblas_library() is None
+        err = capsys.readouterr().err
+        assert err == no_thread_setter_note()
+        assert str(tmp_path / "numpy.libs") in err
 
 
 def _search_corpus(channels=3, utterances=12, seed=0):

@@ -16,10 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from operator import ne
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
+from chansel import search
 from chansel.corpus import LabeledSequence
 from chansel.metrics import CategoryReport, CategoryRow
 from chansel.model import (
@@ -109,6 +111,24 @@ def gradient_check(
         rel = abs(a - numeric) / max(abs(a) + abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
+
+
+def fake_numpy_without_thread_setter(monkeypatch, directory) -> None:
+    """Point ``numpy.__file__`` into ``directory``, which has no
+    ``numpy.libs``: ``search._openblas_library`` then finds no thread setter,
+    as on a numpy built against a system OpenBLAS or MKL."""
+    (directory / "numpy").mkdir(parents=True)
+    (directory / "numpy" / "__init__.py").write_text("")
+    monkeypatch.setattr(search.np, "__file__", str(directory / "numpy" / "__init__.py"))
+
+
+def no_thread_setter_note() -> str:
+    """The stderr line of ``search._openblas_library`` when it finds no
+    thread setter beside the numpy imported now."""
+    libs = Path(search.np.__file__).resolve().parent.parent / "numpy.libs"
+    return (f"warning: no scipy-openblas library with a thread setter in {libs}; pool "
+            "workers keep the BLAS default thread count (set OPENBLAS_NUM_THREADS=1 "
+            "to pin it)\n")
 
 
 def planted_importance(cfg: GeneratorConfig) -> tuple[int, ...]:
