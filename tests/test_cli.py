@@ -822,8 +822,7 @@ class TestConfigSchema:
         ("search", "metric", "foo", "unknown metric 'foo' (expected 'wer' or 'per_total')"),
     ], ids=["epochs", "dropout", "train-seed", "generator-seed", "per-threshold",
             "per-threshold-negative", "k-top", "k-top-negative", "k", "stop-size", "budget",
-            "replicates", "workers",
-            "window", "features", "train-fraction", "metric"])
+            "replicates", "workers", "window", "features", "train-fraction", "metric"])
     def test_every_subcommand_refuses_an_out_of_range_setting(
             self, tmp_path, capsys, command, section, key, value, message):
         """Each is checked once, before any file is read, so a missing
