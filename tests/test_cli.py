@@ -83,6 +83,13 @@ class TestGenData:
         assert code == EXIT_DATA
         assert "force" in capsys.readouterr().err
 
+    def test_flag_overrides_config_seed(self, workdir, tmp_path):
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        main(["gen-data", "--config", _cfg(workdir), "--out", str(out_a), "--gen-seed", "9"])
+        main(["gen-data", "--config", _cfg(workdir), "--out", str(out_b)])
+        assert load_corpus(out_a).content_hash != load_corpus(out_b).content_hash
+
 
 class TestFinetune:
     def test_zero_epochs_on_full_set_matches_pretrain_eval(self, workdir, corpus_dir):
@@ -496,6 +503,12 @@ class TestSearchCommands:
             assert sorted(row.split(",")[0] for row in rows[:-1]) == [
                 "12", "13", "14", "23", "24", "34"]
             assert rows[-1] == "count,3,3,3,3,"
+
+    def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
+        code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "empty")])
+        assert code == EXIT_DATA
+        assert "missing" in capsys.readouterr().err
 
     def test_commands_that_train_nothing_load_no_pool_modules(self, workdir, corpus_dir):
         """gen-data, then a warm exhaustive and report at two workers, run in

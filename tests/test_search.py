@@ -125,6 +125,19 @@ class TestChannelAverage:
         assert averages == ((0, pytest.approx(0.3)), (1, pytest.approx(0.4)),
                             (2, pytest.approx(0.5)))
 
+    def test_constant_metric_averages_constant(self):
+        ev = FakeEvaluator(lambda s: 0.5)
+        averages = channel_average_metric(exhaustive_sweep(ev, 8, 4))
+        assert all(mean == pytest.approx(0.5) for _, mean in averages)
+
+    def test_weighted_means_recover_global_mean(self):
+        ev = FakeEvaluator(lambda s: sum(s.indices) / 10.0)
+        sweep = exhaustive_sweep(ev, 6, 3)
+        averages = channel_average_metric(sweep)
+        per_channel = binomial_by_factorials(5, 2)
+        total = sum(mean * per_channel for _, mean in averages)
+        assert total == pytest.approx(3 * sum(r.wer for r in sweep.records))
+
     def test_means_equal_float64_sums_over_counts_to_the_bit(self):
         rng = np.random.default_rng(11)
         ev = FakeEvaluator(lambda s: float(rng.random()))
@@ -808,6 +821,12 @@ class TestTrainingEvaluator:
     def test_bad_settings_rejected_at_construction(self, setting, message):
         with pytest.raises(ValueError, match=message):
             replace(_evaluator(_search_corpus()), **setting)
+
+    def test_require_cached_raises_on_miss(self, tmp_path):
+        corpus = _search_corpus()
+        ev = _evaluator(corpus, tmp_path)
+        with pytest.raises(ValueError, match="missing"):
+            ev.evaluate_many([ChannelSubset((0,))], require_cached=True)
 
     def test_require_cached_counts_the_missing_subsets_and_names_five(self, tmp_path):
         ev = _evaluator(_search_corpus(), tmp_path)
