@@ -183,10 +183,6 @@ def generate(cfg: GeneratorConfig) -> Corpus:
                     clean[c, off:off + f] = weights[c] * templates[kk, c]
             labels.extend([cfg.classes[kk]] * f)
             labels.extend([SILENCE_SYMBOL] * sil)
-        if cfg.crosstalk > 0.0:
-            mixed = (1.0 - cfg.crosstalk) * clean + cfg.crosstalk * clean.mean(axis=0)
-            signal += mixed
-        else:
-            signal += clean
+        signal += (1.0 - cfg.crosstalk) * clean + cfg.crosstalk * clean.mean(axis=0)
         sequences.append(LabeledSequence(MultichannelSignal(signal), labels))
     return Corpus(tuple(sequences), config=cfg.to_dict())
