@@ -834,10 +834,14 @@ class TestExitCodes:
         assert not (tmp_path / "a").exists()
 
     def test_missing_corpus_is_data_error(self, workdir, capsys):
+        out = workdir / "x"
         code = main(["pretrain", "--config", _cfg(workdir),
-                     "--corpus", str(workdir / "nope"), "--out", str(workdir / "x")])
+                     "--corpus", str(workdir / "nope"), "--out", str(out)])
         assert code == EXIT_DATA
-        capsys.readouterr()
+        manifest = workdir / "nope" / "manifest.json"
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{manifest}'\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command, extra", [
         ("pretrain", []), ("finetune", ["--subset", "13", "--from-scratch"]),
