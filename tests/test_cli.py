@@ -83,6 +83,13 @@ class TestGenData:
         assert code == EXIT_DATA
         assert "force" in capsys.readouterr().err
 
+    def test_flag_overrides_config_seed(self, workdir, tmp_path):
+        out_a = tmp_path / "a"
+        out_b = tmp_path / "b"
+        main(["gen-data", "--config", _cfg(workdir), "--out", str(out_a), "--gen-seed", "9"])
+        main(["gen-data", "--config", _cfg(workdir), "--out", str(out_b)])
+        assert load_corpus(out_a).content_hash != load_corpus(out_b).content_hash
+
 
 class TestFinetune:
     def test_zero_epochs_on_full_set_matches_pretrain_eval(self, workdir, corpus_dir):
@@ -376,6 +383,46 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (damaged / name).read_bytes() == reference[name], name
 
+    def test_cache_line_that_is_not_a_record_is_counted(self, workdir, corpus_dir, capsys):
+        clean = workdir / "clean"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(clean)])
+        reference = _read_all(clean)
+        odd = workdir / "odd"
+        odd.mkdir()
+        lines = (clean / "cache.jsonl").read_text().splitlines()
+        # valid JSON, but not an object
+        (odd / "cache.jsonl").write_text("\n".join([*lines[:2], "42", *lines[2:]]) + "\n")
+        capsys.readouterr()
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(odd)]) == EXIT_OK
+        assert (f"warning: skipped 1 unreadable cache lines in {odd / 'cache.jsonl'}"
+                in capsys.readouterr().err)
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (odd / name).read_bytes() == reference[name], name
+
+    @pytest.mark.parametrize("where", ["own line", "record body"])
+    def test_byte_that_is_not_utf8_costs_one_line(self, workdir, corpus_dir, capsys, where):
+        clean = workdir / "clean"
+        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+              "--out", str(clean)])
+        reference = _read_all(clean)
+        first = (clean / "cache.jsonl").read_bytes().split(b"\n")[0]
+        damage = (b"\xff\xfe garbage" if where == "own line"
+                  else first.replace(b'"per_total": ', b'"per_total": \xff'))
+        assert damage != first
+        damaged = workdir / "damaged"
+        damaged.mkdir()
+        cache = damaged / "cache.jsonl"
+        cache.write_bytes(reference["cache.jsonl"] + damage + b"\n")
+        capsys.readouterr()
+        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(damaged)]) == EXIT_OK
+        assert (f"warning: skipped 1 unreadable cache lines in {cache}"
+                in capsys.readouterr().err)
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (damaged / name).read_bytes() == reference[name], name
+
     def test_broken_record_body_is_counted_only_for_the_running_config(
             self, workdir, corpus_dir, capsys):
         clean = workdir / "clean"
@@ -409,6 +456,23 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (damaged / name).read_bytes() == reference[name], name
 
+    def test_broken_body_no_subset_reads_is_counted(self, workdir, corpus_dir, capsys):
+        out = workdir / "sweep"
+        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--k", "1"]) == EXIT_OK
+        reference = _read_all(out)
+        cache = out / "cache.jsonl"
+        line = json.loads(cache.read_text().splitlines()[0])
+        with open(cache, "a") as fh:  # the running config's head; --k 1 reads no pair
+            fh.write(json.dumps({**line, "subset": "12", "wer": "x"}, sort_keys=True) + "\n")
+        capsys.readouterr()
+        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(out), "--k", "1"]) == EXIT_OK
+        assert (f"warning: skipped 1 unreadable cache lines in {cache}"
+                in capsys.readouterr().err)
+        for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
+            assert (out / name).read_bytes() == reference[name], name
+
     @pytest.mark.parametrize("command, replicates", [
         ("backward-elim", "1"), ("exhaustive", "1"), ("ablate7", "1"),
         ("backward-elim", "2"), ("exhaustive", "2"), ("ablate7", "2"),
@@ -439,6 +503,12 @@ class TestSearchCommands:
             assert sorted(row.split(",")[0] for row in rows[:-1]) == [
                 "12", "13", "14", "23", "24", "34"]
             assert rows[-1] == "count,3,3,3,3,"
+
+    def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
+        code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
+                     "--out", str(workdir / "empty")])
+        assert code == EXIT_DATA
+        assert "missing" in capsys.readouterr().err
 
     def test_commands_that_train_nothing_load_no_pool_modules(self, workdir, corpus_dir):
         """gen-data, then a warm exhaustive and report at two workers, run in

@@ -125,6 +125,19 @@ class TestChannelAverage:
         assert averages == ((0, pytest.approx(0.3)), (1, pytest.approx(0.4)),
                             (2, pytest.approx(0.5)))
 
+    def test_constant_metric_averages_constant(self):
+        ev = FakeEvaluator(lambda s: 0.5)
+        averages = channel_average_metric(exhaustive_sweep(ev, 8, 4))
+        assert all(mean == pytest.approx(0.5) for _, mean in averages)
+
+    def test_weighted_means_recover_global_mean(self):
+        ev = FakeEvaluator(lambda s: sum(s.indices) / 10.0)
+        sweep = exhaustive_sweep(ev, 6, 3)
+        averages = channel_average_metric(sweep)
+        per_channel = binomial_by_factorials(5, 2)
+        total = sum(mean * per_channel for _, mean in averages)
+        assert total == pytest.approx(3 * sum(r.wer for r in sweep.records))
+
     def test_means_equal_float64_sums_over_counts_to_the_bit(self):
         rng = np.random.default_rng(11)
         ev = FakeEvaluator(lambda s: float(rng.random()))
@@ -208,6 +221,24 @@ class TestBackwardElimination:
 
 
 class TestResultsCache:
+    def test_round_trip(self, tmp_path):
+        cache = ResultsCache(tmp_path / "cache.jsonl")
+        record = make_record("135", wer=0.25, per_total=0.1)
+        cache.put(record)
+        reloaded = ResultsCache(tmp_path / "cache.jsonl")
+        assert reloaded.get("135", "corpus", "cfg", 0) == record
+        assert len(reloaded) == 1
+
+    def test_ignores_torn_tail_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = ResultsCache(path)
+        cache.put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write('{"subset": "34", "wer": 0.2')  # interrupted mid-record
+        reloaded = ResultsCache(path)
+        assert len(reloaded) == 1
+        assert reloaded.get("12", "corpus", "cfg", 0) is not None
+
     def test_counts_unreadable_lines(self, tmp_path):
         path = tmp_path / "cache.jsonl"
         cache = ResultsCache(path)
@@ -221,6 +252,18 @@ class TestResultsCache:
         assert len(reloaded) == 2
         assert reloaded.skipped_lines == 2
         assert cache.skipped_lines == 0
+
+    def test_append_after_torn_tail_starts_a_new_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        ResultsCache(path).put(make_record("12", wer=0.5))
+        with open(path, "a") as fh:
+            fh.write('{"subset": "34", "wer"')  # interrupted mid-record
+        resumed = ResultsCache(path)
+        resumed.put(make_record("34", wer=0.2))
+        reloaded = ResultsCache(path)
+        assert len(reloaded) == 2
+        assert reloaded.get("34", "corpus", "cfg", 0) == make_record("34", wer=0.2)
+        assert reloaded.skipped_lines == 1
 
     def test_blank_lines_are_neither_served_nor_counted(self, tmp_path):
         path = tmp_path / "cache.jsonl"
@@ -785,6 +828,12 @@ class TestTrainingEvaluator:
     def test_bad_settings_rejected_at_construction(self, setting, message):
         with pytest.raises(ValueError, match=message):
             replace(_evaluator(_search_corpus()), **setting)
+
+    def test_require_cached_raises_on_miss(self, tmp_path):
+        corpus = _search_corpus()
+        ev = _evaluator(corpus, tmp_path)
+        with pytest.raises(ValueError, match="missing"):
+            ev.evaluate_many([ChannelSubset((0,))], require_cached=True)
 
     def test_require_cached_counts_the_missing_subsets_and_names_five(self, tmp_path):
         ev = _evaluator(_search_corpus(), tmp_path)

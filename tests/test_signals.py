@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -189,6 +190,14 @@ class TestSignalFiles:
         assert back.channels == 3
         assert back.sample_rate == 100.0
         assert np.array_equal(back.samples, x.samples)
+
+    def test_header_schema(self, tmp_path):
+        x = _signal(channels=2, frames=5)
+        path = tmp_path / "sig.json"
+        save_signal(x, path)
+        header = json.loads(path.read_text())
+        assert header == {"channels": 2, "samples_per_channel": 5, "sample_rate": 100.0}
+        assert (tmp_path / "sig.bin").stat().st_size == 2 * 5 * 8
 
     def test_reloaded_corpus_samples_are_read_only_views_of_the_payload(self, tmp_path):
         corpus = generate(GeneratorConfig(channels=3, classes=("B", "IY"), weights=(1.0, 0.5, 0.0),
