@@ -41,9 +41,8 @@ from chansel.signals import (
     restrict_to_subset,
 )
 from chansel.synth import GeneratorConfig, generate
-from test_cli import TINY_CONFIG, _read_all
-from test_search import TOP10_FIXTURE
 from util import (
+    TOP10_FIXTURE,
     FakeEvaluator,
     binomial_by_factorials,
     complementary_pair_config,
@@ -52,6 +51,7 @@ from util import (
     make_record,
     make_sequence,
     planted_importance,
+    read_all,
 )
 
 
@@ -325,45 +325,39 @@ def test_criterion_10_category_aggregation(table):
             assert name in report2.row_names
 
 
-def test_criterion_11_reproducibility(tmp_path):
+def test_criterion_11_reproducibility(workdir, run_cli):
     with criterion(11, "reproducibility"):
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(TINY_CONFIG))
-        corpus_dir = tmp_path / "corpus"
+        cfg_path = workdir / "config.json"
+        corpus_dir = workdir / "corpus"
         assert main(["gen-data", "--config", str(cfg_path), "--out", str(corpus_dir)]) == 0
         hash_a = json.loads((corpus_dir / "manifest.json").read_text())["hash"]
         assert main(["gen-data", "--config", str(cfg_path), "--out", str(corpus_dir),
                      "--force"]) == 0
         assert json.loads((corpus_dir / "manifest.json").read_text())["hash"] == hash_a
 
-        pre_dir = tmp_path / "pretrain"
-        assert main(["pretrain", "--config", str(cfg_path), "--corpus", str(corpus_dir),
-                     "--out", str(pre_dir)]) == 0
-        first = _read_all(pre_dir)
-        assert main(["pretrain", "--config", str(cfg_path), "--corpus", str(corpus_dir),
-                     "--out", str(pre_dir)]) == 0
-        assert _read_all(pre_dir) == first
+        pre_dir = workdir / "pretrain"
+        assert run_cli("pretrain", pre_dir) == 0
+        first = read_all(pre_dir)
+        assert run_cli("pretrain", pre_dir) == 0
+        assert read_all(pre_dir) == first
 
-        sweep_dir = tmp_path / "sweep"
-        assert main(["exhaustive", "--config", str(cfg_path), "--corpus", str(corpus_dir),
-                     "--out", str(sweep_dir)]) == 0
-        reference = _read_all(sweep_dir)
+        sweep_dir = workdir / "sweep"
+        assert run_cli("exhaustive", sweep_dir) == 0
+        reference = read_all(sweep_dir)
         report_names = ("sweep.csv", "top_subsets.csv", "channel_average.csv")
 
         # plain rerun on the warm cache
-        assert main(["exhaustive", "--config", str(cfg_path), "--corpus", str(corpus_dir),
-                     "--out", str(sweep_dir)]) == 0
-        rerun = _read_all(sweep_dir)
+        assert run_cli("exhaustive", sweep_dir) == 0
+        rerun = read_all(sweep_dir)
         for name in report_names:
             assert rerun[name] == reference[name], name
 
         # interrupted run: only the first cache rows survived, then resume
-        resumed_dir = tmp_path / "resumed"
+        resumed_dir = workdir / "resumed"
         resumed_dir.mkdir()
         cache_lines = (sweep_dir / "cache.jsonl").read_text().splitlines()
         (resumed_dir / "cache.jsonl").write_text("\n".join(cache_lines[:2]) + "\n")
-        assert main(["exhaustive", "--config", str(cfg_path), "--corpus", str(corpus_dir),
-                     "--out", str(resumed_dir)]) == 0
-        resumed = _read_all(resumed_dir)
+        assert run_cli("exhaustive", resumed_dir) == 0
+        resumed = read_all(resumed_dir)
         for name in report_names:
             assert resumed[name] == reference[name], name

@@ -28,53 +28,11 @@ from chansel.phonemes import default_table
 from chansel.search import config_fingerprint
 from chansel.signals import parse_subset
 from chansel.synth import DEFAULT_CLASSES
-from util import fake_numpy_without_thread_setter, no_thread_setter_note
-
-TINY_CONFIG = {
-    "generator": {
-        "channels": 4,
-        "classes": ["B", "IY", "T"],
-        "weights": [1.0, 0.7, 0.4, 0.2],
-        "noise_sigma": 0.5,
-        "frames_per_segment": 4,
-        "segments_per_utterance": 3,
-        "utterances": 12,
-        "seed": 5,
-        "channel_classes": None,
-        "crosstalk": 0.0,
-    },
-    "model": {"window": 3, "features": 6},
-    "train": {"learning_rate": 0.5, "epochs": 2, "batch_size": 4, "dropout_p": 0.0, "seed": 0},
-    "search": {"k": 2, "k_top": 3, "stop_size": 2, "replicates": 1,
-               "metric": "per_total", "budget": 1000, "workers": 1},
-    "eval": {"per_threshold": 1, "train_fraction": 0.75},
-}
-
-
-@pytest.fixture()
-def workdir(tmp_path):
-    cfg_path = tmp_path / "config.json"
-    cfg_path.write_text(json.dumps(TINY_CONFIG))
-    return tmp_path
-
-
-@pytest.fixture()
-def corpus_dir(workdir):
-    out = workdir / "corpus"
-    assert main(["gen-data", "--config", str(workdir / "config.json"),
-                 "--out", str(out)]) == EXIT_OK
-    return out
+from util import TINY_CONFIG, fake_numpy_without_thread_setter, no_thread_setter_note, read_all
 
 
 def _cfg(workdir) -> str:
     return str(workdir / "config.json")
-
-
-def _read_all(directory: Path) -> dict[str, bytes]:
-    return {
-        str(p.relative_to(directory)): p.read_bytes()
-        for p in sorted(directory.rglob("*")) if p.is_file()
-    }
 
 
 class TestGenData:
@@ -92,19 +50,15 @@ class TestGenData:
 
 
 class TestFinetune:
-    def test_zero_epochs_on_full_set_matches_pretrain_eval(self, workdir, corpus_dir):
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
+    def test_zero_epochs_on_full_set_matches_pretrain_eval(self, workdir, run_cli, pretrain_dir):
         out = workdir / "ft"
-        assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "1234", "--epochs", "0",
-                     "--init", str(pre / "model_p0.json")]) == EXIT_OK
+        assert run_cli("finetune", out, "--subset", "1234", "--epochs", "0",
+                       "--init", str(pretrain_dir / "model_p0.json")) == EXIT_OK
         record = json.loads((out / "eval_ft_1234.json").read_text())
         # slicing to the full set is the identity, so the sliced model's file
         # payload must equal the pretrained one
         tuned = json.loads((out / "model_ft_1234.json").read_text())
-        parent = json.loads((pre / "model_p0.json").read_text())["payload_sha256"]
+        parent = json.loads((pretrain_dir / "model_p0.json").read_text())["payload_sha256"]
         assert tuned["payload_sha256"] == parent
         assert tuned["provenance"]["parent"] == parent
         assert 0.0 <= record["wer"]
@@ -113,21 +67,17 @@ class TestFinetune:
         ("--window", "5", "window 3 and features 6, the config has window 5 and features 6"),
         ("--features", "4", "window 3 and features 6, the config has window 3 and features 4"),
     ], ids=["window", "features"])
-    def test_init_model_must_match_config_shape(self, workdir, corpus_dir, capsys,
+    def test_init_model_must_match_config_shape(self, workdir, run_cli, pretrain_dir, capsys,
                                                 flag, value, shape):
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
         out = workdir / "ft"
         capsys.readouterr()
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "13", flag, value,
-                     "--init", str(pre / "model_p0.json"), "--from-scratch"])
+        code = run_cli("finetune", out, "--subset", "13", flag, value,
+                       "--init", str(pretrain_dir / "model_p0.json"), "--from-scratch")
         assert code == EXIT_DATA
         assert shape in capsys.readouterr().err
-        assert _read_all(out) == {}  # neither side ran
+        assert read_all(out) == {}  # neither side ran
 
-    def test_init_model_must_match_corpus_channels(self, workdir, corpus_dir, tmp_path,
+    def test_init_model_must_match_corpus_channels(self, workdir, corpus_dir, run_cli, tmp_path,
                                                    capsys):
         cfg = json.loads((workdir / "config.json").read_text())
         cfg["generator"].update({"channels": 6, "weights": [0.8] * 6})
@@ -139,21 +89,19 @@ class TestFinetune:
               "--out", str(pre)])
         out = workdir / "ft"
         capsys.readouterr()
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "13",
-                     "--init", str(pre / "model_p0.json"), "--from-scratch"])
+        code = run_cli("finetune", out, "--subset", "13", "--init", str(pre / "model_p0.json"),
+                       "--from-scratch")
         assert code == EXIT_DATA
         assert "--init model has 6 channels, the corpus has 4" in capsys.readouterr().err
         assert not out.exists()  # neither side ran
 
     @pytest.mark.parametrize("epochs", ["0", "2"])
-    def test_init_model_must_hold_every_corpus_class(self, workdir, corpus_dir, tmp_path,
+    def test_init_model_must_hold_every_corpus_class(self, workdir, corpus_dir, run_cli, tmp_path,
                                                      capsys, epochs):
         """Checked once the --init model is loaded, so also at --epochs 0,
         which trains on no utterance."""
         pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre), "--dropout-p", "0.125"])
+        run_cli("pretrain", pre, "--dropout-p", "0.125")
         params, _ = load_model(pre / "model_p0.125.json")
         keep = [i for i, sym in enumerate(params.class_symbols) if sym != "IY"]
         params = replace(params, head_weights=params.head_weights[keep],
@@ -163,16 +111,15 @@ class TestFinetune:
         save_model(params, init_path)
         out = workdir / "ft"
         capsys.readouterr()
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "12", "--init", str(init_path),
-                     "--from-scratch", "--epochs", epochs])
+        code = run_cli("finetune", out, "--subset", "12", "--init", str(init_path),
+                       "--from-scratch", "--epochs", epochs)
         assert code == EXIT_DATA
         assert capsys.readouterr().err == "error: corpus label 'IY' is not a model class\n"
         assert not out.exists()  # neither side ran
 
     @pytest.mark.parametrize("epochs", ["0", "2"])
     @pytest.mark.parametrize("init", ["dropout", "permuted-classes"])
-    def test_sides_equal_the_library_reference_route(self, workdir, corpus_dir, tmp_path,
+    def test_sides_equal_the_library_reference_route(self, workdir, corpus_dir, run_cli, tmp_path,
                                                      init, epochs):
         """Each side, and the comparison, must equal restrict -> train ->
         evaluate -> save_model from the same start model, byte for byte: the
@@ -182,8 +129,7 @@ class TestFinetune:
         so only the permuted-classes scratch side differs from a scratch-only
         run."""
         pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre), "--dropout-p", "0.125"])
+        run_cli("pretrain", pre, "--dropout-p", "0.125")
         init_path = pre / "model_p0.125.json"
         if init == "permuted-classes":
             params, _ = load_model(init_path)
@@ -194,9 +140,8 @@ class TestFinetune:
             init_path = tmp_path / "permuted" / "model.json"
             save_model(params, init_path)
         out = workdir / "ft"
-        assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "13", "--epochs", epochs,
-                     "--init", str(init_path), "--from-scratch"]) == EXIT_OK
+        assert run_cli("finetune", out, "--subset", "13", "--epochs", epochs,
+                       "--init", str(init_path), "--from-scratch") == EXIT_OK
 
         corpus = load_corpus(corpus_dir)
         subset = parse_subset("13", corpus.channels)
@@ -220,13 +165,11 @@ class TestFinetune:
             records.append((mode, record))
         prov = reports.Provenance(config_hash, corpus.content_hash, 0)
         write_text(reference / "comparison_13.csv", reports.comparison_csv(records, prov))
-        assert _read_all(out) == _read_all(reference)
+        assert read_all(out) == read_all(reference)
         assert (out / "comparison_13.csv").read_text().splitlines()[1] == "mode,subset,wer,per_total"
 
-    def test_both_sides_featurize_each_utterance_once(self, workdir, corpus_dir, monkeypatch):
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
+    def test_both_sides_featurize_each_utterance_once(self, workdir, run_cli, pretrain_dir,
+                                                      monkeypatch):
         calls = []
 
         def counted(samples, window):
@@ -234,29 +177,24 @@ class TestFinetune:
             return featurize(samples, window)
 
         monkeypatch.setattr(search, "featurize", counted)
-        assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "ft"), "--subset", "13", "--epochs", "1",
-                     "--init", str(pre / "model_p0.json"), "--from-scratch"]) == EXIT_OK
+        assert run_cli("finetune", workdir / "ft", "--subset", "13", "--epochs", "1",
+                       "--init", str(pretrain_dir / "model_p0.json"), "--from-scratch") == EXIT_OK
         # one featurization of each utterance serves both sides
         assert len(calls) == TINY_CONFIG["generator"]["utterances"]
 
     @pytest.mark.parametrize("epochs", ["0", "2"])
-    def test_both_sides_equal_their_one_sided_runs(self, workdir, corpus_dir, epochs):
+    def test_both_sides_equal_their_one_sided_runs(self, workdir, run_cli, pretrain_dir, epochs):
         """The two sides train as one stack, yet each side's record and model
         files equal those of a run of that side alone, byte for byte."""
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
-        init = ["--init", str(pre / "model_p0.json")]
+        init = ["--init", str(pretrain_dir / "model_p0.json")]
         runs = {}
         for name, flags in {"both": [*init, "--from-scratch"], "ft": init,
                             "scratch": ["--from-scratch"]}.items():
             out = workdir / name
-            assert main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(out), "--subset", "12", "--epochs", epochs,
-                         *flags]) == EXIT_OK
+            assert run_cli("finetune", out, "--subset", "12", "--epochs", epochs,
+                           *flags) == EXIT_OK
             # the comparison lists the sides that ran, so it differs by design
-            runs[name] = {file: data for file, data in _read_all(out).items()
+            runs[name] = {file: data for file, data in read_all(out).items()
                           if file != "comparison_12.csv"}
         for side in ("ft", "scratch"):
             names = {f"eval_{side}_12.json", f"model_{side}_12.json", f"model_{side}_12.bin"}
@@ -264,9 +202,8 @@ class TestFinetune:
             assert runs[side] == {name: runs["both"][name] for name in names}
         assert set(runs["both"]) == set(runs["ft"]) | set(runs["scratch"])
 
-    def test_requires_init_or_scratch(self, workdir, corpus_dir, capsys):
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "x"), "--subset", "13"])
+    def test_requires_init_or_scratch(self, workdir, corpus_dir, run_cli, capsys):
+        code = run_cli("finetune", workdir / "x", "--subset", "13")
         assert code == EXIT_DATA
         assert "--from-scratch" in capsys.readouterr().err
 
@@ -286,18 +223,16 @@ class TestFinetune:
 
 
 class TestSearchCommands:
-    def test_backward_elim_outputs_and_rerun_identical(self, workdir, corpus_dir):
+    def test_backward_elim_outputs_and_rerun_identical(self, workdir, corpus_dir, run_cli):
         out = workdir / "elim"
-        assert main(["backward-elim", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
+        assert run_cli("backward-elim", out) == EXIT_OK
         doc = json.loads((out / "elimination.json").read_text())
         assert len(doc["steps"]) == 2  # 4 channels down to stop_size 2
         curve = (out / "elimination_curve.csv").read_text().splitlines()
         assert curve[1] == "channel_count,best_per_total,median_per_total"
-        first = _read_all(out)
-        assert main(["backward-elim", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
-        again = _read_all(out)
+        first = read_all(out)
+        assert run_cli("backward-elim", out) == EXIT_OK
+        again = read_all(out)
         assert set(first) == set(again)
         for name in first:
             if name != "cache.jsonl":  # cache rows carry wall times
@@ -325,10 +260,9 @@ class TestSearchCommands:
     @pytest.mark.parametrize("command, kept", [
         ("exhaustive", 6), ("backward-elim", 7), ("ablate7", 5)])
     def test_interrupt_while_writing_reports_says_what_was_kept(
-            self, workdir, corpus_dir, capsys, monkeypatch, command, kept):
-        argv = [command, "--config", _cfg(workdir), "--corpus", str(corpus_dir), "--out"]
-        assert main([*argv, str(workdir / "whole")]) == EXIT_OK
-        reference = _read_all(workdir / "whole")
+            self, workdir, corpus_dir, run_cli, capsys, monkeypatch, command, kept):
+        assert run_cli(command, workdir / "whole") == EXIT_OK
+        reference = read_all(workdir / "whole")
         out = workdir / "interrupted"
         capsys.readouterr()
 
@@ -337,45 +271,40 @@ class TestSearchCommands:
 
         with monkeypatch.context() as patch:
             patch.setattr(cli, "write_text", interrupt)
-            assert main([*argv, str(out)]) == EXIT_INTERRUPTED
+            assert run_cli(command, out) == EXIT_INTERRUPTED
         cache = out / "cache.jsonl"
         assert capsys.readouterr().err == (f"interrupted: kept {kept} new records in {cache}; "
                                            "rerun to resume\n")
-        assert list(_read_all(out)) == ["cache.jsonl"]
+        assert list(read_all(out)) == ["cache.jsonl"]
         cached = cache.read_bytes()
-        assert main([*argv, str(out)]) == EXIT_OK
+        assert run_cli(command, out) == EXIT_OK
         assert cache.read_bytes() == cached  # the rerun trained nothing
-        assert {name: data for name, data in _read_all(out).items() if name != "cache.jsonl"} == {
+        assert {name: data for name, data in read_all(out).items() if name != "cache.jsonl"} == {
             name: data for name, data in reference.items() if name != "cache.jsonl"}
 
-    def test_report_rejects_k_above_channel_count(self, workdir, corpus_dir, capsys):
+    def test_report_rejects_k_above_channel_count(self, workdir, corpus_dir, run_cli, capsys):
         sweep = workdir / "sweep"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(sweep)])
+        run_cli("exhaustive", sweep)
         out = workdir / "k5"
         out.mkdir()
         (out / "cache.jsonl").write_bytes((sweep / "cache.jsonl").read_bytes())
         capsys.readouterr()
-        code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--k", "5"])
+        code = run_cli("report", out, "--k", "5")
         assert code == EXIT_DATA
         assert "need 1 <= k <= channels" in capsys.readouterr().err
-        assert set(_read_all(out)) == {"cache.jsonl"}  # no report written
+        assert set(read_all(out)) == {"cache.jsonl"}  # no report written
 
-    def test_damaged_cache_lines_are_counted_and_reported(self, workdir, corpus_dir, capsys):
-        clean = workdir / "clean"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(clean)])
+    def test_damaged_cache_lines_are_counted_and_reported(self, workdir, run_cli, clean_dir,
+                                                          capsys):
         assert "warning" not in capsys.readouterr().err
-        reference = _read_all(clean)
+        reference = read_all(clean_dir)
         damaged = workdir / "damaged"
         damaged.mkdir()
-        lines = (clean / "cache.jsonl").read_text().splitlines()
+        lines = (clean_dir / "cache.jsonl").read_text().splitlines()
         # a corrupt middle line, and the last record torn mid-write
         (damaged / "cache.jsonl").write_text(
             "\n".join([*lines[:2], "{not json", *lines[2:-1], lines[-1][:40]]))
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(damaged)]) == EXIT_OK
+        assert run_cli("exhaustive", damaged) == EXIT_OK
         captured = capsys.readouterr()
         assert (f"warning: skipped 2 unreadable cache lines in {damaged / 'cache.jsonl'}"
                 in captured.err)
@@ -383,31 +312,26 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (damaged / name).read_bytes() == reference[name], name
 
-    def test_cache_line_that_is_not_a_record_is_counted(self, workdir, corpus_dir, capsys):
-        clean = workdir / "clean"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(clean)])
-        reference = _read_all(clean)
+    def test_cache_line_that_is_not_a_record_is_counted(self, workdir, run_cli, clean_dir,
+                                                        capsys):
+        reference = read_all(clean_dir)
         odd = workdir / "odd"
         odd.mkdir()
-        lines = (clean / "cache.jsonl").read_text().splitlines()
+        lines = (clean_dir / "cache.jsonl").read_text().splitlines()
         # valid JSON, but not an object
         (odd / "cache.jsonl").write_text("\n".join([*lines[:2], "42", *lines[2:]]) + "\n")
         capsys.readouterr()
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(odd)]) == EXIT_OK
+        assert run_cli("exhaustive", odd) == EXIT_OK
         assert (f"warning: skipped 1 unreadable cache lines in {odd / 'cache.jsonl'}"
                 in capsys.readouterr().err)
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (odd / name).read_bytes() == reference[name], name
 
     @pytest.mark.parametrize("where", ["own line", "record body"])
-    def test_byte_that_is_not_utf8_costs_one_line(self, workdir, corpus_dir, capsys, where):
-        clean = workdir / "clean"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(clean)])
-        reference = _read_all(clean)
-        first = (clean / "cache.jsonl").read_bytes().split(b"\n")[0]
+    def test_byte_that_is_not_utf8_costs_one_line(self, workdir, run_cli, clean_dir, capsys,
+                                                  where):
+        reference = read_all(clean_dir)
+        first = (clean_dir / "cache.jsonl").read_bytes().split(b"\n")[0]
         damage = (b"\xff\xfe garbage" if where == "own line"
                   else first.replace(b'"per_total": ', b'"per_total": \xff'))
         assert damage != first
@@ -416,20 +340,16 @@ class TestSearchCommands:
         cache = damaged / "cache.jsonl"
         cache.write_bytes(reference["cache.jsonl"] + damage + b"\n")
         capsys.readouterr()
-        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(damaged)]) == EXIT_OK
+        assert run_cli("report", damaged) == EXIT_OK
         assert (f"warning: skipped 1 unreadable cache lines in {cache}"
                 in capsys.readouterr().err)
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (damaged / name).read_bytes() == reference[name], name
 
     def test_broken_record_body_is_counted_only_for_the_running_config(
-            self, workdir, corpus_dir, capsys):
-        clean = workdir / "clean"
-        main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(clean)])
-        reference = _read_all(clean)
-        lines = (clean / "cache.jsonl").read_text().splitlines()
+            self, workdir, run_cli, clean_dir, capsys):
+        reference = read_all(clean_dir)
+        lines = (clean_dir / "cache.jsonl").read_text().splitlines()
         ours = {**json.loads(lines[0]), "wer": "x"}  # keyed, but its body does not decode
         theirs = {**json.loads(lines[1]), "config_hash": "another config", "wer": "x"}
         damaged = workdir / "damaged"
@@ -440,15 +360,13 @@ class TestSearchCommands:
         capsys.readouterr()
 
         before = cache.read_bytes()
-        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(damaged)]) == EXIT_DATA
+        assert run_cli("report", damaged) == EXIT_DATA
         err = capsys.readouterr().err
         assert f"cache is missing records for 1 of 6 subsets ({ours['subset']}); run" in err
         assert warning in err
         assert cache.read_bytes() == before
 
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(damaged)]) == EXIT_OK
+        assert run_cli("exhaustive", damaged) == EXIT_OK
         assert warning in capsys.readouterr().err
         retrained = cache.read_text().splitlines()[len(lines) + 1:]
         assert [(d["subset"], d["seed"]) for d in map(json.loads, retrained)] == [
@@ -456,18 +374,16 @@ class TestSearchCommands:
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
             assert (damaged / name).read_bytes() == reference[name], name
 
-    def test_broken_body_no_subset_reads_is_counted(self, workdir, corpus_dir, capsys):
+    def test_broken_body_no_subset_reads_is_counted(self, workdir, corpus_dir, run_cli, capsys):
         out = workdir / "sweep"
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--k", "1"]) == EXIT_OK
-        reference = _read_all(out)
+        assert run_cli("exhaustive", out, "--k", "1") == EXIT_OK
+        reference = read_all(out)
         cache = out / "cache.jsonl"
         line = json.loads(cache.read_text().splitlines()[0])
         with open(cache, "a") as fh:  # the running config's head; --k 1 reads no pair
             fh.write(json.dumps({**line, "subset": "12", "wer": "x"}, sort_keys=True) + "\n")
         capsys.readouterr()
-        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--k", "1"]) == EXIT_OK
+        assert run_cli("report", out, "--k", "1") == EXIT_OK
         assert (f"warning: skipped 1 unreadable cache lines in {cache}"
                 in capsys.readouterr().err)
         for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv"):
@@ -478,14 +394,14 @@ class TestSearchCommands:
         ("backward-elim", "2"), ("exhaustive", "2"), ("ablate7", "2"),
     ], ids=["backward-elim", "exhaustive", "ablate7", "backward-elim-replicates-2",
             "exhaustive-replicates-2", "ablate7-replicates-2"])
-    def test_worker_count_changes_no_output_byte(self, workdir, corpus_dir, command, replicates):
+    def test_worker_count_changes_no_output_byte(self, workdir, corpus_dir, run_cli, command,
+                                                 replicates):
         outputs = []
         for workers in ("1", "2"):
             out = workdir / f"{command}_w{workers}"
-            assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(out), "--workers", workers,
-                         "--replicates", replicates]) == EXIT_OK
-            files = _read_all(out)
+            assert run_cli(command, out, "--workers", workers,
+                           "--replicates", replicates) == EXIT_OK
+            files = read_all(out)
             # each cache line holds the seconds of its task, which no record reads
             files["cache.jsonl"] = [EvalRecord.from_dict(json.loads(line))
                                     for line in files["cache.jsonl"].splitlines()]
@@ -493,30 +409,27 @@ class TestSearchCommands:
         serial, pooled = outputs
         assert serial["cache.jsonl"] and serial == pooled
 
-    def test_k_top_above_the_subset_count_lists_every_subset(self, workdir, corpus_dir):
+    def test_k_top_above_the_subset_count_lists_every_subset(self, workdir, corpus_dir, run_cli):
         out = workdir / "sweep"
         for command in ("exhaustive", "report"):
-            assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(out), "--k-top", "50"]) == EXIT_OK
+            assert run_cli(command, out, "--k-top", "50") == EXIT_OK
             rows = (out / "top_subsets.csv").read_text().splitlines()[2:]
             # all C(4,2) subsets, then the count row: each channel is in 3 of them
             assert sorted(row.split(",")[0] for row in rows[:-1]) == [
                 "12", "13", "14", "23", "24", "34"]
             assert rows[-1] == "count,3,3,3,3,"
 
-    def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, capsys):
-        code = main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "empty")])
+    def test_report_fails_cleanly_on_cold_cache(self, workdir, corpus_dir, run_cli, capsys):
+        code = run_cli("report", workdir / "empty")
         assert code == EXIT_DATA
         assert "missing" in capsys.readouterr().err
 
-    def test_commands_that_train_nothing_load_no_pool_modules(self, workdir, corpus_dir):
+    def test_commands_that_train_nothing_load_no_pool_modules(self, workdir, corpus_dir, run_cli):
         """gen-data, then a warm exhaustive and report at two workers, run in
         a fresh interpreter, import neither the process-pool machinery nor
         statistics."""
         out = workdir / "sweep"
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
+        assert run_cli("exhaustive", out) == EXIT_OK
         script = """
 import json, sys
 from chansel.cli import main
@@ -535,15 +448,14 @@ print(json.dumps([name for name in modules if name in sys.modules]))
         assert "wrote 12 utterances" in run.stdout  # the same corpus hash: every record hits
         assert json.loads(run.stdout.splitlines()[-1]) == []
 
-    def test_warm_commands_load_no_numpy(self, workdir, corpus_dir):
+    def test_warm_commands_load_no_numpy(self, workdir, corpus_dir, run_cli):
         """With every record cached by this process, a warm exhaustive,
         report, backward-elim and ablate7 in a fresh interpreter never load
         numpy's core and leave the cache as it was; a cold exhaustive in a
         fresh interpreter loads it."""
         warm = workdir / "warm"
         for command in ("exhaustive", "backward-elim", "ablate7"):
-            assert main([command, "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                         "--out", str(warm)]) == EXIT_OK
+            assert run_cli(command, warm) == EXIT_OK
         cache = (warm / "cache.jsonl").read_bytes()
         script = """
 import json, sys
@@ -565,27 +477,24 @@ print(json.dumps("numpy._core" in sys.modules))
         assert (warm / "cache.jsonl").read_bytes() == cache
         assert loads_numpy(workdir / "cold", "exhaustive") is True
 
-    def test_warm_report_still_checks_stored_samples(self, workdir, corpus_dir, capsys):
+    def test_warm_report_still_checks_stored_samples(self, workdir, corpus_dir, run_cli, capsys):
         # every record is cached, so no sample is ever decoded: the NaN must
         # still stop the load, before the corpus hash is checked
         out = workdir / "sweep"
-        assert main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
+        assert run_cli("exhaustive", out) == EXIT_OK
         payload = corpus_dir / "utt_00002.bin"
         data = payload.read_bytes()
         payload.write_bytes(data[:40] + struct.pack("<d", math.nan) + data[48:])
         capsys.readouterr()
-        assert main(["report", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_DATA
+        assert run_cli("report", out) == EXIT_DATA
         header = corpus_dir / "utt_00002.json"
         assert (f"error: signal header {header} samples contain NaN or Inf"
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("replicates", ["1", "2"])
-    def test_ablate7_outputs(self, workdir, corpus_dir, replicates):
+    def test_ablate7_outputs(self, workdir, corpus_dir, run_cli, replicates):
         out = workdir / "ablate"
-        assert main(["ablate7", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--seed", "5", "--replicates", replicates]) == EXIT_OK
+        assert run_cli("ablate7", out, "--seed", "5", "--replicates", replicates) == EXIT_OK
         lines = (out / "worst_channel.csv").read_text().splitlines()
         assert lines[0].endswith(" seed=5")
         assert lines[1] == "category,baseline_per,worst_per,critical_channel"
@@ -596,18 +505,16 @@ print(json.dumps("numpy._core" in sys.modules))
         records = [doc["baseline"], *doc["by_removed_channel"].values()]
         assert [(r["seed"], r["n_seeds"]) for r in records] == [(5, int(replicates))] * 5
 
-    def test_cache_dir_env_override(self, workdir, corpus_dir, monkeypatch, tmp_path):
+    def test_cache_dir_env_override(self, workdir, corpus_dir, run_cli, monkeypatch, tmp_path):
         cache_home = tmp_path / "cachehome"
         monkeypatch.setenv("CHANSEL_CACHE_DIR", str(cache_home))
         out = workdir / "elim_env"
-        assert main(["backward-elim", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out)]) == EXIT_OK
+        assert run_cli("backward-elim", out) == EXIT_OK
         assert (cache_home / "cache.jsonl").exists()
         assert not (out / "cache.jsonl").exists()
 
-    def test_budget_exceeded_is_data_error(self, workdir, corpus_dir, capsys):
-        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "x"), "--budget", "2"])
+    def test_budget_exceeded_is_data_error(self, workdir, corpus_dir, run_cli, capsys):
+        code = run_cli("exhaustive", workdir / "x", "--budget", "2")
         assert code == EXIT_DATA
         assert "budget" in capsys.readouterr().err
 
@@ -974,7 +881,7 @@ class TestExitCodes:
             "sample-rate-null", "payload-nan", "labels-empty", "labels-short", "labels-header",
             "labels-frame-repeated", "labels-frame-skipped",
             "utterances-not-integer", "future-format", "channel-count-differs"])
-    def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, capsys,
+    def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, run_cli, capsys,
                                                   damaged, damage, what, named, problem):
         if isinstance(damaged, str):
             damaged, damage = (damaged,), (damage,)
@@ -982,8 +889,7 @@ class TestExitCodes:
             target = corpus_dir / name
             target.write_bytes(edit(target.read_bytes()))
         header = corpus_dir / named
-        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "sweep")])
+        code = run_cli("exhaustive", workdir / "sweep")
         assert code == EXIT_DATA
         assert f"error: {what} {header} {problem}" in capsys.readouterr().err
 
@@ -1003,16 +909,12 @@ class TestExitCodes:
          "has format_version 99, expected 1"),
     ], ids=["torn", "no-layers", "no-layers-window", "layers-not-object", "fractional-size",
             "symbols-not-list", "future-format"])
-    def test_damaged_model_manifest_names_the_file(self, workdir, corpus_dir, capsys,
+    def test_damaged_model_manifest_names_the_file(self, workdir, run_cli, pretrain_dir, capsys,
                                                    damage, message):
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
-        manifest = pre / "model_p0.json"
+        manifest = pretrain_dir / "model_p0.json"
         manifest.write_text(damage(manifest.read_text()))
         capsys.readouterr()
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "ft"), "--subset", "13", "--init", str(manifest)])
+        code = run_cli("finetune", workdir / "ft", "--subset", "13", "--init", str(manifest))
         assert code == EXIT_DATA
         assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
 
@@ -1021,21 +923,17 @@ class TestExitCodes:
         (lambda values: np.concatenate([[np.nan], values[1:]]),
          "input_weights contains NaN or Inf"),
     ], ids=["one-value-short", "nan"])
-    def test_damaged_model_payload_names_the_manifest(self, workdir, corpus_dir, capsys,
-                                                      damage, message):
+    def test_damaged_model_payload_names_the_manifest(self, workdir, run_cli, pretrain_dir,
+                                                      capsys, damage, message):
         """A payload damaged behind an updated hash passes the integrity
         check and is still refused, naming the model's manifest."""
-        pre = workdir / "pretrain"
-        main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-              "--out", str(pre)])
-        manifest, payload = pre / "model_p0.json", pre / "model_p0.bin"
+        manifest, payload = pretrain_dir / "model_p0.json", pretrain_dir / "model_p0.bin"
         payload.write_bytes(damage(np.frombuffer(payload.read_bytes(), "<f8")).tobytes())
         doc = json.loads(manifest.read_text())
         doc["payload_sha256"] = hashlib.sha256(payload.read_bytes()).hexdigest()
         manifest.write_text(json.dumps(doc))
         capsys.readouterr()
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "ft"), "--subset", "13", "--init", str(manifest)])
+        code = run_cli("finetune", workdir / "ft", "--subset", "13", "--init", str(manifest))
         assert code == EXIT_DATA
         assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
 
@@ -1081,21 +979,18 @@ class TestExitCodes:
         assert "chansel" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_divergence_is_exit_three(self, workdir, corpus_dir, capsys):
-        code = main(["pretrain", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "pre"), "--learning-rate", "1e308",
-                     "--epochs", "6"])
+    def test_divergence_is_exit_three(self, workdir, corpus_dir, run_cli, capsys):
+        code = run_cli("pretrain", workdir / "pre", "--learning-rate", "1e308", "--epochs", "6")
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err == ("error: training diverged: non-finite loss nan "
                                            "at epoch 1, batch 2\n")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_finetune_is_exit_three_and_writes_nothing(self, workdir, corpus_dir,
-                                                                 capsys):
+                                                                 run_cli, capsys):
         out = workdir / "ft"
-        code = main(["finetune", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(out), "--subset", "12", "--from-scratch",
-                     "--learning-rate", "1e308", "--epochs", "6", "--batch-size", "1"])
+        code = run_cli("finetune", out, "--subset", "12", "--from-scratch",
+                       "--learning-rate", "1e308", "--epochs", "6", "--batch-size", "1")
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err == ("error: training diverged: non-finite loss nan "
                                            "at epoch 0, batch 2\n")
@@ -1103,7 +998,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("case", ["1", "2", "no-setter"])
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    def test_diverging_search_is_exit_three(self, workdir, corpus_dir, capfd, monkeypatch,
+    def test_diverging_search_is_exit_three(self, workdir, corpus_dir, run_cli, capfd, monkeypatch,
                                             case):
         """Pins stderr byte for byte at one worker and at two. A pool looks up
         numpy's OpenBLAS thread setter once per process and, on a numpy with
@@ -1113,9 +1008,8 @@ class TestExitCodes:
         if case == "no-setter":
             fake_numpy_without_thread_setter(monkeypatch, workdir)
         workers = "1" if case == "1" else "2"
-        code = main(["exhaustive", "--config", _cfg(workdir), "--corpus", str(corpus_dir),
-                     "--out", str(workdir / "sweep"), "--learning-rate", "1e308",
-                     "--epochs", "6", "--workers", workers])
+        code = run_cli("exhaustive", workdir / "sweep", "--learning-rate", "1e308",
+                       "--epochs", "6", "--workers", workers)
         err = capfd.readouterr().err
         # the pool's lookup is cached by now, so reading it prints nothing
         noted = case != "1" and search._openblas_library() is None
@@ -1142,7 +1036,7 @@ class TestExitCodes:
         assert main(["gen-data", "--config", str(config), "--out", str(corpus)]) == EXIT_OK
         argv = ["exhaustive", "--config", str(config), "--corpus", str(corpus), "--out"]
         assert main([*argv, str(tmp_path / "whole")]) == EXIT_OK
-        reference = _read_all(tmp_path / "whole")
+        reference = read_all(tmp_path / "whole")
 
         out = tmp_path / "interrupted"
         cache = out / "cache.jsonl"
@@ -1178,7 +1072,7 @@ class TestExitCodes:
         resumed = records()
         assert resumed[:len(kept)] == kept  # the rerun trained only the rest
         assert len(resumed) == len(kept) + 18 - len(set(kept)) and len(set(resumed)) == 18
-        assert {name: data for name, data in _read_all(out).items() if name != "cache.jsonl"} == {
+        assert {name: data for name, data in read_all(out).items() if name != "cache.jsonl"} == {
             name: data for name, data in reference.items() if name != "cache.jsonl"}
 
 

@@ -52,8 +52,7 @@ import pytest
 from chansel import search
 from chansel.cli import EXIT_DIVERGED, EXIT_OK, main
 from chansel.search import NUMERICS_VERSION
-from test_cli import TINY_CONFIG
-from util import fake_numpy_without_thread_setter
+from util import TINY_CONFIG, fake_numpy_without_thread_setter
 
 FIXTURE = Path(__file__).with_name("pinned_numbers.json")
 UNCOMPARED = {"payload_sha256", "parent", "corpus_hash", "tool_version", "version",

@@ -43,16 +43,10 @@ from chansel.search import (
 from chansel.signals import ChannelSubset, parse_subset
 from chansel.synth import GeneratorConfig, generate
 from util import (
-    FakeEvaluator, binomial_by_factorials, fake_numpy_without_thread_setter, make_record,
-    no_thread_setter_note, report_from_rates,
+    TOP10_FIXTURE, FakeEvaluator, binomial_by_factorials, fake_numpy_without_thread_setter,
+    make_evaluator, make_record, no_thread_setter_note, report_from_rates, search_corpus,
 )
 
-
-# published top-10 4-channel subsets and their WERs (%)
-TOP10_FIXTURE = [
-    ("1356", 47.2), ("2357", 47.3), ("1346", 47.7), ("1238", 48.3), ("1235", 48.4),
-    ("2347", 48.6), ("1236", 48.8), ("1345", 49.0), ("1245", 49.6), ("2367", 49.6),
-]
 
 
 class TestExhaustiveSweep:
@@ -85,7 +79,7 @@ class TestExhaustiveSweep:
             raise RuntimeError("training fell over")
 
         monkeypatch.setattr(search, "_run_stack", boom)
-        ev = _evaluator(_search_corpus(), workers=1)
+        ev = make_evaluator(search_corpus(), workers=1)
         with pytest.raises(EvaluationError, match="subset 1 failed: training fell over"):
             exhaustive_sweep(ev, 3, 1)
 
@@ -640,45 +634,15 @@ class TestPoolWorkerThreads:
         assert str(tmp_path / "numpy.libs") in err
 
 
-def _search_corpus(channels=3, utterances=12, seed=0):
-    return generate(GeneratorConfig(
-        channels=channels,
-        classes=("B", "IY", "T"),
-        weights=tuple([1.0, 0.6, 0.2, 0.0][:channels]),
-        noise_sigma=0.5,
-        frames_per_segment=4,
-        segments_per_utterance=3,
-        utterances=utterances,
-        seed=seed,
-    ))
-
-
 def _uniform_row(n: int) -> list[float]:
     """``n`` seeded floats in [0, 1000)."""
     return (np.random.default_rng(n).random(n) * 1e3).tolist()
 
 
-def _evaluator(corpus, tmp_path=None, replicates=1, workers=1, epochs=3):
-    train_c, test_c = corpus.split(0.75)
-    return TrainingEvaluator(
-        train_corpus=train_c,
-        test_corpus=test_c,
-        table=default_table(),
-        train_cfg=TrainConfig(learning_rate=0.5, epochs=epochs, batch_size=4, seed=0),
-        corpus_hash=corpus.content_hash,
-        window=3,
-        features=8,
-        replicates=replicates,
-        threshold=1,
-        workers=workers,
-        cache=ResultsCache(tmp_path / "cache.jsonl" if tmp_path else None),
-    )
-
-
 class TestTrainingEvaluator:
     def test_deterministic_and_cached(self, tmp_path):
-        corpus = _search_corpus()
-        ev = _evaluator(corpus, tmp_path)
+        corpus = search_corpus()
+        ev = make_evaluator(corpus, tmp_path)
         subset = ChannelSubset((0, 1))
         first = ev.evaluate_many([subset])[subset.label]
         assert ev.training_runs == 1
@@ -687,24 +651,24 @@ class TestTrainingEvaluator:
         assert again == first
 
     def test_warm_cache_replay_runs_zero_trainings(self, tmp_path):
-        corpus = _search_corpus()
-        ev1 = _evaluator(corpus, tmp_path)
+        corpus = search_corpus()
+        ev1 = make_evaluator(corpus, tmp_path)
         trace1 = backward_elimination(ev1, 3, 1, metric="per_total")
         assert ev1.training_runs == 3 + 2
 
-        ev2 = _evaluator(corpus, tmp_path)  # same cache file
+        ev2 = make_evaluator(corpus, tmp_path)  # same cache file
         trace2 = backward_elimination(ev2, 3, 1, metric="per_total")
         assert ev2.training_runs == 0
         assert trace2 == trace1
 
     def test_replicates_aggregate_and_resume_incrementally(self, tmp_path):
-        corpus = _search_corpus()
+        corpus = search_corpus()
         subset = ChannelSubset((0, 2))
-        ev1 = _evaluator(corpus, tmp_path, replicates=1)
+        ev1 = make_evaluator(corpus, tmp_path, replicates=1)
         single = ev1.evaluate_many([subset])[subset.label]
         assert single.n_seeds == 1
 
-        ev3 = _evaluator(corpus, tmp_path, replicates=3)
+        ev3 = make_evaluator(corpus, tmp_path, replicates=3)
         agg = ev3.evaluate_many([subset])[subset.label]
         assert ev3.training_runs == 2  # replicate 0 reused from cache
         assert agg.n_seeds == 3
@@ -717,7 +681,7 @@ class TestTrainingEvaluator:
     def test_aggregate_is_np_mean_of_each_rate_to_the_bit(self):
         # nine replicates: numpy sums a contiguous list pairwise, and a
         # running sum over the replicates would differ in the last bits
-        ev = _evaluator(_search_corpus())
+        ev = make_evaluator(search_corpus())
         rng = np.random.default_rng(7)
         per_seed = [make_record("12", *rng.random(2),
                                 report_from_rates(dict(zip("abc", rng.random(3)))), seed=r)
@@ -731,7 +695,7 @@ class TestTrainingEvaluator:
     def test_replicate_mean_is_numpys_to_the_bit(self):
         # from 8 values numpy sums pairwise with 8 accumulators in blocks of
         # 128; a running or compensated sum differs in the last bits
-        ev = _evaluator(_search_corpus())
+        ev = make_evaluator(search_corpus())
 
         @given(st.lists(st.one_of(st.just(0.0), st.sampled_from([0.25, 1 / 3, 0.7]),
                                   st.floats(0.0, 1e3)), min_size=1, max_size=300))
@@ -753,7 +717,7 @@ class TestTrainingEvaluator:
         # a row budget of two of the largest batch: stacks of at most 2,
         # workers x ceil(n / (workers x 2)) of them per (size, replicate)
         # group, each a run of the group's canonical order
-        ev = _evaluator(_search_corpus(channels=4), replicates=2, workers=workers)
+        ev = make_evaluator(search_corpus(channels=4), replicates=2, workers=workers)
         inputs = ev._task_inputs()
         monkeypatch.setattr(search, "ROWS", 2 * search.max_batch_rows(
             inputs.train_windows, inputs.train_cfg.batch_size))
@@ -774,7 +738,7 @@ class TestTrainingEvaluator:
         # stacks of two: those of replicates 0 and 1 interleave in canonical
         # order, and the cache still gets subset by subset, replicate by
         # replicate, whichever stack finishes first
-        ev = _evaluator(_search_corpus(channels=4), tmp_path, replicates=2, workers=workers)
+        ev = make_evaluator(search_corpus(channels=4), tmp_path, replicates=2, workers=workers)
         inputs = ev._task_inputs()
         monkeypatch.setattr(search, "ROWS", 2 * search.max_batch_rows(
             inputs.train_windows, inputs.train_cfg.batch_size))
@@ -794,9 +758,9 @@ class TestTrainingEvaluator:
         assert derive_task_seeds(1, 0) != a
 
     def test_config_hash_separates_configs(self, tmp_path):
-        corpus = _search_corpus()
-        ev_a = _evaluator(corpus, tmp_path, epochs=2)
-        ev_b = _evaluator(corpus, tmp_path, epochs=3)
+        corpus = search_corpus()
+        ev_a = make_evaluator(corpus, tmp_path, epochs=2)
+        ev_b = make_evaluator(corpus, tmp_path, epochs=3)
         assert ev_a.config_hash != ev_b.config_hash
         subset = ChannelSubset((0,))
         ev_a.evaluate_many([subset])[subset.label]
@@ -827,16 +791,16 @@ class TestTrainingEvaluator:
     ])
     def test_bad_settings_rejected_at_construction(self, setting, message):
         with pytest.raises(ValueError, match=message):
-            replace(_evaluator(_search_corpus()), **setting)
+            replace(make_evaluator(search_corpus()), **setting)
 
     def test_require_cached_raises_on_miss(self, tmp_path):
-        corpus = _search_corpus()
-        ev = _evaluator(corpus, tmp_path)
+        corpus = search_corpus()
+        ev = make_evaluator(corpus, tmp_path)
         with pytest.raises(ValueError, match="missing"):
             ev.evaluate_many([ChannelSubset((0,))], require_cached=True)
 
     def test_require_cached_counts_the_missing_subsets_and_names_five(self, tmp_path):
-        ev = _evaluator(_search_corpus(), tmp_path)
+        ev = make_evaluator(search_corpus(), tmp_path)
         subsets = [ChannelSubset(tuple(c for c in range(3) if bits >> c & 1))
                    for bits in range(1, 8)]
         with pytest.raises(ValueError, match=r"^cache is missing records for 7 of 7 subsets "
@@ -852,7 +816,7 @@ class TestTrainingEvaluator:
     def test_scoring_errors_name_the_subset(self, case, error, message, workers):
         # the scoring reference is built once per evaluator, but what the
         # test split cannot be scored for is still raised by the task
-        ev = _evaluator(_search_corpus(), workers=workers)
+        ev = make_evaluator(search_corpus(), workers=workers)
         test = []
         for seq in ev.test_corpus:
             labels = {"silent": ("SIL",) * len(seq.labels),
@@ -873,8 +837,8 @@ class TestTrainingEvaluator:
         # built once and skips the loss passes; at every stack width, each of
         # its records must equal the restrict/featurize/train/evaluate route
         # field for field
-        corpus = _search_corpus(channels=4)
-        ev = _evaluator(corpus, replicates=2)
+        corpus = search_corpus(channels=4)
+        ev = make_evaluator(corpus, replicates=2)
         ev = replace(ev, train_cfg=replace(ev.train_cfg, dropout_p=dropout_p))
         group = list(itertools.combinations(range(4), 2))
         for replicate in range(2):
@@ -912,7 +876,7 @@ class TestTrainingEvaluator:
     def test_a_diverging_subset_leaves_its_stack_alone(self, tmp_path, workers, poison, steps):
         # each diverged subset's error names its own step, the other subsets
         # of its stacks train on, and each record equals the subset's solo run
-        ev = _evaluator(_search_corpus(channels=4), tmp_path, workers=workers)
+        ev = make_evaluator(search_corpus(channels=4), tmp_path, workers=workers)
         clean = ev._task_inputs()
         poisoned = [xw.copy() for xw in clean.train_windows]
         for channel, utterances in poison.items():
@@ -948,7 +912,7 @@ class TestTrainingEvaluator:
     def test_a_diverged_slot_keeps_its_error_when_scoring_fails(self, tmp_path):
         # every slot of a stack is scored, a diverged one from its start,
         # so a scoring error replaces only the trained slots' outcomes
-        ev = _evaluator(_search_corpus(channels=4), tmp_path)
+        ev = make_evaluator(search_corpus(channels=4), tmp_path)
         clean = ev._task_inputs()
         poisoned = [xw.copy() for xw in clean.train_windows]
         poisoned[7][:, 2 * ev.window:3 * ev.window] = np.inf
@@ -966,8 +930,8 @@ class TestTrainingEvaluator:
         # forked workers inherit the patched task: the first task fails at
         # once, every other one takes a while, so a prompt stop leaves most
         # of the queue unstarted
-        corpus = _search_corpus()
-        ev = _evaluator(corpus, tmp_path, replicates=4, workers=2)
+        corpus = search_corpus()
+        ev = make_evaluator(corpus, tmp_path, replicates=4, workers=2)
         started = tmp_path / "started.txt"
         real_stack = search._run_stack
 
@@ -994,8 +958,8 @@ class TestTrainingEvaluator:
                                                                    monkeypatch):
         # Ctrl-C in the parent after the first kept record: the queue must
         # not drain, and every task that did start must be cached
-        corpus = _search_corpus()
-        ev = _evaluator(corpus, tmp_path, replicates=4, workers=2)
+        corpus = search_corpus()
+        ev = make_evaluator(corpus, tmp_path, replicates=4, workers=2)
         started = tmp_path / "started.txt"
         real_stack = search._run_stack
         real_keep = ev._keep
@@ -1031,8 +995,8 @@ class TestTrainingEvaluator:
         script = """
 import time
 from chansel.signals import ChannelSubset
-from test_search import _evaluator, _search_corpus
-ev = _evaluator(_search_corpus(), workers=2)
+from util import make_evaluator, search_corpus
+ev = make_evaluator(search_corpus(), workers=2)
 # two stacks start a pool of two workers, which then wait for work
 ev.evaluate_many([ChannelSubset((0,)), ChannelSubset((1,))])
 try:
@@ -1057,8 +1021,8 @@ except KeyboardInterrupt:
                                                                   monkeypatch):
         # subsets 1 and 3 both fail, 1 only after 3 has: the error must name
         # 1, as the serial path does, and the pool keeps what finished
-        corpus = _search_corpus()
-        ev = _evaluator(corpus, tmp_path, workers=2)
+        corpus = search_corpus()
+        ev = make_evaluator(corpus, tmp_path, workers=2)
         real_stack = search._run_stack
 
         def failing_stack(inputs, stack, replicate):
@@ -1092,13 +1056,13 @@ def _count_pool_starts(monkeypatch) -> list:
 class TestPoolLifetime:
     def test_backward_elimination_starts_one_pool_and_closes_it(self, tmp_path,
                                                                 monkeypatch):
-        corpus = _search_corpus(channels=4)
-        serial = backward_elimination(_evaluator(corpus, tmp_path / "serial"), 4, 1,
+        corpus = search_corpus(channels=4)
+        serial = backward_elimination(make_evaluator(corpus, tmp_path / "serial"), 4, 1,
                                       metric="per_total")
         # imported on first read: the real class until the name is assigned
         assert search.ProcessPoolExecutor is ProcessPoolExecutor
         starts = _count_pool_starts(monkeypatch)
-        ev = _evaluator(corpus, tmp_path / "pool", workers=2)
+        ev = make_evaluator(corpus, tmp_path / "pool", workers=2)
         assert backward_elimination(ev, 4, 1, metric="per_total") == serial
         assert ev.training_runs == 4 + 3 + 2
         assert starts == [2]
@@ -1116,7 +1080,7 @@ class TestPoolLifetime:
 
         monkeypatch.setattr(search, "_run_stack", fails_on_one_channel)
         starts = _count_pool_starts(monkeypatch)
-        ev = _evaluator(_search_corpus(), tmp_path, workers=2)
+        ev = make_evaluator(search_corpus(), tmp_path, workers=2)
         with pytest.raises(EvaluationError, match="injected failure"):
             backward_elimination(ev, 3, 1, metric="per_total")
         assert ev.training_runs == 3
@@ -1124,11 +1088,11 @@ class TestPoolLifetime:
         assert multiprocessing.active_children() == []
 
     def test_cached_batch_starts_no_pool(self, tmp_path, monkeypatch):
-        corpus = _search_corpus()
+        corpus = search_corpus()
         subsets = [ChannelSubset((c,)) for c in range(3)]
-        _evaluator(corpus, tmp_path).evaluate_many(subsets)
+        make_evaluator(corpus, tmp_path).evaluate_many(subsets)
         starts = _count_pool_starts(monkeypatch)
-        ev = _evaluator(corpus, tmp_path, workers=2)
+        ev = make_evaluator(corpus, tmp_path, workers=2)
         ev.evaluate_many(subsets)
         assert ev.training_runs == 0
         assert starts == []
@@ -1136,7 +1100,7 @@ class TestPoolLifetime:
     def test_close_is_idempotent_and_a_later_batch_starts_a_new_pool(self, tmp_path,
                                                                      monkeypatch):
         starts = _count_pool_starts(monkeypatch)
-        ev = _evaluator(_search_corpus(), tmp_path, workers=2)
+        ev = make_evaluator(search_corpus(), tmp_path, workers=2)
         ev.evaluate_many([ChannelSubset((0,))])
         ev.evaluate_many([ChannelSubset((1,))])
         assert starts == [1]
@@ -1154,7 +1118,7 @@ class TestPoolLifetime:
         # a fork pool starts all its workers at the first submit, so a batch
         # of two stacks on four workers would leave two of them idle
         starts = _count_pool_starts(monkeypatch)
-        ev = _evaluator(_search_corpus(), tmp_path, workers=4)
+        ev = make_evaluator(search_corpus(), tmp_path, workers=4)
         with closing(ev):
             ev.evaluate_many([ChannelSubset((0,)), ChannelSubset((1,))])
             assert starts == [2]
@@ -1164,13 +1128,13 @@ class TestPoolLifetime:
     def test_a_batch_wider_than_the_pool_starts_a_wider_one(self, tmp_path, monkeypatch):
         # a resumed elimination whose first step is cached but for one
         # subset: that step starts one worker, the next step's two stacks two
-        corpus = _search_corpus(channels=4)
-        _evaluator(corpus, tmp_path).evaluate_many(
+        corpus = search_corpus(channels=4)
+        make_evaluator(corpus, tmp_path).evaluate_many(
             [ChannelSubset(c) for c in ((0, 1, 2), (0, 1, 3), (0, 2, 3))])
-        serial = backward_elimination(_evaluator(corpus, tmp_path / "serial"), 4, 2,
+        serial = backward_elimination(make_evaluator(corpus, tmp_path / "serial"), 4, 2,
                                       metric="per_total")
         starts = _count_pool_starts(monkeypatch)
-        ev = _evaluator(corpus, tmp_path, workers=2)
+        ev = make_evaluator(corpus, tmp_path, workers=2)
         assert backward_elimination(ev, 4, 2, metric="per_total") == serial
         assert ev.training_runs == 1 + 3
         assert starts == [1, 2]
@@ -1233,11 +1197,12 @@ def test_benchmark_replica_names_resolve(tmp_path):
     # what the replica and the untimed benchmark read from instances and
     # from the lines a cache writes; workloads.py reads each line's wall_time
     # as well
-    corpus = _search_corpus()
+    corpus = search_corpus()
     seq = corpus.sequences[0]
     for obj, attrs in ((corpus, ("content_hash", "channels")),
                        (seq, ("transcript", "labels", "signal")), (seq.signal, ("samples",)),
-                       (_evaluator(corpus), ("cache", "corpus_hash", "config_hash", "replicates"))):
+                       (make_evaluator(corpus),
+                        ("cache", "corpus_hash", "config_hash", "replicates"))):
         for attr in attrs:
             assert hasattr(obj, attr), f"{type(obj).__name__}.{attr}"
     for cls, names in ((TrainResult, {"params", "epoch_losses"}),

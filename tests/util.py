@@ -8,7 +8,8 @@ it differentiates the production loss, ``model._loss_and_grads``, by central
 finite differences and compares the result with that function's analytic
 gradient. The fixture builders rig ``synth`` configs whose right answer is
 known: the planted channel ranking and a pair of channels only strong
-together.
+together. The data that several test modules share live here too, so that
+no test module imports another.
 """
 
 from __future__ import annotations
@@ -22,13 +23,50 @@ from typing import Sequence
 import numpy as np
 
 from chansel import search
-from chansel.corpus import LabeledSequence
+from chansel.corpus import Corpus, LabeledSequence
 from chansel.metrics import CategoryReport, CategoryRow
 from chansel.model import (
-    EvalRecord, ModelParams, _buffers, _frame_buffers, _loss_and_grads, _windows, label_indices,
+    EvalRecord, ModelParams, TrainConfig, _buffers, _frame_buffers, _loss_and_grads, _windows,
+    label_indices,
 )
+from chansel.phonemes import default_table
+from chansel.search import ResultsCache, TrainingEvaluator
 from chansel.signals import MultichannelSignal
-from chansel.synth import GeneratorConfig
+from chansel.synth import GeneratorConfig, generate
+
+# the CLI config of tests/conftest.py's workdir, and of the pinned numbers
+TINY_CONFIG = {
+    "generator": {
+        "channels": 4,
+        "classes": ["B", "IY", "T"],
+        "weights": [1.0, 0.7, 0.4, 0.2],
+        "noise_sigma": 0.5,
+        "frames_per_segment": 4,
+        "segments_per_utterance": 3,
+        "utterances": 12,
+        "seed": 5,
+        "channel_classes": None,
+        "crosstalk": 0.0,
+    },
+    "model": {"window": 3, "features": 6},
+    "train": {"learning_rate": 0.5, "epochs": 2, "batch_size": 4, "dropout_p": 0.0, "seed": 0},
+    "search": {"k": 2, "k_top": 3, "stop_size": 2, "replicates": 1,
+               "metric": "per_total", "budget": 1000, "workers": 1},
+    "eval": {"per_threshold": 1, "train_fraction": 0.75},
+}
+
+# published top-10 4-channel subsets and their WERs (%)
+TOP10_FIXTURE = [
+    ("1356", 47.2), ("2357", 47.3), ("1346", 47.7), ("1238", 48.3), ("1235", 48.4),
+    ("2347", 48.6), ("1236", 48.8), ("1345", 49.0), ("1245", 49.6), ("2367", 49.6),
+]
+
+
+def read_all(directory: Path) -> dict[str, bytes]:
+    return {
+        str(p.relative_to(directory)): p.read_bytes()
+        for p in sorted(directory.rglob("*")) if p.is_file()
+    }
 
 
 def _can_edit(ref: tuple, hyp: tuple, budget: int) -> bool:
@@ -161,6 +199,36 @@ def complementary_pair_config(
     coverage = tuple(halves.get(c, tuple(range(k))) for c in range(base.channels))
     weights = tuple(pair_weight if c in halves else w for c, w in enumerate(base.weights))
     return replace(base, weights=weights, channel_classes=coverage)
+
+
+def search_corpus(channels=3, utterances=12, seed=0) -> Corpus:
+    return generate(GeneratorConfig(
+        channels=channels,
+        classes=("B", "IY", "T"),
+        weights=tuple([1.0, 0.6, 0.2, 0.0][:channels]),
+        noise_sigma=0.5,
+        frames_per_segment=4,
+        segments_per_utterance=3,
+        utterances=utterances,
+        seed=seed,
+    ))
+
+
+def make_evaluator(corpus, tmp_path=None, replicates=1, workers=1, epochs=3) -> TrainingEvaluator:
+    train_c, test_c = corpus.split(0.75)
+    return TrainingEvaluator(
+        train_corpus=train_c,
+        test_corpus=test_c,
+        table=default_table(),
+        train_cfg=TrainConfig(learning_rate=0.5, epochs=epochs, batch_size=4, seed=0),
+        corpus_hash=corpus.content_hash,
+        window=3,
+        features=8,
+        replicates=replicates,
+        threshold=1,
+        workers=workers,
+        cache=ResultsCache(tmp_path / "cache.jsonl" if tmp_path else None),
+    )
 
 
 def make_sequence(labels: Sequence[str], channels: int = 2, seed: int = 0) -> LabeledSequence:
