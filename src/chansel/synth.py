@@ -167,7 +167,9 @@ def generate(cfg: GeneratorConfig) -> Corpus:
     segs = cfg.segments_per_utterance
     t_total = (segs + 1) * sil + segs * f
     coverage = cfg.channel_classes
-    weights = np.asarray(cfg.weights)
+    # gain[c, kk] is channel c's weight where it carries class kk, else 0
+    gain = np.array([[w if coverage is None or kk in coverage[c] else 0.0 for kk in range(k)]
+                     for c, w in enumerate(cfg.weights)])
 
     sequences = []
     for u in range(cfg.utterances):
@@ -178,9 +180,7 @@ def generate(cfg: GeneratorConfig) -> Corpus:
         labels: list[str] = [SILENCE_SYMBOL] * sil
         for j, kk in enumerate(classes):
             off = sil + j * (f + sil)
-            for c in range(cfg.channels):
-                if coverage is None or int(kk) in coverage[c]:
-                    clean[c, off:off + f] = weights[c] * templates[kk, c]
+            clean[:, off:off + f] = gain[:, kk, None] * templates[kk]
             labels.extend([cfg.classes[kk]] * f)
             labels.extend([SILENCE_SYMBOL] * sil)
         signal += (1.0 - cfg.crosstalk) * clean + cfg.crosstalk * clean.mean(axis=0)
