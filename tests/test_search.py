@@ -633,6 +633,22 @@ class TestPoolWorkerThreads:
         assert err == no_thread_setter_note()
         assert str(tmp_path / "numpy.libs") in err
 
+    def test_library_that_does_not_load_is_passed_over(self, tmp_path, monkeypatch, capsys):
+        """An empty ``libscipy_openblas64_0.so`` fails to load; the lookup
+        goes on to the next library in name order and prints nothing."""
+        library = search._openblas_library()
+        if library is None:
+            pytest.skip("numpy has no bundled scipy-openblas library")
+        search._openblas_library.cache_clear()
+        fake_numpy_without_thread_setter(monkeypatch, tmp_path)
+        libs = tmp_path.resolve() / "numpy.libs"
+        libs.mkdir()
+        (libs / "libscipy_openblas64_0.so").write_bytes(b"")
+        (libs / "libscipy_openblas64_1.so").symlink_to(library)
+        capsys.readouterr()
+        assert search._openblas_library() == str(libs / "libscipy_openblas64_1.so")
+        assert capsys.readouterr().err == ""
+
 
 def _uniform_row(n: int) -> list[float]:
     """``n`` seeded floats in [0, 1000)."""
