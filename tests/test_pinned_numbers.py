@@ -3,11 +3,13 @@
 ``pinned_numbers.json`` holds what the CLI computes on ``TINY_CONFIG``: every
 record an ``exhaustive --replicates 2`` run appends to its cache, the three
 reports a ``report`` run rebuilds from that cache, the loss log and weights
-of ``pretrain --dropout-p 0.125``, both records and both models of
+of ``pretrain --dropout-p 0.125``, both records, both models and ``comparison_13.csv`` of
 ``finetune --subset 13 --init <that model> --from-scratch``, at the
-configured epochs and at ``--epochs 0``, the cache records and
-``elimination.json`` of ``backward-elim --replicates 2 --stop-size 1``, the
-``ablation_records.json`` of ``ablate7 --replicates 2``, and the argv, exit
+configured epochs and at ``--epochs 0``, the cache records,
+``elimination.json`` and ``elimination_curve.csv`` of
+``backward-elim --replicates 2 --stop-size 1``, the
+``ablation_records.json`` and ``worst_channel.csv`` of
+``ablate7 --replicates 2``, and the argv, exit
 code, stdout and stderr of each of those runs and of an ``exhaustive`` whose
 training diverges, with the temporary directory written ``<tmp>``. The
 searches run on one pool worker and then on two, and both must match the
@@ -90,7 +92,7 @@ def _report(path: Path) -> list:
 
 
 def _finetune(out: str) -> dict:
-    return {
+    sides = {
         mode: {
             "record": json.loads((Path(out) / f"eval_{mode}_13.json").read_text()),
             "model_manifest": json.loads((Path(out) / f"model_{mode}_13.json").read_text()),
@@ -98,6 +100,7 @@ def _finetune(out: str) -> dict:
         }
         for mode in ("ft", "scratch")
     }
+    return {**sides, "comparison": _report(Path(out) / "comparison_13.csv")}
 
 
 def pinned_numbers(tmp: Path, workers: int = 1) -> dict:
@@ -157,8 +160,10 @@ def pinned_numbers(tmp: Path, workers: int = 1) -> dict:
         "finetune": _finetune(ft),
         "finetune_epochs_0": _finetune(ft0),
         "backward_elim": {"cache": _cache(elim),
-                          "elimination": json.loads((Path(elim) / "elimination.json").read_text())},
+                          "elimination": json.loads((Path(elim) / "elimination.json").read_text()),
+                          "curve": _report(Path(elim) / "elimination_curve.csv")},
         "ablate7": json.loads((Path(abl) / "ablation_records.json").read_text()),
+        "worst_channel": _report(Path(abl) / "worst_channel.csv"),
         "report": {name: _report(Path(sweep) / name)
                    for name in ("sweep.csv", "top_subsets.csv", "channel_average.csv")},
         "runs": json.loads(runs_text),
