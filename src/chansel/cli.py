@@ -27,7 +27,7 @@ from types import SimpleNamespace
 from typing import Any
 
 from . import __version__, reports
-from .artefacts import json_text, naming, read_json, write_text
+from .artefacts import naming, read_json, write_text
 from .corpus import Corpus, load_corpus, save_corpus
 from .metrics import DEFAULT_CATEGORY_THRESHOLD
 from .model import (
@@ -177,10 +177,6 @@ def _evaluator(corpus: Corpus, cfg: dict, out_dir: Path) -> TrainingEvaluator:
     )
 
 
-def _record_doc(record) -> dict:
-    return {**record.to_dict(), "tool_version": __version__}
-
-
 # --- subcommands ---------------------------------------------------------------
 
 
@@ -275,7 +271,7 @@ def cmd_finetune(args: argparse.Namespace, cfg: dict) -> int:
             seed=seed, config_hash=config_hash,
             provenance={"parent": parent_hash, "subset": subset.label},
         )
-        write_text(out_dir / f"eval_{mode}_{subset.label}.json", json_text(_record_doc(record)))
+        write_text(out_dir / f"eval_{mode}_{subset.label}.json", reports.record_json(record))
         records.append((mode, record))
         print(f"{mode} {subset.label}: wer {record.wer:.4f}, per {record.per_total:.4f}")
 
@@ -362,13 +358,7 @@ def cmd_ablate7(args: argparse.Namespace, cfg: dict) -> int:
     with _search_setup(args, cfg) as (corpus, out_dir, evaluator, prov):
         result = seven_channel_ablation(evaluator, corpus.channels)
         write_text(out_dir / "worst_channel.csv", reports.worst_channel_csv(result.rows, prov))
-        records_doc = {
-            "baseline": _record_doc(result.baseline),
-            "by_removed_channel": {
-                str(ch): _record_doc(rec) for ch, rec in sorted(result.records.items())
-            },
-        }
-        write_text(out_dir / "ablation_records.json", json_text(records_doc))
+        write_text(out_dir / "ablation_records.json", reports.ablation_records_json(result))
     print(f"ablated {corpus.channels} channels; wrote {out_dir / 'worst_channel.csv'}")
     return EXIT_OK
 

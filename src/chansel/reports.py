@@ -1,4 +1,4 @@
-"""CSV/JSON report emission.
+"""Every report file the subcommands write, CSV and JSON.
 
 All CSVs are UTF-8, comma-delimited, one header row, quoted as
 ``csv.writer`` quotes by default: only a field holding a comma, quote or line
@@ -22,7 +22,7 @@ from ._version import __version__
 from .artefacts import json_text
 from .metrics import WorstChannelRow
 from .model import EvalRecord
-from .search import EliminationTrace, SweepResult
+from .search import AblationResult, EliminationTrace, SweepResult
 from .signals import parse_subset
 
 
@@ -96,7 +96,13 @@ def worst_channel_csv(
 
 
 def elimination_json(trace: EliminationTrace, provenance: Provenance | None = None) -> str:
-    doc = trace.to_dict()
+    """Each greedy step with every candidate's score; channels are 1-based."""
+    steps = [{"removed_channel": step.removed_channel + 1, "surviving_subset": step.surviving.label,
+              "metric": step.metric, "tied": step.tied,
+              "candidates": [{"removed_channel": ch + 1, "metric": m} for ch, m in step.candidates]}
+             for step in trace.steps]
+    doc = {"channels": trace.channels, "stop_size": trace.stop_size, "metric": trace.metric_name,
+           "steps": steps}
     if provenance:
         doc["meta"] = asdict(provenance)
     return json_text(doc)
@@ -132,3 +138,17 @@ def comparison_csv(
     rows = [("mode", "subset", "wer", "per_total")]
     rows += [(mode, r.subset_label, repr(r.wer), repr(r.per_total)) for mode, r in records]
     return _render(rows, provenance)
+
+
+def _record_doc(record: EvalRecord) -> dict:
+    return {**record.to_dict(), "tool_version": __version__}
+
+
+def record_json(record: EvalRecord) -> str:
+    return json_text(_record_doc(record))
+
+
+def ablation_records_json(result: AblationResult) -> str:
+    """The full-set record and each drop-one record by its removed 1-based channel."""
+    records = {str(ch): _record_doc(rec) for ch, rec in sorted(result.records.items())}
+    return json_text({"baseline": _record_doc(result.baseline), "by_removed_channel": records})

@@ -616,27 +616,6 @@ class EliminationTrace:
     def removal_order(self) -> tuple[int, ...]:
         return tuple(step.removed_channel for step in self.steps)
 
-    def to_dict(self) -> dict:
-        """JSON view; channel numbers are 1-based like all user-facing text."""
-        return {
-            "channels": self.channels,
-            "stop_size": self.stop_size,
-            "metric": self.metric_name,
-            "steps": [
-                {
-                    "removed_channel": step.removed_channel + 1,
-                    "surviving_subset": step.surviving.label,
-                    "metric": step.metric,
-                    "tied": step.tied,
-                    "candidates": [
-                        {"removed_channel": ch + 1, "metric": m}
-                        for ch, m in step.candidates
-                    ],
-                }
-                for step in self.steps
-            ],
-        }
-
 
 def backward_elimination(
     evaluator: Evaluator,

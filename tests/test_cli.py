@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from chansel import cli, reports, search
-from chansel.artefacts import json_text, write_text
+from chansel.artefacts import write_text
 from chansel.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_INTERRUPTED, EXIT_OK, EXIT_USAGE, main
 from chansel.corpus import load_corpus
 from chansel.model import (
@@ -161,7 +161,7 @@ class TestFinetune:
                               corpus_hash=corpus.content_hash)
             save_model(tuned, reference / f"model_{mode}_13.json", seed=0,
                        config_hash=config_hash, provenance={"parent": parent, "subset": "13"})
-            write_text(reference / f"eval_{mode}_13.json", json_text(cli._record_doc(record)))
+            write_text(reference / f"eval_{mode}_13.json", reports.record_json(record))
             records.append((mode, record))
         prov = reports.Provenance(config_hash, corpus.content_hash, 0)
         write_text(reference / "comparison_13.csv", reports.comparison_csv(records, prov))

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from chansel import search
+from chansel import reports, search
 from chansel.corpus import Corpus, LabeledSequence
 from chansel.model import (
     EvalRecord, TrainConfig, TrainingDivergedError, TrainResult, evaluate, init_params, train,
@@ -208,7 +208,7 @@ class TestBackwardElimination:
     def test_json_view_uses_one_based_channels(self):
         metrics = {"1": 0.2, "2": 0.5}
         ev = FakeEvaluator(lambda s: metrics[s.label])
-        doc = backward_elimination(ev, 2, 1).to_dict()
+        doc = json.loads(reports.elimination_json(backward_elimination(ev, 2, 1)))
         assert doc["steps"][0]["removed_channel"] == 2
         assert doc["steps"][0]["surviving_subset"] == "1"
         assert {c["removed_channel"] for c in doc["steps"][0]["candidates"]} == {1, 2}
