@@ -701,6 +701,12 @@ def score_windows(
     if [len(xw) for xw in xw_all] != reference.lengths:
         raise ValueError(f"windows of {[len(xw) for xw in xw_all]} frames, the reference "
                          f"has {reference.lengths}")
+    if reference.total_tokens == 0:
+        raise ValueError("corpus reference transcripts are empty; WER undefined")
+    if threshold < 1:
+        raise ValueError(f"threshold must be >= 1, got {threshold}")
+    if reference.unknown is not None:
+        raise KeyError(f"reference label {reference.unknown!r} not in the phoneme inventory")
     window = stack[0].window
     _check_channels(channels, xw_all, window)
     arrays = _buffers(stack)[1]
@@ -710,12 +716,6 @@ def score_windows(
         [np.argmax(_scores(*arrays, _gather(xw, channels, window, work[0]),
                            *(b[:len(xw)] for b in work[1:])), axis=2)
          for xw in xw_all]).T]
-    if reference.total_tokens == 0:
-        raise ValueError("corpus reference transcripts are empty; WER undefined")
-    if threshold < 1:
-        raise ValueError(f"threshold must be >= 1, got {threshold}")
-    if reference.unknown is not None:
-        raise KeyError(f"reference label {reference.unknown!r} not in the phoneme inventory")
     records = []
     for subset, hyp in zip(subsets, hyps):
         wrong = hyp != reference.frames
