@@ -145,11 +145,8 @@ def _templates(cfg: GeneratorConfig, seed_seq: np.random.SeedSequence) -> np.nda
     phase = rng.uniform(0.0, 2.0 * np.pi, size=(k, c, 3))
     t = np.arange(f)
     waves = (amp[..., None] * np.sin(2.0 * np.pi * freq[..., None] * t + phase[..., None])).sum(axis=2)
-    out = np.empty_like(waves)
-    for ch in range(c):
-        q, _ = np.linalg.qr(waves[:, ch, :].T)  # (f, K), orthonormal columns
-        out[:, ch, :] = q.T * np.sqrt(f)  # unit RMS rows
-    return out
+    q, _ = np.linalg.qr(waves.transpose(1, 2, 0))  # (C, f, K), orthonormal columns
+    return q.transpose(2, 0, 1) * np.sqrt(f)  # unit RMS rows
 
 
 def generate(cfg: GeneratorConfig) -> Corpus:
