@@ -97,8 +97,10 @@ def worst_channel_csv(
 
 def elimination_json(trace: EliminationTrace, provenance: Provenance | None = None) -> str:
     """Each greedy step with every candidate's score; channels are 1-based."""
-    steps = [{"removed_channel": step.removed_channel + 1, "surviving_subset": step.surviving.label,
-              "metric": step.metric, "tied": step.tied,
+    steps = [{"removed_channel": step.removed_channel + 1,
+              "surviving_subset": step.surviving.label,
+              "metric": step.metric,
+              "tied": step.tied,
               "candidates": [{"removed_channel": ch + 1, "metric": m} for ch, m in step.candidates]}
              for step in trace.steps]
     doc = {"channels": trace.channels, "stop_size": trace.stop_size, "metric": trace.metric_name,
