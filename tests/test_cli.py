@@ -937,6 +937,25 @@ class TestExitCodes:
         assert code == EXIT_DATA
         assert f"error: model manifest {manifest} {message}" in capsys.readouterr().err
 
+    def test_header_refusal_comes_before_a_missing_payload(self, workdir, run_cli, pretrain_dir,
+                                                           capsys):
+        """A damaged header is refused before its payload is opened."""
+        manifest = pretrain_dir / "model_p0.json"
+        manifest.write_bytes(_with_key("format_version", 99)(manifest.read_bytes()))
+        manifest.with_suffix(".bin").unlink()
+        capsys.readouterr()
+        code = run_cli("finetune", workdir / "ft", "--subset", "13", "--init", str(manifest))
+        assert code == EXIT_DATA
+        assert (f"error: model manifest {manifest} has format_version 99, expected 1"
+                in capsys.readouterr().err)
+        header = workdir / "corpus" / "utt_00002.json"
+        header.write_bytes(_with_key("channels", -4)(header.read_bytes()))
+        header.with_suffix(".bin").unlink()
+        code = run_cli("exhaustive", workdir / "sweep")
+        assert code == EXIT_DATA
+        assert (f"error: signal header {header} key 'channels' must be at least 1, got -4"
+                in capsys.readouterr().err)
+
     # Each range check in cli.main is tested by a row in one of the two refusal
     # tables, not by a test of its own.
     @pytest.mark.parametrize("command, flag, value, message", [
