@@ -2,9 +2,10 @@
 
 An artefact is a JSON header ``NAME.json`` next to a payload ``NAME.bin`` of
 float64 values, little-endian and row-major; the header says how many.
-Signals and models are artefacts, read back as the header and the payload's
-bytes. Every other file chansel writes, except the results cache, is text
-written by ``write_text``.
+Signals and models are artefacts: a loader reads and checks the header
+first, and only then reads the payload's bytes with ``read_payload``. Every
+other file chansel writes, except the results cache, is text written by
+``write_text``.
 
 Every ValueError raised while reading a file, or building an object from
 it, reads ``<what> <path> <problem>``; ``naming`` adds the first two, also
@@ -21,7 +22,7 @@ import json
 import sys
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 
 def lazy_numpy():
@@ -98,14 +99,10 @@ def write_artefact(header_path: Path, header: dict, payload: bytes,
     Path(header_path).with_suffix(".bin").write_bytes(payload)
 
 
-def read_artefact(header_path: Path, what: str, keys: Iterable[str],
-                  count: Callable[[dict], int]) -> tuple[dict, bytes]:
-    """The header, which must hold ``keys``, and its payload's bytes, which
-    must hold ``count(header)`` values."""
-    header = read_json(header_path, what, keys)
-    with naming(what, header_path):
-        expected = 8 * count(header)
-        raw = Path(header_path).with_suffix(".bin").read_bytes()
-        if len(raw) != expected:
-            raise ValueError(f"payload holds {len(raw)} bytes, expected {expected}")
-    return header, raw
+def read_payload(header_path: Path, count: int) -> bytes:
+    """The bytes of the payload beside ``header_path``, which must hold
+    ``count`` values."""
+    raw = Path(header_path).with_suffix(".bin").read_bytes()
+    if len(raw) != 8 * count:
+        raise ValueError(f"payload holds {len(raw)} bytes, expected {8 * count}")
+    return raw

@@ -457,7 +457,7 @@ def main(argv: list[str] | None = None) -> int:
     except EvaluationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGED if isinstance(exc.__cause__, TrainingDivergedError) else EXIT_DATA
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except KeyboardInterrupt as exc:  # a search says what it kept

@@ -97,7 +97,7 @@ def category_per(
     counts = Counter(ref)  # keys in first-seen frame order
     for sym in counts:
         if sym not in table:
-            raise KeyError(f"reference label {sym!r} not in the phoneme inventory")
+            raise ValueError(f"reference label {sym!r} not in the phoneme inventory")
     errors = Counter(compress(ref, map(ne, ref, hyp)))
     members = [table.category_members(name) for name in table.names]
     return category_report(len(ref), errors.total(), table.names,

@@ -29,7 +29,8 @@ from typing import ClassVar, Iterable, Mapping, Sequence
 
 from ._version import __version__
 from .artefacts import (
-    check_format_version, naming, np, payload_bytes, positive_int, read_artefact, write_artefact,
+    check_format_version, naming, np, payload_bytes, positive_int, read_json, read_payload,
+    write_artefact,
 )
 from .corpus import Corpus, LabeledSequence
 from .metrics import CategoryReport, CategoryRow, DEFAULT_CATEGORY_THRESHOLD, category_report
@@ -706,7 +707,7 @@ def score_windows(
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
     if reference.unknown is not None:
-        raise KeyError(f"reference label {reference.unknown!r} not in the phoneme inventory")
+        raise ValueError(f"reference label {reference.unknown!r} not in the phoneme inventory")
     window = stack[0].window
     _check_channels(channels, xw_all, window)
     arrays = _buffers(stack)[1]
@@ -760,11 +761,6 @@ def save_model(params: ModelParams, header_path: Path, seed: int = 0, config_has
     return digest
 
 
-def _payload_count(manifest: dict) -> int:
-    check_format_version(manifest, MODEL_FORMAT_VERSION)
-    return sum(map(math.prod, _manifest_shapes(manifest)))
-
-
 def _manifest_shapes(manifest: dict) -> tuple[tuple[int, ...], ...]:
     """The parameter shapes a model manifest describes."""
     layers, symbols = manifest["layers"], manifest["class_symbols"]
@@ -780,14 +776,15 @@ def _manifest_shapes(manifest: dict) -> tuple[tuple[int, ...], ...]:
 
 
 def load_model(header_path: Path) -> tuple[ModelParams, dict]:
-    manifest, payload = read_artefact(
-        header_path, "model manifest",
-        ("format_version", "layers", "class_symbols", "payload_sha256"), _payload_count)
+    manifest = read_json(header_path, "model manifest",
+                         ("format_version", "layers", "class_symbols", "payload_sha256"))
     with naming("model manifest", header_path):
+        check_format_version(manifest, MODEL_FORMAT_VERSION)
+        shapes = _manifest_shapes(manifest)
+        payload = read_payload(header_path, sum(map(math.prod, shapes)))
         if hashlib.sha256(payload).hexdigest() != manifest["payload_sha256"]:
             raise ValueError("payload fails its integrity check")
-        flat = np.frombuffer(payload, dtype="<f8")
-        layers, arrays = manifest["layers"], _views(flat, _manifest_shapes(manifest))
+        layers, arrays = manifest["layers"], _views(np.frombuffer(payload, dtype="<f8"), shapes)
         return ModelParams(**dict(zip(_ARRAYS, arrays)), channels=layers["channels"],
                            window=layers["window"], features=layers["features"],
                            class_symbols=tuple(manifest["class_symbols"])), manifest

@@ -18,7 +18,9 @@ from functools import cached_property
 from pathlib import Path
 from typing import Iterator
 
-from .artefacts import naming, np, payload_bytes, positive_int, read_artefact, write_artefact
+from .artefacts import (
+    naming, np, payload_bytes, positive_int, read_json, read_payload, write_artefact,
+)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -166,11 +168,10 @@ def save_signal(x: MultichannelSignal, header_path: Path) -> None:
 
 
 def load_signal(header_path: Path) -> MultichannelSignal:
-    header, payload = read_artefact(
-        header_path, "signal header", ("channels", "samples_per_channel", "sample_rate"),
-        lambda h: positive_int(h["channels"], "channels")
-        * positive_int(h["samples_per_channel"], "samples_per_channel"))
+    header = read_json(header_path, "signal header",
+                       ("channels", "samples_per_channel", "sample_rate"))
     with naming("signal header", header_path):
-        return MultichannelSignal.from_payload(payload, header["channels"],
-                                               header["samples_per_channel"],
-                                               float(header["sample_rate"]))
+        channels = positive_int(header["channels"], "channels")
+        samples = positive_int(header["samples_per_channel"], "samples_per_channel")
+        return MultichannelSignal.from_payload(read_payload(header_path, channels * samples),
+                                               channels, samples, float(header["sample_rate"]))

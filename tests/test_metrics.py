@@ -23,7 +23,7 @@ def _symbol_confusion(ref, hyp, table):
     errors: dict[str, int] = {}
     for r, h in zip(ref, hyp):
         if r not in table:
-            raise KeyError(f"reference label {r!r} not in the phoneme inventory")
+            raise ValueError(f"reference label {r!r} not in the phoneme inventory")
         counts[r] = counts.get(r, 0) + 1
         if r != h:
             errors[r] = errors.get(r, 0) + 1
@@ -167,7 +167,7 @@ class TestCategoryPer:
         assert kinds == len(ref)
 
     def test_unknown_reference_symbol_rejected(self, table):
-        with pytest.raises(KeyError, match="QQ"):
+        with pytest.raises(ValueError, match="QQ"):
             category_per(["QQ"], ["QQ"], table, threshold=1)
 
     @pytest.mark.parametrize("threshold", [0, -1])
@@ -196,7 +196,7 @@ class TestCategoryPer:
             return
         try:
             expected = _reference_category_per(ref, hyp, table, threshold)
-        except KeyError as exc:
+        except ValueError as exc:
             with pytest.raises(type(exc)) as caught:
                 category_per(ref, hyp, table, threshold=threshold)
             assert str(caught.value) == str(exc)
