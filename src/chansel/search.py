@@ -150,7 +150,7 @@ class ResultsCache:
                     key = (d["subset"], d["corpus_hash"], d["config_hash"], int(d["seed"]))
                     self._records.pop(key, None)  # a later line replaces it, decoded or not
                     self._records[key] = EvalRecord.from_dict(d)
-                except (OSError, KeyError, TypeError, ValueError):
+                except (OSError, KeyError, TypeError, ValueError, OverflowError):
                     self.skipped_lines += 1
         finally:
             if fh is not None:

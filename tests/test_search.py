@@ -4,6 +4,7 @@ import importlib
 import inspect
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -371,7 +372,11 @@ class TestLazyResultsCache:
         assert cache.skipped_lines == 1
         assert len(cache) == 0
 
-    @pytest.mark.parametrize("field, value", [("wer", "x"), ("per_category", 5)])
+    @pytest.mark.parametrize("field, value", [
+        ("wer", "x"), ("per_category", 5),
+        pytest.param("wer", 10**400, id="wer-overflow"),
+        pytest.param("seed", math.inf, id="seed-overflow"),
+    ])
     def test_keyed_line_with_broken_body_is_a_counted_miss(self, tmp_path, field, value):
         path = tmp_path / "cache.jsonl"
         ResultsCache(path).put(make_record("12", wer=0.5))
