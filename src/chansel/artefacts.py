@@ -9,7 +9,8 @@ other file chansel writes, except the results cache, is text written by
 
 Every ValueError raised while reading a file, or building an object from
 it, reads ``<what> <path> <problem>``; ``naming`` adds the first two, also
-to a TypeError, which a value of the wrong type in a file raises.
+to a TypeError, which a value of the wrong type in a file raises, and to an
+OverflowError, which a number too large for a float raises.
 
 Every module that uses numpy imports ``np`` from here, bound by
 ``lazy_numpy``, so a command that builds no array never loads numpy.
@@ -58,10 +59,10 @@ def read_json(path: Path, what: str, keys: Iterable[str] = ()) -> dict:
 
 @contextmanager
 def naming(what: str, path: Path) -> Iterator[None]:
-    """Re-raise a ValueError or TypeError as ``<what> <path> <problem>``."""
+    """Re-raise a ValueError, TypeError or OverflowError as ``<what> <path> <problem>``."""
     try:
         yield
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValueError(f"{what} {path} {exc}") from None
 
 

@@ -77,7 +77,7 @@ class GeneratorConfig:
             )
         for w in self.weights:
             if (isinstance(w, bool) or not isinstance(w, (int, float))
-                    or not (math.isfinite(w) and 0.0 <= w <= 1.0)):
+                    or not 0.0 <= w <= 1.0):
                 raise ValueError(f"weights must be finite numbers in [0, 1], got {w!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not (0 < self.noise_sigma < math.inf):

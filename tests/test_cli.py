@@ -668,14 +668,15 @@ class TestConfigSchema:
         ("silence_frames", True, "True"), ("silence_frames", 0.5, "0.5"),
         ("weights", ["1", 1, 0, 0, 1, 1, 0, 0], "'1'"),
         ("weights", [True, 1, 0, 0, 1, 1, 0, 0], "True"),
+        ("weights", [10**400, 1, 0, 0, 1, 1, 0, 0], repr(10**400)),
         ("channel_classes", [[0, 1.9], *[[1]] * 7], "[0, 1.9]"),
         ("channel_classes", [["0"], *[[1]] * 7], "['0']"),
         ("channel_classes", [[0, True], *[[1]] * 7], "[0, True]"),
         ("channel_classes", "01234567", "'01234567'"),
         ("classes", [["IY"], "B"], "[['IY'], 'B']"),
     ], ids=["silence-fraction", "silence-string", "silence-bool", "silence-below-one",
-            "weight-string", "weight-bool", "coverage-fraction", "coverage-string",
-            "coverage-bool", "coverage-not-list", "class-not-string"])
+            "weight-string", "weight-bool", "weight-overflow", "coverage-fraction",
+            "coverage-string", "coverage-bool", "coverage-not-list", "class-not-string"])
 
     # the other subcommands, each with flags that would make it run at once
     OTHER_COMMANDS = {
@@ -857,6 +858,8 @@ class TestExitCodes:
          "sample_rate must be positive, got 0.0"),
         ("utt_00002.json", _with_key("sample_rate", None), "signal header", "utt_00002.json",
          "float() argument must be"),
+        ("utt_00002.json", _with_key("sample_rate", 10**400), "signal header", "utt_00002.json",
+         "int too large to convert to float"),
         ("utt_00002.bin", lambda data: struct.pack("<d", math.nan) + data[8:],
          "signal header", "utt_00002.json", "samples contain NaN or Inf"),
         ("labels.csv", lambda data: b"", "corpus labels", "labels.csv", "is empty"),
@@ -878,8 +881,8 @@ class TestExitCodes:
          (_with_key("channels", 2), lambda data: data[:len(data) // 2]),
          "corpus", "", "utterance 2 has 2 channels, expected 4"),
     ], ids=["torn", "channels-not-integer", "channels-negative", "sample-rate-zero",
-            "sample-rate-null", "payload-nan", "labels-empty", "labels-short", "labels-header",
-            "labels-frame-repeated", "labels-frame-skipped",
+            "sample-rate-null", "sample-rate-overflow", "payload-nan", "labels-empty",
+            "labels-short", "labels-header", "labels-frame-repeated", "labels-frame-skipped",
             "utterances-not-integer", "future-format", "channel-count-differs"])
     def test_torn_utterance_header_names_the_file(self, workdir, corpus_dir, run_cli, capsys,
                                                   damaged, damage, what, named, problem):
