@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -156,9 +157,10 @@ def load_corpus(directory: Path) -> Corpus:
         check_format_version(manifest, CORPUS_FORMAT_VERSION)
         n = positive_int(manifest["utterances"], "utterances")
 
-    # one list of labels per utterance, filled row by row; every label is
-    # the one string object kept for its text, shared by all utterances
-    labels_by_utt: dict[int, list[str]] = {i: [] for i in range(n)}
+    # one list of labels per utterance, made by its first row and filled row
+    # by row; every label is the one string object kept for its text, shared
+    # by all utterances
+    labels_by_utt: defaultdict[int, list[str]] = defaultdict(list)
     symbols: dict[str, str] = {}
     labels_path = directory / "labels.csv"
     with labels_path.open(encoding="utf-8") as lines, naming("corpus labels", labels_path):
@@ -171,16 +173,18 @@ def load_corpus(directory: Path) -> Corpus:
             row = row.rstrip("\n")
             try:
                 utt, frame, lab = row.split(",")
-                labels = labels_by_utt[int(utt)]
-                frame = int(frame)
-            except (ValueError, KeyError):
+                utt, frame = int(utt), int(frame)
+                if not 0 <= utt < n:
+                    raise ValueError
+            except ValueError:
                 raise ValueError(
                     f"line {line} reads {row!r}, expected utterance,frame,label with an "
                     f"utterance index below {n} and an integer frame"
                 ) from None
+            labels = labels_by_utt[utt]
             if frame != len(labels):
                 raise ValueError(f"line {line} reads {row!r}, expected frame {len(labels)} of "
-                                 f"utterance {int(utt)}")
+                                 f"utterance {utt}")
             labels.append(symbols.setdefault(lab, lab))
 
     signals = [load_signal(directory / f"utt_{i:05d}.json") for i in range(n)]

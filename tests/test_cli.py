@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -895,6 +896,24 @@ class TestExitCodes:
         code = run_cli("exhaustive", workdir / "sweep")
         assert code == EXIT_DATA
         assert f"error: {what} {header} {problem}" in capsys.readouterr().err
+
+    def test_manifest_claiming_a_million_utterances_costs_no_memory(self, workdir, corpus_dir,
+                                                                    run_cli, capsys):
+        """The load fails on the first missing utterance file without
+        allocating anything for the utterances the manifest only claims."""
+        manifest = corpus_dir / "manifest.json"
+        manifest.write_bytes(_with_key("utterances", 10**6)(manifest.read_bytes()))
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = run_cli("exhaustive", workdir / "sweep")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_DATA
+        assert (f"error: [Errno 2] No such file or directory: '{corpus_dir / 'utt_00012.json'}'"
+                in capsys.readouterr().err)
+        assert peak < 10 * 2**20
 
     @pytest.mark.parametrize("damage, message", [
         (lambda text: text[:30], "is not JSON: "),
