@@ -2,10 +2,9 @@
 
 An artefact is a JSON header ``NAME.json`` next to a payload ``NAME.bin`` of
 float64 values, little-endian and row-major; the header says how many.
-Signals and models are artefacts: a loader reads and checks the header
-first, and only then reads the payload's bytes with ``read_payload``. Every
-other file chansel writes, except the results cache, is text written by
-``write_text``.
+Signals and models are artefacts; a loader checks the header before
+``read_payload`` reads the payload's bytes. Every other file chansel writes,
+except the results cache, is text written by ``write_text``.
 
 Every ValueError raised while reading a file, or building an object from
 it, reads ``<what> <path> <problem>``; ``naming`` adds the first two, also
@@ -101,8 +100,7 @@ def write_artefact(header_path: Path, header: dict, payload: bytes,
 
 
 def read_payload(header_path: Path, count: int) -> bytes:
-    """The bytes of the payload beside ``header_path``, which must hold
-    ``count`` values."""
+    """The payload beside ``header_path``, which must hold ``count`` values."""
     raw = Path(header_path).with_suffix(".bin").read_bytes()
     if len(raw) != 8 * count:
         raise ValueError(f"payload holds {len(raw)} bytes, expected {8 * count}")

@@ -157,9 +157,8 @@ def load_corpus(directory: Path) -> Corpus:
         check_format_version(manifest, CORPUS_FORMAT_VERSION)
         n = positive_int(manifest["utterances"], "utterances")
 
-    # one list of labels per utterance, made by its first row and filled row
-    # by row; every label is the one string object kept for its text, shared
-    # by all utterances
+    # one list of labels per utterance, made by its first row; every label is
+    # the one string object kept for its text, shared by all utterances
     labels_by_utt: defaultdict[int, list[str]] = defaultdict(list)
     symbols: dict[str, str] = {}
     labels_path = directory / "labels.csv"

@@ -76,8 +76,7 @@ class GeneratorConfig:
                 f"{len(self.weights)} weights for {self.channels} channels"
             )
         for w in self.weights:
-            if (isinstance(w, bool) or not isinstance(w, (int, float))
-                    or not 0.0 <= w <= 1.0):
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not 0.0 <= w <= 1.0:
                 raise ValueError(f"weights must be finite numbers in [0, 1], got {w!r}")
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         if not (0 < self.noise_sigma < math.inf):
